@@ -1,17 +1,25 @@
 """Exact enumeration of pinned-particle kernels and finite-chain analysis.
 
-Two enumeration engines are provided.
+Three enumeration engines, each exact, cross-checked in the test suite.
 
+* The multiset sweep (:func:`kernel_row_multiset`, and every row of
+  :func:`exact_pn_matrix` when no pin lineage is given) is the default.
+  Free particles are exchangeable, so the pass is collapsed to the pinned
+  path plus the multiset of free ancestral paths, which evolves by
+  multinomial draws: polynomial in N.  A whole matrix is one sweep that
+  walks the pinned paths as a prefix trie, so rows sharing x_1..x_t share
+  the forward work through time t+1.
+* :func:`kernel_row` is slot-faithful: a forward sweep over tuples of
+  ancestral paths with the reference pinned to an explicit slot sequence.
+  It runs when :func:`exact_pn_matrix` is given a lineage, and it is the
+  independent engine against which the multiset sweep's blindness to that
+  lineage is tested.
 * :func:`enumerate_conditional_outcomes` walks the full outcome tree of a
   pass (states and ancestor rows with exact probabilities).  It supports any
   functional of the particle system and any pin configuration, at the price
-  of exponential cost; it is the maximally-dumb reference.
-* :func:`kernel_row` computes one row of the iterated-pass Markov kernel by
-  a forward sweep over tuples of ancestral paths.  Future dynamics and the
-  selected output depend on the current path tuple only, so outcomes with
-  equal tuples are merged; this turns the tree into a small dynamic program
-  while remaining an exact enumeration.  The two engines are cross-checked
-  against each other in the test suite.
+  of exponential cost.  It is the maximally-dumb reference: kernel rows
+  computed on it (:func:`kernel_row_tree`) serve the tests only, and it
+  otherwise runs only for functionals the kernel engines do not give.
 
 Also here: stationary laws, total-variation curves, spectral summaries,
 asymptotic variances and the exact minorization constant of enumerated
@@ -215,8 +223,19 @@ def kernel_row_tree(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10*
 
 
 # ---------------------------------------------------------------------------
-# Path-tuple dynamic program (fast exact kernel rows)
+# Path-tuple dynamic program (slot-faithful kernel rows)
 # ---------------------------------------------------------------------------
+
+
+def _checked_reference(model: DiscreteFK, x) -> tuple:
+    """The reference path as a tuple, refused unless it can be pinned."""
+    x = tuple(x)
+    if len(x) != model.T:
+        raise ValueError("trajectory length must equal the horizon")
+    for t in range(1, model.T + 1):
+        if model.potential(t, x[t - 1]) <= 0:
+            raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
+    return x
 
 
 def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -> dict:
@@ -226,12 +245,7 @@ def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -
     everywhere by default).  Returns a dict path -> probability.
     """
     T = model.T
-    x = tuple(x)
-    if len(x) != T:
-        raise ValueError("trajectory length must equal the horizon")
-    for t in range(1, T + 1):
-        if model.potential(t, x[t - 1]) <= 0:
-            raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
+    x = _checked_reference(model, x)
     if N == 1:
         return {x: 1.0}
     lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * T
@@ -309,118 +323,143 @@ def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -
     return row
 
 
-def _compositions(n: int, probs):
-    """Yield (counts, probability) over all multinomial outcomes of n draws."""
-    k = len(probs)
+# ---------------------------------------------------------------------------
+# Multiset sweep (default engine: kernel rows and whole matrices)
+# ---------------------------------------------------------------------------
 
-    def rec(i, remaining, coeff):
-        if i == k - 1:
-            if probs[i] == 0.0 and remaining > 0:
-                return
-            yield (remaining,), coeff * probs[i] ** remaining
+
+class _MultisetSweep:
+    """Forward sweep over (pinned path, multiset of free ancestral paths).
+
+    Free children are conditionally i.i.d. given the current states, so the
+    multiset of the N-1 free paths evolves by multinomial draws.  A state is
+    a tuple of (path, count) pairs sorted by path.  The law of the state
+    after time t depends on the pinned path only through x_1..x_{t-1}, so
+    :meth:`rows` walks the pinned paths as a prefix trie: each law is built
+    once per distinct prefix and shared by every row below it, and only the
+    terminal selection runs per row.
+
+    ``terms`` counts the multinomial terms enumerated so far; a draw that
+    would take it past ``guard`` raises OutcomeSpaceTooLarge before it runs.
+    """
+
+    def __init__(self, model: DiscreteFK, N: int, guard: int):
+        if N < 1:
+            raise ValueError("need at least one particle")
+        self.model = model
+        self.n_free = N - 1
+        self.guard = guard
+        self.terms = 0
+        T = model.T
+        self.g = [None] + [model.potential_vector(t).tolist() for t in range(1, T + 1)]
+        self.moves = [None, None] + [
+            [[(int(s), float(row[s])) for s in np.flatnonzero(row)] for row in model.transition(t)]
+            for t in range(2, T + 1)
+        ]
+
+    def rows(self, paths):
+        """Yield (x, kernel row of x) for each pinned path, in trie order."""
+        m1 = self.model.m1
+        initial: dict = {}
+        self._draw({(int(s),): float(m1[s]) for s in np.flatnonzero(m1)}, 1.0, initial)
+        yield from self._walk(1, initial, list(paths))
+
+    def _walk(self, t, law, group):
+        # ``law`` is the state law after time t, shared by ``group``: the
+        # pinned paths that agree on x_1..x_{t-1}.
+        if t == self.model.T:
+            yield from self._select(law, group)
             return
-        top = remaining if probs[i] > 0 else 0
-        for c in range(top + 1):
-            factor = math.comb(remaining, c) * probs[i] ** c
-            if factor == 0.0:
-                continue
-            for tail, p in rec(i + 1, remaining - c, coeff * factor):
-                yield (c,) + tail, p
+        branches: dict = {}
+        for x in group:
+            branches.setdefault(x[t - 1], []).append(x)
+        for branch in branches.values():
+            yield from self._walk(t + 1, self._step(t + 1, law, branch[0][:t]), branch)
 
-    yield from rec(0, n, 1.0)
+    def _step(self, t, law, pinned) -> dict:
+        """State law after time t, given the law after t-1 and the pinned
+        parent path x_1..x_{t-1}."""
+        g, moves = self.g[t - 1], self.moves[t]
+        g_pin = g[pinned[-1]]
+        out: dict = {}
+        for key, prob in law.items():
+            weights = [(pinned, g_pin)] + [(tp, c * g[tp[-1]]) for tp, c in key]
+            total = sum(w for _, w in weights)  # >= g_pin > 0: the pin was checked
+            children: dict = {}
+            for parent, w in weights:
+                if w == 0:
+                    continue
+                for s, q in moves[parent[-1]]:
+                    child = parent + (s,)
+                    children[child] = children.get(child, 0.0) + (w / total) * q
+            self._draw(children, prob, out)
+        return out
+
+    def _draw(self, law: dict, prob: float, out: dict) -> None:
+        """Add prob times the law of n_free i.i.d. draws from ``law`` to ``out``.
+
+        ``law`` maps child path -> probability; each outcome is keyed as a
+        state, weighted by its multinomial probability.
+        """
+        types = sorted(law)
+        self.terms += math.comb(self.n_free + len(types) - 1, self.n_free)
+        if self.terms > self.guard:
+            raise OutcomeSpaceTooLarge(
+                f"multiset sweep passes the guard of {self.guard} multinomial terms"
+            )
+        partial = [((), self.n_free, prob)]
+        for tp in types[:-1]:
+            p = law[tp]
+            grown = []
+            for key, rem, coeff in partial:
+                grown.append((key, rem, coeff))
+                for c in range(1, rem + 1):
+                    f = coeff * (math.comb(rem, c) * p**c)
+                    if f != 0.0:
+                        grown.append((key + ((tp, c),), rem - c, f))
+            partial = grown
+        last = types[-1]
+        p = law[last]
+        for key, rem, coeff in partial:
+            if rem:
+                key = key + ((last, rem),)
+                coeff = coeff * p**rem
+            if coeff != 0.0:
+                out[key] = out.get(key, 0.0) + coeff
+
+    def _select(self, law, group):
+        """Yield (x, kernel row of x) for each x in ``group``: the terminal
+        selection from the state law after time T."""
+        g = self.g[self.model.T]
+        free = []
+        for key, prob in law.items():
+            weights = [(tp, c * g[tp[-1]]) for tp, c in key]
+            free.append((prob, weights, sum(w for _, w in weights)))
+        for x in group:
+            g_pin = g[x[-1]]
+            terms: dict = {x: []}
+            for prob, weights, free_total in free:
+                total = g_pin + free_total
+                terms[x].append(prob * g_pin / total)
+                for tp, w in weights:
+                    if w != 0:
+                        terms.setdefault(tp, []).append(prob * w / total)
+            yield x, {path: math.fsum(v) for path, v in terms.items()}
 
 
 def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dict:
     """Exact kernel row using exchangeability of the free particles.
 
-    The pass is collapsed to (pinned path, multiset of free ancestral paths):
-    free children are conditionally i.i.d. given the current states, so the
-    multiset evolves by multinomial draws.  Polynomial in N; blind to the
-    pinned slot sequence (the slot-faithful engine in :func:`kernel_row`
-    exists precisely so that this blindness can be tested, not assumed).
+    The one-path case of the multiset sweep behind :func:`exact_pn_matrix`:
+    the pass is collapsed to (pinned path, multiset of free ancestral
+    paths), which is polynomial in N.  ``guard`` bounds the multinomial
+    terms the sweep enumerates.  The sweep is blind to the pinned slot
+    sequence; the slot-faithful engine in :func:`kernel_row` exists
+    precisely so that this blindness can be tested, not assumed.
     """
-    T = model.T
-    x = tuple(x)
-    for t in range(1, T + 1):
-        if model.potential(t, x[t - 1]) <= 0:
-            raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
-    if N == 1:
-        return {x: 1.0}
-    n_free = N - 1
-
-    init_types = [(int(s),) for s in np.flatnonzero(model.m1)]
-    init_probs = [float(model.m1[s[0]]) for s in init_types]
-    cur: dict = {}
-    for counts, prob in _compositions(n_free, init_probs):
-        cur[counts] = cur.get(counts, 0.0) + prob
-    type_list = init_types
-
-    for t in range(2, T + 1):
-        mat = model.transition(t)
-        g_prev = model.potential_vector(t - 1)
-        # Parent types: the pinned path plus the current free types.
-        pinned_last = x[t - 2]
-        new_type_index: dict = {}
-        new_entries: dict = {}
-        if len(cur) * _max_compositions(n_free, model) > guard:
-            raise OutcomeSpaceTooLarge("multiset sweep exceeds the enumeration guard")
-        for counts, prob in cur.items():
-            weights = [float(g_prev[pinned_last])] + [
-                c * float(g_prev[tp[-1]]) for tp, c in zip(type_list, counts)
-            ]
-            total = float(sum(weights))
-            if total <= 0:
-                raise AllWeightsZero(time=t - 1)
-            parents = [x[: t - 1]] + list(type_list)
-            child_probs: dict = {}
-            for w, parent in zip(weights, parents):
-                if w == 0:
-                    continue
-                for s in np.flatnonzero(mat[parent[-1]]):
-                    child = parent + (int(s),)
-                    child_probs[child] = child_probs.get(child, 0.0) + (
-                        w / total
-                    ) * float(mat[parent[-1], s])
-            child_types = sorted(child_probs)
-            probs = [child_probs[c] for c in child_types]
-            for child_counts, p in _compositions(n_free, probs):
-                full = {}
-                for tp, c in zip(child_types, child_counts):
-                    if c:
-                        full[tp] = c
-                key = tuple(sorted(full.items()))
-                new_entries[key] = new_entries.get(key, 0.0) + prob * p
-        # Normalise the representation: a shared global type list per time.
-        all_types = sorted({tp for key in new_entries for tp, _ in key})
-        type_list = all_types
-        cur = {}
-        for key, prob in new_entries.items():
-            lookup = dict(key)
-            counts = tuple(lookup.get(tp, 0) for tp in all_types)
-            cur[counts] = cur.get(counts, 0.0) + prob
-
-    g_final = model.potential_vector(T)
-    acc: dict = {}
-    for counts, prob in cur.items():
-        weights = [float(g_final[x[-1]])] + [
-            c * float(g_final[tp[-1]]) for tp, c in zip(type_list, counts)
-        ]
-        total = float(sum(weights))
-        if total <= 0:
-            raise AllWeightsZero(time=T)
-        paths = [x] + list(type_list)
-        for w, path in zip(weights, paths):
-            if w == 0:
-                continue
-            if path not in acc:
-                acc[path] = KahanSum()
-            acc[path].add(prob * w / total)
-    return {path: float(s) for path, s in acc.items()}
-
-
-def _max_compositions(n_free: int, model: DiscreteFK) -> float:
-    types = min(model.n_states ** model.T, 64)
-    return float(math.comb(n_free + types - 1, max(types - 1, 1)))
+    x = _checked_reference(model, x)
+    ((_, row),) = _MultisetSweep(model, N, guard).rows([x])
+    return row
 
 
 def exact_pn_matrix(
@@ -428,25 +467,28 @@ def exact_pn_matrix(
 ) -> FiniteChain:
     """The iterated-pass kernel over all positive-mass paths, enumerated exactly.
 
-    Uses the slot-faithful sweep for small particle counts (and always when a
-    pin lineage is supplied); falls back to the exchangeability-collapsed
-    sweep for larger N.
+    Without a ``lineage`` every row comes from one multiset sweep, the
+    engine of :func:`kernel_row_multiset`, walked over all paths at once so
+    that rows whose paths share a prefix share its forward work; ``guard``
+    bounds the multinomial terms of the whole sweep.  With a pin lineage
+    each row comes from the slot-faithful :func:`kernel_row`, and ``guard``
+    bounds each row.  The outcome-tree engine (:func:`kernel_row_tree`) is a
+    test reference only and never runs here.
     """
     if target is None:
         target = exact_target(model)
     paths = target.paths
     if len(paths) > 3000:
         raise OutcomeSpaceTooLarge(f"{len(paths)} paths exceed the supported matrix size")
+    if lineage is None:
+        checked = [_checked_reference(model, x) for x in paths]
+        rows = _MultisetSweep(model, N, guard).rows(checked)
+    else:
+        rows = ((x, kernel_row(model, N, x, lineage=lineage, guard=guard)) for x in paths)
     K = np.zeros((len(paths), len(paths)))
     index = {p: i for i, p in enumerate(paths)}
-    for i, x in enumerate(paths):
-        if lineage is not None:
-            row = kernel_row(model, N, x, lineage=lineage, guard=guard)
-        else:
-            try:
-                row = kernel_row(model, N, x, guard=guard)
-            except OutcomeSpaceTooLarge:
-                row = kernel_row_multiset(model, N, x, guard=guard)
+    for x, row in rows:
+        i = index[x]
         for path, p in row.items():
             K[i, index[path]] += p
     return FiniteChain(states=paths, kernel=K, stationary=target.probabilities.copy())

@@ -186,6 +186,7 @@ class TargetLaw:
     paths: tuple                 # tuple of length-T index tuples
     probabilities: np.ndarray
     gamma_t: float
+    n_states: int                # alphabet size, including massless states
     _index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -203,8 +204,7 @@ class TargetLaw:
         T = len(self.paths[0])
         if not 1 <= t <= T:
             raise IndexOutOfRange(f"time {t} outside [1, {T}]")
-        n_states = max(max(p) for p in self.paths) + 1
-        out = np.zeros(n_states)
+        out = np.zeros(self.n_states)
         for p, pr in zip(self.paths, self.probabilities):
             out[p[t - 1]] += pr
         return out
@@ -238,7 +238,9 @@ def exact_target(model: DiscreteFK, guard: int = 10**7) -> TargetLaw:
     gamma = float(np.sum(masses))
     if gamma <= 0:
         raise ZeroPotential("the model carries zero total weighted mass")
-    return TargetLaw(paths=tuple(paths), probabilities=np.array(masses) / gamma, gamma_t=gamma)
+    return TargetLaw(
+        paths=tuple(paths), probabilities=np.array(masses) / gamma, gamma_t=gamma, n_states=S
+    )
 
 
 def support_paths(model: DiscreteFK, guard: int = 10**7) -> tuple:

@@ -68,11 +68,13 @@ def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.nd
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    total = float(w.sum())
-    if total <= 0:
+    if float(w.sum()) <= 0:
         raise AllWeightsZero()
-    cdf = np.cumsum(w / total)
-    u = rng.random(count)
+    # Uniforms are scaled to the raw cumulative sum: a normalised CDF can end
+    # below 1, and a uniform above its end would clamp onto a trailing zero
+    # weight.  Scaled, every draw lies strictly below cdf[-1].
+    cdf = np.cumsum(w)
+    u = rng.random(count) * cdf[-1]
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(w) - 1)
 
 

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fixtures import model, model_a, oracle_grid, pn_chain, target
 from pmcmc_lab import exact_asymptotic_variance, exact_minorization, spectral_summary, tv_curve
-from pmcmc_lab.errors import NotReversible, OutcomeSpaceTooLarge, SingularSolve
+from pmcmc_lab.errors import NotReversible, OutcomeSpaceTooLarge, PmcmcLabError, SingularSolve
 from pmcmc_lab.exact_oracle import (
     FiniteChain,
     asymptotic_variance_general,
@@ -13,10 +15,11 @@ from pmcmc_lab.exact_oracle import (
     dirichlet_form,
     exact_pn_matrix,
     kernel_row,
+    kernel_row_multiset,
     kernel_row_tree,
     l2_distance,
 )
-from pmcmc_lab.fk_model import build_discrete_model
+from pmcmc_lab.fk_model import build_discrete_model, exact_target
 
 
 def two_state_flip(p: float) -> FiniteChain:
@@ -66,10 +69,89 @@ def test_fast_rows_match_tree_rows():
                 assert max(abs(fast[k] - slow[k]) for k in fast) < 1e-12
 
 
+def row_vector(row: dict, paths) -> np.ndarray:
+    return np.array([row.get(p, 0.0) for p in paths])
+
+
+def test_matrix_rows_match_slot_faithful_and_tree_rows():
+    for name, n in oracle_grid():
+        m, paths = model(name), target(name).paths
+        chain = pn_chain(name, n)
+        for i, x in enumerate(paths):
+            got = chain.kernel[i]
+            assert np.max(np.abs(got - row_vector(kernel_row(m, n, x), paths))) < 1e-12
+            if name in ("A", "C", "D"):
+                assert np.max(np.abs(got - row_vector(kernel_row_tree(m, n, x), paths))) < 1e-12
+
+
 def test_enumeration_guard():
     m = model("E")
     with pytest.raises(OutcomeSpaceTooLarge):
         kernel_row(m, 3, (0, 0, 0), guard=10)
+    with pytest.raises(OutcomeSpaceTooLarge):
+        exact_pn_matrix(m, 3, guard=10)
+
+
+def test_multiset_guard_counts_enumerated_terms():
+    # Model A, N=3, x=(0, 0): two free particles.  Time 1 draws them over
+    # two types (3 terms).  Time 2 draws them over the children of the
+    # parents present: {(0,)} -> 2 types (3 terms); {(0,), (1,)} -> 4 types
+    # (10 terms) for each of the other two states.  Total 26.
+    m = model_a()
+    kernel_row_multiset(m, 3, (0, 0), guard=26)
+    with pytest.raises(OutcomeSpaceTooLarge):
+        kernel_row_multiset(m, 3, (0, 0), guard=25)
+    # The matrix shares time 1 across all four rows and time 2 across the
+    # two rows of each x_1: 3 + 23 + 23 terms, not 4 x 26.
+    exact_pn_matrix(m, 3, guard=49)
+    with pytest.raises(OutcomeSpaceTooLarge):
+        exact_pn_matrix(m, 3, guard=48)
+
+
+@st.composite
+def sparse_models(draw):
+    """Models with S, T <= 3, zero weights and sparse transition rows."""
+    S = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 4.0))
+
+    def prob_vector():
+        v = np.array([draw(entry) for _ in range(S)])
+        v[draw(st.integers(0, S - 1))] += 1.0
+        return (v / v.sum()).tolist()
+
+    mats = [[prob_vector() for _ in range(S)] for _ in range(T - 1)]
+    gs = [[draw(entry) for _ in range(S)] for _ in range(T)]
+    try:
+        return build_discrete_model(list(range(S)), prob_vector(), mats, gs)
+    except PmcmcLabError:
+        assume(False)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except PmcmcLabError as exc:
+        return exc
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_models(), st.integers(1, 3))
+def test_property_default_engine_matches_slot_faithful(m, N):
+    def default_engine():
+        chain = exact_pn_matrix(m, N)
+        return chain.states, chain.kernel
+
+    def slot_faithful():
+        paths = exact_target(m).paths
+        return paths, np.array([row_vector(kernel_row(m, N, x), paths) for x in paths])
+
+    got, want = outcome(default_engine), outcome(slot_faithful)
+    if isinstance(got, PmcmcLabError) or isinstance(want, PmcmcLabError):
+        assert isinstance(got, PmcmcLabError) and isinstance(want, PmcmcLabError)
+        return
+    assert got[0] == want[0]
+    assert np.max(np.abs(got[1] - want[1])) < 1e-12
 
 
 def test_reversibility_and_positivity_all_fixtures():

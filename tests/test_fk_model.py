@@ -129,6 +129,12 @@ def test_pi_marginals_match_path_enumeration():
             assert pi_marginal(m, time).sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_marginal_keeps_massless_trailing_state():
+    m = build_discrete_model([0, 1, 2], [0.5, 0.5, 0.0], [], [[1.0, 1.0, 1.0]])
+    marginal = exact_target(m).marginal(1)
+    assert marginal.tolist() == [0.5, 0.5, 0.0]
+
+
 def test_sup_potentials_canonical():
     assert np.allclose(sup_potentials(model_a()), [2.0, 3.0])
 

@@ -32,6 +32,20 @@ def test_resample_empirical_frequency():
     assert 0.498 <= freq <= 0.502
 
 
+class _TopUniform:
+    """Stands in for a generator whose uniforms sit just below one."""
+
+    def random(self, count):
+        return np.full(count, np.nextafter(1.0, 0.0))
+
+
+def test_resample_never_selects_trailing_zero_weight():
+    # Ten 0.1 weights sum to 1 - 2**-53 in floating point; a normalised CDF
+    # then ends below the largest uniform and the clamp picks index 10.
+    out = multinomial_resample([0.1] * 10 + [0.0], 3, _TopUniform())
+    assert list(out) == [9, 9, 9]
+
+
 def test_resample_negative_weights_rejected():
     with pytest.raises(ValueError):
         multinomial_resample([1.0, -0.5], 1, SubstreamRng(0).stream(0))
