@@ -40,7 +40,6 @@ from .exact_oracle import (
 )
 from .fk_model import (
     DiscreteFK,
-    GenerativeFK,
     TargetLaw,
     build_discrete_model,
     exact_target,

@@ -5,7 +5,9 @@ states are forced and its parent index always points at its own previous
 slot.  Tracing the terminal selection backward through the ancestor rows
 yields the next state of the chain.  The pinned slot is 0 everywhere by
 default; passes with an arbitrary pinned slot sequence (and passes with two
-pinned trajectories, see :mod:`pmcmc_lab.c2smc`) run through the same engine.
+pinned trajectories, see :mod:`pmcmc_lab.c2smc`) are the same
+:func:`pmcmc_lab.smc_core.particle_pass` with another pin schedule, and
+:func:`reference_pass` runs the slot-0 pass on R replicates at once.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWeightsZero, LineageClash, ZeroPinnedPotential
-from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
-from .smc_core import ParticleSystem, _pick_index, gamma_hat
+from .errors import LineageClash
+from .rng import as_substream
+from .smc_core import BatchedPass, ParticleSystem, gamma_hat, particle_pass
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,9 @@ def _pin_schedule(pins, T: int, N: int):
     """Merge pinned trajectories into per-time slot/state and slot/parent maps.
 
     ``pins`` is a list of (lineage, path) pairs; lineages are 0-based slot
-    sequences.  Raises LineageClash when two trajectories claim one slot with
-    different states, and checks slot validity.
+    sequences and ``path[t]`` is the state at time t+1, an int or one state
+    per replicate.  Raises LineageClash when two trajectories claim one slot
+    with different states (in any replicate), and checks slot validity.
     """
     pin_state = [dict() for _ in range(T)]
     pin_anc = [dict() for _ in range(T - 1)] if T > 1 else []
@@ -55,7 +58,7 @@ def _pin_schedule(pins, T: int, N: int):
             if not 0 <= slot < N:
                 raise ValueError(f"pinned slot {slot} outside [0, {N})")
             state = path[t]
-            if slot in pin_state[t] and pin_state[t][slot] != state:
+            if slot in pin_state[t] and np.any(pin_state[t][slot] != state):
                 raise LineageClash(
                     f"slot {slot} at time {t + 1} pinned to two different states"
                 )
@@ -70,62 +73,19 @@ def _pin_schedule(pins, T: int, N: int):
     return pin_state, pin_anc
 
 
-def _check_pinned_potentials(model, pins) -> None:
-    for _, path in pins:
-        for t, state in enumerate(path, start=1):
-            if model.potential(t, state) <= 0:
-                raise ZeroPinnedPotential(
-                    f"pinned state at time {t} carries zero weight"
-                )
-
-
 def conditional_system(model, N: int, pins, rng, base: int = 0) -> ParticleSystem:
     """One pass with the given pinned trajectories; free slots evolve normally."""
-    rng = as_substream(rng)
-    T = model.T
-    _check_pinned_potentials(model, pins)
-    pin_state, pin_anc = _pin_schedule(pins, T, N)
+    schedule = _pin_schedule(pins, model.T, N)
+    return particle_pass((model,), N, rng, base=base, pins=schedule).system()
 
-    states = []
-    ancestors = []
-    row = [None] * N
-    for i in range(N):
-        if i in pin_state[0]:
-            row[i] = pin_state[0][i]
-        else:
-            row[i] = model.sample_initial(rng.stream(base, 1, i, SITE_INIT))
-    states.append(tuple(row))
 
-    for t in range(2, T + 1):
-        g = np.array([model.potential(t - 1, z) for z in states[-1]])
-        if g.sum() <= 0:
-            raise AllWeightsZero(time=t - 1)
-        anc = [None] * N
-        row = [None] * N
-        for i in range(N):
-            if i in pin_state[t - 1]:
-                anc[i] = pin_anc[t - 2][i]
-                row[i] = pin_state[t - 1][i]
-            else:
-                a = _pick_index(g, rng.stream(base, t, i, SITE_ANCESTOR))
-                anc[i] = a
-                row[i] = model.sample_transition(
-                    t, states[-1][a], rng.stream(base, t, i, SITE_MOVE)
-                )
-        ancestors.append(tuple(anc))
-        states.append(tuple(row))
-
-    g_final = np.array([model.potential(T, z) for z in states[-1]])
-    if g_final.sum() <= 0:
-        raise AllWeightsZero(time=T)
-    final = _pick_index(g_final, rng.stream(base, T + 1, 0, SITE_FINAL))
-
-    logg = np.array(
-        [[model.log_potential(t, z) for z in states[t - 1]] for t in range(1, T + 1)]
-    )
-    return ParticleSystem(
-        states=tuple(states), ancestors=tuple(ancestors), final_index=final, log_potentials=logg
-    )
+def reference_pass(models, N: int, paths, rng, base: int = 0, which=None) -> BatchedPass:
+    """Pinned passes of R replicates, replicate r keeping ``paths[r]`` in
+    slot 0 throughout; ``models`` and ``which`` as in :func:`particle_pass`."""
+    paths = np.asarray(paths, dtype=int)
+    T = models[0].T
+    schedule = _pin_schedule([((0,) * T, paths.T)], T, N)
+    return particle_pass(models, N, rng, base=base, rows=len(paths), pins=schedule, which=which)
 
 
 def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> ParticleSystem:
@@ -139,12 +99,8 @@ def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> ParticleSystem
     return conditional_system(model, N, [(lineage, tuple(x.points))], rng, base=base)
 
 
-def select_path(system: ParticleSystem, rng=None) -> Trajectory:
-    """Trace the terminal selection backward through the ancestor rows.
-
-    The rng argument is accepted for signature symmetry but unused: systems
-    carry their terminal index already.
-    """
+def select_path(system: ParticleSystem) -> Trajectory:
+    """Trace the terminal selection backward through the ancestor rows."""
     T = system.T
     idx = system.final_index
     slots = [0] * T
@@ -227,7 +183,6 @@ class ChainTrace:
 def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     """Iterate pass + selection for ``n_iter`` steps starting from ``x0``."""
     rng = as_substream(rng)
-    _check_pinned_potentials(model, [((0,) * model.T, tuple(x0.points))])
     T = model.T
     states = np.empty((n_iter + 1, T), dtype=int)
     states[0] = x0.points

@@ -47,6 +47,10 @@ class ZeroPinnedPotential(PmcmcLabError):
     """The retained trajectory carries zero potential at some time."""
 
 
+class ZeroPathMass(PmcmcLabError):
+    """A path carries zero mass under every parameter value of a joint model."""
+
+
 class LineageClash(PmcmcLabError):
     """Two pinned trajectories demand the same particle slot with different states."""
 

@@ -33,6 +33,7 @@ from .errors import (
     PathSpaceTooLarge,
     ZeroPotential,
 )
+from .smc_core import categorical
 
 _ROW_TOL = 1e-9
 _SUPPORT_TOL = 1e-15
@@ -76,10 +77,10 @@ class DiscreteFK:
     # -- generative interface -------------------------------------------------
 
     def sample_initial(self, rng: np.random.Generator) -> int:
-        return _pick(self.m1, rng)
+        return int(categorical(self.m1[None], rng.random((1, 1)))[0, 0])
 
     def sample_transition(self, t: int, state: int, rng: np.random.Generator) -> int:
-        return _pick(self.transition(t)[state], rng)
+        return int(categorical(self.transition(t)[state][None], rng.random((1, 1)))[0, 0])
 
     # -- serialization ---------------------------------------------------------
 
@@ -98,12 +99,6 @@ class DiscreteFK:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_json())
-
-
-def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(weights)
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), len(weights) - 1))
 
 
 def build_discrete_model(alphabet, m1, m, g, T: int | None = None) -> DiscreteFK:
@@ -243,11 +238,6 @@ def exact_target(model: DiscreteFK, guard: int = 10**7) -> TargetLaw:
     )
 
 
-def support_paths(model: DiscreteFK, guard: int = 10**7) -> tuple:
-    """Paths with strictly positive target mass."""
-    return exact_target(model, guard=guard).paths
-
-
 # ---------------------------------------------------------------------------
 # Two-time weighted mass functions and predictive laws
 # ---------------------------------------------------------------------------
@@ -309,42 +299,3 @@ def sup_potentials(model: DiscreteFK) -> np.ndarray:
         mask = pi_marginal(model, t) > _SUPPORT_TOL
         out[t - 1] = float(np.max(model.potential_vector(t)[mask]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sample-only models (continuous or otherwise non-enumerable state spaces)
-# ---------------------------------------------------------------------------
-
-
-class GenerativeFK:
-    """Model defined only through samplers and weight callables.
-
-    ``sample_initial(rng)`` draws the time-1 state, ``sample_transition(t, z,
-    rng)`` the state at time t from its predecessor, and ``potential(t, z)``
-    evaluates the weight.  Exact-oracle functions require a DiscreteFK; the
-    samplers and estimators accept either.
-    """
-
-    def __init__(self, T, sample_initial, sample_transition, potential):
-        if T < 1:
-            raise DimensionMismatch("horizon must be at least 1")
-        self.T = int(T)
-        self._init = sample_initial
-        self._trans = sample_transition
-        self._pot = potential
-
-    def sample_initial(self, rng):
-        return self._init(rng)
-
-    def sample_transition(self, t, state, rng):
-        return self._trans(t, state, rng)
-
-    def potential(self, t, state) -> float:
-        g = float(self._pot(t, state))
-        if not np.isfinite(g) or g < 0:
-            raise NegativePotential(f"potential at time {t} returned {g!r}")
-        return g
-
-    def log_potential(self, t, state) -> float:
-        g = self.potential(t, state)
-        return float(np.log(g)) if g > 0 else float("-inf")

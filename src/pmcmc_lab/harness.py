@@ -27,7 +27,7 @@ from .bounds import (
     report_rows,
 )
 from .c2smc import alpha_constant
-from .csmc import ChainTrace, Trajectory, icsmc_chain
+from .csmc import ChainTrace, Trajectory, icsmc_chain, reference_pass
 from .errors import ConfigError, OutcomeSpaceTooLarge, TraceTooShort
 from .exact_oracle import (
     exact_minorization,
@@ -204,12 +204,11 @@ def _suff_expectation_exact(model: DiscreteFK, N: int, x) -> float:
 
 
 def _sticky_mc(model, N, x, a_set, samples, seed, n):
-    from .replicated import csmc_step_replicated
-
     rng = SubstreamRng(seed).spawn(n)
     paths0 = np.tile(np.asarray(x, dtype=int), (samples, 1))
-    paths, g = csmc_step_replicated(model, N, paths0, rng, base=1, return_weights=True)
-    stay = float(np.mean([tuple(row) in a_set for row in paths]))
+    step = reference_pass((model,), N, paths0, rng, base=1)
+    g = step.weights[-1]
+    stay = float(np.mean([tuple(row) in a_set for row in step.paths()]))
     suff = float(np.mean(g[:, 0] / g.sum(axis=1)))
     return stay, suff
 

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csmc import Trajectory, run_csmc, select_path
+from .csmc import Trajectory, reference_pass
 from .fk_model import exact_target, model_from_dict, sup_potentials
 from .errors import (
     AssertionFailure,
     DegenerateB,
     DimensionMismatch,
     StateSpaceTooLarge,
+    ZeroPathMass,
 )
 from .exact_oracle import (
     FiniteChain,
@@ -40,7 +41,7 @@ from .exact_oracle import (
     spectral_summary,
 )
 from .rng import SITE_ACCEPT, SITE_THETA, as_substream
-from .smc_core import gamma_hat, run_smc
+from .smc_core import categorical, particle_pass
 
 
 @dataclass(frozen=True)
@@ -453,18 +454,46 @@ def check_theta_chain_identities(
 # ---------------------------------------------------------------------------
 
 
+def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
+    """Law of the parameter given each of R paths (R, T), as an (R, J) array.
+
+    theta | x is proportional to prior_j * mass_j(x), the weighted path mass
+    m1(x_1) G_1(x_1) prod_t M_t(x_{t-1}, x_t) G_t(x_t) under parameter value
+    j: O(J T) per path, with no enumeration of the path space.  Raises
+    ZeroPathMass for a path that has zero mass under every parameter value.
+    """
+    x = np.atleast_2d(np.asarray(paths, dtype=int))
+    t = np.arange(jm.T)
+    mass = np.array([m.m1 for m in jm.models])[:, x[:, 0]]
+    mass = mass * np.prod(np.array([m.potentials for m in jm.models])[:, t, x], axis=-1)
+    if jm.T > 1:
+        moves = np.array([m.transitions for m in jm.models])[:, t[:-1], x[:, :-1], x[:, 1:]]
+        mass = mass * np.prod(moves, axis=-1)
+    joint = jm.prior[:, None] * mass
+    total = joint.sum(axis=0)
+    if np.any(total <= 0):
+        bad = tuple(int(s) for s in x[int(np.argmin(total > 0))])
+        raise ZeroPathMass(f"path {bad} has zero mass under every parameter value")
+    return (joint / total).T
+
+
+def pgibbs_update(jm: JointModel, N: int, paths, rng, base: int = 0):
+    """One particle Gibbs step on R rows: each row's parameter drawn from its
+    exact conditional given the path, then one slot-0 pinned pass at that
+    value.  Returns the parameter indices (R,) and the new paths (R, T)."""
+    rng = as_substream(rng)
+    paths = np.asarray(paths, dtype=int)
+    u = rng.stream(base, 0, 0, SITE_THETA).random((len(paths), 1))
+    thetas = categorical(theta_given_paths(jm, paths), u)[:, 0]
+    return thetas, reference_pass(jm.models, N, paths, rng, base=base, which=thetas).paths()
+
+
 def pgibbs_step(jm: JointModel, N: int, theta_idx: int, x: Trajectory, rng, base: int = 0):
     """Exact parameter draw given the path, then one pinned pass at the new
-    parameter value."""
-    rng = as_substream(rng)
-    enum = enumerate_joint(jm)
-    i = enum.path_index(tuple(x.points))
-    weights = enum.cond_theta[i]
-    gen = rng.stream(base, 0, 0, SITE_THETA)
-    cdf = np.cumsum(weights)
-    new_theta = int(min(np.searchsorted(cdf, gen.random() * cdf[-1], side="right"), jm.J - 1))
-    system = run_csmc(jm.models[new_theta], N, x, rng, base=base)
-    return new_theta, select_path(system)
+    parameter value: :func:`pgibbs_update` on one row.  The parameter draw
+    does not depend on ``theta_idx``."""
+    thetas, paths = pgibbs_update(jm, N, [x.points], rng, base=base)
+    return int(thetas[0]), Trajectory(points=tuple(paths[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -473,16 +502,28 @@ class PimhState:
     log_gamma_hat: float
 
 
-def pimh_step(model, N: int, current: PimhState, rng, base: int = 0):
-    """Propose a fresh pass; accept with the ratio of estimates."""
+def pimh_update(model, N: int, paths, log_gammas, rng, base: int = 0):
+    """One independence step on R rows: propose a fresh pass per row and
+    accept it with the ratio of estimates.  Returns the paths (R, T), the log
+    estimates (R,) and the acceptance mask (R,)."""
     rng = as_substream(rng)
-    system = run_smc(model, N, rng, base=base)
-    proposal = PimhState(path=select_path(system), log_gamma_hat=gamma_hat(system).log_value)
-    gen = rng.stream(base, model.T + 2, 0, SITE_ACCEPT)
-    log_u = float(np.log(gen.random()))
-    if log_u < proposal.log_gamma_hat - current.log_gamma_hat:
-        return proposal, True
-    return current, False
+    R = len(paths)
+    proposal = particle_pass((model,), N, rng, base=base, rows=R)
+    lg = proposal.log_gamma()
+    log_u = np.log(rng.stream(base, model.T + 2, 0, SITE_ACCEPT).random(R))
+    acc = log_u < lg - log_gammas
+    return np.where(acc[:, None], proposal.paths(), paths), np.where(acc, lg, log_gammas), acc
+
+
+def pimh_step(model, N: int, current: PimhState, rng, base: int = 0):
+    """Propose a fresh pass; accept with the ratio of estimates
+    (:func:`pimh_update` on one row)."""
+    paths, lg, acc = pimh_update(
+        model, N, [current.path.points], [current.log_gamma_hat], rng, base=base
+    )
+    if not acc[0]:
+        return current, False
+    return PimhState(path=Trajectory(points=tuple(paths[0].tolist())), log_gamma_hat=float(lg[0])), True
 
 
 @dataclass(frozen=True)
@@ -491,23 +532,29 @@ class PmmhState:
     log_gamma_hat: float
 
 
-def pmmh_step(jm: JointModel, N: int, proposal_q, current: PmmhState, rng, base: int = 0):
-    """Marginal accept/reject on the parameter with estimated constants.
-
-    ``proposal_q`` is a row-stochastic matrix over the parameter values.
-    """
+def pmmh_update(jm: JointModel, N: int, proposal_q, thetas, log_gammas, rng, base: int = 0):
+    """One marginal accept/reject step on the parameter of R rows, with
+    estimated constants.  ``proposal_q`` is a row-stochastic matrix over the
+    parameter values.  Returns the parameter indices (R,), the log estimates
+    (R,) and the acceptance mask (R,)."""
     rng = as_substream(rng)
     q = np.asarray(proposal_q, dtype=float)
-    gen = rng.stream(base, 0, 0, SITE_THETA)
-    row = q[current.theta_idx]
-    cdf = np.cumsum(row)
-    cand = int(min(np.searchsorted(cdf, gen.random() * cdf[-1], side="right"), jm.J - 1))
-    system = run_smc(jm.models[cand], N, rng, base=base)
-    log_g = gamma_hat(system).log_value
-    prior = jm.prior
-    num = np.log(prior[cand]) + np.log(q[cand, current.theta_idx]) + log_g
-    den = np.log(prior[current.theta_idx]) + np.log(row[cand]) + current.log_gamma_hat
-    gen_acc = rng.stream(base, jm.T + 2, 0, SITE_ACCEPT)
-    if float(np.log(gen_acc.random())) < num - den:
-        return PmmhState(theta_idx=cand, log_gamma_hat=log_g), True
-    return current, False
+    thetas = np.asarray(thetas, dtype=int)
+    R = len(thetas)
+    cand = categorical(q[thetas], rng.stream(base, 0, 0, SITE_THETA).random((R, 1)))[:, 0]
+    lg = particle_pass(jm.models, N, rng, base=base, rows=R, which=cand).log_gamma()
+    num = np.log(jm.prior[cand]) + np.log(q[cand, thetas]) + lg
+    den = np.log(jm.prior[thetas]) + np.log(q[thetas, cand]) + log_gammas
+    acc = np.log(rng.stream(base, jm.T + 2, 0, SITE_ACCEPT).random(R)) < num - den
+    return np.where(acc, cand, thetas), np.where(acc, lg, log_gammas), acc
+
+
+def pmmh_step(jm: JointModel, N: int, proposal_q, current: PmmhState, rng, base: int = 0):
+    """Marginal accept/reject on the parameter with estimated constants
+    (:func:`pmmh_update` on one row)."""
+    thetas, lg, acc = pmmh_update(
+        jm, N, proposal_q, [current.theta_idx], [current.log_gamma_hat], rng, base=base
+    )
+    if not acc[0]:
+        return current, False
+    return PmmhState(theta_idx=int(thetas[0]), log_gamma_hat=float(lg[0])), True

@@ -1,139 +1,36 @@
-"""Vectorised runs of many independent chains on finite-alphabet models.
+"""Many independent chains at once, as loops over the batched pass.
 
-These helpers exist for the Monte-Carlo consistency experiments: they run R
-independent replicates of a pass (or of a whole accept/reject chain) as
-numpy array operations, drawing each replicate block from the substream of
-its draw site.  They require a :class:`DiscreteFK`; the scalar samplers in
-:mod:`smc_core` / :mod:`csmc` remain the generic implementations.
+Each function runs R replicates with one row-wise call per step: the plain
+:func:`pmcmc_lab.smc_core.particle_pass`, the slot-0
+:func:`pmcmc_lab.csmc.reference_pass`, or the PIMH, PMMH and particle Gibbs
+updates of :mod:`pmcmc_lab.pgibbs`.  The scalar samplers are the same calls
+on one row, so replicate 0 here equals the scalar run at the same seed and
+step numbering, draw for draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllWeightsZero
+from .csmc import reference_pass
 from .fk_model import DiscreteFK
-from .pgibbs import JointModel, enumerate_joint
-from .rng import (
-    SITE_ACCEPT,
-    SITE_ANCESTOR,
-    SITE_FINAL,
-    SITE_INIT,
-    SITE_MOVE,
-    SITE_THETA,
-    as_substream,
-)
-
-
-def _rows_categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorised inverse-CDF draw over the last axis of ``probs``.
-
-    ``u`` holds uniforms, one per draw.  When ``probs`` and ``u`` have the
-    same number of axes, each probs row feeds every draw in the matching u
-    row; otherwise the leading axes align one distribution per draw.
-    """
-    cdf = np.cumsum(probs, axis=-1)
-    cdf = cdf / cdf[..., -1:]
-    if cdf.ndim == u.ndim:
-        cdf = np.expand_dims(cdf, -2)
-    return (u[..., None] > cdf[..., :-1]).sum(axis=-1)
-
-
-def _gather_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return matrix[rows]
+from .pgibbs import JointModel, pgibbs_update, pimh_update, pmmh_update
+from .rng import as_substream
+from .smc_core import particle_pass
 
 
 def smc_replicated(model: DiscreteFK, N: int, R: int, rng, base: int = 0):
     """R independent plain passes: selected paths (R, T) and log estimates (R,)."""
-    rng = as_substream(rng)
-    T = model.T
-    u = rng.stream(base, 1, 0, SITE_INIT).random((R, N))
-    states = _rows_categorical(model.m1, u)
-    all_states = [states]
-    all_anc = []
-    log_gamma = np.zeros(R)
-    for t in range(2, T + 1):
-        g = model.potential_vector(t - 1)[states]
-        tot = g.sum(axis=1)
-        if np.any(tot <= 0):
-            raise AllWeightsZero(time=t - 1)
-        log_gamma += np.log(tot / N)
-        w = g / tot[:, None]
-        u_anc = rng.stream(base, t, 0, SITE_ANCESTOR).random((R, N))
-        anc = _rows_categorical(w, u_anc)
-        src = np.take_along_axis(states, anc, axis=1)
-        move_probs = _gather_rows(model.transition(t), src)  # (R, N, S)
-        u_move = rng.stream(base, t, 0, SITE_MOVE).random((R, N))
-        states = _rows_categorical(move_probs, u_move)
-        all_states.append(states)
-        all_anc.append(anc)
-    g = model.potential_vector(T)[states]
-    tot = g.sum(axis=1)
-    if np.any(tot <= 0):
-        raise AllWeightsZero(time=T)
-    log_gamma += np.log(tot / N)
-    u_fin = rng.stream(base, T + 1, 0, SITE_FINAL).random(R)
-    final = _rows_categorical(g / tot[:, None], u_fin)
-    paths = _trace(all_states, all_anc, final)
-    return paths, log_gamma
+    p = particle_pass((model,), N, rng, base=base, rows=R)
+    return p.paths(), p.log_gamma()
 
 
-def _trace(all_states, all_anc, final):
-    T = len(all_states)
-    R = all_states[0].shape[0]
-    rows = np.arange(R)
-    paths = np.empty((R, T), dtype=int)
-    idx = final
-    for t in range(T, 0, -1):
-        paths[:, t - 1] = all_states[t - 1][rows, idx]
-        if t > 1:
-            idx = all_anc[t - 2][rows, idx]
-    return paths
-
-
-def csmc_step_replicated(
-    model: DiscreteFK, N: int, x_paths: np.ndarray, rng, base: int = 0, return_weights: bool = False
-):
+def csmc_step_replicated(model: DiscreteFK, N: int, x_paths: np.ndarray, rng, base: int = 0):
     """One pinned-pass transition applied to R current paths (R, T).
 
-    Slot 0 carries the pinned path in every replicate.  With
-    ``return_weights`` the final-time weight rows are returned as well (used
-    by the escape-probability diagnostics).
+    Slot 0 carries the pinned path in every replicate.
     """
-    rng = as_substream(rng)
-    x_paths = np.asarray(x_paths, dtype=int)
-    R, T = x_paths.shape
-    u = rng.stream(base, 1, 0, SITE_INIT).random((R, N - 1))
-    free = _rows_categorical(model.m1, u)
-    states = np.concatenate([x_paths[:, 0:1], free], axis=1)
-    all_states = [states]
-    all_anc = []
-    for t in range(2, T + 1):
-        g = model.potential_vector(t - 1)[states]
-        tot = g.sum(axis=1)
-        if np.any(tot <= 0):
-            raise AllWeightsZero(time=t - 1)
-        w = g / tot[:, None]
-        u_anc = rng.stream(base, t, 0, SITE_ANCESTOR).random((R, N - 1))
-        anc_free = _rows_categorical(w, u_anc)
-        src = np.take_along_axis(states, anc_free, axis=1)
-        move_probs = _gather_rows(model.transition(t), src)
-        u_move = rng.stream(base, t, 0, SITE_MOVE).random((R, N - 1))
-        new_free = _rows_categorical(move_probs, u_move)
-        states = np.concatenate([x_paths[:, t - 1 : t], new_free], axis=1)
-        anc = np.concatenate([np.zeros((R, 1), dtype=int), anc_free], axis=1)
-        all_states.append(states)
-        all_anc.append(anc)
-    g = model.potential_vector(T)[states]
-    tot = g.sum(axis=1)
-    if np.any(tot <= 0):
-        raise AllWeightsZero(time=T)
-    u_fin = rng.stream(base, T + 1, 0, SITE_FINAL).random(R)
-    final = _rows_categorical(g / tot[:, None], u_fin)
-    paths = _trace(all_states, all_anc, final)
-    if return_weights:
-        return paths, g
-    return paths
+    return reference_pass((model,), N, x_paths, rng, base=base).paths()
 
 
 def icsmc_replicated(
@@ -157,72 +54,29 @@ def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
     paths, lg = smc_replicated(model, N, R, rng, base=0)
     accepted = 0
     for step in range(1, n_steps + 1):
-        prop_paths, prop_lg = smc_replicated(model, N, R, rng, base=step)
-        u = rng.stream(step, model.T + 2, 0, SITE_ACCEPT).random(R)
-        acc = np.log(u) < (prop_lg - lg)
-        paths[acc] = prop_paths[acc]
-        lg[acc] = prop_lg[acc]
+        paths, lg, acc = pimh_update(model, N, paths, lg, rng, base=step)
         accepted += int(acc.sum())
     return paths, accepted / (R * n_steps), lg
-
-
-def _sample_theta_rows(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return _rows_categorical(prob_rows, u)
 
 
 def pgibbs_replicated(jm: JointModel, N: int, R: int, n_steps: int, rng, x0, theta0: int):
     """R independent two-stage chains with the particle path update."""
     rng = as_substream(rng)
-    enum = enumerate_joint(jm)
-    codes = {p: i for i, p in enumerate(enum.paths)}
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
     thetas = np.full(R, int(theta0), dtype=int)
     for step in range(1, n_steps + 1):
-        idx = np.array([codes[tuple(row)] for row in paths])
-        u = rng.stream(step, 0, 0, SITE_THETA).random(R)
-        thetas = _sample_theta_rows(enum.cond_theta[idx], u)
-        new_paths = np.empty_like(paths)
-        for j in range(jm.J):
-            mask = thetas == j
-            if not np.any(mask):
-                continue
-            sub = csmc_step_replicated(
-                jm.models[j], N, paths[mask], rng.spawn(j), base=step
-            )
-            new_paths[mask] = sub
-        paths = new_paths
+        thetas, paths = pgibbs_update(jm, N, paths, rng, base=step)
     return thetas, paths
 
 
 def pmmh_replicated(jm: JointModel, N: int, proposal_q, R: int, n_steps: int, rng):
-    """R independent marginal accept/reject chains on the parameter."""
+    """R independent marginal accept/reject chains on the parameter, all
+    started at the first parameter value."""
     rng = as_substream(rng)
-    q = np.asarray(proposal_q, dtype=float)
     thetas = np.zeros(R, dtype=int)
-    lg = np.empty(R)
-    for j in range(jm.J):
-        mask = thetas == j
-        if np.any(mask):
-            _, lg_j = smc_replicated(jm.models[j], N, int(mask.sum()), rng.spawn(j), base=0)
-            lg[mask] = lg_j
+    _, lg = smc_replicated(jm.models[0], N, R, rng, base=0)
     accepted = 0
-    log_prior = np.log(jm.prior)
     for step in range(1, n_steps + 1):
-        u = rng.stream(step, 0, 0, SITE_THETA).random(R)
-        cand = _sample_theta_rows(q[thetas], u)
-        lg_cand = np.empty(R)
-        for j in range(jm.J):
-            mask = cand == j
-            if np.any(mask):
-                _, lg_j = smc_replicated(
-                    jm.models[j], N, int(mask.sum()), rng.spawn(j), base=step
-                )
-                lg_cand[mask] = lg_j
-        log_num = log_prior[cand] + np.log(q[cand, thetas]) + lg_cand
-        log_den = log_prior[thetas] + np.log(q[thetas, cand]) + lg
-        u_acc = rng.stream(step, jm.T + 2, 0, SITE_ACCEPT).random(R)
-        acc = np.log(u_acc) < (log_num - log_den)
-        thetas[acc] = cand[acc]
-        lg[acc] = lg_cand[acc]
+        thetas, lg, acc = pmmh_update(jm, N, proposal_q, thetas, lg, rng, base=step)
         accepted += int(acc.sum())
     return thetas, accepted / (R * n_steps)

@@ -205,3 +205,21 @@ def test_trace_csv_has_expected_columns(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,log_gamma_hat,retained_count,state_1,state_2"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("name,N", [("A", 1), ("A", 3), ("B", 2), ("E", 6)])
+def test_run_csmc_is_row_zero_of_the_batched_step(name, N):
+    m = model(name)
+    x = target(name).paths[-1]
+    for base in (1, 4):
+        paths = csmc_step_replicated(m, N, np.tile(x, (5, 1)), 13, base=base)
+        s = run_csmc(m, N, Trajectory(x), 13, base=base)
+        assert select_path(s).points == tuple(int(v) for v in paths[0])
+
+
+def test_icsmc_chain_ends_on_row_zero_of_the_batched_chains():
+    m = model("E")
+    x0 = target("E").paths[0]
+    trace = icsmc_chain(m, 3, Trajectory(x0), 40, 19)
+    final = icsmc_replicated(m, 3, x0, 6, 40, 19)
+    assert tuple(trace.states[-1]) == tuple(final[0])

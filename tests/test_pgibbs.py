@@ -19,9 +19,10 @@ from pmcmc_lab import (
     spectral_summary,
 )
 from pmcmc_lab.csmc import select_path as select
-from pmcmc_lab.errors import AssertionFailure, DegenerateB, DimensionMismatch
+from pmcmc_lab.errors import AssertionFailure, DegenerateB, DimensionMismatch, PmcmcLabError
 from pmcmc_lab.fk_model import build_discrete_model
-from pmcmc_lab.pgibbs import PimhState, PmmhState, enumerate_joint
+from pmcmc_lab.pgibbs import PimhState, PmmhState, enumerate_joint, theta_given_paths
+from pmcmc_lab.replicated import pgibbs_replicated, pimh_replicated, pmmh_replicated
 
 
 def test_joint_model_validation():
@@ -305,3 +306,53 @@ def test_pmmh_exact_constant_substitution_is_marginal_chain():
     # stationary acceptance is 1 - (prob at b) * (propose a) * (1 - 2/3)
     expect = 1.0 - enum.theta_marginal[1] * 0.5 * (1 - 2 / 3)
     assert rate == pytest.approx(expect, abs=0.02)
+
+
+def test_theta_given_paths_matches_enumeration():
+    for jm in (joint_single_time(), joint_two_time()):
+        enum = enumerate_joint(jm)
+        got = theta_given_paths(jm, np.array(enum.paths))
+        assert np.max(np.abs(got - enum.cond_theta)) <= 1e-12
+
+
+def test_pgibbs_zero_mass_path_raises_typed_error():
+    # Diagonal transitions: the path (0, 1) has zero mass under both values.
+    diag = build_discrete_model(
+        [0, 1], [0.5, 0.5], [[[1.0, 0.0], [0.0, 1.0]]], [[1.0, 1.0], [1.0, 2.0]]
+    )
+    jm = build_joint_model(["a", "b"], [0.5, 0.5], [diag, diag])
+    with pytest.raises(PmcmcLabError, match="zero mass"):
+        pgibbs_step(jm, 2, 0, Trajectory((0, 1)), 1)
+    with pytest.raises(PmcmcLabError, match="zero mass"):
+        pgibbs_replicated(jm, 2, 4, 1, 1, (0, 1), 0)
+
+
+def test_pimh_step_loop_is_row_zero_of_pimh_replicated():
+    from fixtures import model
+
+    m = model("E")
+    rng = SubstreamRng(21)
+    s = run_smc(m, 3, rng, base=0)
+    state = PimhState(path=select(s), log_gamma_hat=gamma_hat(s).log_value)
+    for step in range(1, 16):
+        state, _ = pimh_step(m, 3, state, rng, base=step)
+    paths, _, lg = pimh_replicated(m, 3, 5, 15, 21)
+    assert state.path.points == tuple(int(v) for v in paths[0])
+    assert state.log_gamma_hat == pytest.approx(lg[0], rel=1e-12)
+
+
+def test_pgibbs_and_pmmh_steps_are_row_zero_of_their_batched_chains():
+    jm = joint_two_time()
+    theta, x = 0, Trajectory((0, 0))
+    for step in range(1, 13):
+        theta, x = pgibbs_step(jm, 3, theta, x, 8, base=step)
+    thetas, paths = pgibbs_replicated(jm, 3, 5, 12, 8, (0, 0), 0)
+    assert (theta, x.points) == (int(thetas[0]), tuple(int(v) for v in paths[0]))
+
+    q = np.full((2, 2), 0.5)
+    rng = SubstreamRng(9)
+    state = PmmhState(theta_idx=0, log_gamma_hat=gamma_hat(run_smc(jm.models[0], 4, rng)).log_value)
+    for step in range(1, 13):
+        state, _ = pmmh_step(jm, 4, q, state, rng, base=step)
+    thetas, _ = pmmh_replicated(jm, 4, q, 5, 12, 9)
+    assert state.theta_idx == int(thetas[0])

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from fixtures import model, model_a, model_unit, target
-from pmcmc_lab import SubstreamRng, gamma_hat, multinomial_resample, run_smc
+from pmcmc_lab import (
+    SubstreamRng,
+    Trajectory,
+    gamma_hat,
+    multinomial_resample,
+    run_csmc,
+    run_smc,
+    select_path,
+)
 from pmcmc_lab.errors import AllWeightsZero, DegenerateEstimate
 from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
     exact_gamma_hat_expectation,
 )
-from pmcmc_lab.fk_model import GenerativeFK, build_discrete_model
+from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import smc_replicated
+from pmcmc_lab.smc_core import categorical
 
 
 def test_resample_degenerate_weight():
@@ -44,6 +53,36 @@ def test_resample_never_selects_trailing_zero_weight():
     # then ends below the largest uniform and the clamp picks index 10.
     out = multinomial_resample([0.1] * 10 + [0.0], 3, _TopUniform())
     assert list(out) == [9, 9, 9]
+
+
+class _ZeroUniform:
+    """Stands in for a generator whose uniforms are exactly zero."""
+
+    def random(self, count):
+        return np.zeros(count)
+
+
+@pytest.mark.parametrize("gen", [_ZeroUniform(), _TopUniform()])
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.1] * 10 + [0.0],
+        [0.0, 1.0],
+        [0.0, 0.0, 2.0, 1.0],
+        [1.0, 0.0, 0.0, 3.0],
+        [2.0, 0.0, 5.0, 0.0, 0.0],
+        [0.0] * 20 + [1.0, 0.0, 3.0] + [0.0] * 20,
+    ],
+)
+def test_categorical_never_selects_zero_weight(weights, gen):
+    # Leading, interior and trailing zero weights under the extreme uniforms
+    # 0.0 and nextafter(1, 0); rows drawn several times each (the resampling
+    # shape) and one distribution per draw (the move shape).
+    w = np.array([weights, weights[::-1]])
+    many = categorical(w, gen.random((2, 4)))
+    single = categorical(w[:, None, :], gen.random((2, 1, 1)))[:, :, 0]
+    for out in (many, single, multinomial_resample(weights, 3, gen)[None]):
+        assert np.all(np.take_along_axis(w[: len(out)], out, axis=1) > 0)
 
 
 def test_resample_negative_weights_rejected():
@@ -201,16 +240,51 @@ def test_particle_relabeling_invariance(N):
         assert worst < 1e-12
 
 
-def test_generative_model_runs():
-    rng_model = GenerativeFK(
-        T=3,
-        sample_initial=lambda rng: float(rng.normal()),
-        sample_transition=lambda t, z, rng: 0.5 * z + float(rng.normal()),
-        potential=lambda t, z: float(np.exp(-0.5 * z * z)),
-    )
-    s = run_smc(rng_model, 32, 5)
-    assert s.T == 3 and s.N == 32
-    assert np.isfinite(gamma_hat(s).log_value)
+@pytest.mark.parametrize("K", [1, 2, 3, 32, 33, 64, 100])
+def test_categorical_is_a_row_wise_searchsorted(K):
+    # Few categories are counted in one pass, many are bisected; both must
+    # equal searchsorted(side="right") on the raw cumulative sums, capped.
+    gen = np.random.default_rng(K)
+    w = gen.random((40, K)) * (gen.random((40, K)) < 0.6)
+    w[:, gen.integers(K)] += 0.5
+    u = gen.random((40, 9))
+    u[:, :2] = [0.0, np.nextafter(1.0, 0.0)]
+    got = categorical(w, u)
+    for row, (wr, ur) in enumerate(zip(w, u)):
+        cdf = np.cumsum(wr)
+        want = np.minimum(np.searchsorted(cdf, ur * cdf[-1], side="right"), K - 1)
+        assert list(got[row]) == list(want)
+
+
+@pytest.mark.parametrize("name,N", [("A", 1), ("A", 4), ("B", 2), ("E", 5)])
+def test_run_smc_is_row_zero_of_the_batched_pass(name, N):
+    m = model(name)
+    for base in (0, 3):
+        paths, lg = smc_replicated(m, N, 7, 11, base=base)
+        s = run_smc(m, N, 11, base=base)
+        assert select_path(s).points == tuple(int(v) for v in paths[0])
+        assert gamma_hat(s).log_value == pytest.approx(lg[0], rel=1e-12, abs=1e-12)
+
+
+class _CountingRng(SubstreamRng):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def stream(self, *coords):
+        self.calls += 1
+        return super().stream(*coords)
+
+
+def test_stream_calls_per_pass_do_not_grow_with_particles():
+    m = model("E")
+    calls = []
+    for N in (2, 64):
+        rng = _CountingRng(3)
+        run_smc(m, N, rng)
+        run_csmc(m, N, Trajectory((0, 0, 0)), rng, base=1)
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] == 2 * 2 * m.T
 
 
 def test_system_csv_round_trip(tmp_path):
