@@ -2,24 +2,28 @@
 
 Three enumeration engines, each exact, cross-checked in the test suite.
 
-* The multiset sweep (:func:`kernel_row_multiset`, and every row of
-  :func:`exact_pn_matrix` when no pin lineage is given) is the default.
-  Free particles are exchangeable, so the pass is collapsed to the pinned
-  path plus the multiset of free ancestral paths, which evolves by
-  multinomial draws: polynomial in N.  A whole matrix is one sweep that
-  walks the pinned paths as a prefix trie, so rows sharing x_1..x_t share
-  the forward work through time t+1.
+* The multiset sweep (:func:`multiset_sweep`) is the default.  Free
+  particles are exchangeable, so the pass is collapsed to the pinned path
+  plus the multiset of free ancestral paths, which evolves by multinomial
+  draws: polynomial in N.  Many rows are one sweep that walks the pinned
+  paths as a prefix trie, so rows sharing x_1..x_t share the forward work
+  through time t+1.  Each row comes with the retained-weight share
+  E[G_T(x_T) / sum_j G_T(Z_T^j)].  It gives :func:`kernel_row_multiset`,
+  every row of :func:`exact_pn_matrix` when no pin lineage is given, and
+  both columns of the escape experiment
+  (:func:`pmcmc_lab.harness.sticky_experiment`).
 * :func:`kernel_row` is slot-faithful: a forward sweep over tuples of
   ancestral paths with the reference pinned to an explicit slot sequence.
-  It runs when :func:`exact_pn_matrix` is given a lineage, and it is the
-  independent engine against which the multiset sweep's blindness to that
-  lineage is tested.
+  It runs only when :func:`exact_pn_matrix` is given a lineage, and it is
+  the independent engine against which the multiset sweep's blindness to
+  that lineage is tested.
 * :func:`enumerate_conditional_outcomes` walks the full outcome tree of a
   pass (states and ancestor rows with exact probabilities).  It supports any
   functional of the particle system and any pin configuration, at the price
-  of exponential cost.  It is the maximally-dumb reference: kernel rows
-  computed on it (:func:`kernel_row_tree`) serve the tests only, and it
-  otherwise runs only for functionals the kernel engines do not give.
+  of exponential cost.  It is the maximally-dumb reference: it runs in the
+  tests (:func:`kernel_row_tree`) and behind the two-pin brute force
+  :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`, itself a reference
+  for the closed form.
 
 Also here: stationary laws, total-variation curves, spectral summaries,
 asymptotic variances and the exact minorization constant of enumerated
@@ -358,7 +362,7 @@ class _MultisetSweep:
         ]
 
     def rows(self, paths):
-        """Yield (x, kernel row of x) for each pinned path, in trie order."""
+        """Yield (x, kernel row of x, share) for each pinned path, in trie order."""
         m1 = self.model.m1
         initial: dict = {}
         self._draw({(int(s),): float(m1[s]) for s in np.flatnonzero(m1)}, 1.0, initial)
@@ -428,8 +432,12 @@ class _MultisetSweep:
                 out[key] = out.get(key, 0.0) + coeff
 
     def _select(self, law, group):
-        """Yield (x, kernel row of x) for each x in ``group``: the terminal
-        selection from the state law after time T."""
+        """Yield (x, kernel row of x, retained-weight share) for each x in
+        ``group``: the terminal selection from the state law after time T.
+
+        The share is the chance that the terminal draw picks the pinned
+        particle, E[G_T(x_T) / sum_j G_T(Z_T^j)]; the row's entry for x also
+        counts free copies of x."""
         g = self.g[self.model.T]
         free = []
         for key, prob in law.items():
@@ -437,28 +445,41 @@ class _MultisetSweep:
             free.append((prob, weights, sum(w for _, w in weights)))
         for x in group:
             g_pin = g[x[-1]]
+            pinned = []
             terms: dict = {x: []}
             for prob, weights, free_total in free:
                 total = g_pin + free_total
-                terms[x].append(prob * g_pin / total)
+                pinned.append(prob * g_pin / total)
                 for tp, w in weights:
                     if w != 0:
                         terms.setdefault(tp, []).append(prob * w / total)
-            yield x, {path: math.fsum(v) for path, v in terms.items()}
+            terms[x] += pinned
+            yield x, {path: math.fsum(v) for path, v in terms.items()}, math.fsum(pinned)
+
+
+def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
+    """Yield (x, kernel row of x, retained-weight share) for each pinned path,
+    in prefix-trie order: the default exact engine.
+
+    The row maps path -> probability; the share is the chance that the
+    terminal draw picks the pinned particle itself.  ``guard`` bounds the
+    multinomial terms of the whole sweep.
+    """
+    checked = [_checked_reference(model, x) for x in paths]
+    yield from _MultisetSweep(model, N, guard).rows(checked)
 
 
 def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dict:
     """Exact kernel row using exchangeability of the free particles.
 
-    The one-path case of the multiset sweep behind :func:`exact_pn_matrix`:
-    the pass is collapsed to (pinned path, multiset of free ancestral
-    paths), which is polynomial in N.  ``guard`` bounds the multinomial
-    terms the sweep enumerates.  The sweep is blind to the pinned slot
-    sequence; the slot-faithful engine in :func:`kernel_row` exists
-    precisely so that this blindness can be tested, not assumed.
+    The one-path call of :func:`multiset_sweep`: the pass is collapsed to
+    (pinned path, multiset of free ancestral paths), which is polynomial in
+    N.  ``guard`` bounds the multinomial terms the sweep enumerates.  The
+    sweep is blind to the pinned slot sequence; the slot-faithful engine in
+    :func:`kernel_row` exists precisely so that this blindness can be
+    tested, not assumed.
     """
-    x = _checked_reference(model, x)
-    ((_, row),) = _MultisetSweep(model, N, guard).rows([x])
+    ((_, row, _),) = multiset_sweep(model, N, [x], guard)
     return row
 
 
@@ -467,13 +488,13 @@ def exact_pn_matrix(
 ) -> FiniteChain:
     """The iterated-pass kernel over all positive-mass paths, enumerated exactly.
 
-    Without a ``lineage`` every row comes from one multiset sweep, the
-    engine of :func:`kernel_row_multiset`, walked over all paths at once so
-    that rows whose paths share a prefix share its forward work; ``guard``
-    bounds the multinomial terms of the whole sweep.  With a pin lineage
-    each row comes from the slot-faithful :func:`kernel_row`, and ``guard``
-    bounds each row.  The outcome-tree engine (:func:`kernel_row_tree`) is a
-    test reference only and never runs here.
+    Without a ``lineage`` every row comes from one :func:`multiset_sweep`
+    walked over all paths at once, so that rows whose paths share a prefix
+    share its forward work; ``guard`` bounds the multinomial terms of the
+    whole sweep.  With a pin lineage each row comes from the slot-faithful
+    :func:`kernel_row`, and ``guard`` bounds each row.  The outcome-tree
+    engine (:func:`kernel_row_tree`) is a test reference only and never runs
+    here.
     """
     if target is None:
         target = exact_target(model)
@@ -481,8 +502,7 @@ def exact_pn_matrix(
     if len(paths) > 3000:
         raise OutcomeSpaceTooLarge(f"{len(paths)} paths exceed the supported matrix size")
     if lineage is None:
-        checked = [_checked_reference(model, x) for x in paths]
-        rows = _MultisetSweep(model, N, guard).rows(checked)
+        rows = ((x, row) for x, row, _ in multiset_sweep(model, N, paths, guard))
     else:
         rows = ((x, kernel_row(model, N, x, lineage=lineage, guard=guard)) for x in paths)
     K = np.zeros((len(paths), len(paths)))

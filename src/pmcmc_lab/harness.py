@@ -32,10 +32,10 @@ from .errors import ConfigError, OutcomeSpaceTooLarge, TraceTooShort
 from .exact_oracle import (
     exact_minorization,
     exact_pn_matrix,
-    kernel_row,
+    kernel_row_multiset,
+    multiset_sweep,
     spectral_summary,
     tv_curve,
-    enumerate_conditional_outcomes,
 )
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model
 from .pgibbs import (
@@ -170,8 +170,10 @@ def sticky_experiment(
 
     For each start level n: the probability that one kernel step stays in
     the two-path level set, and the expected share of the terminal weight
-    carried by the retained path.  Uses exact enumeration when feasible,
-    otherwise ``samples`` Monte-Carlo replicates.
+    carried by the retained path.  Both come from one multiset sweep per
+    level; a level past the sweep's guard falls back to ``samples``
+    Monte-Carlo replicates (or raises OutcomeSpaceTooLarge when there are
+    none).
     """
     model = sticky_example_model(K, initial_law=initial_law)
     if n_grid is None:
@@ -181,9 +183,8 @@ def sticky_experiment(
         x = (n - 1, 2 * n - 1)  # the path (n, 2n)
         a_set = set(_sticky_set(n))
         try:
-            row = kernel_row(model, N, x)
+            ((_, row, suff),) = multiset_sweep(model, N, [x])
             stay = sum(p for path, p in row.items() if path in a_set)
-            suff = _suff_expectation_exact(model, N, x)
         except OutcomeSpaceTooLarge:
             if samples <= 0:
                 raise
@@ -192,15 +193,25 @@ def sticky_experiment(
     return rows
 
 
-def _suff_expectation_exact(model: DiscreteFK, N: int, x) -> float:
-    """E[ G_T(x_T) / sum_j G_T(Z_T^j) ] under the pinned pass."""
-    T = model.T
-    total = 0.0
-    gx = model.potential(T, x[-1])
-    for prob, states, _ in enumerate_conditional_outcomes(model, N, [((0,) * T, tuple(x))]):
-        tot = sum(model.potential(T, z) for z in states[-1])
-        total += prob * gx / tot
-    return total
+def sticky_control_rows(K: int, N: int, n_grid=None):
+    """(n, stay probability, stay bound) on the bounded-weight control.
+
+    The bound is 1 - eps (1 - pi(A_n)) with eps the bounded-weight
+    minorization constant: P(x, A_n^c) >= eps pi(A_n^c) for every x.
+    """
+    control = sticky_control_model(K)
+    eps = epsilon_bounded(control, N).epsilon
+    target = exact_target(control)
+    if n_grid is None:
+        n_grid = list(range(1, K + 1))
+    rows = []
+    for n in n_grid:
+        a_set = set(_sticky_set(n))
+        row = kernel_row_multiset(control, N, (n - 1, 2 * n - 1))
+        stay = sum(p for path, p in row.items() if path in a_set)
+        pi_a = sum(target.prob(path) for path in a_set)
+        rows.append((n, stay, 1.0 - eps * (1.0 - pi_a)))
+    return rows
 
 
 def _sticky_mc(model, N, x, a_set, samples, seed, n):
@@ -436,12 +447,9 @@ def _run_sticky(cfg: ExperimentConfig, out: Path) -> None:
         [["n", "stay_probability", "suff_expectation"]]
         + [[n, _fmt(stay), _fmt(suff)] for n, stay, suff in rows],
     )
-    control = sticky_control_model(K)
-    eps = epsilon_bounded(control, cfg.n_sweep[0]).epsilon
-    ctrl_rows = [["n", "stay_probability", "bound_one_minus_eps"]]
-    for n, *_ in rows:
-        x = (n - 1, 2 * n - 1)
-        row = kernel_row(control, cfg.n_sweep[0], x)
-        stay = sum(p for path, p in row.items() if path in set(_sticky_set(n)))
-        ctrl_rows.append([n, _fmt(stay), _fmt(1.0 - eps)])
-    _write_csv(out / "sticky_control.csv", ctrl_rows)
+    ctrl = sticky_control_rows(K, cfg.n_sweep[0], n_grid=n_grid)
+    _write_csv(
+        out / "sticky_control.csv",
+        [["n", "stay_probability", "stay_bound"]]
+        + [[n, _fmt(stay), _fmt(bound)] for n, stay, bound in ctrl],
+    )

@@ -1,17 +1,6 @@
-"""Small numeric helpers: stable log-sum-exp and compensated summation."""
+"""Small numeric helpers: compensated summation."""
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def logsumexp(values) -> float:
-    """log(sum(exp(values))) with max-shift; -inf entries are allowed."""
-    v = np.asarray(values, dtype=float)
-    m = np.max(v)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(v - m))))
 
 
 class KahanSum:

@@ -166,24 +166,28 @@ def exact_phi_matrices(jm: JointModel, N: int | None, guard: int = 10**4):
     the ideal sampler (the infinite-particle limit).
     """
     enum = enumerate_joint(jm, guard=guard)
-    if N is None:
-        return _compose_kernels(enum, conditional_kernels=None), enum
-    kernels = []
-    for j, m in enumerate(jm.models):
-        target = exact_target(m)
-        chain = exact_pn_matrix(m, N, target=target)
-        kernels.append((chain, {p: i for i, p in enumerate(chain.states)}))
+    kernels = None if N is None else _particle_kernels(jm, N)
     return _compose_kernels(enum, conditional_kernels=kernels), enum
+
+
+def _particle_kernels(jm: JointModel, N: int) -> list:
+    """The enumerated pinned-pass kernel of each parameter value."""
+    return [exact_pn_matrix(m, N, target=exact_target(m)) for m in jm.models]
 
 
 def _compose_kernels(enum: JointEnumeration, conditional_kernels):
     """Build the joint kernel and its path-marginal kernel.
 
     The path update given parameter j is either the exact conditional law
-    (ideal sampler) or the enumerated pinned-pass kernel.
+    (ideal sampler, ``conditional_kernels`` None) or the enumerated
+    pinned-pass kernel ``conditional_kernels[j]``.
     """
     n = len(enum.paths)
     J = enum.jm.J
+    if conditional_kernels is not None:
+        conditional_kernels = [
+            (chain, {p: i for i, p in enumerate(chain.states)}) for chain in conditional_kernels
+        ]
 
     def path_update(j, i):
         """Law of the next path when the parameter is j and the path is i."""
@@ -264,12 +268,13 @@ def rho_constants(jm: JointModel, N: int, guard: int = 10**4, rank_tol: float = 
     as the smallest generalized eigenvalue of (A, B) on the range of B with
     A, B the gap-weighted and plain averages of conditional covariances.
     """
-    enum = enumerate_joint(jm, guard=guard)
-    gaps = np.empty(jm.J)
-    for j, m in enumerate(jm.models):
-        chain = exact_pn_matrix(m, N, target=exact_target(m))
-        # Embed into the global path list so covariances share coordinates.
-        gaps[j] = spectral_summary(chain).gap_right
+    return _rho_from(enumerate_joint(jm, guard=guard), _particle_kernels(jm, N), rank_tol)
+
+
+def _rho_from(enum: JointEnumeration, kernels, rank_tol: float = 1e-12) -> RhoEstimate:
+    """:func:`rho_constants` from the joint enumeration and the particle kernels."""
+    jm = enum.jm
+    gaps = np.array([spectral_summary(chain).gap_right for chain in kernels])
     a = np.zeros((len(enum.paths),) * 2)
     b = np.zeros_like(a)
     for j in range(jm.J):
@@ -317,12 +322,12 @@ def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> Chec
 
     Raises AssertionFailure naming the first violated inequality.
     """
-    (_, gamma_x), _ = exact_gibbs_matrices(jm)
-    (_, phi_x), _ = exact_phi_matrices(jm, N)
-    rho = rho_constants(jm, N)
-    eps_uniform = min(
-        exact_minorization(exact_pn_matrix(m, N, target=exact_target(m))) for m in jm.models
-    )
+    enum = enumerate_joint(jm)
+    kernels = _particle_kernels(jm, N)
+    _, gamma_x = _compose_kernels(enum, conditional_kernels=None)
+    _, phi_x = _compose_kernels(enum, conditional_kernels=kernels)
+    rho = _rho_from(enum, kernels)
+    eps_uniform = min(exact_minorization(chain) for chain in kernels)
     pi = gamma_x.stationary
     entries = []
 
@@ -383,9 +388,11 @@ def check_theta_chain_identities(
     the worst parameter value.
     """
     f = np.asarray(f_theta, dtype=float)
-    (gamma_joint, gamma_x), enum = exact_gibbs_matrices(jm)
-    (phi_joint, phi_x), _ = exact_phi_matrices(jm, N)
-    rho = rho_constants(jm, N)
+    enum = enumerate_joint(jm)
+    kernels = _particle_kernels(jm, N)
+    gamma_joint, gamma_x = _compose_kernels(enum, conditional_kernels=None)
+    phi_joint, phi_x = _compose_kernels(enum, conditional_kernels=kernels)
+    rho = _rho_from(enum, kernels)
     entries = []
 
     def record(name, violation, tol, witness=None):

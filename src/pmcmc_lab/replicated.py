@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csmc import reference_pass
+from .errors import TraceTooShort
 from .fk_model import DiscreteFK
 from .pgibbs import JointModel, pgibbs_update, pimh_update, pmmh_update
 from .rng import as_substream
@@ -48,8 +49,10 @@ def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
     """R independent estimator-driven accept/reject chains.
 
     Returns the final paths, the overall acceptance rate, and the final log
-    estimates.
+    estimates.  Raises TraceTooShort unless n_steps >= 1.
     """
+    if n_steps < 1:
+        raise TraceTooShort(f"an acceptance rate needs n_steps >= 1, got {n_steps}")
     rng = as_substream(rng)
     paths, lg = smc_replicated(model, N, R, rng, base=0)
     accepted = 0
@@ -71,7 +74,10 @@ def pgibbs_replicated(jm: JointModel, N: int, R: int, n_steps: int, rng, x0, the
 
 def pmmh_replicated(jm: JointModel, N: int, proposal_q, R: int, n_steps: int, rng):
     """R independent marginal accept/reject chains on the parameter, all
-    started at the first parameter value."""
+    started at the first parameter value.  Raises TraceTooShort unless
+    n_steps >= 1."""
+    if n_steps < 1:
+        raise TraceTooShort(f"an acceptance rate needs n_steps >= 1, got {n_steps}")
     rng = as_substream(rng)
     thetas = np.zeros(R, dtype=int)
     _, lg = smc_replicated(jm.models[0], N, R, rng, base=0)

@@ -6,7 +6,7 @@ independent replicates as ``(R, N)`` integer arrays; pinned trajectories
 (the reference of a conditional pass, or two of them) are forced into their
 slots, every other slot resamples and moves.  :func:`categorical` is the one
 inverse-CDF draw behind every sampler.  :func:`run_smc` is the R=1 plain
-pass, returned as a :class:`ParticleSystem`: states and log-weights for all
+pass, returned as a :class:`ParticleSystem`: states and weights for all
 times, ancestor indices for times 2..T, and a single terminal index drawn
 from the final weights.  The product over time of average weights is the
 (unbiased) normalizing-constant estimate, always handled in log space.
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllWeightsZero, DegenerateEstimate, ZeroPinnedPotential
-from .numerics import logsumexp
 from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
 
 # Category count up to which :func:`categorical` compares every sum at once.
@@ -29,17 +28,24 @@ _FEW = 32
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """States, ancestors and log-weights of one (conditional or not) pass.
+    """States, ancestors and weights of one (conditional or not) pass.
 
     ``states[t-1][i]`` is particle i's state at time t; ``ancestors[t-2][i]``
-    its (0-based) parent index drawn at time t; ``final_index`` the terminal
-    selection.  Immutable once returned.
+    its (0-based) parent index drawn at time t; ``weights[t-1, i]`` its
+    potential; ``final_index`` the terminal selection.  Immutable once
+    returned.
     """
 
     states: tuple            # T rows of N states
     ancestors: tuple         # T-1 rows of N parent indices
     final_index: int
-    log_potentials: np.ndarray  # (T, N)
+    weights: np.ndarray      # (T, N)
+
+    @property
+    def log_potentials(self) -> np.ndarray:
+        """Log of the weights, (T, N); -inf for a zero weight."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.weights)
 
     @property
     def T(self) -> int:
@@ -54,11 +60,12 @@ class ParticleSystem:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "i", "state", "ancestor", "logG"])
+            log_g = self.log_potentials
             for t in range(1, self.T + 1):
                 for i in range(self.N):
                     anc = "" if t == 1 else self.ancestors[t - 2][i]
                     writer.writerow(
-                        [t, i, self.states[t - 1][i], anc, repr(float(self.log_potentials[t - 1, i]))]
+                        [t, i, self.states[t - 1][i], anc, repr(float(log_g[t - 1, i]))]
                     )
 
 
@@ -146,18 +153,15 @@ class BatchedPass:
 
     def log_gamma(self) -> np.ndarray:
         """Log normalizing-constant estimate of each replicate, (R,)."""
-        N = self.states.shape[2]
-        return np.log(self.weights.sum(axis=2) / N).sum(axis=0)
+        return _log_mean_weights(self.weights)
 
     def system(self) -> ParticleSystem:
         """Replicate 0 as a ParticleSystem of Python ints."""
-        with np.errstate(divide="ignore"):
-            logg = np.log(self.weights[:, 0])
         return ParticleSystem(
             states=tuple(map(tuple, self.states[:, 0].tolist())),
             ancestors=tuple(map(tuple, self.ancestors[:, 0].tolist())),
             final_index=int(self.final[0]),
-            log_potentials=logg,
+            weights=self.weights[:, 0].copy(),
         )
 
 
@@ -234,13 +238,20 @@ def run_smc(model, N: int, rng, base: int = 0) -> ParticleSystem:
     return particle_pass((model,), N, rng, base=base).system()
 
 
+def _log_mean_weights(weights) -> np.ndarray:
+    """Sum over time, in order, of the log average weight: (T, ..., N) -> (...).
+
+    The one log normalizing-constant estimate, so replicate 0 of a batch gets
+    the value its pass gets alone.  Raises DegenerateEstimate if every weight
+    at some time is zero.
+    """
+    means = weights.sum(axis=-1) / weights.shape[-1]
+    if (means <= 0).any():
+        t = int(np.argwhere(means <= 0)[0][0]) + 1
+        raise DegenerateEstimate(f"all weights zero at time {t}")
+    return sum(np.log(means))
+
+
 def gamma_hat(system: ParticleSystem) -> NormConstEstimate:
     """Product over time of average particle weights, in log space."""
-    log_n = np.log(system.N)
-    total = 0.0
-    for t in range(system.T):
-        slice_lse = logsumexp(system.log_potentials[t])
-        if slice_lse == float("-inf"):
-            raise DegenerateEstimate(f"all weights zero at time {t + 1}")
-        total += slice_lse - log_n
-    return NormConstEstimate(log_value=float(total))
+    return NormConstEstimate(log_value=float(_log_mean_weights(system.weights)))

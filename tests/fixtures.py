@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from pmcmc_lab import build_discrete_model, build_joint_model, exact_target
-from pmcmc_lab.exact_oracle import exact_pn_matrix
+from pmcmc_lab.exact_oracle import enumerate_conditional_outcomes, exact_pn_matrix
 
 
 def model_a():
@@ -95,6 +95,16 @@ def target(name: str):
 @lru_cache(maxsize=None)
 def pn_chain(name: str, n: int):
     return exact_pn_matrix(model(name), n, target=target(name))
+
+
+def tree_share(m, N: int, x) -> float:
+    """E[G_T(x_T) / sum_j G_T(Z_T^j)] over the outcome tree of the pass
+    pinned to slot 0: the reference for the multiset sweep's share."""
+    gx = m.potential(m.T, x[-1])
+    total = 0.0
+    for prob, states, _ in enumerate_conditional_outcomes(m, N, [((0,) * m.T, tuple(x))]):
+        total += prob * gx / sum(m.potential(m.T, z) for z in states[-1])
+    return total
 
 
 def oracle_grid():

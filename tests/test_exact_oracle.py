@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import model, model_a, oracle_grid, pn_chain, target
+from fixtures import model, model_a, oracle_grid, pn_chain, target, tree_share
 from pmcmc_lab import exact_asymptotic_variance, exact_minorization, spectral_summary, tv_curve
 from pmcmc_lab.errors import NotReversible, OutcomeSpaceTooLarge, PmcmcLabError, SingularSolve
 from pmcmc_lab.exact_oracle import (
@@ -18,6 +18,7 @@ from pmcmc_lab.exact_oracle import (
     kernel_row_multiset,
     kernel_row_tree,
     l2_distance,
+    multiset_sweep,
 )
 from pmcmc_lab.fk_model import build_discrete_model, exact_target
 
@@ -82,6 +83,20 @@ def test_matrix_rows_match_slot_faithful_and_tree_rows():
             assert np.max(np.abs(got - row_vector(kernel_row(m, n, x), paths))) < 1e-12
             if name in ("A", "C", "D"):
                 assert np.max(np.abs(got - row_vector(kernel_row_tree(m, n, x), paths))) < 1e-12
+
+
+def test_sweep_share_matches_tree_and_rows_match_multiset_rows():
+    for name in ("A", "C", "D"):
+        m, paths = model(name), target(name).paths
+        for n in (1, 2, 3):
+            got = {x: (row, share) for x, row, share in multiset_sweep(m, n, paths)}
+            assert set(got) == set(paths)
+            for x in paths:
+                row, share = got[x]
+                assert row == kernel_row_multiset(m, n, x)
+                assert abs(share - tree_share(m, n, x)) < 1e-12
+                # Free copies of x add to the row's entry for x, never to the share.
+                assert share <= row[x] + 1e-15
 
 
 def test_enumeration_guard():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from fixtures import model_a, joint_two_time
+from fixtures import joint_two_time, model_a, tree_share
 from pmcmc_lab import SubstreamRng, batch_means_variance, run_experiment, sticky_experiment
 from pmcmc_lab.cli import main as cli_main
 from pmcmc_lab.errors import ConfigError, TraceTooShort
@@ -13,9 +13,15 @@ from pmcmc_lab.harness import (
     ExperimentConfig,
     load_config,
     sticky_control_model,
+    sticky_control_rows,
     sticky_example_model,
 )
-from pmcmc_lab.exact_oracle import exact_asymptotic_variance, chain_from_kernel
+from pmcmc_lab.bounds import epsilon_bounded
+from pmcmc_lab.exact_oracle import (
+    chain_from_kernel,
+    exact_asymptotic_variance,
+    kernel_row,
+)
 
 
 def _write_model(tmp_path):
@@ -160,9 +166,48 @@ def test_sticky_experiment_cli_kind(tmp_path):
     # the bounded-weight control never concentrates: its stay probability
     # sits under the minorization envelope (needs K >= 10 for the margin)
     ctrl = (out / "sticky_control.csv").read_text().strip().splitlines()
+    assert ctrl[0] == "n,stay_probability,stay_bound"
+    eps = epsilon_bounded(sticky_control_model(12), 2).epsilon
     for line in ctrl[1:]:
         _, stay, bound = line.split(",")
         assert float(stay) <= float(bound) + 1e-12
+        assert float(stay) <= 1.0 - eps + 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("K", range(2, 17))
+def test_sticky_control_stays_under_its_minorization_bound(K, N):
+    # P(x, A^c) >= eps pi(A^c) gives stay <= 1 - eps (1 - pi(A_n)); the
+    # tighter 1 - eps does not hold for small K (K=4, N=2: 0.84 > 0.81).
+    eps = epsilon_bounded(sticky_control_model(K), N).epsilon
+    rows = sticky_control_rows(K, N)
+    assert [n for n, *_ in rows] == list(range(1, K + 1))
+    for n, stay, bound in rows:
+        assert bound == pytest.approx(1.0 - eps * (1.0 - 1.0 / K), rel=1e-12)
+        assert stay <= bound + 1e-12
+
+
+@pytest.mark.parametrize("initial_law", ["geometric", "poisson", "uniform"])
+@pytest.mark.parametrize("K,N", [(4, 2), (6, 3), (10, 3)])
+def test_sticky_rows_match_slot_faithful_rows_and_outcome_tree(K, N, initial_law):
+    model = sticky_example_model(K, initial_law=initial_law)
+    rows = sticky_experiment(K, N, initial_law=initial_law)
+    assert [n for n, *_ in rows] == list(range(1, K + 1))
+    for n, stay, share in rows:
+        x = (n - 1, 2 * n - 1)
+        row = kernel_row(model, N, x)
+        want = sum(p for path, p in row.items() if path in (x, (n - 1, 2 * n)))
+        assert abs(stay - want) < 1e-12
+        assert abs(share - tree_share(model, N, x)) < 1e-12
+
+
+def test_sticky_experiment_runs_past_the_old_estimated_guards():
+    # Both were refused by the slot-faithful and outcome-tree estimates; the
+    # multiset sweep's counted terms stay far below its guard.
+    assert [n for n, *_ in sticky_experiment(4, 6)] == [1, 2, 3, 4]
+    rows = sticky_experiment(6, 5, n_grid=[2, 6])
+    assert [n for n, *_ in rows] == [2, 6]
+    assert all(0 < share < stay < 1 for _, stay, share in rows)
 
 
 def test_batch_means_iid_case():

@@ -168,7 +168,7 @@ def test_gamma_hat_degenerate_slice():
         states=((0, 0),),
         ancestors=(),
         final_index=0,
-        log_potentials=np.array([[-np.inf, -np.inf]]),
+        weights=np.array([[0.0, 0.0]]),
     )
     with pytest.raises(DegenerateEstimate):
         gamma_hat(s)
@@ -263,7 +263,7 @@ def test_run_smc_is_row_zero_of_the_batched_pass(name, N):
         paths, lg = smc_replicated(m, N, 7, 11, base=base)
         s = run_smc(m, N, 11, base=base)
         assert select_path(s).points == tuple(int(v) for v in paths[0])
-        assert gamma_hat(s).log_value == pytest.approx(lg[0], rel=1e-12, abs=1e-12)
+        assert gamma_hat(s).log_value == lg[0]
 
 
 class _CountingRng(SubstreamRng):
