@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LineageClash
 from .rng import as_substream
-from .smc_core import BatchedPass, ParticleSystem, gamma_hat, particle_pass
+from .smc_core import BatchedPass, ParticleSystem, gamma_hat, particle_pass, pass_tables
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ def conditional_system(model, N: int, pins, rng, base: int = 0) -> ParticleSyste
 
 
 def reference_pass(models, N: int, paths, rng, base: int = 0, which=None) -> BatchedPass:
-    """Pinned passes of R replicates, replicate r keeping ``paths[r]`` in
-    slot 0 throughout; ``models`` and ``which`` as in :func:`particle_pass`."""
+    """Pinned passes of R replicates, replicate r keeping ``paths[r]`` (R, T)
+    in slot 0 throughout; ``models`` and ``which`` as in :func:`particle_pass`."""
     paths = np.asarray(paths, dtype=int)
-    T = models[0].T
-    schedule = _pin_schedule([((0,) * T, paths.T)], T, N)
-    return particle_pass(models, N, rng, base=base, rows=len(paths), pins=schedule, which=which)
+    tables = pass_tables(models)
+    schedule = _pin_schedule([((0,) * tables.T, paths.T)], tables.T, N)
+    return particle_pass(tables, N, rng, base=base, rows=len(paths), pins=schedule, which=which)
 
 
 def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> ParticleSystem:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     PathSpaceTooLarge,
     ZeroPotential,
 )
-from .smc_core import categorical
+from .smc_core import PassTables, categorical_cdf
 
 _ROW_TOL = 1e-9
 _SUPPORT_TOL = 1e-15
@@ -41,7 +42,11 @@ _SUPPORT_TOL = 1e-15
 
 @dataclass(frozen=True)
 class DiscreteFK:
-    """A validated finite model; immutable and safe to share across threads."""
+    """A validated finite model; immutable and safe to share across threads.
+
+    :func:`build_discrete_model` stores read-only copies of the tables, so
+    the cumulative draw tables cached in :attr:`tables` cannot go stale.
+    """
 
     alphabet: tuple
     m1: np.ndarray
@@ -74,13 +79,21 @@ class DiscreteFK:
         g = self.potential_vector(t)[state]
         return float(np.log(g)) if g > 0 else float("-inf")
 
+    @cached_property
+    def tables(self) -> PassTables:
+        """Cumulative initial and transition laws and stacked potentials,
+        built on first use: what every particle pass over this model reads."""
+        return PassTables.build((self,))
+
     # -- generative interface -------------------------------------------------
 
     def sample_initial(self, rng: np.random.Generator) -> int:
-        return int(categorical(self.m1[None], rng.random((1, 1)))[0, 0])
+        return int(categorical_cdf(self.tables.m1_cdf, rng.random((1, 1)))[0, 0])
 
     def sample_transition(self, t: int, state: int, rng: np.random.Generator) -> int:
-        return int(categorical(self.transition(t)[state][None], rng.random((1, 1)))[0, 0])
+        self.transition(t)  # raises IndexOutOfRange for t outside [2, T]
+        cdf = self.tables.move_cdf[t - 2][state]
+        return int(categorical_cdf(cdf[None], rng.random((1, 1)))[0, 0])
 
     # -- serialization ---------------------------------------------------------
 
@@ -106,13 +119,14 @@ def build_discrete_model(alphabet, m1, m, g, T: int | None = None) -> DiscreteFK
 
     ``m`` is a list of T-1 transition matrices, ``g`` a list of T weight
     vectors.  Rejects dimension mismatches, rows that do not sum to one
-    (beyond 1e-9) and negative weights.
+    (beyond 1e-9) and negative weights.  The model keeps read-only copies:
+    a later edit of the caller's arrays does not reach it.
     """
     alphabet = tuple(alphabet)
     S = len(alphabet)
-    m1 = np.asarray(m1, dtype=float)
-    ms = tuple(np.asarray(mat, dtype=float) for mat in m)
-    gs = tuple(np.asarray(vec, dtype=float) for vec in g)
+    m1 = _frozen(m1)
+    ms = tuple(_frozen(mat) for mat in m)
+    gs = tuple(_frozen(vec) for vec in g)
 
     horizon = len(gs)
     if T is not None and T != horizon:
@@ -141,6 +155,13 @@ def build_discrete_model(alphabet, m1, m, g, T: int | None = None) -> DiscreteFK
     model = DiscreteFK(alphabet=alphabet, m1=m1, transitions=ms, potentials=gs)
     _check_reachable_mass(model)
     return model
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def _check_prob_vector(row: np.ndarray, label: str) -> None:

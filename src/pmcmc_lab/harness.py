@@ -425,11 +425,10 @@ def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
     # A short chain trace for the record.
     enum = enumerate_joint(jm)
     x = Trajectory(points=enum.paths[int(np.argmax(enum.x_marginal))])
-    theta = 0
     rng = SubstreamRng(cfg.seed)
     rows = [["iteration", "theta"] + [f"state_{t}" for t in range(1, jm.T + 1)]]
     for step in range(1, cfg.iterations + 1):
-        theta, x = pgibbs_step(jm, n, theta, x, rng, base=step)
+        theta, x = pgibbs_step(jm, n, x, rng, base=step)
         rows.append([step, jm.thetas[theta]] + list(x.points))
     _write_csv(out / "pgibbs_trace.csv", rows)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .exact_oracle import (
     spectral_summary,
 )
 from .rng import SITE_ACCEPT, SITE_THETA, as_substream
-from .smc_core import categorical, particle_pass
+from .smc_core import PassTables, categorical, particle_pass
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,18 @@ class JointModel:
     def T(self) -> int:
         return self.models[0].T
 
+    @cached_property
+    def tables(self) -> PassTables:
+        """The draw tables of all path models, stacked once for the passes
+        that run a parameter value per replicate."""
+        return PassTables.build(self.models)
+
 
 def build_joint_model(thetas, prior, models) -> JointModel:
-    return JointModel(
-        thetas=tuple(thetas), prior=np.asarray(prior, dtype=float), models=tuple(models)
-    )
+    """Assemble a joint model around a read-only copy of ``prior``."""
+    prior = np.array(prior, dtype=float)
+    prior.setflags(write=False)
+    return JointModel(thetas=tuple(thetas), prior=prior, models=tuple(models))
 
 
 def joint_model_from_dict(d: dict) -> JointModel:
@@ -490,15 +498,15 @@ def pgibbs_update(jm: JointModel, N: int, paths, rng, base: int = 0):
     value.  Returns the parameter indices (R,) and the new paths (R, T)."""
     rng = as_substream(rng)
     paths = np.asarray(paths, dtype=int)
-    u = rng.stream(base, 0, 0, SITE_THETA).random((len(paths), 1))
+    u = rng.uniforms(base, 0, 0, SITE_THETA, shape=(len(paths), 1))
     thetas = categorical(theta_given_paths(jm, paths), u)[:, 0]
-    return thetas, reference_pass(jm.models, N, paths, rng, base=base, which=thetas).paths()
+    return thetas, reference_pass(jm.tables, N, paths, rng, base=base, which=thetas).paths()
 
 
-def pgibbs_step(jm: JointModel, N: int, theta_idx: int, x: Trajectory, rng, base: int = 0):
+def pgibbs_step(jm: JointModel, N: int, x: Trajectory, rng, base: int = 0):
     """Exact parameter draw given the path, then one pinned pass at the new
-    parameter value: :func:`pgibbs_update` on one row.  The parameter draw
-    does not depend on ``theta_idx``."""
+    parameter value: :func:`pgibbs_update` on one row.  Returns the parameter
+    index and the new path."""
     thetas, paths = pgibbs_update(jm, N, [x.points], rng, base=base)
     return int(thetas[0]), Trajectory(points=tuple(paths[0].tolist()))
 
@@ -517,7 +525,7 @@ def pimh_update(model, N: int, paths, log_gammas, rng, base: int = 0):
     R = len(paths)
     proposal = particle_pass((model,), N, rng, base=base, rows=R)
     lg = proposal.log_gamma()
-    log_u = np.log(rng.stream(base, model.T + 2, 0, SITE_ACCEPT).random(R))
+    log_u = np.log(rng.uniforms(base, model.T + 2, 0, SITE_ACCEPT, shape=R))
     acc = log_u < lg - log_gammas
     return np.where(acc[:, None], proposal.paths(), paths), np.where(acc, lg, log_gammas), acc
 
@@ -548,11 +556,11 @@ def pmmh_update(jm: JointModel, N: int, proposal_q, thetas, log_gammas, rng, bas
     q = np.asarray(proposal_q, dtype=float)
     thetas = np.asarray(thetas, dtype=int)
     R = len(thetas)
-    cand = categorical(q[thetas], rng.stream(base, 0, 0, SITE_THETA).random((R, 1)))[:, 0]
-    lg = particle_pass(jm.models, N, rng, base=base, rows=R, which=cand).log_gamma()
+    cand = categorical(q[thetas], rng.uniforms(base, 0, 0, SITE_THETA, shape=(R, 1)))[:, 0]
+    lg = particle_pass(jm.tables, N, rng, base=base, rows=R, which=cand).log_gamma()
     num = np.log(jm.prior[cand]) + np.log(q[cand, thetas]) + lg
     den = np.log(jm.prior[thetas]) + np.log(q[thetas, cand]) + log_gammas
-    acc = np.log(rng.stream(base, jm.T + 2, 0, SITE_ACCEPT).random(R)) < num - den
+    acc = np.log(rng.uniforms(base, jm.T + 2, 0, SITE_ACCEPT, shape=R)) < num - den
     return np.where(acc, cand, thetas), np.where(acc, lg, log_gammas), acc
 
 

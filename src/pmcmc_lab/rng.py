@@ -7,9 +7,10 @@ happens, never by *when* it happens, so results do not depend on loop order.
 
 A particle pass draws one block per ``(step, time, site)``: the stream
 ``(step, time, 0, site)`` yields the uniforms of all replicates and free
-slots at once, row by row.  Replicate r reads the same values whether it runs
-alone or among R rows, so a scalar pass equals row 0 of a batched one, and a
-pass costs a fixed number of streams whatever the particle count.
+slots at once, row by row, through :meth:`SubstreamRng.uniforms`.  Replicate
+r reads the same values whether it runs alone or among R rows, so a scalar
+pass equals row 0 of a batched one, and a pass costs a fixed number of
+streams whatever the particle count.
 """
 
 from __future__ import annotations
@@ -51,10 +52,14 @@ class SubstreamRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._key = _Key(np.random.SeedSequence(self.seed).generate_state(2, np.uint64))
+        key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
+        self._key = _Key(key)
+        self._key_words = tuple(int(k) for k in key)
+        self._gen = None  # the generator uniforms() re-positions
 
     def stream(self, *coords: int) -> np.random.Generator:
-        """Return the generator for a draw site addressed by up to 4 coordinates.
+        """Return a fresh generator for a draw site addressed by up to 4
+        coordinates.
 
         Step and time take one high word of the Philox counter each; particle
         and site share the third (48 and 16 bits).  The low word is left at
@@ -63,14 +68,29 @@ class SubstreamRng:
         counter range.  A coordinate outside its field would alias another
         stream and raises IndexOutOfRange.
         """
-        if len(coords) > 4:
-            raise IndexOutOfRange("at most 4 stream coordinates are supported")
-        c = [int(v) for v in coords] + [0] * (4 - len(coords))
-        for (name, bits), value in zip(_FIELDS, c):
-            if not 0 <= value < (1 << bits):
-                raise IndexOutOfRange(f"stream {name} coordinate {value} outside [0, 2^{bits})")
-        counter = np.array([0, (c[2] << 16) | c[3], c[1], c[0]], dtype=np.uint64)
+        counter = np.array(_counter(coords), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(self._key, counter=counter))
+
+    def uniforms(self, *coords: int, shape) -> np.ndarray:
+        """Uniforms on [0, 1) of the given shape from the start of the stream
+        at ``coords``: equal to ``stream(*coords).random(shape)``.
+
+        Re-positions one generator kept by this object instead of opening a
+        new one (about a third of the cost of :meth:`stream`), so it is not
+        safe to call from several threads at once.
+        """
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(self._key))
+        # The state a fresh Philox at this counter starts in: empty buffer.
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _counter(coords), "key": self._key_words},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.random(shape)
 
     def spawn(self, index: int) -> "SubstreamRng":
         """Derive an independent child (used for parallel chains/replicates)."""
@@ -79,6 +99,19 @@ class SubstreamRng:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SubstreamRng(seed={self.seed})"
+
+
+def _counter(coords) -> tuple:
+    """The Philox counter words of the stream at ``coords`` (see
+    :meth:`SubstreamRng.stream`); raises IndexOutOfRange for a coordinate
+    that would alias another stream."""
+    if len(coords) > 4:
+        raise IndexOutOfRange("at most 4 stream coordinates are supported")
+    c = (*map(int, coords), 0, 0, 0, 0)[:4]
+    for (name, bits), value in zip(_FIELDS, c):
+        if value >> bits:  # negative, or wider than its field
+            raise IndexOutOfRange(f"stream {name} coordinate {value} outside [0, 2^{bits})")
+    return (0, (c[2] << 16) | c[3], c[1], c[0])
 
 
 def as_substream(rng: "SubstreamRng | int") -> SubstreamRng:

@@ -4,8 +4,10 @@ the normalizing-constant estimator.
 :func:`particle_pass` is the one implementation of a pass.  It runs R
 independent replicates as ``(R, N)`` integer arrays; pinned trajectories
 (the reference of a conditional pass, or two of them) are forced into their
-slots, every other slot resamples and moves.  :func:`categorical` is the one
-inverse-CDF draw behind every sampler.  :func:`run_smc` is the R=1 plain
+slots, every other slot resamples and moves.  :func:`categorical_cdf` is the
+one inverse-CDF draw behind every sampler (:func:`categorical` when the
+weights are raw); the initial and move draws read cumulative tables built
+once per model (:class:`PassTables`).  :func:`run_smc` is the R=1 plain
 pass, returned as a :class:`ParticleSystem`: states and weights for all
 times, ancestor indices for times 2..T, and a single terminal index drawn
 from the final weights.  The product over time of average weights is the
@@ -22,8 +24,13 @@ import numpy as np
 from .errors import AllWeightsZero, DegenerateEstimate, ZeroPinnedPotential
 from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
 
-# Category count up to which :func:`categorical` compares every sum at once.
-_FEW = 32
+# Search strategies of :func:`categorical_cdf`: compare every draw with every
+# inner sum while there are at most _ONE_PASS such pairs; otherwise count one
+# inner sum at a time up to _COLUMNS sums, and bisect beyond.  At 65536 draws
+# counting beat bisection 3.5x at 16 categories and 1.6x at 64, and tied at
+# about 128 (2-vCPU x86 host, numpy 2.4).
+_ONE_PASS = 4096
+_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -78,27 +85,33 @@ class NormConstEstimate:
         return float(np.exp(self.log_value))
 
 
-def categorical(weights, u) -> np.ndarray:
-    """Inverse-CDF draws: ``weights`` (..., K), uniforms ``u`` (..., n) -> (..., n).
+def categorical_cdf(cdf, u) -> np.ndarray:
+    """Inverse-CDF draws from cumulative sums: ``cdf`` (..., K), uniforms ``u``
+    (..., n) -> integer indices (..., n).
 
-    Each uniform is scaled to the raw cumulative sum of its weight row and
-    located with ``searchsorted(..., side="right")`` semantics: the draw is
-    the number of cumulative sums at or below u * total, capped at K-1.  A
-    zero weight repeats its predecessor's cumulative sum, so no uniform in
-    [0, 1) lands on it, and a trailing zero is never reached because
-    u * total stays below the total.  A leading weight axis of length 1 is
-    shared by every row of ``u``.
+    Each uniform is scaled to the last cumulative sum of its row and located
+    with ``searchsorted(..., side="right")`` semantics: the draw is the number
+    of the K-1 inner sums at or below u * total.  A zero weight repeats its
+    predecessor's cumulative sum, so no uniform in [0, 1) lands on it, and a
+    trailing zero is never reached because u * total stays below the total.
+    A leading axis of length 1 is shared by every row of ``u``.
 
-    Up to _FEW (32) categories one comparison pass counts the sums (n K work per
-    row); beyond, binary lifting over the K-1 inner sums, padded with +inf to
-    a power of two, locates all draws in ceil(log2 K) array passes (n log K
-    work per row).  Both count the same sums, so they draw the same index.
+    The search follows the shape of the draw; every strategy counts the same
+    sums, so all draw the same index:
+
+    * up to _ONE_PASS (4096) compared pairs (the one-replicate passes): one
+      comparison of every draw with every sum;
+    * up to _COLUMNS (64) inner sums: one vectorised comparison per sum,
+      counted in place (the batched passes);
+    * beyond: binary lifting over the inner sums, padded with +inf to a
+      power of two, in ceil(log2 K) array passes (n log K work per row).
     """
-    cdf = np.asarray(weights).cumsum(axis=-1)
     K = cdf.shape[-1]
     v = u * cdf[..., -1:]
-    if K <= _FEW:
+    if v.size * (K - 1) <= _ONE_PASS:
         return (cdf[..., None, :-1] <= v[..., None]).sum(axis=-1)
+    if K - 1 <= _COLUMNS:
+        return _count_columns([cdf[..., k : k + 1] for k in range(K - 1)], v).astype(np.intp)
     width = 1 << (K - 1).bit_length()
     edges = np.full(cdf.shape[:-1] + (width,), np.inf)
     edges[..., : K - 1] = cdf[..., :-1]
@@ -111,6 +124,22 @@ def categorical(weights, u) -> np.ndarray:
         np.copyto(pos, probe, where=flat[probe] <= v)
         step >>= 1
     return pos - before
+
+
+def _count_columns(columns, v) -> np.ndarray:
+    """Number of ``columns`` (arrays broadcasting against v) at or below v,
+    as uint8, so fewer than 256 columns."""
+    count = (columns[0] <= v).view(np.uint8)
+    for col in columns[1:]:
+        count += (col <= v).view(np.uint8)
+    return count
+
+
+def categorical(weights, u) -> np.ndarray:
+    """Inverse-CDF draws from raw weights: ``weights`` (..., K), uniforms
+    ``u`` (..., n) -> (..., n).  :func:`categorical_cdf` of the cumulative
+    sums; use that directly when the same weights serve many calls."""
+    return categorical_cdf(np.asarray(weights).cumsum(axis=-1), u)
 
 
 def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,38 +194,97 @@ class BatchedPass:
         )
 
 
+@dataclass(frozen=True)
+class PassTables:
+    """The draw tables of a pass over J models sharing horizon and alphabet.
+
+    Tables are flattened over (model, state): model j's row for state s is
+    row ``j * S + s``.  ``move_cdf[t-2]`` holds the cumulative sums of the
+    transition rows into time t and ``move_cols[t-2, k]`` their k-th sums,
+    one contiguous column per k, so a move draw gathers S-1 columns instead of
+    summing every gathered row.  Built once per model
+    (:attr:`pmcmc_lab.fk_model.DiscreteFK.tables`) or per joint model
+    (:attr:`pmcmc_lab.pgibbs.JointModel.tables`); the sums are the ones a
+    draw from the raw rows would compute, so both draw the same indices.
+    """
+
+    T: int
+    n_states: int
+    m1_cdf: np.ndarray      # (J, S)
+    move_cdf: np.ndarray    # (T-1, J*S, S)
+    move_cols: np.ndarray   # (T-1, S, J*S)
+    potentials: np.ndarray  # (T, J*S)
+
+    @classmethod
+    def build(cls, models) -> "PassTables":
+        T, S = models[0].T, models[0].n_states
+        moves = np.array([m.transitions for m in models]).reshape(len(models), T - 1, S, S)
+        move_cdf = moves.swapaxes(0, 1).reshape(T - 1, len(models) * S, S).cumsum(axis=-1)
+        tables = cls(
+            T=T,
+            n_states=S,
+            m1_cdf=np.array([m.m1 for m in models]).cumsum(axis=-1),
+            move_cdf=move_cdf,
+            move_cols=np.ascontiguousarray(move_cdf.swapaxes(1, 2)),
+            potentials=np.array([m.potentials for m in models]).swapaxes(0, 1).reshape(T, -1),
+        )
+        for table in (tables.m1_cdf, tables.move_cdf, tables.move_cols, tables.potentials):
+            table.setflags(write=False)
+        return tables
+
+
+def pass_tables(models) -> PassTables:
+    """The tables of a pass over ``models``: a :class:`PassTables` as given,
+    one model's cached tables, or tables built for a sequence of models."""
+    if isinstance(models, PassTables):
+        return models
+    if len(models) == 1:
+        return models[0].tables
+    return PassTables.build(models)
+
+
+def _draw_moves(cdf_rows, cols, rows, u) -> np.ndarray:
+    """One draw per uniform from the cumulative transition row ``rows`` of a
+    :class:`PassTables` time slice; :func:`categorical_cdf` semantics."""
+    S = cols.shape[0]
+    if rows.size * (S - 1) <= _ONE_PASS or S - 1 > _COLUMNS:
+        return categorical_cdf(cdf_rows[rows], u[..., None])[..., 0]
+    v = u * cols[-1].take(rows)
+    return _count_columns([col.take(rows) for col in cols[:-1]], v)
+
+
 def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:
     """One pass with N particles and multinomial resampling, for ``rows``
     independent replicates at once.
 
-    ``models`` is a sequence of models sharing horizon and alphabet; replicate
-    r runs ``models[which[r]]`` (``models[0]`` when ``which`` is None).
-    ``pins`` is the ``(pin_state, pin_anc)`` schedule of
-    :func:`pmcmc_lab.csmc._pin_schedule`: per time, pinned slot -> state (one
-    int, or one state per replicate) and, from time 2, pinned slot -> parent
-    slot.  Every other slot draws its parent and its move.
+    ``models`` is a sequence of models sharing horizon and alphabet, or their
+    :class:`PassTables`; replicate r runs ``models[which[r]]`` (``models[0]``
+    when ``which`` is None).  ``pins`` is the ``(pin_state, pin_anc)``
+    schedule of :func:`pmcmc_lab.csmc._pin_schedule`: per time, pinned slot ->
+    state (one int, or one state per replicate) and, from time 2, pinned slot
+    -> parent slot.  Every other slot draws its parent and its move.
 
-    Each ``(base, time, site)`` block is one substream from which the
-    replicates draw ``(rows, free slots)`` uniforms, so replicate 0 does not
-    depend on ``rows``.
+    Initial and move draws read the cumulative tables built once per model
+    (:func:`pass_tables`), so no draw sums a row; ancestor draws sum the
+    current weights once per time.  Each search follows the draw's shape (see
+    :func:`categorical_cdf`).  Each ``(base, time, site)`` block is one
+    substream from which the replicates read ``(rows, free slots)`` uniforms,
+    so replicate 0 does not depend on ``rows``.
     """
     if N < 1:
         raise ValueError("need at least one particle")
     rng = as_substream(rng)
-    T, R, S = models[0].T, rows, models[0].n_states
-    # Model tables flattened over (model, state): replicate r reads row
-    # which[r] * S + state.  One model needs no offset, and skipping it saves
-    # an index array per lookup.
-    m1 = np.array([m.m1 for m in models])
-    moves = np.array([m.transitions for m in models]).swapaxes(0, 1).reshape(T - 1, len(models) * S, S)
-    potentials = np.array([m.potentials for m in models]).swapaxes(0, 1).reshape(T, -1)
+    tables = pass_tables(models)
+    T, R, S = tables.T, rows, tables.n_states
+    # Replicate r reads table row which[r] * S + state.  One model needs no
+    # offset, and skipping it saves an index array per lookup.
     if which is None:
-        m1, offset = m1[:1], None
+        m1_cdf, offset = tables.m1_cdf[:1], None
     else:
-        m1, offset = m1[which], np.asarray(which, dtype=int)[:, None] * S
+        m1_cdf, offset = tables.m1_cdf[which], np.asarray(which, dtype=int)[:, None] * S
 
-    def rows_of(table, states):
-        return table[states] if offset is None else table[offset + states]
+    def rows_of(states):
+        return states if offset is None else offset + states
 
     row_start = np.arange(R)[:, None] * N
     pin_state, pin_anc = pins if pins is not None else ([{}] * T, [{}] * (T - 1))
@@ -204,33 +292,34 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
     ancestors = np.empty((T - 1, R, N), dtype=int)
     weights = np.empty((T, R, N))
     for t in range(1, T + 1):
-        slots = list(pin_state[t - 1])
-        free = np.ones(N, dtype=bool)
-        free[slots] = False
-        free = free.nonzero()[0]
-        if free.size and free[-1] - free[0] + 1 == free.size:
-            free = slice(free[0], free[-1] + 1)  # a view, not a copy
+        slots = sorted(pin_state[t - 1])
         n = N - len(slots)
+        if slots == list(range(len(slots))):
+            free = slice(len(slots), N)  # a view, not a copy
+        else:
+            free = np.setdiff1d(np.arange(N), slots)
         x = states[t - 1]
-        x[:, slots] = np.array([pin_state[t - 1][s] for s in slots], dtype=int).T
+        if slots:
+            x[:, slots] = np.array([pin_state[t - 1][s] for s in slots], dtype=int).T
         if t == 1:
-            u = rng.stream(base, 1, 0, SITE_INIT).random((R, n))
-            x[:, free] = categorical(m1, u)
+            x[:, free] = categorical_cdf(m1_cdf, rng.uniforms(base, 1, 0, SITE_INIT, shape=(R, n)))
         else:
             a = ancestors[t - 2]
-            a[:, slots] = [pin_anc[t - 2][s] for s in slots]
-            u = rng.stream(base, t, 0, SITE_ANCESTOR).random((R, n))
-            a[:, free] = categorical(weights[t - 2], u)
-            src = states[t - 2].ravel()[row_start + a[:, free]]
-            u = rng.stream(base, t, 0, SITE_MOVE).random((R, n, 1))
-            x[:, free] = categorical(rows_of(moves[t - 2], src), u)[..., 0]
-        g = weights[t - 1] = rows_of(potentials[t - 1], x)
-        if (g[:, slots] <= 0).any():
+            if slots:
+                a[:, slots] = [pin_anc[t - 2][s] for s in slots]
+            u = rng.uniforms(base, t, 0, SITE_ANCESTOR, shape=(R, n))
+            a[:, free] = categorical_cdf(weights[t - 2].cumsum(axis=-1), u)
+            src = rows_of(states[t - 2].ravel()[row_start + a[:, free]])
+            u = rng.uniforms(base, t, 0, SITE_MOVE, shape=(R, n))
+            x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, u)
+        g = weights[t - 1] = tables.potentials[t - 1][rows_of(x)]
+        if slots and (g[:, slots] <= 0).any():
             raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
         if (g.sum(axis=1) <= 0).any():
             raise AllWeightsZero(time=t)
-    u = rng.stream(base, T + 1, 0, SITE_FINAL).random((R, 1))
-    return BatchedPass(states, ancestors, weights, categorical(weights[-1], u)[:, 0])
+    u = rng.uniforms(base, T + 1, 0, SITE_FINAL, shape=(R, 1))
+    final = categorical_cdf(weights[-1].cumsum(axis=-1), u)[:, 0]
+    return BatchedPass(states, ancestors, weights, final)
 
 
 def run_smc(model, N: int, rng, base: int = 0) -> ParticleSystem:

@@ -51,6 +51,28 @@ def test_build_rejects_dimension_mismatch():
         build_discrete_model([0, 1], [0.5, 0.5], [], [[1, 1]], T=3)
 
 
+def test_build_keeps_private_read_only_tables():
+    # The model and its cached draw tables must not see a later edit of the
+    # caller's arrays, and the model's own arrays refuse writes.
+    m1 = np.array([0.5, 0.5])
+    mats = np.array([[[0.75, 0.25], [0.25, 0.75]]])
+    g = np.array([[1.0, 2.0], [1.0, 3.0]])
+    m = build_discrete_model([0, 1], m1, mats, g)
+    tables = m.tables
+    m1[:] = [1.0, 0.0]
+    mats[0, 0] = [0.0, 1.0]
+    g[1] = [0.0, 0.0]
+    assert m.to_dict() == model_a().to_dict()
+    assert m.tables is tables
+    np.testing.assert_array_equal(tables.m1_cdf, [[0.5, 1.0]])
+    np.testing.assert_array_equal(tables.move_cdf[0], [[0.75, 1.0], [0.25, 1.0]])
+    np.testing.assert_array_equal(tables.move_cols[0], [[0.75, 0.25], [1.0, 1.0]])
+    np.testing.assert_array_equal(tables.potentials, [[1.0, 2.0], [1.0, 3.0]])
+    for array in (m.m1, m.transitions[0], m.potentials[1], tables.m1_cdf, tables.move_cols):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.25
+
+
 def test_unit_potentials_target_is_chain_law():
     m = model_unit(2, 2)
     t = exact_target(m)

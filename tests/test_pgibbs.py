@@ -40,6 +40,20 @@ def test_joint_model_validation():
         build_joint_model(["a"], [0.9], [m1])
 
 
+def test_joint_model_keeps_a_private_read_only_prior():
+    jm0 = joint_two_time()
+    prior = np.array([0.4, 0.6])
+    jm = build_joint_model(jm0.thetas, prior, jm0.models)
+    tables = jm.tables
+    prior[:] = [1.0, 0.0]
+    np.testing.assert_array_equal(jm.prior, [0.4, 0.6])
+    with pytest.raises(ValueError, match="read-only"):
+        jm.prior[0] = 1.0
+    # The stacked tables are built once and carry model j's rows at j * S.
+    assert jm.tables is tables
+    np.testing.assert_array_equal(tables.move_cdf[0][2:], jm.models[1].tables.move_cdf[0])
+
+
 def test_joint_enumeration_sums():
     jm = joint_two_time()
     enum = enumerate_joint(jm)
@@ -184,7 +198,7 @@ def test_single_time_gap_transfer():
 def test_pgibbs_step_single_parameter_reduces_to_pinned_pass():
     m = model_a()
     jm = build_joint_model(["only"], [1.0], [m])
-    theta, x = pgibbs_step(jm, 3, 0, Trajectory((0, 0)), 5)
+    theta, x = pgibbs_step(jm, 3, Trajectory((0, 0)), 5)
     assert theta == 0
     assert len(x) == 2
 
@@ -328,7 +342,7 @@ def test_pgibbs_zero_mass_path_raises_typed_error():
     )
     jm = build_joint_model(["a", "b"], [0.5, 0.5], [diag, diag])
     with pytest.raises(PmcmcLabError, match="zero mass"):
-        pgibbs_step(jm, 2, 0, Trajectory((0, 1)), 1)
+        pgibbs_step(jm, 2, Trajectory((0, 1)), 1)
     with pytest.raises(PmcmcLabError, match="zero mass"):
         pgibbs_replicated(jm, 2, 4, 1, 1, (0, 1), 0)
 
@@ -361,7 +375,7 @@ def test_pgibbs_and_pmmh_steps_are_row_zero_of_their_batched_chains():
     jm = joint_two_time()
     theta, x = 0, Trajectory((0, 0))
     for step in range(1, 13):
-        theta, x = pgibbs_step(jm, 3, theta, x, 8, base=step)
+        theta, x = pgibbs_step(jm, 3, x, 8, base=step)
     thetas, paths = pgibbs_replicated(jm, 3, 5, 12, 8, (0, 0), 0)
     assert (theta, x.points) == (int(thetas[0]), tuple(int(v) for v in paths[0]))
 

@@ -20,7 +20,7 @@ from pmcmc_lab.exact_oracle import (
 )
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import smc_replicated
-from pmcmc_lab.smc_core import categorical
+from pmcmc_lab.smc_core import PassTables, _draw_moves, categorical, categorical_cdf
 
 
 def test_resample_degenerate_weight():
@@ -62,6 +62,22 @@ class _ZeroUniform:
         return np.zeros(count)
 
 
+def _draw_table(rows):
+    """Transition rows ``rows`` (M, S), normalised, as the first M table rows
+    of the two-time models that carry them, S rows per model: the stored
+    laws (M, S) and the cumulative row and column tables of the move."""
+    M, S = rows.shape
+    law = rows / rows.sum(axis=1, keepdims=True)
+    padded = np.concatenate([law, np.tile(law[:1], (-M % S, 1))])
+    models = [
+        build_discrete_model(list(range(S)), law[0], [block], [np.ones(S)] * 2)
+        for block in padded.reshape(-1, S, S)
+    ]
+    tables = PassTables.build(models)
+    laws = np.concatenate([m.transitions[0] for m in models])[:M]
+    return laws, tables.move_cdf[0], tables.move_cols[0]
+
+
 @pytest.mark.parametrize("gen", [_ZeroUniform(), _TopUniform()])
 @pytest.mark.parametrize(
     "weights",
@@ -72,17 +88,29 @@ class _ZeroUniform:
         [1.0, 0.0, 0.0, 3.0],
         [2.0, 0.0, 5.0, 0.0, 0.0],
         [0.0] * 20 + [1.0, 0.0, 3.0] + [0.0] * 20,
+        [0.0] * 5 + [1.0] + [0.0] * 9 + [2.0, 0.0],
+        [0.0, 3.0] + [0.0] * 30 + [1.0],
+        [0.0] * 100 + [1.0] + [0.0] * 100 + [2.0] + [0.0] * 54,
     ],
 )
 def test_categorical_never_selects_zero_weight(weights, gen):
     # Leading, interior and trailing zero weights under the extreme uniforms
     # 0.0 and nextafter(1, 0); rows drawn several times each (the resampling
-    # shape) and one distribution per draw (the move shape).
+    # shape), one distribution per draw (the move shape), and enough draws
+    # for every search strategy of categorical_cdf and the table draw.
     w = np.array([weights, weights[::-1]])
+    cdf = w.cumsum(axis=1)
     many = categorical(w, gen.random((2, 4)))
     single = categorical(w[:, None, :], gen.random((2, 1, 1)))[:, :, 0]
-    for out in (many, single, multinomial_resample(weights, 3, gen)[None]):
-        assert np.all(np.take_along_axis(w[: len(out)], out, axis=1) > 0)
+    outs = [many, single, multinomial_resample(weights, 3, gen)[None]]
+    for count in (1, 5, 3000):
+        outs.append(categorical_cdf(cdf, gen.random((2, count))))
+    _, move_cdf, move_cols = _draw_table(w)
+    for count in (1, 5, 3000):
+        rows = np.repeat([[0], [1]], count, axis=1)
+        outs.append(_draw_moves(move_cdf, move_cols, rows, gen.random((2, count))))
+    for out in outs:
+        assert np.all(np.take_along_axis(w[: len(out)], out.astype(int), axis=1) > 0)
 
 
 def test_resample_negative_weights_rejected():
@@ -240,20 +268,29 @@ def test_particle_relabeling_invariance(N):
         assert worst < 1e-12
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 32, 33, 64, 100])
+@pytest.mark.parametrize("K", [1, 2, 3, 16, 17, 32, 33, 64, 65, 100, 256])
 def test_categorical_is_a_row_wise_searchsorted(K):
-    # Few categories are counted in one pass, many are bisected; both must
-    # equal searchsorted(side="right") on the raw cumulative sums, capped.
+    # Few draws are compared in one pass, many are counted sum by sum or
+    # bisected; every strategy, the raw-weight wrapper and the table draw
+    # must equal searchsorted(side="right") on the raw cumulative sums, capped.
     gen = np.random.default_rng(K)
     w = gen.random((40, K)) * (gen.random((40, K)) < 0.6)
     w[:, gen.integers(K)] += 0.5
-    u = gen.random((40, 9))
-    u[:, :2] = [0.0, np.nextafter(1.0, 0.0)]
-    got = categorical(w, u)
-    for row, (wr, ur) in enumerate(zip(w, u)):
-        cdf = np.cumsum(wr)
-        want = np.minimum(np.searchsorted(cdf, ur * cdf[-1], side="right"), K - 1)
-        assert list(got[row]) == list(want)
+    laws, move_cdf, move_cols = _draw_table(w)
+    for count in (1, 9, 400):
+        u = gen.random((40, count))
+        u[:, :2] = [0.0, np.nextafter(1.0, 0.0)][:count]
+        got = categorical(w, u)
+        assert np.array_equal(categorical_cdf(w.cumsum(axis=1), u), got)
+        assert got.dtype.kind == "i"
+        # The table draw reads one row per uniform: row r for draw (r, k).
+        rows = np.repeat(np.arange(40)[:, None], count, axis=1)
+        table = _draw_moves(move_cdf, move_cols, rows, u)
+        for out, weights in ((got, w), (table, laws)):
+            for row, (wr, ur) in enumerate(zip(weights, u)):
+                cdf = np.cumsum(wr)
+                want = np.minimum(np.searchsorted(cdf, ur * cdf[-1], side="right"), K - 1)
+                assert list(out[row]) == list(want)
 
 
 @pytest.mark.parametrize("name,N", [("A", 1), ("A", 4), ("B", 2), ("E", 5)])
@@ -267,6 +304,8 @@ def test_run_smc_is_row_zero_of_the_batched_pass(name, N):
 
 
 class _CountingRng(SubstreamRng):
+    """Counts the substreams opened, as generators or as uniform blocks."""
+
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = 0
@@ -274,6 +313,10 @@ class _CountingRng(SubstreamRng):
     def stream(self, *coords):
         self.calls += 1
         return super().stream(*coords)
+
+    def uniforms(self, *coords, shape):
+        self.calls += 1
+        return super().uniforms(*coords, shape=shape)
 
 
 def test_stream_calls_per_pass_do_not_grow_with_particles():
