@@ -76,8 +76,8 @@ class SubstreamRng:
         at ``coords``: equal to ``stream(*coords).random(shape)``.
 
         Re-positions one generator kept by this object instead of opening a
-        new one (about a third of the cost of :meth:`stream`), so it is not
-        safe to call from several threads at once.
+        new one (setting its state costs about a third of constructing a
+        generator), so it is not safe to call from several threads at once.
         """
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(self._key))
