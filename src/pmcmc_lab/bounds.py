@@ -85,10 +85,15 @@ def epsilon_bounded(model: DiscreteFK, N: int) -> BoundReport:
     """
     if N < 2:
         raise ValueError("need at least two particles")
+    return _report(_bounded_eps(model, N), BoundSource.BOUNDED_POTENTIALS, n=N, horizon=model.T)
+
+
+def _bounded_eps(model: DiscreteFK, N: int) -> float:
+    """The formula of :func:`epsilon_bounded`, unchecked; at most
+    (1 - 1/N)^T, since the weight ratio is at least 1."""
     T = model.T
     ratio = float(np.prod(sup_potentials(model))) / exact_target(model).gamma_t
-    eps = (1.0 - 1.0 / N) ** T / (1.0 + (1.0 - (1.0 - 2.0 / N) ** T) * (ratio - 1.0))
-    return _report(eps, BoundSource.BOUNDED_POTENTIALS, n=N, horizon=T)
+    return (1.0 - 1.0 / N) ** T / (1.0 + (1.0 - (1.0 - 2.0 / N) ** T) * (ratio - 1.0))
 
 
 def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:

@@ -4,10 +4,9 @@ Pinning a second trajectory (with its own slot sequence) alongside the
 reference turns the expected normalizing-constant estimate into a finite
 sum over increasing index chains: each chain records the times at which a
 surviving lineage passes through one of the two pinned paths, every other
-segment contributing a free factor of N-2.  Two equivalent evaluation
-strategies are implemented: direct enumeration of the index chains (cost
-2^T) and a backward accumulation over chain start points (cost T^2); both
-are checked against a brute-force enumeration of the pass.
+segment contributing a free factor of N-2.  The closed form evaluates that
+sum by a backward accumulation over chain start points (cost T^2), checked
+against a brute-force enumeration of the pass.
 
 The module also computes the two mixing constants used by the escape-rate
 bounds: the predictive-overshoot ratio ``alpha`` and the pair ``beta`` /
@@ -16,45 +15,15 @@ bounds: the predictive-overshoot ratio ``alpha`` and the pair ``beta`` /
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csmc import Trajectory, conditional_system
-from .errors import (
-    HorizonTooLarge,
-    LineageClash,
-    ZeroPotential,
-    ZeroTransitionOverlap,
-)
-from .exact_oracle import enumerate_conditional_outcomes
+from .errors import LineageClash, ZeroPotential, ZeroTransitionOverlap
+from .exact_oracle import _checked_reference, enumerate_conditional_outcomes
 from .fk_model import DiscreteFK, predictive_law, q_operator
 from .smc_core import ParticleSystem
-
-
-@dataclass(frozen=True)
-class IndexChain:
-    """A strictly increasing time chain ending at the virtual time T+1."""
-
-    s: int
-    indices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.s != len(self.indices):
-            raise ValueError("chain length field must match the index count")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("chain indices must be strictly increasing")
-
-
-def index_chains(T: int, lower: int = 0):
-    """All increasing chains in (lower, T+1] that end at T+1, as IndexChains."""
-    interior = [t for t in range(lower + 1, T + 1)]
-    for r in range(len(interior) + 1):
-        for combo in itertools.combinations(interior, r):
-            idx = combo + (T + 1,)
-            yield IndexChain(s=len(idx), indices=idx)
 
 
 def run_c2smc(model, N: int, x: Trajectory, k, y: Trajectory, rng, base: int = 0) -> ParticleSystem:
@@ -81,52 +50,41 @@ def _pair_factor(model: DiscreteFK, p: int, q: int, x, y) -> float:
     return float(gpq[x[p - 1]] + gpq[y[p - 1]])
 
 
-def c2smc_expectation_closed_form(
-    model: DiscreteFK, N: int, x, y, method: str = "recursion", max_horizon: int = 20
-) -> float:
+def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
     """Expected normalizing-constant estimate under the two-pin pass.
 
-    ``method`` selects the evaluation strategy: "chains" enumerates the
-    2^T increasing index chains directly, "recursion" runs the backward
-    accumulation.  The two agree to machine precision and are cross-checked
-    in the tests.
+    The sum over the increasing index chains 0 < i_1 < ... < i_s = T+1,
+
+        N^-T sum_chains (N-2)^(T+1-s) Q_{0,i_1} prod_k [Q_{i_k,i_(k+1)}(x_{i_k})
+                                                         + Q_{i_k,i_(k+1)}(y_{i_k})],
+
+    with Q the two-time mass functions of :func:`q_operator`, evaluated by a
+    backward accumulation over chain start points in T^2 steps.  Raises as
+    the pass does for a path it cannot pin.
     """
-    x = tuple(x.points if isinstance(x, Trajectory) else x)
-    y = tuple(y.points if isinstance(y, Trajectory) else y)
+    x = _checked_reference(model, x.points if isinstance(x, Trajectory) else x)
+    y = _checked_reference(model, y.points if isinstance(y, Trajectory) else y)
     T = model.T
     if N < 2:
         raise ValueError("the two-pin pass needs at least two particles")
-    if method == "chains":
-        if T > max_horizon:
-            raise HorizonTooLarge(f"chain enumeration limited to T <= {max_horizon}")
-        total = 0.0
-        for chain in index_chains(T):
-            idx = chain.indices
-            term = float(N - 2) ** (T + 1 - chain.s) * q_operator(model, 0, idx[0])
-            for a, b in zip(idx, idx[1:]):
-                term *= _pair_factor(model, a, b, x, y)
-            total += term
-        return total / float(N) ** T
-    if method == "recursion":
-        # r[p] accumulates all chains starting at p, each segment (a, b)
-        # contributing its pair factor and (N-2) per skipped interior slot.
-        r = {T + 1: 1.0}
-        for p in range(T, 0, -1):
-            acc = 0.0
-            for q in range(p + 1, T + 2):
-                acc += _pair_factor(model, p, q, x, y) * float(N - 2) ** (q - p - 1) * r[q]
-            r[p] = acc
-        total = sum(
-            q_operator(model, 0, p) * float(N - 2) ** (p - 1) * r[p] for p in range(1, T + 2)
-        )
-        return total / float(N) ** T
-    raise ValueError(f"unknown method {method!r}")
+    # r[p] accumulates all chains starting at p, each segment (a, b)
+    # contributing its pair factor and (N-2) per skipped interior slot.
+    r = {T + 1: 1.0}
+    for p in range(T, 0, -1):
+        acc = 0.0
+        for q in range(p + 1, T + 2):
+            acc += _pair_factor(model, p, q, x, y) * float(N - 2) ** (q - p - 1) * r[q]
+        r[p] = acc
+    total = sum(
+        q_operator(model, 0, p) * float(N - 2) ** (p - 1) * r[p] for p in range(1, T + 2)
+    )
+    return total / float(N) ** T
 
 
 def c2smc_expectation_bruteforce(model: DiscreteFK, N: int, x, y, guard: int = 10**7) -> float:
     """The same expectation by full enumeration of the pass (the oracle)."""
-    x = tuple(x.points if isinstance(x, Trajectory) else x)
-    y = tuple(y.points if isinstance(y, Trajectory) else y)
+    x = _checked_reference(model, x.points if isinstance(x, Trajectory) else x)
+    y = _checked_reference(model, y.points if isinstance(y, Trajectory) else y)
     T = model.T
     if N < 2:
         raise ValueError("the two-pin pass needs at least two particles")

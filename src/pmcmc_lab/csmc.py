@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LineageClash
+from .errors import DimensionMismatch, IndexOutOfRange, LineageClash
 from .rng import as_substream
 from .smc_core import BatchedPass, ParticleSystem, gamma_hat, particle_pass, pass_tables
 
@@ -45,18 +45,20 @@ def _pin_schedule(pins, T: int, N: int):
 
     ``pins`` is a list of (lineage, path) pairs; lineages are 0-based slot
     sequences and ``path[t]`` is the state at time t+1, an int or one state
-    per replicate.  Raises LineageClash when two trajectories claim one slot
-    with different states (in any replicate), and checks slot validity.
+    per replicate.  Raises DimensionMismatch for a lineage or path whose
+    length is not T, IndexOutOfRange for a slot outside [0, N), and
+    LineageClash when two trajectories claim one slot with different states
+    (in any replicate) or parents.
     """
     pin_state = [dict() for _ in range(T)]
     pin_anc = [dict() for _ in range(T - 1)] if T > 1 else []
     for lineage, path in pins:
         if len(lineage) != T or len(path) != T:
-            raise ValueError("pinned lineage and path must have length T")
+            raise DimensionMismatch("pinned lineage and path must have length T")
         for t in range(T):
             slot = int(lineage[t])
             if not 0 <= slot < N:
-                raise ValueError(f"pinned slot {slot} outside [0, {N})")
+                raise IndexOutOfRange(f"pinned slot {slot} outside [0, {N})")
             state = path[t]
             if slot in pin_state[t] and np.any(pin_state[t][slot] != state):
                 raise LineageClash(

@@ -26,7 +26,8 @@ class PathSpaceTooLarge(PmcmcLabError):
 
 
 class IndexOutOfRange(PmcmcLabError):
-    """A time index falls outside the valid range."""
+    """An index (time, state, particle slot or stream coordinate) falls
+    outside its valid range."""
 
 
 class AllWeightsZero(PmcmcLabError):
@@ -53,10 +54,6 @@ class ZeroPathMass(PmcmcLabError):
 
 class LineageClash(PmcmcLabError):
     """Two pinned trajectories demand the same particle slot with different states."""
-
-
-class HorizonTooLarge(PmcmcLabError):
-    """The closed-form index-chain expansion is limited to short horizons."""
 
 
 class OutcomeSpaceTooLarge(PmcmcLabError):

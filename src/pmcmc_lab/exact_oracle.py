@@ -38,15 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csmc import _pin_schedule
 from .errors import (
     AllWeightsZero,
+    DimensionMismatch,
+    IndexOutOfRange,
     NotReversible,
     OutcomeSpaceTooLarge,
     SingularSolve,
     ZeroPinnedPotential,
 )
 from .fk_model import DiscreteFK, exact_target
-from .numerics import KahanSum
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +122,6 @@ def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int =
     unconditional pass.  The terminal selection is not included: consumers
     weight over it with the final potential row when they need it.
     """
-    from .csmc import _pin_schedule  # shared pin validation
-
     T = model.T
     for _, path in pins:
         for t, state in enumerate(path, start=1):
@@ -235,9 +235,11 @@ def _checked_reference(model: DiscreteFK, x) -> tuple:
     """The reference path as a tuple, refused unless it can be pinned."""
     x = tuple(x)
     if len(x) != model.T:
-        raise ValueError("trajectory length must equal the horizon")
-    for t in range(1, model.T + 1):
-        if model.potential(t, x[t - 1]) <= 0:
+        raise DimensionMismatch("trajectory length must equal the horizon")
+    for t, s in enumerate(x, start=1):
+        if not 0 <= s < model.n_states:
+            raise IndexOutOfRange(f"state {s} at time {t} outside [0, {model.n_states})")
+        if model.potential(t, s) <= 0:
             raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
     return x
 
@@ -246,13 +248,15 @@ def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -
     """Exact law of the selected path for one starting trajectory.
 
     ``lineage`` pins the reference to an arbitrary slot sequence (slot 0
-    everywhere by default).  Returns a dict path -> probability.
+    everywhere by default), checked as every pin schedule is.  Returns a
+    dict path -> probability.
     """
     T = model.T
     x = _checked_reference(model, x)
+    lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * T
+    _pin_schedule([(lineage, x)], T, N)
     if N == 1:
         return {x: 1.0}
-    lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * T
 
     n_free = N - 1
     # Support-aware work estimate: reachable path counts per time versus the
@@ -310,21 +314,15 @@ def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -
                 nxt[key] = nxt.get(key, 0.0) + p
         cur = nxt
 
-    row: dict = {}
-    acc: dict = {}
+    terms: dict = {}
     for paths, prob in cur.items():
         g = np.array([model.potential(T, p[-1]) for p in paths])
         tot = float(g.sum())
         if tot <= 0:
             raise AllWeightsZero(time=T)
         for k in np.flatnonzero(g):
-            path = paths[k]
-            if path not in acc:
-                acc[path] = KahanSum()
-            acc[path].add(prob * float(g[k]) / tot)
-    for path, s in acc.items():
-        row[path] = float(s)
-    return row
+            terms.setdefault(paths[k], []).append(prob * float(g[k]) / tot)
+    return {path: math.fsum(v) for path, v in terms.items()}
 
 
 # ---------------------------------------------------------------------------

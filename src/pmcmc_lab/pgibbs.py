@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .bounds import _bounded_eps
 from .csmc import Trajectory, reference_pass
-from .fk_model import exact_target, model_from_dict, sup_potentials
+from .fk_model import exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
     DegenerateB,
@@ -149,33 +150,17 @@ def enumerate_joint(jm: JointModel, guard: int = 10**4) -> JointEnumeration:
 # ---------------------------------------------------------------------------
 
 
-def _joint_states(enum: JointEnumeration):
-    """(parameter, path) pairs with positive joint mass, with their probs."""
-    states = []
-    probs = []
-    for j in range(enum.jm.J):
-        for i, p in enumerate(enum.paths):
-            if enum.joint[j, i] > 0:
-                states.append((j, i))
-                probs.append(enum.joint[j, i])
-    return states, np.array(probs)
-
-
 def exact_gibbs_matrices(jm: JointModel, guard: int = 10**4):
     """The ideal two-stage sampler on the joint space and its path marginal."""
     enum = enumerate_joint(jm, guard=guard)
-    return _compose_kernels(enum, conditional_kernels=None), enum
+    return _compose_kernels(enum), enum
 
 
-def exact_phi_matrices(jm: JointModel, N: int | None, guard: int = 10**4):
-    """The particle version: the path draw is one pinned pass per parameter.
-
-    With ``N=None`` the exact conditional is used instead, which reproduces
-    the ideal sampler (the infinite-particle limit).
-    """
+def exact_phi_matrices(jm: JointModel, N: int, guard: int = 10**4):
+    """The particle version: the path draw is one pinned pass of N particles
+    per parameter value, enumerated by :func:`exact_pn_matrix`."""
     enum = enumerate_joint(jm, guard=guard)
-    kernels = None if N is None else _particle_kernels(jm, N)
-    return _compose_kernels(enum, conditional_kernels=kernels), enum
+    return _compose_kernels(enum, _particle_kernels(jm, N)), enum
 
 
 def _particle_kernels(jm: JointModel, N: int) -> list:
@@ -183,68 +168,48 @@ def _particle_kernels(jm: JointModel, N: int) -> list:
     return [exact_pn_matrix(m, N, target=exact_target(m)) for m in jm.models]
 
 
-def _compose_kernels(enum: JointEnumeration, conditional_kernels):
+def _compose_kernels(enum: JointEnumeration, kernels=None):
     """Build the joint kernel and its path-marginal kernel.
 
-    The path update given parameter j is either the exact conditional law
-    (ideal sampler, ``conditional_kernels`` None) or the enumerated
-    pinned-pass kernel ``conditional_kernels[j]``.
+    The path updates form a (J, n, n) array: given parameter j, the next
+    path is drawn from the exact conditional law (ideal sampler, ``kernels``
+    None) or from the pinned-pass kernel ``kernels[j]``, scattered into the
+    union path index.  The path chain weights them by pi(j | x) and sums over
+    j; the joint chain keeps the (parameter, path) pairs of positive mass.
     """
-    n = len(enum.paths)
-    J = enum.jm.J
-    if conditional_kernels is not None:
-        conditional_kernels = [
-            (chain, {p: i for i, p in enumerate(chain.states)}) for chain in conditional_kernels
-        ]
-
-    def path_update(j, i):
-        """Law of the next path when the parameter is j and the path is i."""
-        if conditional_kernels is None:
-            return enum.cond_paths[j]
-        chain, idx = conditional_kernels[j]
-        out = np.zeros(n)
-        local = idx[enum.paths[i]]
-        row = chain.kernel[local]
-        for p_local, pr in enumerate(row):
-            out[enum.path_index(chain.states[p_local])] = pr
-        return out
-
-    # Path-marginal kernel.
-    kx = np.zeros((n, n))
-    for i in range(n):
-        if enum.x_marginal[i] <= 0:
-            kx[i, i] = 1.0
-            continue
-        for j in range(J):
-            w = enum.cond_theta[i, j]
-            if w > 0:
-                kx[i] += w * path_update(j, i)
-
-    # Joint kernel over (parameter, path) states with positive mass.
-    states, probs = _joint_states(enum)
-    k_joint = np.zeros((len(states), len(states)))
-    pos = {s: a for a, s in enumerate(states)}
-    for a, (j0, i) in enumerate(states):
-        for j in range(J):
-            w = enum.cond_theta[i, j]
-            if w <= 0:
-                continue
-            upd = path_update(j, i)
-            for i2 in np.flatnonzero(upd):
-                k_joint[a, pos[(j, int(i2))]] += w * float(upd[i2])
-
+    J, n = enum.cond_paths.shape
+    if kernels is None:
+        updates = np.broadcast_to(enum.cond_paths[:, None, :], (J, n, n))
+    else:
+        index = {p: i for i, p in enumerate(enum.paths)}
+        updates = np.zeros((J, n, n))
+        for j, chain in enumerate(kernels):
+            idx = [index[p] for p in chain.states]
+            updates[j][np.ix_(idx, idx)] = chain.kernel
+    w = enum.cond_theta.T  # (J, n): weight of parameter j given path i
+    kx = (w[:, :, None] * updates).sum(axis=0)
     mask = enum.x_marginal > 0
     chain_x = FiniteChain(
         states=tuple(p for p, keep in zip(enum.paths, mask) if keep),
         kernel=kx[np.ix_(mask, mask)],
         stationary=enum.x_marginal[mask],
     )
+    js, xs = np.nonzero(enum.joint > 0)
     chain_joint = FiniteChain(
-        states=tuple((enum.jm.thetas[j], enum.paths[i]) for j, i in states),
-        kernel=k_joint,
-        stationary=probs,
+        states=tuple((enum.jm.thetas[j], enum.paths[i]) for j, i in zip(js, xs)),
+        kernel=w[js[None, :], xs[:, None]] * updates[js[None, :], xs[:, None], xs[None, :]],
+        stationary=enum.joint[js, xs],
     )
     return chain_joint, chain_x
+
+
+def _compared(jm: JointModel, N: int):
+    """What both check suites compare: the joint enumeration, the particle
+    kernels, the ideal and particle (joint, path) chains, and rho."""
+    enum = enumerate_joint(jm)
+    kernels = _particle_kernels(jm, N)
+    ideal, particle = _compose_kernels(enum), _compose_kernels(enum, kernels)
+    return enum, kernels, ideal, particle, _rho_from(enum, kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +295,7 @@ def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> Chec
 
     Raises AssertionFailure naming the first violated inequality.
     """
-    enum = enumerate_joint(jm)
-    kernels = _particle_kernels(jm, N)
-    _, gamma_x = _compose_kernels(enum, conditional_kernels=None)
-    _, phi_x = _compose_kernels(enum, conditional_kernels=kernels)
-    rho = _rho_from(enum, kernels)
+    _, kernels, (_, gamma_x), (_, phi_x), rho = _compared(jm, N)
     eps_uniform = min(exact_minorization(chain) for chain in kernels)
     pi = gamma_x.stationary
     entries = []
@@ -396,11 +357,7 @@ def check_theta_chain_identities(
     the worst parameter value.
     """
     f = np.asarray(f_theta, dtype=float)
-    enum = enumerate_joint(jm)
-    kernels = _particle_kernels(jm, N)
-    gamma_joint, gamma_x = _compose_kernels(enum, conditional_kernels=None)
-    phi_joint, phi_x = _compose_kernels(enum, conditional_kernels=kernels)
-    rho = _rho_from(enum, kernels)
+    enum, _, (gamma_joint, gamma_x), (phi_joint, phi_x), rho = _compared(jm, N)
     entries = []
 
     def record(name, violation, tol, witness=None):
@@ -453,13 +410,7 @@ def check_theta_chain_identities(
 
     # The weighted-gap constant dominates the bounded-weight constant of the
     # worst parameter value.
-    worst_ratio = max(
-        float(np.prod(sup_potentials(m))) / exact_target(m).gamma_t for m in jm.models
-    )
-    t_horizon = jm.T
-    eps = (1.0 - 1.0 / N) ** t_horizon / (
-        1.0 + (1.0 - (1.0 - 2.0 / N) ** t_horizon) * (worst_ratio - 1.0)
-    )
+    eps = min(_bounded_eps(m, N) for m in jm.models)
     record("rho_vs_uniform_bound", eps - rho.rho_exact, tol_variance)
     return CheckReport(entries=entries)
 

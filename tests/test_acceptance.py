@@ -90,6 +90,20 @@ def test_criterion_01_closed_form_equals_enumeration():
     _ok(1, f"closed form = enumeration (worst rel {worst:.1e}, {elapsed:.1f}s)")
 
 
+def test_closed_form_equals_enumeration_beyond_three_particles():
+    # At N = 2, 3 the free factor N - 2 is 0 or 1; here its powers are checked.
+    worst = 0.0
+    for T, S, N in ((1, 2, 4), (1, 3, 5), (2, 2, 4), (2, 2, 5), (2, 3, 4)):
+        m = _grid_model(T, S)
+        paths = list(itertools.product(range(S), repeat=T))
+        for x in paths:
+            for y in paths:
+                closed = c2smc_expectation_closed_form(m, N, x, y)
+                brute = c2smc_expectation_bruteforce(m, N, x, y)
+                worst = max(worst, abs(closed - brute) / abs(brute))
+    assert worst <= 1e-10
+
+
 def test_criterion_02_reversible_positive():
     worst_db = 0.0
     worst_eig = 0.0

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,22 +12,14 @@ from pmcmc_lab import (
     c2smc_expectation_closed_form,
     run_c2smc,
 )
-from pmcmc_lab.c2smc import IndexChain, index_chains
-from pmcmc_lab.errors import HorizonTooLarge, LineageClash, ZeroPotential
+from pmcmc_lab.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    LineageClash,
+    ZeroPinnedPotential,
+    ZeroPotential,
+)
 from pmcmc_lab.fk_model import build_discrete_model
-
-
-def test_index_chain_validation():
-    IndexChain(s=2, indices=(1, 3))
-    with pytest.raises(ValueError):
-        IndexChain(s=2, indices=(3, 1))
-    with pytest.raises(ValueError):
-        IndexChain(s=3, indices=(1, 3))
-
-
-def test_index_chains_count_is_power_of_two():
-    for T in (1, 2, 3, 4):
-        assert sum(1 for _ in index_chains(T)) == 2**T
 
 
 def test_two_particles_no_randomness():
@@ -84,21 +74,38 @@ def test_unit_weights_give_unit_expectation():
             assert c2smc_expectation_bruteforce(m, N, (0, 0), (1, 1)) == pytest.approx(1.0)
 
 
-def test_evaluation_strategies_agree():
-    for name in ("A", "B", "D", "E"):
-        m = model(name)
-        paths = target(name).paths
-        for x, y in itertools.islice(itertools.product(paths, paths), 12):
-            for N in (2, 3, 7):
-                a = c2smc_expectation_closed_form(m, N, x, y, method="chains")
-                b = c2smc_expectation_closed_form(m, N, x, y, method="recursion")
-                assert a == pytest.approx(b, rel=1e-12)
+def _zero_first_weight():
+    """Two states, T=2, with G_1 = (1, 0): state 1 cannot be pinned at time 1."""
+    return build_discrete_model(
+        [0, 1], [0.5, 0.5], [[[0.75, 0.25], [0.25, 0.75]]], [[1.0, 0.0], [1.0, 3.0]]
+    )
 
 
-def test_horizon_guard_on_chain_enumeration():
-    m = model("B")
-    with pytest.raises(HorizonTooLarge):
-        c2smc_expectation_closed_form(m, 3, (0, 0, 0), (1, 1, 1), method="chains", max_horizon=2)
+@pytest.mark.parametrize("expectation", [c2smc_expectation_closed_form, c2smc_expectation_bruteforce])
+def test_zero_weight_pin_is_rejected(expectation):
+    m = _zero_first_weight()
+    with pytest.raises(ZeroPinnedPotential):
+        expectation(m, 3, (1, 0), (0, 0))
+    with pytest.raises(ZeroPinnedPotential):
+        expectation(m, 3, (0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("expectation", [c2smc_expectation_closed_form, c2smc_expectation_bruteforce])
+def test_wrong_length_path_is_rejected(expectation):
+    m = _zero_first_weight()
+    with pytest.raises(DimensionMismatch):
+        expectation(m, 3, (0, 0, 1), (0, 0))
+    with pytest.raises(DimensionMismatch):
+        expectation(m, 3, (0, 0), (0,))
+
+
+@pytest.mark.parametrize("expectation", [c2smc_expectation_closed_form, c2smc_expectation_bruteforce])
+def test_state_outside_alphabet_is_rejected(expectation):
+    m = _zero_first_weight()
+    with pytest.raises(IndexOutOfRange):
+        expectation(m, 3, (0, 5), (0, 0))
+    with pytest.raises(IndexOutOfRange):
+        expectation(m, 3, (0, 0), (-1, 0))
 
 
 def test_bounded_weight_envelope():

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from fixtures import model, model_a, oracle_grid, pn_chain, target, tree_share
 from pmcmc_lab import exact_asymptotic_variance, exact_minorization, spectral_summary, tv_curve
-from pmcmc_lab.errors import NotReversible, OutcomeSpaceTooLarge, PmcmcLabError, SingularSolve
+from pmcmc_lab.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotReversible,
+    OutcomeSpaceTooLarge,
+    PmcmcLabError,
+    SingularSolve,
+)
 from pmcmc_lab.exact_oracle import (
     FiniteChain,
     asymptotic_variance_general,
@@ -97,6 +104,30 @@ def test_sweep_share_matches_tree_and_rows_match_multiset_rows():
                 assert abs(share - tree_share(m, n, x)) < 1e-12
                 # Free copies of x add to the row's entry for x, never to the share.
                 assert share <= row[x] + 1e-15
+
+
+def _lineage_is_refused(lineage, error):
+    m = model_a()
+    with pytest.raises(error):
+        kernel_row(m, 3, (0, 1), lineage=lineage)
+    with pytest.raises(error):
+        exact_pn_matrix(m, 3, lineage=lineage)
+
+
+def test_negative_lineage_slot_is_refused():
+    _lineage_is_refused((0, -1), IndexOutOfRange)
+
+
+def test_lineage_slot_past_n_is_refused():
+    _lineage_is_refused((0, 7), IndexOutOfRange)
+
+
+def test_short_lineage_is_refused():
+    _lineage_is_refused((0,), DimensionMismatch)
+
+
+def test_long_lineage_is_refused():
+    _lineage_is_refused((0, 1, 2), DimensionMismatch)
 
 
 def test_enumeration_guard():

@@ -96,13 +96,6 @@ def test_particle_path_kernel_reversible_and_positive():
             assert spectral_summary(px).is_positive
 
 
-def test_exact_conditional_limit_recovers_gibbs():
-    jm = joint_two_time()
-    (_, gx), _ = exact_gibbs_matrices(jm)
-    (_, px_inf), _ = exact_phi_matrices(jm, None)
-    assert np.allclose(px_inf.kernel, gx.kernel, atol=1e-14)
-
-
 def test_single_particle_freezes_the_path():
     jm = joint_two_time()
     (_, px), _ = exact_phi_matrices(jm, 1)
