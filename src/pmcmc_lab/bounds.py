@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsilonOutOfRange, OutcomeSpaceTooLarge, ZeroPotential
+from .errors import EpsilonOutOfRange, OutcomeSpaceTooLarge, TooFewParticles, ZeroPotential
 from .fk_model import DiscreteFK, exact_target, sup_potentials
 
 
@@ -84,7 +84,7 @@ def epsilon_bounded(model: DiscreteFK, N: int) -> BoundReport:
     eps = (1 - 1/N)^T / (1 + [1 - (1 - 2/N)^T] [prod(Gbar)/gamma - 1]).
     """
     if N < 2:
-        raise ValueError("need at least two particles")
+        raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     return _report(_bounded_eps(model, N), BoundSource.BOUNDED_POTENTIALS, n=N, horizon=model.T)
 
 
@@ -105,7 +105,7 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
     if alpha < 1.0:
         raise ValueError("alpha is at least 1 by construction")
     if N < 2:
-        raise ValueError("need at least two particles")
+        raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     eps = ((1.0 - 1.0 / N) / (1.0 + 2.0 * (alpha - 1.0) / N)) ** T
     return _report(eps, BoundSource.MIXING, n=N, horizon=T)
 
@@ -121,7 +121,7 @@ def epsilon_isir(g_bar: float, N: int) -> BoundReport:
     if g_bar < 1.0:
         raise ValueError("the normalised weight supremum is at least 1")
     if N < 2:
-        raise ValueError("need at least two particles")
+        raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     eps = (N - 1.0) / (2.0 * g_bar + N - 2.0)
     return _report(eps, BoundSource.ISIR, n=N, horizon=1)
 
@@ -179,7 +179,7 @@ def gamma_hat_sup(model: DiscreteFK, N: int, max_states: int = 12) -> float:
     if S > max_states:
         raise OutcomeSpaceTooLarge(f"{S} states exceed the subset-scan limit {max_states}")
     if N < 1:
-        raise ValueError("need at least one particle")
+        raise TooFewParticles(f"an estimate needs at least one particle, got N={N}")
 
     def best_mean(t, occupied):
         g = model.potential_vector(t)

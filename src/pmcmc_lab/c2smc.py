@@ -20,29 +20,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csmc import Trajectory, conditional_system
-from .errors import LineageClash, ZeroPotential, ZeroTransitionOverlap
-from .exact_oracle import _checked_reference, enumerate_conditional_outcomes
+from .errors import AssertionFailure, IndexOutOfRange, ZeroPotential, ZeroTransitionOverlap
+from .exact_oracle import enumerate_conditional_outcomes
 from .fk_model import DiscreteFK, predictive_law, q_operator
-from .smc_core import ParticleSystem
+from .smc_core import ParticleSystem, _pin_schedule
 
 
 def run_c2smc(model, N: int, x: Trajectory, k, y: Trajectory, rng, base: int = 0) -> ParticleSystem:
     """One pass with the reference pinned to slot 0 and a second trajectory
-    pinned along the slot sequence ``k``."""
-    T = model.T
-    if len(x) != T or len(y) != T:
-        raise ValueError("both trajectories must have length T")
-    k = tuple(int(v) for v in k)
-    for t in range(T):
-        if k[t] == 0 and x.points[t] != y.points[t]:
-            raise LineageClash(f"slot 0 demanded for both trajectories at time {t + 1}")
-    pins = [((0,) * T, tuple(x.points)), (k, tuple(y.points))]
+    pinned along the slot sequence ``k``; raises LineageClash where ``k``
+    claims slot 0 for another state or parent than the reference's."""
+    pins = [((0,) * model.T, x.points), (k, y.points)]
     return conditional_system(model, N, pins, rng, base=base)
 
 
 # ---------------------------------------------------------------------------
 # Closed form for the expected normalizing-constant estimate
 # ---------------------------------------------------------------------------
+
+
+def _points(path) -> tuple:
+    """The states of a Trajectory or of a plain path."""
+    return tuple(path.points if isinstance(path, Trajectory) else path)
 
 
 def _pair_factor(model: DiscreteFK, p: int, q: int, x, y) -> float:
@@ -60,13 +59,11 @@ def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
 
     with Q the two-time mass functions of :func:`q_operator`, evaluated by a
     backward accumulation over chain start points in T^2 steps.  Raises as
-    the pass does for a path it cannot pin.
+    the pass does for paths it cannot pin, and IndexOutOfRange for N < 2.
     """
-    x = _checked_reference(model, x.points if isinstance(x, Trajectory) else x)
-    y = _checked_reference(model, y.points if isinstance(y, Trajectory) else y)
+    x, y = _points(x), _points(y)
     T = model.T
-    if N < 2:
-        raise ValueError("the two-pin pass needs at least two particles")
+    _pin_schedule(model.tables, [((0,) * T, x), ((1,) * T, y)], N)
     # r[p] accumulates all chains starting at p, each segment (a, b)
     # contributing its pair factor and (N-2) per skipped interior slot.
     r = {T + 1: 1.0}
@@ -83,12 +80,8 @@ def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
 
 def c2smc_expectation_bruteforce(model: DiscreteFK, N: int, x, y, guard: int = 10**7) -> float:
     """The same expectation by full enumeration of the pass (the oracle)."""
-    x = _checked_reference(model, x.points if isinstance(x, Trajectory) else x)
-    y = _checked_reference(model, y.points if isinstance(y, Trajectory) else y)
     T = model.T
-    if N < 2:
-        raise ValueError("the two-pin pass needs at least two particles")
-    pins = [((0,) * T, x), ((1,) * T, y)]
+    pins = [((0,) * T, _points(x)), ((1,) * T, _points(y))]
     total = 0.0
     for prob, states, _ in enumerate_conditional_outcomes(model, N, pins, guard=guard):
         est = 1.0
@@ -112,9 +105,8 @@ class MixingConstants:
 
     def __post_init__(self):
         if self.alpha > self.beta * self.delta * (1.0 + 1e-12):
-            raise ValueError(
-                "internal inconsistency: alpha exceeds beta * delta "
-                f"({self.alpha} > {self.beta * self.delta})"
+            raise AssertionFailure(
+                "alpha <= beta * delta", violation=self.alpha - self.beta * self.delta
             )
 
 
@@ -145,7 +137,7 @@ def beta_delta_constants(model: DiscreteFK, m: int) -> MixingConstants:
     ratio raised to the m-th power and requires strictly positive weights.
     """
     if not 1 <= m <= model.T:
-        raise ValueError(f"lag must lie in [1, {model.T}]")
+        raise IndexOutOfRange(f"lag {m} outside [1, {model.T}]")
     beta = 1.0
     for p in range(1, model.T - m + 1):
         mbar = np.eye(model.n_states)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, LineageClash
+from .errors import DimensionMismatch
 from .rng import as_substream
 from .smc_core import BatchedPass, ParticleSystem, gamma_hat, particle_pass, pass_tables
 
@@ -34,51 +34,16 @@ class Trajectory:
         if self.lineage is not None:
             object.__setattr__(self, "lineage", tuple(self.lineage))
             if len(self.lineage) != len(self.points):
-                raise ValueError("lineage length must match path length")
+                raise DimensionMismatch("lineage length must match path length")
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _pin_schedule(pins, T: int, N: int):
-    """Merge pinned trajectories into per-time slot/state and slot/parent maps.
-
-    ``pins`` is a list of (lineage, path) pairs; lineages are 0-based slot
-    sequences and ``path[t]`` is the state at time t+1, an int or one state
-    per replicate.  Raises DimensionMismatch for a lineage or path whose
-    length is not T, IndexOutOfRange for a slot outside [0, N), and
-    LineageClash when two trajectories claim one slot with different states
-    (in any replicate) or parents.
-    """
-    pin_state = [dict() for _ in range(T)]
-    pin_anc = [dict() for _ in range(T - 1)] if T > 1 else []
-    for lineage, path in pins:
-        if len(lineage) != T or len(path) != T:
-            raise DimensionMismatch("pinned lineage and path must have length T")
-        for t in range(T):
-            slot = int(lineage[t])
-            if not 0 <= slot < N:
-                raise IndexOutOfRange(f"pinned slot {slot} outside [0, {N})")
-            state = path[t]
-            if slot in pin_state[t] and np.any(pin_state[t][slot] != state):
-                raise LineageClash(
-                    f"slot {slot} at time {t + 1} pinned to two different states"
-                )
-            pin_state[t][slot] = state
-            if t >= 1:
-                prev = int(lineage[t - 1])
-                if slot in pin_anc[t - 1] and pin_anc[t - 1][slot] != prev:
-                    raise LineageClash(
-                        f"slot {slot} at time {t + 1} pinned to two different parents"
-                    )
-                pin_anc[t - 1][slot] = prev
-    return pin_state, pin_anc
-
-
 def conditional_system(model, N: int, pins, rng, base: int = 0) -> ParticleSystem:
-    """One pass with the given pinned trajectories; free slots evolve normally."""
-    schedule = _pin_schedule(pins, model.T, N)
-    return particle_pass((model,), N, rng, base=base, pins=schedule).system()
+    """One pass with the given pinned (lineage, path) pairs, checked by
+    :func:`pmcmc_lab.smc_core._pin_schedule`; free slots evolve normally."""
+    return particle_pass((model,), N, rng, base=base, pins=pins).system()
 
 
 def reference_pass(models, N: int, paths, rng, base: int = 0, which=None) -> BatchedPass:
@@ -86,8 +51,8 @@ def reference_pass(models, N: int, paths, rng, base: int = 0, which=None) -> Bat
     in slot 0 throughout; ``models`` and ``which`` as in :func:`particle_pass`."""
     paths = np.asarray(paths, dtype=int)
     tables = pass_tables(models)
-    schedule = _pin_schedule([((0,) * tables.T, paths.T)], tables.T, N)
-    return particle_pass(tables, N, rng, base=base, rows=len(paths), pins=schedule, which=which)
+    pins = [((0,) * tables.T, paths.T)]
+    return particle_pass(tables, N, rng, base=base, rows=len(paths), pins=pins, which=which)
 
 
 def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> ParticleSystem:
@@ -95,10 +60,7 @@ def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> ParticleSystem
 
     With N=1 there are no free particles and the pass replays ``x``.
     """
-    if len(x) != model.T:
-        raise ValueError(f"trajectory has length {len(x)}, model horizon is {model.T}")
-    lineage = (0,) * model.T
-    return conditional_system(model, N, [(lineage, tuple(x.points))], rng, base=base)
+    return conditional_system(model, N, [((0,) * model.T, x.points)], rng, base=base)
 
 
 def select_path(system: ParticleSystem) -> Trajectory:
@@ -136,11 +98,7 @@ def artificial_joint_step(model, N: int, x: Trajectory, k, rng, base: int = 0) -
     For multinomial resampling this kernel coincides in law with the slot-0
     kernel; it exists so the coincidence can be tested.
     """
-    if len(x) != model.T:
-        raise ValueError("trajectory length must equal the horizon")
-    k = tuple(int(v) for v in k)
-    system = conditional_system(model, N, [(k, tuple(x.points))], rng, base=base)
-    return select_path(system)
+    return select_path(conditional_system(model, N, [(k, x.points)], rng, base=base))
 
 
 @dataclass
@@ -187,7 +145,6 @@ def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     rng = as_substream(rng)
     T = model.T
     states = np.empty((n_iter + 1, T), dtype=int)
-    states[0] = x0.points
     lgh = np.empty(n_iter)
     retained = np.empty(n_iter, dtype=int)
     current = x0
@@ -200,4 +157,5 @@ def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
         )
         states[step] = nxt.points
         current = nxt
+    states[0] = x0.points  # after the first pass has checked x0
     return ChainTrace(states=states, log_gamma_hats=lgh, retained=retained)

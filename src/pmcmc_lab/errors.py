@@ -26,8 +26,9 @@ class PathSpaceTooLarge(PmcmcLabError):
 
 
 class IndexOutOfRange(PmcmcLabError):
-    """An index (time, state, particle slot or stream coordinate) falls
-    outside its valid range."""
+    """An index falls outside its valid range: a time, a stream coordinate,
+    or a pinned path's slot (outside [0, N)) or state (outside the alphabet,
+    negatives included)."""
 
 
 class AllWeightsZero(PmcmcLabError):
@@ -45,7 +46,13 @@ class DegenerateEstimate(PmcmcLabError):
 
 
 class ZeroPinnedPotential(PmcmcLabError):
-    """The retained trajectory carries zero potential at some time."""
+    """A pinned path carries zero potential at some time under its
+    replicate's model, so no pass can keep it."""
+
+
+class TooFewParticles(PmcmcLabError):
+    """A particle count is below what the pass or bound needs (N >= 1 for a
+    pass, N >= 2 for the minorization constants)."""
 
 
 class ZeroPathMass(PmcmcLabError):

@@ -25,6 +25,11 @@ Three enumeration engines, each exact, cross-checked in the test suite.
   :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`, itself a reference
   for the closed form.
 
+Every engine admits a pinned path exactly when a pass would: each checks
+its pins with the pass's own :func:`pmcmc_lab.smc_core._pin_schedule`
+(length, slots in [0, N), states in the alphabet, positive weights, no
+clashing slots).
+
 Also here: stationary laws, total-variation curves, spectral summaries,
 asymptotic variances and the exact minorization constant of enumerated
 kernels.
@@ -38,17 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csmc import _pin_schedule
-from .errors import (
-    AllWeightsZero,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotReversible,
-    OutcomeSpaceTooLarge,
-    SingularSolve,
-    ZeroPinnedPotential,
-)
+from .errors import AllWeightsZero, NotReversible, OutcomeSpaceTooLarge, SingularSolve
 from .fk_model import DiscreteFK, exact_target
+from .smc_core import _pin_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +114,14 @@ def _tree_size(model: DiscreteFK, N: int, pin_state) -> float:
 def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int = 10**7):
     """Yield (probability, states, ancestors) over all outcomes of a pass.
 
-    ``pins`` is a list of (lineage, path) pairs as in
-    :func:`pmcmc_lab.csmc.conditional_system`; an empty list enumerates the
-    unconditional pass.  The terminal selection is not included: consumers
-    weight over it with the final potential row when they need it.
+    ``pins`` is a list of (lineage, path) pairs, checked as the pass checks
+    them (:func:`pmcmc_lab.smc_core._pin_schedule`); an empty list
+    enumerates the unconditional pass.  The terminal selection is not
+    included: consumers weight over it with the final potential row when
+    they need it.
     """
     T = model.T
-    for _, path in pins:
-        for t, state in enumerate(path, start=1):
-            if model.potential(t, state) <= 0:
-                raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
-    pin_state, pin_anc = _pin_schedule(pins, T, N)
+    pin_state, pin_anc = _pin_schedule(model.tables, pins, N)
     if _tree_size(model, N, pin_state) > guard:
         raise OutcomeSpaceTooLarge("outcome tree exceeds the enumeration guard")
 
@@ -231,19 +225,6 @@ def kernel_row_tree(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10*
 # ---------------------------------------------------------------------------
 
 
-def _checked_reference(model: DiscreteFK, x) -> tuple:
-    """The reference path as a tuple, refused unless it can be pinned."""
-    x = tuple(x)
-    if len(x) != model.T:
-        raise DimensionMismatch("trajectory length must equal the horizon")
-    for t, s in enumerate(x, start=1):
-        if not 0 <= s < model.n_states:
-            raise IndexOutOfRange(f"state {s} at time {t} outside [0, {model.n_states})")
-        if model.potential(t, s) <= 0:
-            raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
-    return x
-
-
 def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -> dict:
     """Exact law of the selected path for one starting trajectory.
 
@@ -252,9 +233,9 @@ def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -
     dict path -> probability.
     """
     T = model.T
-    x = _checked_reference(model, x)
+    x = tuple(x)
     lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * T
-    _pin_schedule([(lineage, x)], T, N)
+    _pin_schedule(model.tables, [(lineage, x)], N)
     if N == 1:
         return {x: 1.0}
 
@@ -346,8 +327,6 @@ class _MultisetSweep:
     """
 
     def __init__(self, model: DiscreteFK, N: int, guard: int):
-        if N < 1:
-            raise ValueError("need at least one particle")
         self.model = model
         self.n_free = N - 1
         self.guard = guard
@@ -461,10 +440,13 @@ def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
 
     The row maps path -> probability; the share is the chance that the
     terminal draw picks the pinned particle itself.  ``guard`` bounds the
-    multinomial terms of the whole sweep.
+    multinomial terms of the whole sweep.  The paths are checked as one
+    batched pin, as :func:`pmcmc_lab.csmc.reference_pass` checks its rows.
     """
-    checked = [_checked_reference(model, x) for x in paths]
-    yield from _MultisetSweep(model, N, guard).rows(checked)
+    paths = [tuple(x) for x in paths]
+    if paths:
+        _pin_schedule(model.tables, [((0,) * model.T, np.array(paths).T)], N)
+    yield from _MultisetSweep(model, N, guard).rows(paths)
 
 
 def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dict:
@@ -522,11 +504,15 @@ def exact_gamma_hat_expectation(model: DiscreteFK, N: int, guard: int = 10**6) -
 
     Forward sweep over full particle configurations (S^N of them): the
     configuration chain is Markov and the estimator multiplies one factor
-    per time, so the expectation is a finite sum computed exactly.
+    per time, so the expectation is a finite sum computed exactly.  Each
+    step gathers an (S^N, S^N, N) array, so ``guard`` bounds its S^(2N) N
+    entries, refused before any is built.
     """
     S, T = model.n_states, model.T
-    if S**N > guard:
-        raise OutcomeSpaceTooLarge(f"{S}^{N} particle configurations exceed the guard")
+    if S ** (2 * N) * N > guard:
+        raise OutcomeSpaceTooLarge(
+            f"{S}^{2 * N} x {N} configuration-pair entries exceed the guard of {guard}"
+        )
     configs = np.array(list(itertools.product(range(S), repeat=N)), dtype=int)
     m1 = model.m1
     init_prob = np.prod(m1[configs], axis=1)

@@ -27,8 +27,8 @@ from .bounds import (
     report_rows,
 )
 from .c2smc import alpha_constant
-from .csmc import ChainTrace, Trajectory, icsmc_chain, reference_pass
-from .errors import ConfigError, OutcomeSpaceTooLarge, TraceTooShort
+from .csmc import ChainTrace, Trajectory, icsmc_chain
+from .errors import ConfigError, TraceTooShort
 from .exact_oracle import (
     exact_minorization,
     exact_pn_matrix,
@@ -158,22 +158,13 @@ def _sticky_set(n: int):
     return ((n - 1, 2 * n - 1), (n - 1, 2 * n))
 
 
-def sticky_experiment(
-    K: int,
-    N: int,
-    n_grid=None,
-    samples: int = 0,
-    seed: int = 0,
-    initial_law: str = "geometric",
-):
+def sticky_experiment(K: int, N: int, n_grid=None, initial_law: str = "geometric"):
     """Exact escape diagnostics on the doubling-map model.
 
     For each start level n: the probability that one kernel step stays in
     the two-path level set, and the expected share of the terminal weight
     carried by the retained path.  Both come from one multiset sweep per
-    level; a level past the sweep's guard falls back to ``samples``
-    Monte-Carlo replicates (or raises OutcomeSpaceTooLarge when there are
-    none).
+    level, which raises OutcomeSpaceTooLarge past its guard.
     """
     model = sticky_example_model(K, initial_law=initial_law)
     if n_grid is None:
@@ -182,13 +173,8 @@ def sticky_experiment(
     for n in n_grid:
         x = (n - 1, 2 * n - 1)  # the path (n, 2n)
         a_set = set(_sticky_set(n))
-        try:
-            ((_, row, suff),) = multiset_sweep(model, N, [x])
-            stay = sum(p for path, p in row.items() if path in a_set)
-        except OutcomeSpaceTooLarge:
-            if samples <= 0:
-                raise
-            stay, suff = _sticky_mc(model, N, x, a_set, samples, seed, n)
+        ((_, row, suff),) = multiset_sweep(model, N, [x])
+        stay = sum(p for path, p in row.items() if path in a_set)
         rows.append((n, stay, suff))
     return rows
 
@@ -212,16 +198,6 @@ def sticky_control_rows(K: int, N: int, n_grid=None):
         pi_a = sum(target.prob(path) for path in a_set)
         rows.append((n, stay, 1.0 - eps * (1.0 - pi_a)))
     return rows
-
-
-def _sticky_mc(model, N, x, a_set, samples, seed, n):
-    rng = SubstreamRng(seed).spawn(n)
-    paths0 = np.tile(np.asarray(x, dtype=int), (samples, 1))
-    step = reference_pass((model,), N, paths0, rng, base=1)
-    g = step.weights[-1]
-    stay = float(np.mean([tuple(row) in a_set for row in step.paths()]))
-    suff = float(np.mean(g[:, 0] / g.sum(axis=1)))
-    return stay, suff
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +412,8 @@ def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
 def _run_sticky(cfg: ExperimentConfig, out: Path) -> None:
     K = int(cfg.params.get("K", 16))
     n_grid = cfg.params.get("n_grid")
-    samples = int(cfg.params.get("samples", 0))
     initial_law = cfg.params.get("initial_law", "geometric")
-    rows = sticky_experiment(
-        K, cfg.n_sweep[0], n_grid=n_grid, samples=samples, seed=cfg.seed, initial_law=initial_law
-    )
+    rows = sticky_experiment(K, cfg.n_sweep[0], n_grid=n_grid, initial_law=initial_law)
     _write_csv(
         out / "sticky.csv",
         [["n", "stay_probability", "suff_expectation"]]

@@ -43,7 +43,7 @@ from .exact_oracle import (
     spectral_summary,
 )
 from .rng import SITE_ACCEPT, SITE_THETA, as_substream
-from .smc_core import PassTables, categorical, particle_pass
+from .smc_core import PassTables, _check_paths, categorical, particle_pass
 
 
 @dataclass(frozen=True)
@@ -426,9 +426,12 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     theta | x is proportional to prior_j * mass_j(x), the weighted path mass
     m1(x_1) G_1(x_1) prod_t M_t(x_{t-1}, x_t) G_t(x_t) under parameter value
     j: O(J T) per path, with no enumeration of the path space.  Raises
-    ZeroPathMass for a path that has zero mass under every parameter value.
+    DimensionMismatch or IndexOutOfRange, as a pinned path does, for a path
+    that is not T states of the alphabet, and ZeroPathMass for a path that
+    has zero mass under every parameter value.
     """
     x = np.atleast_2d(np.asarray(paths, dtype=int))
+    _check_paths(x.T, jm.T, jm.models[0].n_states)
     t = np.arange(jm.T)
     mass = np.array([m.m1 for m in jm.models])[:, x[:, 0]]
     mass = mass * np.prod(np.array([m.potentials for m in jm.models])[:, t, x], axis=-1)

@@ -4,14 +4,16 @@ the normalizing-constant estimator.
 :func:`particle_pass` is the one implementation of a pass.  It runs R
 independent replicates as ``(R, N)`` integer arrays; pinned trajectories
 (the reference of a conditional pass, or two of them) are forced into their
-slots, every other slot resamples and moves.  :func:`categorical_cdf` is the
-one inverse-CDF draw behind every sampler (:func:`categorical` when the
-weights are raw); the initial and move draws read cumulative tables built
-once per model (:class:`PassTables`).  :func:`run_smc` is the R=1 plain
-pass, returned as a :class:`ParticleSystem`: states and weights for all
-times, ancestor indices for times 2..T, and a single terminal index drawn
-from the final weights.  The product over time of average weights is the
-(unbiased) normalizing-constant estimate, always handled in log space.
+slots, every other slot resamples and moves.  :func:`_pin_schedule` is the
+one admissibility check of a pinned path, for the pass and for every exact
+engine.  :func:`categorical_cdf` is the one inverse-CDF draw behind every
+sampler (:func:`categorical` when the weights are raw); the initial and move
+draws read cumulative tables built once per model (:class:`PassTables`).
+:func:`run_smc` is the R=1 plain pass, returned as a :class:`ParticleSystem`:
+states and weights for all times, ancestor indices for times 2..T, and a
+single terminal index drawn from the final weights.  The product over time
+of average weights is the (unbiased) normalizing-constant estimate, always
+handled in log space.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWeightsZero, DegenerateEstimate, ZeroPinnedPotential
+from .errors import (
+    AllWeightsZero,
+    DegenerateEstimate,
+    DimensionMismatch,
+    IndexOutOfRange,
+    LineageClash,
+    TooFewParticles,
+    ZeroPinnedPotential,
+)
 from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
 
 # Search strategies of :func:`categorical_cdf`: compare every draw with every
@@ -253,16 +263,78 @@ def _draw_moves(cdf_rows, cols, rows, u) -> np.ndarray:
     return _count_columns([col.take(rows) for col in cols[:-1]], v)
 
 
+def _check_paths(paths, T: int, n_states: int) -> None:
+    """Refuse paths that are not T states of the alphabet.
+
+    ``paths`` is an integer array with time on its first axis, (T,) or
+    (T, R).  Raises DimensionMismatch for a length other than T and
+    IndexOutOfRange for a state outside [0, n_states), negatives included.
+    """
+    if len(paths) != T:
+        raise DimensionMismatch(f"path of length {len(paths)}, model horizon is {T}")
+    if paths.size and (paths.min() < 0 or paths.max() >= n_states):
+        bad = paths[(paths < 0) | (paths >= n_states)][0]
+        raise IndexOutOfRange(f"state {bad} outside [0, {n_states})")
+
+
+def _pin_schedule(tables: PassTables, pins, N: int, which=None):
+    """Check pinned trajectories and merge them into per-time slot/state and
+    slot/parent maps: the one admissibility check of a pinned path.
+
+    ``pins`` is a list of (lineage, path) pairs; a lineage is T 0-based
+    slots and ``path[t]`` the state at time t+1, an int or one state per
+    replicate ((T,) or (T, R)).  Replicate r is checked under model
+    ``which[r]`` of ``tables`` (model 0 when ``which`` is None).  Each path
+    is checked once, as one array over time and replicates.  Raises
+    DimensionMismatch for a lineage or path whose length is not T,
+    IndexOutOfRange for a slot outside [0, N) or a state outside the
+    alphabet, ZeroPinnedPotential for a state with zero weight under its
+    replicate's model, and LineageClash when two trajectories claim one slot
+    with different states (in any replicate) or parents.
+    """
+    T, S = tables.T, tables.n_states
+    # Only a table with a zero weight can refuse a state of the alphabet, and
+    # gathering the pinned weights costs more than the rest of the check.
+    positive = tables.potentials.all()
+    pin_state = [dict() for _ in range(T)]
+    pin_anc = [dict() for _ in range(T - 1)]
+    for lineage, path in pins:
+        path = np.asarray(path, dtype=int)
+        if len(lineage) != T:
+            raise DimensionMismatch(f"pin lineage of length {len(lineage)}, model horizon is {T}")
+        _check_paths(path, T, S)
+        slots = [int(s) for s in lineage]
+        if min(slots) < 0 or max(slots) >= N:
+            raise IndexOutOfRange(f"pinned slot outside [0, {N}): lineage {tuple(slots)}")
+        if not positive:
+            rows = path.reshape(T, -1) + (0 if which is None else np.asarray(which) * S)
+            g = tables.potentials[np.arange(T)[:, None], rows]
+            if not g.all():
+                t = int(np.flatnonzero(~g.all(axis=1))[0]) + 1
+                raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
+        # One path keeps Python ints, as the exact engines key outcomes by them.
+        states = path.tolist() if path.ndim == 1 else path
+        for t, slot in enumerate(slots):
+            if slot in pin_state[t] and np.any(pin_state[t][slot] != states[t]):
+                raise LineageClash(f"slot {slot} at time {t + 1} pinned to two states")
+            pin_state[t][slot] = states[t]
+            # The parent recorded for this slot, or recorded now.
+            if t and pin_anc[t - 1].setdefault(slot, slots[t - 1]) != slots[t - 1]:
+                raise LineageClash(f"slot {slot} at time {t + 1} pinned to two parents")
+    return pin_state, pin_anc
+
+
 def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:
     """One pass with N particles and multinomial resampling, for ``rows``
     independent replicates at once.
 
     ``models`` is a sequence of models sharing horizon and alphabet, or their
     :class:`PassTables`; replicate r runs ``models[which[r]]`` (``models[0]``
-    when ``which`` is None).  ``pins`` is the ``(pin_state, pin_anc)``
-    schedule of :func:`pmcmc_lab.csmc._pin_schedule`: per time, pinned slot ->
-    state (one int, or one state per replicate) and, from time 2, pinned slot
-    -> parent slot.  Every other slot draws its parent and its move.
+    when ``which`` is None).  ``pins`` lists the pinned trajectories as
+    (lineage, path) pairs: slot ``lineage[t]`` holds ``path[t]`` (an int, or
+    one state per replicate) at time t+1, with parent slot ``lineage[t-1]``.
+    They are checked and merged by :func:`_pin_schedule` before any draw.
+    Every other slot draws its parent and its move.
 
     Initial and move draws read the cumulative tables built once per model
     (:func:`pass_tables`), so no draw sums a row; ancestor draws sum the
@@ -272,10 +344,14 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
     so replicate 0 does not depend on ``rows``.
     """
     if N < 1:
-        raise ValueError("need at least one particle")
+        raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
     rng = as_substream(rng)
     tables = pass_tables(models)
     T, R, S = tables.T, rows, tables.n_states
+    if pins:
+        pin_state, pin_anc = _pin_schedule(tables, pins, N, which)
+    else:
+        pin_state, pin_anc = [{}] * T, [{}] * (T - 1)
     # Replicate r reads table row which[r] * S + state.  One model needs no
     # offset, and skipping it saves an index array per lookup.
     if which is None:
@@ -287,7 +363,6 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
         return states if offset is None else offset + states
 
     row_start = np.arange(R)[:, None] * N
-    pin_state, pin_anc = pins if pins is not None else ([{}] * T, [{}] * (T - 1))
     states = np.empty((T, R, N), dtype=int)
     ancestors = np.empty((T - 1, R, N), dtype=int)
     weights = np.empty((T, R, N))
@@ -313,8 +388,6 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
             u = rng.uniforms(base, t, 0, SITE_MOVE, shape=(R, n))
             x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, u)
         g = weights[t - 1] = tables.potentials[t - 1][rows_of(x)]
-        if slots and (g[:, slots] <= 0).any():
-            raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
         if (g.sum(axis=1) <= 0).any():
             raise AllWeightsZero(time=t)
     u = rng.uniforms(base, T + 1, 0, SITE_FINAL, shape=(R, 1))

@@ -20,7 +20,7 @@ from pmcmc_lab.bounds import (
     mixing_floor,
     report_rows,
 )
-from pmcmc_lab.errors import EpsilonOutOfRange
+from pmcmc_lab.errors import EpsilonOutOfRange, TooFewParticles
 from pmcmc_lab.exact_oracle import exact_minorization
 from pmcmc_lab.fk_model import build_discrete_model, sup_potentials
 
@@ -31,6 +31,18 @@ def test_report_consistency_fields():
     assert r.variance_upper_factor == pytest.approx(7.0)
     assert r.variance_lower_factor == pytest.approx(0.25 / 1.75)
     assert r.source is BoundSource.SUPPLIED
+
+
+def test_too_few_particles_is_a_typed_error():
+    m = model_a()
+    for bound in (
+        lambda: epsilon_bounded(m, 1),
+        lambda: epsilon_mixing(1.5, 1, 2),
+        lambda: epsilon_isir(1.5, 1),
+        lambda: gamma_hat_sup(m, 0),
+    ):
+        with pytest.raises(TooFewParticles):
+            bound()
 
 
 def test_report_rejects_out_of_range():

@@ -7,19 +7,31 @@ from fixtures import model, model_a, model_t1, target
 from pmcmc_lab import (
     Trajectory,
     alpha_constant,
+    artificial_joint_step,
     beta_delta_constants,
+    build_joint_model,
     c2smc_expectation_bruteforce,
     c2smc_expectation_closed_form,
+    exact_pn_matrix,
+    icsmc_chain,
+    kernel_row,
+    pgibbs_step,
     run_c2smc,
+    run_csmc,
 )
+from pmcmc_lab.csmc import reference_pass
 from pmcmc_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     LineageClash,
+    ZeroPathMass,
     ZeroPinnedPotential,
     ZeroPotential,
 )
+from pmcmc_lab.exact_oracle import kernel_row_multiset, kernel_row_tree, multiset_sweep
 from pmcmc_lab.fk_model import build_discrete_model
+from pmcmc_lab.pgibbs import theta_given_paths
+from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated
 
 
 def test_two_particles_no_randomness():
@@ -81,31 +93,93 @@ def _zero_first_weight():
     )
 
 
-@pytest.mark.parametrize("expectation", [c2smc_expectation_closed_form, c2smc_expectation_bruteforce])
-def test_zero_weight_pin_is_rejected(expectation):
+# Every public entry point that pins a path.  The two-pin entry points pin
+# the path under test as x and, in a second call, as y.
+_ONE_PIN = (
+    "run_csmc",
+    "icsmc_chain",
+    "artificial_joint_step",
+    "reference_pass",
+    "csmc_step_replicated",
+    "icsmc_replicated",
+    "kernel_row",
+    "kernel_row_tree",
+    "kernel_row_multiset",
+    "multiset_sweep",
+    "pgibbs_step",
+    "theta_given_paths",
+)
+_TWO_PINS = ("run_c2smc", "c2smc_expectation_closed_form", "c2smc_expectation_bruteforce")
+_PINNING = _TWO_PINS + _ONE_PIN
+
+
+def _pinning_calls(entry, m, N, path):
+    """Zero-argument calls of ``entry`` on model ``m`` that each pin ``path``."""
+    x, T = Trajectory(path), m.T
+    jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
+    one = {
+        "run_csmc": lambda: run_csmc(m, N, x, 0),
+        "icsmc_chain": lambda: icsmc_chain(m, N, x, 2, 0),
+        "artificial_joint_step": lambda: artificial_joint_step(m, N, x, (1,) * T, 0),
+        "reference_pass": lambda: reference_pass((m,), N, [path], 0),
+        "csmc_step_replicated": lambda: csmc_step_replicated(m, N, np.array([path]), 0),
+        "icsmc_replicated": lambda: icsmc_replicated(m, N, path, 2, 1, 0),
+        "kernel_row": lambda: kernel_row(m, N, path),
+        "kernel_row_tree": lambda: kernel_row_tree(m, N, path),
+        "kernel_row_multiset": lambda: kernel_row_multiset(m, N, path),
+        "multiset_sweep": lambda: list(multiset_sweep(m, N, [path])),
+        "pgibbs_step": lambda: pgibbs_step(jm, N, x, 0),
+        "theta_given_paths": lambda: theta_given_paths(jm, [path]),
+    }
+    if entry in one:
+        return [one[entry]]
+    two = {
+        "run_c2smc": lambda a, b: run_c2smc(m, N, Trajectory(a), (1,) * T, Trajectory(b), 0),
+        "c2smc_expectation_closed_form": lambda a, b: c2smc_expectation_closed_form(m, N, a, b),
+        "c2smc_expectation_bruteforce": lambda a, b: c2smc_expectation_bruteforce(m, N, a, b),
+    }[entry]
+    good = (0,) * T
+    return [lambda: two(path, good), lambda: two(good, path)]
+
+
+@pytest.mark.parametrize("entry", [e for e in _PINNING if e != "theta_given_paths"])
+def test_zero_weight_pin_is_rejected(entry):
+    # Particle Gibbs draws the parameter first: a path with zero weight under
+    # every model has zero mass, which the parameter draw refuses.
+    error = ZeroPathMass if entry == "pgibbs_step" else ZeroPinnedPotential
     m = _zero_first_weight()
-    with pytest.raises(ZeroPinnedPotential):
-        expectation(m, 3, (1, 0), (0, 0))
-    with pytest.raises(ZeroPinnedPotential):
-        expectation(m, 3, (0, 0), (1, 0))
+    for call in _pinning_calls(entry, m, 3, (1, 0)):
+        with pytest.raises(error):
+            call()
 
 
-@pytest.mark.parametrize("expectation", [c2smc_expectation_closed_form, c2smc_expectation_bruteforce])
-def test_wrong_length_path_is_rejected(expectation):
+@pytest.mark.parametrize("entry", _PINNING)
+def test_wrong_length_path_is_rejected(entry):
     m = _zero_first_weight()
-    with pytest.raises(DimensionMismatch):
-        expectation(m, 3, (0, 0, 1), (0, 0))
-    with pytest.raises(DimensionMismatch):
-        expectation(m, 3, (0, 0), (0,))
+    for path in ((0, 0, 1), (0,)):
+        for call in _pinning_calls(entry, m, 3, path):
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
-@pytest.mark.parametrize("expectation", [c2smc_expectation_closed_form, c2smc_expectation_bruteforce])
-def test_state_outside_alphabet_is_rejected(expectation):
+@pytest.mark.parametrize("entry", _PINNING)
+def test_state_outside_alphabet_is_rejected(entry):
     m = _zero_first_weight()
+    for path in ((0, 5), (0, -1), (-1, 0), (2, 0)):
+        for call in _pinning_calls(entry, m, 3, path):
+            with pytest.raises(IndexOutOfRange):
+                call()
+
+
+def test_too_few_particles_for_the_pins_is_rejected():
+    # Slot 0, or the second pin's slot 1, falls outside [0, N).
+    m = model_a()
     with pytest.raises(IndexOutOfRange):
-        expectation(m, 3, (0, 5), (0, 0))
+        exact_pn_matrix(m, 0)
     with pytest.raises(IndexOutOfRange):
-        expectation(m, 3, (0, 0), (-1, 0))
+        c2smc_expectation_closed_form(m, 1, (0, 0), (1, 1))
+    with pytest.raises(IndexOutOfRange):
+        c2smc_expectation_bruteforce(m, 1, (0, 0), (1, 1))
 
 
 def test_bounded_weight_envelope():

@@ -10,12 +10,13 @@ from pmcmc_lab import (
     run_csmc,
     select_path,
 )
-from pmcmc_lab.csmc import lineage_compatible
+from pmcmc_lab.csmc import lineage_compatible, reference_pass
 from pmcmc_lab.errors import ZeroPinnedPotential
 from pmcmc_lab.exact_oracle import kernel_row
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated
 from pmcmc_lab.bounds import epsilon_bounded
+from pmcmc_lab.smc_core import PassTables
 
 
 def test_pinned_particle_occupies_slot_zero():
@@ -107,6 +108,17 @@ def test_chain_zero_iterations():
     trace = icsmc_chain(m, 3, Trajectory((0, 0)), 0, 1)
     assert trace.states.shape == (1, 2)
     assert trace.n_iterations == 0
+
+
+def test_pin_is_checked_under_its_replicate_model():
+    # State 1 at time 1 has zero weight under the second model only.
+    first = build_discrete_model([0, 1], [0.5, 0.5], [], [[1.0, 2.0]])
+    second = build_discrete_model([0, 1], [0.5, 0.5], [], [[1.0, 0.0]])
+    tables = PassTables.build((first, second))
+    paths = [(0,), (1,)]
+    reference_pass(tables, 2, paths, 0, which=[1, 0])
+    with pytest.raises(ZeroPinnedPotential):
+        reference_pass(tables, 2, paths, 0, which=[0, 1])
 
 
 def test_chain_requires_positive_pin_mass():

@@ -297,6 +297,12 @@ def test_cli_bounds_and_exit_codes(tmp_path, capsys):
     assert cli_main(["sticky", "--config", str(cfg_path)]) == 1
     # missing config file
     assert cli_main(["bounds", "--config", str(tmp_path / "nope.json")]) == 1
+    # one particle is too few for the minorization constants
+    cfg["N"] = [1, 2]
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli_main(["bounds", "--config", str(cfg_path)]) == 1
+    assert "at least two particles" in capsys.readouterr().err
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

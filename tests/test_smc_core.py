@@ -13,14 +13,14 @@ from pmcmc_lab import (
     run_smc,
     select_path,
 )
-from pmcmc_lab.errors import AllWeightsZero, DegenerateEstimate
+from pmcmc_lab.errors import AllWeightsZero, DegenerateEstimate, OutcomeSpaceTooLarge, TooFewParticles
 from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
     exact_gamma_hat_expectation,
 )
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import smc_replicated
-from pmcmc_lab.smc_core import PassTables, _draw_moves, categorical, categorical_cdf
+from pmcmc_lab.smc_core import PassTables, _draw_moves, categorical, categorical_cdf, particle_pass
 
 
 def test_resample_degenerate_weight():
@@ -223,6 +223,19 @@ def test_all_weights_zero_carries_time_index():
 def test_estimator_unbiased_by_exact_enumeration(name, N):
     e = exact_gamma_hat_expectation(model(name), N)
     assert e == pytest.approx(target(name).gamma_t, rel=1e-10)
+
+
+def test_estimator_expectation_guard_counts_the_gathered_entries():
+    # S^N = 8 configurations, but the step gathers 2^6 x 3 = 192 entries.
+    with pytest.raises(OutcomeSpaceTooLarge):
+        exact_gamma_hat_expectation(model("A"), 3, guard=100)
+
+
+def test_pass_without_particles_is_a_typed_error():
+    with pytest.raises(TooFewParticles):
+        particle_pass((model_a(),), 0, 0)
+    with pytest.raises(TooFewParticles):
+        run_smc(model_a(), 0, 0)
 
 
 def test_estimator_unbiased_empirically():
