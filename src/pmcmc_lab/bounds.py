@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsilonOutOfRange, OutcomeSpaceTooLarge, TooFewParticles, ZeroPotential
+from .errors import (
+    ConstantOutOfRange,
+    EpsilonOutOfRange,
+    OutcomeSpaceTooLarge,
+    TooFewParticles,
+    ZeroPotential,
+)
 from .fk_model import DiscreteFK, exact_target, sup_potentials
 
 
@@ -103,7 +109,7 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
     ((N-1)/(N - 2 + 2 alpha))^T.
     """
     if alpha < 1.0:
-        raise ValueError("alpha is at least 1 by construction")
+        raise ConstantOutOfRange(f"alpha is at least 1 by construction, got {alpha!r}")
     if N < 2:
         raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     eps = ((1.0 - 1.0 / N) / (1.0 + 2.0 * (alpha - 1.0) / N)) ** T
@@ -119,7 +125,7 @@ def epsilon_isir(g_bar: float, N: int) -> BoundReport:
     """Single-time case: eps = (N - 1)/(2 Gbar + N - 2) for the normalised
     weight supremum Gbar >= 1."""
     if g_bar < 1.0:
-        raise ValueError("the normalised weight supremum is at least 1")
+        raise ConstantOutOfRange(f"the normalised weight supremum is at least 1, got {g_bar!r}")
     if N < 2:
         raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     eps = (N - 1.0) / (2.0 * g_bar + N - 2.0)
@@ -146,7 +152,7 @@ def tuning_c_star(alpha: float) -> tuple[float, float]:
     eps* = exp(-(W(-1/(2e)) + 1)) ~ 0.464 independent of alpha.
     """
     if alpha < 1.0:
-        raise ValueError("alpha is at least 1 by construction")
+        raise ConstantOutOfRange(f"alpha is at least 1 by construction, got {alpha!r}")
     w = lambert_w(-1.0 / (2.0 * math.e))
     c_star = (2.0 * alpha - 1.0) / (w + 1.0)
     eps_star = math.exp(-(2.0 * alpha - 1.0) / c_star)
@@ -221,7 +227,9 @@ def pimh_epsilon(gamma_t: float, gamma_hat_sup_value: float) -> BoundReport:
     """Independence-sampler constant: the true normalizing constant divided by
     the largest attainable estimate."""
     if not gamma_hat_sup_value >= gamma_t > 0:
-        raise ValueError("need sup of the estimate >= gamma_T > 0")
+        raise ConstantOutOfRange(
+            f"need sup of the estimate >= gamma_T > 0, got {gamma_hat_sup_value!r} and {gamma_t!r}"
+        )
     return _report(gamma_t / gamma_hat_sup_value, BoundSource.PIMH)
 
 

@@ -23,10 +23,10 @@ from .csmc import Trajectory, conditional_system
 from .errors import AssertionFailure, IndexOutOfRange, ZeroPotential, ZeroTransitionOverlap
 from .exact_oracle import enumerate_conditional_outcomes
 from .fk_model import DiscreteFK, predictive_law, q_operator
-from .smc_core import ParticleSystem, _pin_schedule
+from .smc_core import BatchedPass, _pin_schedule
 
 
-def run_c2smc(model, N: int, x: Trajectory, k, y: Trajectory, rng, base: int = 0) -> ParticleSystem:
+def run_c2smc(model, N: int, x: Trajectory, k, y: Trajectory, rng, base: int = 0) -> BatchedPass:
     """One pass with the reference pinned to slot 0 and a second trajectory
     pinned along the slot sequence ``k``; raises LineageClash where ``k``
     claims slot 0 for another state or parent than the reference's."""

@@ -2,10 +2,12 @@
 
 One pass keeps a full reference trajectory alive: the pinned particle's
 states are forced and its parent index always points at its own previous
-slot.  Tracing the terminal selection backward through the ancestor rows
-yields the next state of the chain.  The pinned slot is 0 everywhere by
-default; passes with an arbitrary pinned slot sequence (and passes with two
-pinned trajectories, see :mod:`pmcmc_lab.c2smc`) are the same
+slot.  Every pass here is a :class:`pmcmc_lab.smc_core.BatchedPass`; the
+next state of the chain is replicate 0's selected ancestral line
+(:meth:`~pmcmc_lab.smc_core.BatchedPass.lineages`), read by
+:func:`select_path`.  The pinned slot is 0 everywhere by default; passes with
+an arbitrary pinned slot sequence (and passes with two pinned trajectories,
+see :mod:`pmcmc_lab.c2smc`) are the same
 :func:`pmcmc_lab.smc_core.particle_pass` with another pin schedule, and
 :func:`reference_pass` runs the slot-0 pass on R replicates at once.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .rng import as_substream
-from .smc_core import BatchedPass, ParticleSystem, gamma_hat, particle_pass, pass_tables
+from .smc_core import BatchedPass, _path_rows, _pin_schedule, gamma_hat, particle_pass, pass_tables
 
 
 @dataclass(frozen=True)
@@ -40,22 +42,23 @@ class Trajectory:
         return len(self.points)
 
 
-def conditional_system(model, N: int, pins, rng, base: int = 0) -> ParticleSystem:
-    """One pass with the given pinned (lineage, path) pairs, checked by
-    :func:`pmcmc_lab.smc_core._pin_schedule`; free slots evolve normally."""
-    return particle_pass((model,), N, rng, base=base, pins=pins).system()
+def conditional_system(model, N: int, pins, rng, base: int = 0) -> BatchedPass:
+    """One pass (one replicate) with the given pinned (lineage, path) pairs,
+    checked by :func:`pmcmc_lab.smc_core._pin_schedule`; free slots evolve
+    normally."""
+    return particle_pass((model,), N, rng, base=base, pins=pins)
 
 
 def reference_pass(models, N: int, paths, rng, base: int = 0, which=None) -> BatchedPass:
     """Pinned passes of R replicates, replicate r keeping ``paths[r]`` (R, T)
     in slot 0 throughout; ``models`` and ``which`` as in :func:`particle_pass`."""
-    paths = np.asarray(paths, dtype=int)
     tables = pass_tables(models)
+    paths = _path_rows(paths, tables.T)
     pins = [((0,) * tables.T, paths.T)]
     return particle_pass(tables, N, rng, base=base, rows=len(paths), pins=pins, which=which)
 
 
-def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> ParticleSystem:
+def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> BatchedPass:
     """Pass with the reference trajectory pinned to slot 0 throughout.
 
     With N=1 there are no free particles and the pass replays ``x``.
@@ -63,33 +66,11 @@ def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> ParticleSystem
     return conditional_system(model, N, [((0,) * model.T, x.points)], rng, base=base)
 
 
-def select_path(system: ParticleSystem) -> Trajectory:
-    """Trace the terminal selection backward through the ancestor rows."""
-    T = system.T
-    idx = system.final_index
-    slots = [0] * T
-    points = [None] * T
-    for t in range(T, 0, -1):
-        slots[t - 1] = idx
-        points[t - 1] = system.states[t - 1][idx]
-        if t > 1:
-            idx = system.ancestors[t - 2][idx]
-    return Trajectory(points=tuple(points), lineage=tuple(slots))
-
-
-def lineage_compatible(system: ParticleSystem, traj: Trajectory) -> bool:
-    """Check that a trajectory's slot sequence is an actual ancestral line."""
-    if traj.lineage is None:
-        return False
-    i = traj.lineage
-    if i[-1] != system.final_index:
-        return False
-    for t in range(system.T - 1, 0, -1):
-        if system.ancestors[t - 1][i[t]] != i[t - 1]:
-            return False
-        if system.states[t][i[t]] != traj.points[t]:
-            return False
-    return system.states[0][i[0]] == traj.points[0]
+def select_path(p: BatchedPass) -> Trajectory:
+    """Replicate 0's selected path, with the slots it was read from."""
+    slots = p.lineages()[0]
+    points = p.states[np.arange(len(slots)), 0, slots]
+    return Trajectory(points=tuple(points.tolist()), lineage=tuple(slots.tolist()))
 
 
 def artificial_joint_step(model, N: int, x: Trajectory, k, rng, base: int = 0) -> Trajectory:
@@ -147,15 +128,16 @@ def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     states = np.empty((n_iter + 1, T), dtype=int)
     lgh = np.empty(n_iter)
     retained = np.empty(n_iter, dtype=int)
+    _pin_schedule(model.tables, [((0,) * T, x0.points)], N)
+    states[0] = x0.points
     current = x0
     for step in range(1, n_iter + 1):
-        system = run_csmc(model, N, current, rng, base=step)
-        nxt = select_path(system)
-        lgh[step - 1] = gamma_hat(system).log_value
+        p = run_csmc(model, N, current, rng, base=step)
+        nxt = select_path(p)
+        lgh[step - 1] = gamma_hat(p).log_value
         retained[step - 1] = sum(
             1 for a, b in zip(current.points, nxt.points) if a == b
         )
         states[step] = nxt.points
         current = nxt
-    states[0] = x0.points  # after the first pass has checked x0
     return ChainTrace(states=states, log_gamma_hats=lgh, retained=retained)

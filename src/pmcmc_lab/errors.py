@@ -14,7 +14,8 @@ class NonStochasticRow(PmcmcLabError):
 
 
 class NegativePotential(PmcmcLabError):
-    """A potential table contains a negative entry."""
+    """A potential table, or a vector of resampling weights, contains a
+    negative entry."""
 
 
 class ZeroPotential(PmcmcLabError):
@@ -53,6 +54,12 @@ class ZeroPinnedPotential(PmcmcLabError):
 class TooFewParticles(PmcmcLabError):
     """A particle count is below what the pass or bound needs (N >= 1 for a
     pass, N >= 2 for the minorization constants)."""
+
+
+class ConstantOutOfRange(PmcmcLabError):
+    """A constant passed to a bound lies outside the range its definition
+    gives it (alpha >= 1, a normalised weight supremum >= 1, an estimate's
+    supremum >= gamma_T > 0)."""
 
 
 class ZeroPathMass(PmcmcLabError):

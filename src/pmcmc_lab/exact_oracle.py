@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import AllWeightsZero, NotReversible, OutcomeSpaceTooLarge, SingularSolve
 from .fk_model import DiscreteFK, exact_target
-from .smc_core import _pin_schedule
+from .smc_core import _path_rows, _pin_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
     """
     paths = [tuple(x) for x in paths]
     if paths:
-        _pin_schedule(model.tables, [((0,) * model.T, np.array(paths).T)], N)
+        _pin_schedule(model.tables, [((0,) * model.T, _path_rows(paths, model.T).T)], N)
     yield from _MultisetSweep(model, N, guard).rows(paths)
 
 

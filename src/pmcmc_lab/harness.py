@@ -27,7 +27,7 @@ from .bounds import (
     report_rows,
 )
 from .c2smc import alpha_constant
-from .csmc import ChainTrace, Trajectory, icsmc_chain
+from .csmc import ChainTrace, Trajectory, icsmc_chain, select_path
 from .errors import ConfigError, TraceTooShort
 from .exact_oracle import (
     exact_minorization,
@@ -344,10 +344,8 @@ def _run_pimh(cfg: ExperimentConfig, out: Path) -> None:
     n = cfg.n_sweep[0]
     for r in range(cfg.replicates):
         rng = SubstreamRng(cfg.seed).spawn(r)
-        system = run_smc(model, n, rng, base=0)
-        from .csmc import select_path
-
-        state = PimhState(path=select_path(system), log_gamma_hat=gamma_hat(system).log_value)
+        p = run_smc(model, n, rng, base=0)
+        state = PimhState(path=select_path(p), log_gamma_hat=gamma_hat(p).log_value)
         rows = [["iteration", "accepted", "log_gamma_hat"] + [f"state_{t}" for t in range(1, model.T + 1)]]
         accepted = 0
         for step in range(1, cfg.iterations + 1):
@@ -369,8 +367,8 @@ def _run_pmmh(cfg: ExperimentConfig, out: Path) -> None:
     )
     for r in range(cfg.replicates):
         rng = SubstreamRng(cfg.seed).spawn(r)
-        system = run_smc(jm.models[0], n, rng, base=0)
-        state = PmmhState(theta_idx=0, log_gamma_hat=gamma_hat(system).log_value)
+        p = run_smc(jm.models[0], n, rng, base=0)
+        state = PmmhState(theta_idx=0, log_gamma_hat=gamma_hat(p).log_value)
         rows = [["iteration", "accepted", "theta", "log_gamma_hat"]]
         for step in range(1, cfg.iterations + 1):
             state, acc = pmmh_step(jm, n, q, state, rng, base=step)

@@ -43,7 +43,7 @@ from .exact_oracle import (
     spectral_summary,
 )
 from .rng import SITE_ACCEPT, SITE_THETA, as_substream
-from .smc_core import PassTables, _check_paths, categorical, particle_pass
+from .smc_core import PassTables, _check_paths, _path_rows, categorical, particle_pass
 
 
 @dataclass(frozen=True)
@@ -430,7 +430,7 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     that is not T states of the alphabet, and ZeroPathMass for a path that
     has zero mass under every parameter value.
     """
-    x = np.atleast_2d(np.asarray(paths, dtype=int))
+    x = np.atleast_2d(_path_rows(paths, jm.T))
     _check_paths(x.T, jm.T, jm.models[0].n_states)
     t = np.arange(jm.T)
     mass = np.array([m.m1 for m in jm.models])[:, x[:, 0]]
@@ -451,7 +451,7 @@ def pgibbs_update(jm: JointModel, N: int, paths, rng, base: int = 0):
     exact conditional given the path, then one slot-0 pinned pass at that
     value.  Returns the parameter indices (R,) and the new paths (R, T)."""
     rng = as_substream(rng)
-    paths = np.asarray(paths, dtype=int)
+    paths = _path_rows(paths, jm.T)
     u = rng.uniforms(base, 0, 0, SITE_THETA, shape=(len(paths), 1))
     thetas = categorical(theta_given_paths(jm, paths), u)[:, 0]
     return thetas, reference_pass(jm.tables, N, paths, rng, base=base, which=thetas).paths()

@@ -15,9 +15,9 @@ import numpy as np
 from .csmc import reference_pass
 from .errors import TraceTooShort
 from .fk_model import DiscreteFK
-from .pgibbs import JointModel, pgibbs_update, pimh_update, pmmh_update
+from .pgibbs import JointModel, pgibbs_update, pimh_update, pmmh_update, theta_given_paths
 from .rng import as_substream
-from .smc_core import particle_pass
+from .smc_core import _pin_schedule, particle_pass
 
 
 def smc_replicated(model: DiscreteFK, N: int, R: int, rng, base: int = 0):
@@ -39,6 +39,7 @@ def icsmc_replicated(
 ) -> np.ndarray:
     """R independent chains, all started at x0, advanced n_iter steps."""
     rng = as_substream(rng)
+    _pin_schedule(model.tables, [((0,) * model.T, tuple(x0))], N)
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
     for step in range(1, n_iter + 1):
         paths = csmc_step_replicated(model, N, paths, rng, base=step)
@@ -63,8 +64,10 @@ def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
 
 
 def pgibbs_replicated(jm: JointModel, N: int, R: int, n_steps: int, rng, x0, theta0: int):
-    """R independent two-stage chains with the particle path update."""
+    """R independent two-stage chains with the particle path update.  x0 is
+    checked as the first parameter draw checks it (:func:`theta_given_paths`)."""
     rng = as_substream(rng)
+    theta_given_paths(jm, [tuple(x0)])
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
     thetas = np.full(R, int(theta0), dtype=int)
     for step in range(1, n_steps + 1):

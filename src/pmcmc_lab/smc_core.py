@@ -9,11 +9,11 @@ one admissibility check of a pinned path, for the pass and for every exact
 engine.  :func:`categorical_cdf` is the one inverse-CDF draw behind every
 sampler (:func:`categorical` when the weights are raw); the initial and move
 draws read cumulative tables built once per model (:class:`PassTables`).
-:func:`run_smc` is the R=1 plain pass, returned as a :class:`ParticleSystem`:
-states and weights for all times, ancestor indices for times 2..T, and a
-single terminal index drawn from the final weights.  The product over time
-of average weights is the (unbiased) normalizing-constant estimate, always
-handled in log space.
+Every pass comes back as one :class:`BatchedPass`: states and weights for
+all times, ancestor indices for times 2..T and one terminal index per
+replicate, drawn from the final weights.  :func:`run_smc` is the one-replicate
+plain pass.  The product over time of average weights is the (unbiased)
+normalizing-constant estimate, always handled in log space.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     LineageClash,
+    NegativePotential,
     TooFewParticles,
     ZeroPinnedPotential,
 )
@@ -41,49 +42,6 @@ from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
 # about 128 (2-vCPU x86 host, numpy 2.4).
 _ONE_PASS = 4096
 _COLUMNS = 64
-
-
-@dataclass(frozen=True)
-class ParticleSystem:
-    """States, ancestors and weights of one (conditional or not) pass.
-
-    ``states[t-1][i]`` is particle i's state at time t; ``ancestors[t-2][i]``
-    its (0-based) parent index drawn at time t; ``weights[t-1, i]`` its
-    potential; ``final_index`` the terminal selection.  Immutable once
-    returned.
-    """
-
-    states: tuple            # T rows of N states
-    ancestors: tuple         # T-1 rows of N parent indices
-    final_index: int
-    weights: np.ndarray      # (T, N)
-
-    @property
-    def log_potentials(self) -> np.ndarray:
-        """Log of the weights, (T, N); -inf for a zero weight."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.weights)
-
-    @property
-    def T(self) -> int:
-        return len(self.states)
-
-    @property
-    def N(self) -> int:
-        return len(self.states[0])
-
-    def to_csv(self, path) -> None:
-        """Columnar debug dump: t, i, state, ancestor, logG."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "i", "state", "ancestor", "logG"])
-            log_g = self.log_potentials
-            for t in range(1, self.T + 1):
-                for i in range(self.N):
-                    anc = "" if t == 1 else self.ancestors[t - 2][i]
-                    writer.writerow(
-                        [t, i, self.states[t - 1][i], anc, repr(float(log_g[t - 1, i]))]
-                    )
 
 
 @dataclass(frozen=True)
@@ -156,7 +114,7 @@ def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.nd
     """Draw ``count`` i.i.d. indices, index k with probability weights[k]/sum."""
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
+        raise NegativePotential("resampling weights must be non-negative")
     if float(w.sum()) <= 0:
         raise AllWeightsZero()
     return categorical(w[None], rng.random((1, count)))[0]
@@ -194,14 +152,22 @@ class BatchedPass:
         """Log normalizing-constant estimate of each replicate, (R,)."""
         return _log_mean_weights(self.weights)
 
-    def system(self) -> ParticleSystem:
-        """Replicate 0 as a ParticleSystem of Python ints."""
-        return ParticleSystem(
-            states=tuple(map(tuple, self.states[:, 0].tolist())),
-            ancestors=tuple(map(tuple, self.ancestors[:, 0].tolist())),
-            final_index=int(self.final[0]),
-            weights=self.weights[:, 0].copy(),
-        )
+    @property
+    def log_potentials(self) -> np.ndarray:
+        """Log of the weights, (T, R, N); -inf for a zero weight."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.weights)
+
+    def to_csv(self, path) -> None:
+        """Columnar debug dump: r, t, i, state, ancestor, logG."""
+        T, R, N = self.states.shape
+        log_g = self.log_potentials
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["r", "t", "i", "state", "ancestor", "logG"])
+            for r, t, i in np.ndindex(R, T, N):
+                anc = "" if t == 0 else int(self.ancestors[t - 1, r, i])
+                writer.writerow([r, t + 1, i, int(self.states[t, r, i]), anc, repr(float(log_g[t, r, i]))])
 
 
 @dataclass(frozen=True)
@@ -275,6 +241,19 @@ def _check_paths(paths, T: int, n_states: int) -> None:
     if paths.size and (paths.min() < 0 or paths.max() >= n_states):
         bad = paths[(paths < 0) | (paths >= n_states)][0]
         raise IndexOutOfRange(f"state {bad} outside [0, {n_states})")
+
+
+def _path_rows(paths, T: int) -> np.ndarray:
+    """A batch of paths as an (R, T) integer array.
+
+    Raises DimensionMismatch for a path whose length is not T before the
+    array is built, so unequal lengths never reach numpy.
+    """
+    if not isinstance(paths, np.ndarray):
+        for path in paths:
+            if len(path) != T:
+                raise DimensionMismatch(f"path of length {len(path)}, model horizon is {T}")
+    return np.asarray(paths, dtype=int)
 
 
 def _pin_schedule(tables: PassTables, pins, N: int, which=None):
@@ -395,9 +374,9 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
     return BatchedPass(states, ancestors, weights, final)
 
 
-def run_smc(model, N: int, rng, base: int = 0) -> ParticleSystem:
+def run_smc(model, N: int, rng, base: int = 0) -> BatchedPass:
     """One standard pass: the single-replicate :func:`particle_pass`."""
-    return particle_pass((model,), N, rng, base=base).system()
+    return particle_pass((model,), N, rng, base=base)
 
 
 def _log_mean_weights(weights) -> np.ndarray:
@@ -414,6 +393,7 @@ def _log_mean_weights(weights) -> np.ndarray:
     return sum(np.log(means))
 
 
-def gamma_hat(system: ParticleSystem) -> NormConstEstimate:
-    """Product over time of average particle weights, in log space."""
-    return NormConstEstimate(log_value=float(_log_mean_weights(system.weights)))
+def gamma_hat(p: BatchedPass) -> NormConstEstimate:
+    """Product over time of average particle weights of replicate 0, in log
+    space."""
+    return NormConstEstimate(log_value=float(p.log_gamma()[0]))

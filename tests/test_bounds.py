@@ -20,7 +20,7 @@ from pmcmc_lab.bounds import (
     mixing_floor,
     report_rows,
 )
-from pmcmc_lab.errors import EpsilonOutOfRange, TooFewParticles
+from pmcmc_lab.errors import ConstantOutOfRange, EpsilonOutOfRange, TooFewParticles
 from pmcmc_lab.exact_oracle import exact_minorization
 from pmcmc_lab.fk_model import build_discrete_model, sup_potentials
 
@@ -42,6 +42,18 @@ def test_too_few_particles_is_a_typed_error():
         lambda: gamma_hat_sup(m, 0),
     ):
         with pytest.raises(TooFewParticles):
+            bound()
+
+
+def test_out_of_range_constants_are_typed_errors():
+    for bound in (
+        lambda: epsilon_mixing(0.5, 3, 2),
+        lambda: tuning_c_star(0.5),
+        lambda: epsilon_isir(0.5, 3),
+        lambda: pimh_epsilon(2.0, 1.0),
+        lambda: pimh_epsilon(0.0, 1.0),
+    ):
+        with pytest.raises(ConstantOutOfRange):
             bound()
 
 

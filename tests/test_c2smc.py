@@ -30,8 +30,8 @@ from pmcmc_lab.errors import (
 )
 from pmcmc_lab.exact_oracle import kernel_row_multiset, kernel_row_tree, multiset_sweep
 from pmcmc_lab.fk_model import build_discrete_model
-from pmcmc_lab.pgibbs import theta_given_paths
-from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated
+from pmcmc_lab.pgibbs import pgibbs_update, theta_given_paths
+from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated, pgibbs_replicated
 
 
 def test_two_particles_no_randomness():
@@ -39,7 +39,7 @@ def test_two_particles_no_randomness():
     m = model_a()
     x, y = Trajectory((0, 0)), Trajectory((1, 1))
     s = run_c2smc(m, 2, x, (1, 1), y, 3)
-    assert s.states == ((0, 1), (0, 1))
+    assert s.states[:, 0].tolist() == [[0, 1], [0, 1]]
     expected = ((1 + 2) / 2) * ((1 + 3) / 2)
     assert c2smc_expectation_bruteforce(m, 2, x, y) == pytest.approx(expected, rel=1e-14)
     assert c2smc_expectation_closed_form(m, 2, x, y) == pytest.approx(expected, rel=1e-14)
@@ -54,7 +54,7 @@ def test_lineage_clash_detected():
 def test_shared_slot_allowed_when_paths_agree():
     m = model_a()
     s = run_c2smc(m, 3, Trajectory((0, 1)), (0, 0), Trajectory((0, 1)), 1)
-    assert s.states[0][0] == 0 and s.states[1][0] == 1
+    assert s.states[0, 0, 0] == 0 and s.states[1, 0, 0] == 1
 
 
 def test_free_particle_matches_initial_law():
@@ -63,7 +63,7 @@ def test_free_particle_matches_initial_law():
     R = 20_000
     for seed in range(R):
         s = run_c2smc(m, 3, Trajectory((0,)), (1,), Trajectory((1,)), seed)
-        counts[s.states[0][2]] += 1
+        counts[s.states[0, 0, 2]] += 1
     freq = counts / R
     sd = np.sqrt(0.25 / R)
     assert abs(freq[0] - 0.5) < 5 * sd
@@ -169,6 +169,48 @@ def test_state_outside_alphabet_is_rejected(entry):
         for call in _pinning_calls(entry, m, 3, path):
             with pytest.raises(IndexOutOfRange):
                 call()
+
+
+@pytest.mark.parametrize("entry", ["icsmc_chain", "icsmc_replicated", "pgibbs_replicated"])
+@pytest.mark.parametrize(
+    "path,error",
+    [
+        ((0, -1), IndexOutOfRange),
+        ((0, 5), IndexOutOfRange),
+        ((0, 0, 1), DimensionMismatch),
+        ((0,), DimensionMismatch),
+        ((1, 0), ZeroPinnedPotential),
+    ],
+)
+def test_chain_of_zero_steps_checks_its_start(entry, path, error):
+    # A zero-step chain returns its start, so the start is checked as the
+    # first step would check it.
+    m = _zero_first_weight()
+    jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
+    call = {
+        "icsmc_chain": lambda: icsmc_chain(m, 3, Trajectory(path), 0, 0),
+        "icsmc_replicated": lambda: icsmc_replicated(m, 3, path, 2, 0, 0),
+        "pgibbs_replicated": lambda: pgibbs_replicated(jm, 3, 2, 0, 0, path, 0),
+    }[entry]
+    if entry == "pgibbs_replicated" and error is ZeroPinnedPotential:
+        error = ZeroPathMass
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("entry", ["multiset_sweep", "reference_pass", "theta_given_paths", "pgibbs_update"])
+def test_paths_of_unequal_length_are_rejected(entry):
+    m = model_a()
+    jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
+    paths = [(0, 0), (0,)]
+    call = {
+        "multiset_sweep": lambda: list(multiset_sweep(m, 2, paths)),
+        "reference_pass": lambda: reference_pass((m,), 2, paths, 0),
+        "theta_given_paths": lambda: theta_given_paths(jm, paths),
+        "pgibbs_update": lambda: pgibbs_update(jm, 2, paths, 0),
+    }[entry]
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_too_few_particles_for_the_pins_is_rejected():

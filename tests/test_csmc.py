@@ -8,11 +8,12 @@ from pmcmc_lab import (
     artificial_joint_step,
     icsmc_chain,
     run_csmc,
+    run_smc,
     select_path,
 )
-from pmcmc_lab.csmc import lineage_compatible, reference_pass
+from pmcmc_lab.csmc import conditional_system, reference_pass
 from pmcmc_lab.errors import ZeroPinnedPotential
-from pmcmc_lab.exact_oracle import kernel_row
+from pmcmc_lab.exact_oracle import kernel_row, trace_lineage
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated
 from pmcmc_lab.bounds import epsilon_bounded
@@ -24,8 +25,8 @@ def test_pinned_particle_occupies_slot_zero():
     x = Trajectory((0, 1, 0))
     s = run_csmc(m, 4, x, 3)
     for t in range(m.T):
-        assert s.states[t][0] == x.points[t]
-    for row in s.ancestors:
+        assert s.states[t, 0, 0] == x.points[t]
+    for row in s.ancestors[:, 0]:
         assert row[0] == 0
 
 
@@ -50,7 +51,7 @@ def test_free_particle_initial_law():
     counts = np.zeros(2)
     for step in range(R):
         s = run_csmc(m, 2, Trajectory((0,)), rng, base=step)
-        counts[s.states[0][1]] += 1
+        counts[s.states[0, 0, 1]] += 1
     sd = np.sqrt(0.25 / R)
     assert abs(counts[0] / R - 0.5) < 5 * sd
 
@@ -59,10 +60,29 @@ def test_select_path_traces_ancestors():
     m = model_a()
     s = run_csmc(m, 3, Trajectory((0, 0)), 9)
     traj = select_path(s)
-    assert lineage_compatible(s, traj)
     i = traj.lineage
-    assert i[-1] == s.final_index
-    assert s.ancestors[0][i[1]] == i[0]
+    assert [s.states[t, 0, i[t]] for t in range(m.T)] == list(traj.points)
+    assert i[-1] == s.final[0]
+    assert s.ancestors[0, 0, i[1]] == i[0]
+
+
+@pytest.mark.parametrize("N", [1, 3, 17])
+def test_select_path_is_the_oracle_lineage_of_replicate_zero(N):
+    m = model("E")
+    x = target("E").paths[-1]
+    slot_ids = np.broadcast_to(np.arange(N), (m.T, N))
+    lineage = (0, N - 1, N // 2)
+    for base in range(12):
+        passes = (
+            run_smc(m, N, 31, base=base),
+            run_csmc(m, N, Trajectory(x), 31, base=base),
+            conditional_system(m, N, [(lineage, x)], 31, base=base),
+        )
+        for p in passes:
+            traj = select_path(p)
+            final = int(p.final[0])
+            assert traj.lineage == trace_lineage(slot_ids, p.ancestors[:, 0], final)
+            assert traj.points == trace_lineage(p.states[:, 0], p.ancestors[:, 0], final)
 
 
 def test_select_path_identity_on_pinned_lineage():
@@ -70,7 +90,7 @@ def test_select_path_identity_on_pinned_lineage():
     x = Trajectory((1, 1))
     for seed in range(30):
         s = run_csmc(m, 2, x, seed)
-        if s.final_index == 0:
+        if s.final[0] == 0:
             assert select_path(s).points == x.points
             return
     pytest.fail("terminal selection never chose the pinned slot")

@@ -13,14 +13,20 @@ from pmcmc_lab import (
     run_smc,
     select_path,
 )
-from pmcmc_lab.errors import AllWeightsZero, DegenerateEstimate, OutcomeSpaceTooLarge, TooFewParticles
+from pmcmc_lab.errors import (
+    AllWeightsZero,
+    DegenerateEstimate,
+    NegativePotential,
+    OutcomeSpaceTooLarge,
+    TooFewParticles,
+)
 from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
     exact_gamma_hat_expectation,
 )
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import smc_replicated
-from pmcmc_lab.smc_core import PassTables, _draw_moves, categorical, categorical_cdf, particle_pass
+from pmcmc_lab.smc_core import BatchedPass, PassTables, _draw_moves, categorical, categorical_cdf, particle_pass
 
 
 def test_resample_degenerate_weight():
@@ -114,33 +120,34 @@ def test_categorical_never_selects_zero_weight(weights, gen):
 
 
 def test_resample_negative_weights_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NegativePotential):
         multinomial_resample([1.0, -0.5], 1, SubstreamRng(0).stream(0))
 
 
 def test_run_smc_single_particle_is_a_chain_draw():
     m = model("B")
     system = run_smc(m, 1, 7)
-    assert system.N == 1
-    assert all(row == (0,) for row in system.ancestors)
-    assert system.final_index == 0
+    assert system.states.shape[2] == 1
+    assert all(row == (0,) for row in system.ancestors[:, 0])
+    assert system.final[0] == 0
 
 
 def test_run_smc_reproducible_and_ancestors_valid():
     m = model_a()
     s1 = run_smc(m, 16, 42)
     s2 = run_smc(m, 16, 42)
-    assert s1.states == s2.states and s1.ancestors == s2.ancestors
-    assert s1.final_index == s2.final_index
-    assert all(0 <= a < 16 for row in s1.ancestors for a in row)
+    assert np.array_equal(s1.states, s2.states) and np.array_equal(s1.ancestors, s2.ancestors)
+    assert s1.final[0] == s2.final[0]
+    assert all(0 <= a < 16 for row in s1.ancestors[:, 0] for a in row)
 
 
 def test_log_potentials_recompute_exactly():
     m = model("D")
     s = run_smc(m, 8, 3)
-    for t in range(1, s.T + 1):
-        for i in range(s.N):
-            assert s.log_potentials[t - 1, i] == m.log_potential(t, s.states[t - 1][i])
+    T, _, N = s.states.shape
+    for t in range(1, T + 1):
+        for i in range(N):
+            assert s.log_potentials[t - 1, 0, i] == m.log_potential(t, s.states[t - 1, 0, i])
 
 
 def test_ancestor_uniformity_under_unit_weights():
@@ -152,7 +159,7 @@ def test_ancestor_uniformity_under_unit_weights():
     counts = np.zeros(N)
     for base in range(runs):
         system = run_smc(m, N, rng, base=base)
-        for a in system.ancestors[0]:
+        for a in system.ancestors[0, 0]:
             counts[a] += 1
     draws = runs * N
     p = 1.0 / N
@@ -172,7 +179,7 @@ def test_gamma_hat_single_time_mean():
     # Force the two particles into both states by searching seeds.
     for seed in range(50):
         s = run_smc(m, 2, seed)
-        if set(s.states[0]) == {0, 1}:
+        if set(s.states[0, 0].tolist()) == {0, 1}:
             assert gamma_hat(s).value == pytest.approx(2.0, rel=1e-14)
             break
     else:  # pragma: no cover
@@ -184,19 +191,17 @@ def test_gamma_hat_log_space_matches_direct_product():
     for seed in range(5):
         s = run_smc(m, 6, seed)
         direct = 1.0
-        for t in range(1, s.T + 1):
-            direct *= np.mean([m.potential(t, z) for z in s.states[t - 1]])
+        for t in range(1, len(s.states) + 1):
+            direct *= np.mean([m.potential(t, z) for z in s.states[t - 1, 0]])
         assert gamma_hat(s).value == pytest.approx(direct, rel=1e-12)
 
 
 def test_gamma_hat_degenerate_slice():
-    from pmcmc_lab.smc_core import ParticleSystem
-
-    s = ParticleSystem(
-        states=((0, 0),),
-        ancestors=(),
-        final_index=0,
-        weights=np.array([[0.0, 0.0]]),
+    s = BatchedPass(
+        states=np.zeros((1, 1, 2), dtype=int),
+        ancestors=np.empty((0, 1, 2), dtype=int),
+        weights=np.array([[[0.0, 0.0]]]),
+        final=np.zeros(1, dtype=int),
     )
     with pytest.raises(DegenerateEstimate):
         gamma_hat(s)
@@ -349,5 +354,5 @@ def test_system_csv_round_trip(tmp_path):
     path = tmp_path / "system.csv"
     s.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,i,state,ancestor,logG"
-    assert len(lines) == 1 + s.T * s.N
+    assert lines[0] == "r,t,i,state,ancestor,logG"
+    assert len(lines) == 1 + s.states.size
