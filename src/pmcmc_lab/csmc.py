@@ -127,17 +127,13 @@ def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     T = model.T
     states = np.empty((n_iter + 1, T), dtype=int)
     lgh = np.empty(n_iter)
-    retained = np.empty(n_iter, dtype=int)
     _pin_schedule(model.tables, [((0,) * T, x0.points)], N)
     states[0] = x0.points
     current = x0
     for step in range(1, n_iter + 1):
         p = run_csmc(model, N, current, rng, base=step)
-        nxt = select_path(p)
+        current = select_path(p)
         lgh[step - 1] = gamma_hat(p).log_value
-        retained[step - 1] = sum(
-            1 for a, b in zip(current.points, nxt.points) if a == b
-        )
-        states[step] = nxt.points
-        current = nxt
+        states[step] = current.points
+    retained = (states[1:] == states[:-1]).sum(axis=1)
     return ChainTrace(states=states, log_gamma_hats=lgh, retained=retained)

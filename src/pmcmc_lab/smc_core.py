@@ -136,12 +136,13 @@ class BatchedPass:
 
     def lineages(self) -> np.ndarray:
         """Slot of each replicate's selected path at every time, (R, T)."""
-        T, R, _ = self.states.shape
-        slots = np.empty((R, T), dtype=int)
-        slots[:, -1] = self.final
+        T, R, N = self.states.shape
+        slots = np.empty((T, R), dtype=int)
+        slots[-1] = self.final
+        row_start = np.arange(0, R * N, N)
         for t in range(T - 1, 0, -1):
-            slots[:, t - 1] = self.ancestors[t - 1][np.arange(R), slots[:, t]]
-        return slots
+            self.ancestors[t - 1].take(row_start + slots[t], out=slots[t - 1])
+        return slots.T
 
     def paths(self) -> np.ndarray:
         """The selected path of each replicate, (R, T)."""

@@ -94,7 +94,8 @@ def _zero_first_weight():
 
 
 # Every public entry point that pins a path.  The two-pin entry points pin
-# the path under test as x and, in a second call, as y.
+# the path under test as x and, in a second call, as y.  A chain of zero
+# steps returns its start, so it checks the start as its first step would.
 _ONE_PIN = (
     "run_csmc",
     "icsmc_chain",
@@ -102,6 +103,9 @@ _ONE_PIN = (
     "reference_pass",
     "csmc_step_replicated",
     "icsmc_replicated",
+    "icsmc_chain_zero_steps",
+    "icsmc_replicated_zero_steps",
+    "pgibbs_replicated_zero_steps",
     "kernel_row",
     "kernel_row_tree",
     "kernel_row_multiset",
@@ -124,6 +128,9 @@ def _pinning_calls(entry, m, N, path):
         "reference_pass": lambda: reference_pass((m,), N, [path], 0),
         "csmc_step_replicated": lambda: csmc_step_replicated(m, N, np.array([path]), 0),
         "icsmc_replicated": lambda: icsmc_replicated(m, N, path, 2, 1, 0),
+        "icsmc_chain_zero_steps": lambda: icsmc_chain(m, N, x, 0, 0),
+        "icsmc_replicated_zero_steps": lambda: icsmc_replicated(m, N, path, 2, 0, 0),
+        "pgibbs_replicated_zero_steps": lambda: pgibbs_replicated(jm, N, 2, 0, 0, path, 0),
         "kernel_row": lambda: kernel_row(m, N, path),
         "kernel_row_tree": lambda: kernel_row_tree(m, N, path),
         "kernel_row_multiset": lambda: kernel_row_multiset(m, N, path),
@@ -146,7 +153,7 @@ def _pinning_calls(entry, m, N, path):
 def test_zero_weight_pin_is_rejected(entry):
     # Particle Gibbs draws the parameter first: a path with zero weight under
     # every model has zero mass, which the parameter draw refuses.
-    error = ZeroPathMass if entry == "pgibbs_step" else ZeroPinnedPotential
+    error = ZeroPathMass if entry.startswith("pgibbs") else ZeroPinnedPotential
     m = _zero_first_weight()
     for call in _pinning_calls(entry, m, 3, (1, 0)):
         with pytest.raises(error):
@@ -169,33 +176,6 @@ def test_state_outside_alphabet_is_rejected(entry):
         for call in _pinning_calls(entry, m, 3, path):
             with pytest.raises(IndexOutOfRange):
                 call()
-
-
-@pytest.mark.parametrize("entry", ["icsmc_chain", "icsmc_replicated", "pgibbs_replicated"])
-@pytest.mark.parametrize(
-    "path,error",
-    [
-        ((0, -1), IndexOutOfRange),
-        ((0, 5), IndexOutOfRange),
-        ((0, 0, 1), DimensionMismatch),
-        ((0,), DimensionMismatch),
-        ((1, 0), ZeroPinnedPotential),
-    ],
-)
-def test_chain_of_zero_steps_checks_its_start(entry, path, error):
-    # A zero-step chain returns its start, so the start is checked as the
-    # first step would check it.
-    m = _zero_first_weight()
-    jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
-    call = {
-        "icsmc_chain": lambda: icsmc_chain(m, 3, Trajectory(path), 0, 0),
-        "icsmc_replicated": lambda: icsmc_replicated(m, 3, path, 2, 0, 0),
-        "pgibbs_replicated": lambda: pgibbs_replicated(jm, 3, 2, 0, 0, path, 0),
-    }[entry]
-    if entry == "pgibbs_replicated" and error is ZeroPinnedPotential:
-        error = ZeroPathMass
-    with pytest.raises(error):
-        call()
 
 
 @pytest.mark.parametrize("entry", ["multiset_sweep", "reference_pass", "theta_given_paths", "pgibbs_update"])
