@@ -191,19 +191,22 @@ class PassTables:
     move_cdf: np.ndarray    # (T-1, J*S, S)
     move_cols: np.ndarray   # (T-1, S, J*S)
     potentials: np.ndarray  # (T, J*S)
+    positive: bool          # every potential > 0
 
     @classmethod
     def build(cls, models) -> "PassTables":
         T, S = models[0].T, models[0].n_states
         moves = np.array([m.transitions for m in models]).reshape(len(models), T - 1, S, S)
         move_cdf = moves.swapaxes(0, 1).reshape(T - 1, len(models) * S, S).cumsum(axis=-1)
+        potentials = np.array([m.potentials for m in models]).swapaxes(0, 1).reshape(T, -1)
         tables = cls(
             T=T,
             n_states=S,
             m1_cdf=np.array([m.m1 for m in models]).cumsum(axis=-1),
             move_cdf=move_cdf,
             move_cols=np.ascontiguousarray(move_cdf.swapaxes(1, 2)),
-            potentials=np.array([m.potentials for m in models]).swapaxes(0, 1).reshape(T, -1),
+            potentials=potentials,
+            positive=bool(potentials.all()),
         )
         for table in (tables.m1_cdf, tables.move_cdf, tables.move_cols, tables.potentials):
             table.setflags(write=False)
@@ -275,7 +278,6 @@ def _pin_schedule(tables: PassTables, pins, N: int, which=None):
     T, S = tables.T, tables.n_states
     # Only a table with a zero weight can refuse a state of the alphabet, and
     # gathering the pinned weights costs more than the rest of the check.
-    positive = tables.potentials.all()
     pin_state = [dict() for _ in range(T)]
     pin_anc = [dict() for _ in range(T - 1)]
     for lineage, path in pins:
@@ -286,7 +288,7 @@ def _pin_schedule(tables: PassTables, pins, N: int, which=None):
         slots = [int(s) for s in lineage]
         if min(slots) < 0 or max(slots) >= N:
             raise IndexOutOfRange(f"pinned slot outside [0, {N}): lineage {tuple(slots)}")
-        if not positive:
+        if not tables.positive:
             rows = path.reshape(T, -1) + (0 if which is None else np.asarray(which) * S)
             g = tables.potentials[np.arange(T)[:, None], rows]
             if not g.all():
