@@ -369,9 +369,12 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
             src = rows_of(states[t - 2].ravel()[row_start + a[:, free]])
             u = rng.uniforms(base, t, 0, SITE_MOVE, shape=(R, n))
             x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, u)
-        g = weights[t - 1] = tables.potentials[t - 1][rows_of(x)]
-        if (g.sum(axis=1) <= 0).any():
-            raise AllWeightsZero(time=t)
+        weights[t - 1] = tables.potentials[t - 1][rows_of(x)]
+    # Checked once for all times: a draw from all-zero weights is still an
+    # index in range, so the first dead time is the one a check per time finds.
+    dead = (weights.sum(axis=-1) <= 0).any(axis=-1)
+    if dead.any():
+        raise AllWeightsZero(time=int(dead.argmax()) + 1)
     u = rng.uniforms(base, T + 1, 0, SITE_FINAL, shape=(R, 1))
     final = categorical_cdf(weights[-1].cumsum(axis=-1), u)[:, 0]
     return BatchedPass(states, ancestors, weights, final)
