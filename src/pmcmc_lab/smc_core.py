@@ -276,8 +276,6 @@ def _pin_schedule(tables: PassTables, pins, N: int, which=None):
     with different states (in any replicate) or parents.
     """
     T, S = tables.T, tables.n_states
-    # Only a table with a zero weight can refuse a state of the alphabet, and
-    # gathering the pinned weights costs more than the rest of the check.
     pin_state = [dict() for _ in range(T)]
     pin_anc = [dict() for _ in range(T - 1)]
     for lineage, path in pins:
@@ -288,6 +286,8 @@ def _pin_schedule(tables: PassTables, pins, N: int, which=None):
         slots = [int(s) for s in lineage]
         if min(slots) < 0 or max(slots) >= N:
             raise IndexOutOfRange(f"pinned slot outside [0, {N}): lineage {tuple(slots)}")
+        # Only a table with a zero weight can refuse a state of the alphabet,
+        # and gathering the pinned weights costs more than the rest of the check.
         if not tables.positive:
             rows = path.reshape(T, -1) + (0 if which is None else np.asarray(which) * S)
             g = tables.potentials[np.arange(T)[:, None], rows]
