@@ -10,7 +10,8 @@ class DimensionMismatch(PmcmcLabError):
 
 
 class NonStochasticRow(PmcmcLabError):
-    """A transition row does not form a probability vector."""
+    """A transition row does not form a probability vector, or a kernel
+    does not leave its stated stationary vector invariant."""
 
 
 class NegativePotential(PmcmcLabError):
@@ -80,6 +81,11 @@ class StateSpaceTooLarge(PmcmcLabError):
 
 class NotReversible(PmcmcLabError):
     """Detailed balance fails beyond tolerance for a kernel that must be reversible."""
+
+
+class ZeroStationaryMass(PmcmcLabError):
+    """A chain's stationary vector has a zero entry where an analysis
+    divides by it (spectral summaries, the exact minorization constant)."""
 
 
 class SingularSolve(PmcmcLabError):

@@ -1,22 +1,27 @@
 """Exact enumeration of pinned-particle kernels and finite-chain analysis.
 
-Three enumeration engines, each exact, cross-checked in the test suite.
+Four enumeration engines, each exact, cross-checked in the test suite.
 
-* The multiset sweep (:func:`multiset_sweep`) is the default.  Free
-  particles are exchangeable, so the pass is collapsed to the pinned path
-  plus the multiset of free ancestral paths, which evolves by multinomial
-  draws: polynomial in N.  Many rows are one sweep that walks the pinned
-  paths as a prefix trie, so rows sharing x_1..x_t share the forward work
-  through time t+1.  Each row comes with the retained-weight share
+* The histogram sweep (:func:`histogram_sweep`) builds whole kernel
+  matrices.  For one entry P(x, y) it follows the law of the counts of the
+  N-1 free particles over S+1 categories (one per last state off y's
+  prefix, one on y's prefix), one multinomial per time, vectorised over
+  blocks of (x, y) pairs.  Its work, T P^2 H^2 transition entries with
+  H = C(N-1+S, S), is known before it runs and is polynomial in N.
+* The multiset sweep (:func:`multiset_sweep`) collapses the free particles,
+  which are exchangeable, to the multiset of their ancestral paths, which
+  evolves by multinomial draws.  Many rows are one sweep that walks the
+  pinned paths as a prefix trie, so rows sharing x_1..x_t share the forward
+  work through time t+1.  Each row comes with the retained-weight share
   E[G_T(x_T) / sum_j G_T(Z_T^j)].  It gives :func:`kernel_row_multiset`,
-  every row of :func:`exact_pn_matrix` when no pin lineage is given, and
   both columns of the escape experiment
-  (:func:`pmcmc_lab.harness.sticky_experiment`).
+  (:func:`pmcmc_lab.harness.sticky_experiment`), and the matrices whose
+  alphabet is too large for the histogram sweep.
 * :func:`kernel_row` is slot-faithful: a forward sweep over tuples of
   ancestral paths with the reference pinned to an explicit slot sequence.
   It runs only when :func:`exact_pn_matrix` is given a lineage, and it is
-  the independent engine against which the multiset sweep's blindness to
-  that lineage is tested.
+  the independent engine against which the other sweeps' blindness to that
+  lineage is tested.
 * :func:`enumerate_conditional_outcomes` walks the full outcome tree of a
   pass (states and ancestor rows with exact probabilities).  It supports any
   functional of the particle system and any pin configuration, at the price
@@ -24,6 +29,11 @@ Three enumeration engines, each exact, cross-checked in the test suite.
   tests (:func:`kernel_row_tree`) and behind the two-pin brute force
   :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`, itself a reference
   for the closed form.
+
+:func:`exact_pn_matrix` without a lineage runs the histogram sweep when its
+work count is within the guard and the multiset sweep otherwise (sparse or
+large alphabets, such as the escape experiment's); one private function,
+:func:`_matrix_engine`, makes that choice before any array is built.
 
 Every engine admits a pinned path exactly when a pass would: each checks
 its pins with the pass's own :func:`pmcmc_lab.smc_core._pin_schedule`
@@ -43,7 +53,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllWeightsZero, NotReversible, OutcomeSpaceTooLarge, SingularSolve
+from .errors import (
+    AllWeightsZero,
+    NonStochasticRow,
+    NotReversible,
+    OutcomeSpaceTooLarge,
+    SingularSolve,
+    ZeroStationaryMass,
+)
 from .fk_model import DiscreteFK, exact_target
 from .smc_core import _path_rows, _pin_schedule
 
@@ -64,10 +81,10 @@ class FiniteChain:
     def __post_init__(self):
         K = self.kernel
         if np.max(np.abs(K.sum(axis=1) - 1.0)) > 1e-10:
-            raise ValueError("kernel rows must sum to 1 within 1e-10")
+            raise NonStochasticRow("kernel rows must sum to 1 within 1e-10")
         resid = np.max(np.abs(self.stationary @ K - self.stationary))
         if resid > 1e-9:
-            raise ValueError(f"stationary vector fails invariance by {resid:.2e}")
+            raise NonStochasticRow(f"stationary vector fails invariance by {resid:.2e}")
 
     @property
     def n_states(self) -> int:
@@ -307,7 +324,7 @@ def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -
 
 
 # ---------------------------------------------------------------------------
-# Multiset sweep (default engine: kernel rows and whole matrices)
+# Multiset sweep (kernel rows with their shares; matrices of large alphabets)
 # ---------------------------------------------------------------------------
 
 
@@ -436,7 +453,7 @@ class _MultisetSweep:
 
 def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
     """Yield (x, kernel row of x, retained-weight share) for each pinned path,
-    in prefix-trie order: the default exact engine.
+    in prefix-trie order: the exact row engine.
 
     The row maps path -> probability; the share is the chance that the
     terminal draw picks the pinned particle itself.  ``guard`` bounds the
@@ -463,35 +480,172 @@ def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dic
     return row
 
 
+# ---------------------------------------------------------------------------
+# Histogram sweep (kernel matrices of small alphabets)
+# ---------------------------------------------------------------------------
+
+# A histogram block holds whole kernel rows, as many as keep its largest
+# temporary near this many floats (at least one row).  On the benchmark's
+# matrices 2^15 (256 KB) kept peak resident memory at the multiset sweep's
+# and ran as fast as 2^16, which added about 1 MB; 2^14 was no faster.
+_HISTOGRAM_BLOCK = 2**15
+
+
+def _histogram_work(S: int, N: int, T: int, n_paths: int) -> int:
+    """Transition entries of a histogram sweep over n_paths paths: T P^2 H^2,
+    with H = C(N-1+S, S) histograms of the free particles per time."""
+    H = math.comb(max(N, 1) - 1 + S, S)
+    return T * n_paths**2 * H**2
+
+
+def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7) -> np.ndarray:
+    """The kernel entries P(x, y) for x, y in ``paths``, as a (P, P) array.
+
+    For one pair the sweep follows the law of the counts of the N-1 free
+    particles over S+1 categories: one per last state for particles off
+    y's prefix, and one for particles on y_1..y_t.  The pinned particle
+    carries the fixed flag f_t = [x_1..x_t = y_1..y_t].  Free children are
+    i.i.d. given the counts, so each time is one multinomial over the
+    categories, and P(x, y) = E[(c_on G_T(y_T) + f_T G_T(x_T)) / W_T] with
+    c_on the on-prefix count and W_T the total terminal weight.  Rows sum to
+    one when ``paths`` holds every positive-mass path.
+
+    The work is T P^2 H^2 transition entries with H = C(N-1+S, S); past
+    ``guard`` it raises OutcomeSpaceTooLarge before any array is built.  The
+    paths are checked as :func:`multiset_sweep` checks them.
+    """
+    paths = [tuple(x) for x in paths]
+    T, S, P = model.T, model.n_states, len(paths)
+    if P:
+        xs = _path_rows(paths, T)
+        _pin_schedule(model.tables, [((0,) * T, xs.T)], N)
+    work = _histogram_work(S, N, T, P)
+    if work > guard:
+        raise OutcomeSpaceTooLarge(
+            f"histogram sweep needs {work} transition entries, past the guard of {guard}"
+        )
+    if N == 1 or not P:
+        return np.eye(P)
+    n = N - 1
+    counts = np.array(
+        [np.bincount(c, minlength=S + 1) for c in itertools.combinations_with_replacement(range(S + 1), n)]
+    )
+    coef = np.array([math.exp(math.lgamma(N) - sum(math.lgamma(c + 1) for c in row)) for row in counts])
+    H = len(counts)
+    # The largest temporaries per pair: the (H, H) transition entries and
+    # the (H, S+1, N) powers of the category probabilities.
+    rows = max(1, _HISTOGRAM_BLOCK // (P * H * max(H, (S + 1) * N)))
+    K = np.empty((P, P))
+    for lo in range(0, P, rows):
+        hi = min(lo + rows, P)
+        x = np.repeat(xs[lo:hi], P, axis=0)
+        y = np.tile(xs, (hi - lo, 1))
+        K[lo:hi] = _histogram_block(model, counts, coef, x, y).reshape(hi - lo, P)
+    return K
+
+
+def _multinomial(q, counts, coef):
+    """Multinomial probabilities of every histogram: q (B, H, S+1) category
+    probabilities per current histogram -> (B, H, H'), with 0**0 = 1."""
+    powers = q[..., None] ** np.arange(counts[0].sum() + 1)
+    out = coef * powers[:, :, 0, counts[:, 0]]
+    for k in range(1, counts.shape[1]):
+        out *= powers[:, :, k, counts[:, k]]
+    return out
+
+
+def _histogram_block(model: DiscreteFK, counts, coef, x, y) -> np.ndarray:
+    """P(x_b, y_b) for B pairs of paths x, y (B, T)."""
+    T, S = model.T, model.n_states
+    B, H = len(x), len(counts)
+    b = np.arange(B)
+    # Time 1: a free particle is on y's prefix when it draws y_1.
+    q = np.empty((B, 1, S + 1))
+    q[:, 0, :S] = model.m1
+    q[b, 0, y[:, 0]] = 0.0
+    q[:, 0, S] = model.m1[y[:, 0]]
+    law = _multinomial(q, counts, coef)[:, 0, :]
+    flag = x[:, 0] == y[:, 0]
+    for t in range(1, T):
+        g, M = model.potentials[t - 1], model.transitions[t - 1]
+        total, on_prefix = _histogram_weights(g, counts, x[:, t - 1], y[:, t - 1], flag)
+        leave = M[y[:, t - 1]].copy()
+        leave[b, y[:, t]] = 0.0
+        # Off-prefix children: of the free off-prefix particles, of the pin
+        # while it is off the prefix, and of on-prefix parents leaving y.
+        q = np.empty((B, H, S + 1))
+        q[:, :, :S] = (counts[:, :S] * g) @ M
+        q[:, :, :S] += ((~flag) * g[x[:, t - 1]])[:, None, None] * M[x[:, t - 1]][:, None, :]
+        q[:, :, :S] += on_prefix[:, :, None] * leave[:, None, :]
+        q[:, :, S] = on_prefix * M[y[:, t - 1], y[:, t]][:, None]
+        q /= total[:, :, None]
+        law = np.einsum("bh,bhk->bk", law, _multinomial(q, counts, coef))
+        flag &= x[:, t] == y[:, t]
+    total, on_prefix = _histogram_weights(model.potentials[T - 1], counts, x[:, -1], y[:, -1], flag)
+    return np.einsum("bh,bh->b", law, on_prefix / total)
+
+
+def _histogram_weights(g, counts, x_t, y_t, flag):
+    """Total weight and on-prefix weight, (B, H) each, of every histogram at
+    one time.  The on-prefix weight is that of the free on-prefix particles
+    plus the pin's while it is on the prefix; the total adds the free
+    off-prefix particles and the pin, so it is at least the pin's weight,
+    which the pin check made positive."""
+    S = len(g)
+    gx, free_on = g[x_t][:, None], counts[:, S] * g[y_t][:, None]
+    return gx + counts[:, :S] @ g + free_on, free_on + flag[:, None] * gx
+
+
 def exact_pn_matrix(
     model: DiscreteFK, N: int, lineage=None, target=None, guard: int = 10**7
 ) -> FiniteChain:
     """The iterated-pass kernel over all positive-mass paths, enumerated exactly.
 
-    Without a ``lineage`` every row comes from one :func:`multiset_sweep`
-    walked over all paths at once, so that rows whose paths share a prefix
-    share its forward work; ``guard`` bounds the multinomial terms of the
-    whole sweep.  With a pin lineage each row comes from the slot-faithful
-    :func:`kernel_row`, and ``guard`` bounds each row.  The outcome-tree
-    engine (:func:`kernel_row_tree`) is a test reference only and never runs
-    here.
+    ``guard`` bounds the work of the engine that runs, and a refusal raises
+    OutcomeSpaceTooLarge:
+
+    * Without a ``lineage`` the engine is picked before any array is built
+      (:func:`_matrix_engine`).  The :func:`histogram_sweep` runs when its
+      work, T P^2 H^2 transition entries for P paths and H = C(N-1+S, S),
+      is at most ``guard``.  Otherwise one :func:`multiset_sweep` walks all
+      paths at once, and ``guard`` bounds the multinomial terms of the whole
+      sweep.
+    * With a pin lineage each row comes from the slot-faithful
+      :func:`kernel_row`, and ``guard`` bounds each row.
+
+    The outcome-tree engine (:func:`kernel_row_tree`) is a test reference
+    only and never runs here.
     """
     if target is None:
         target = exact_target(model)
     paths = target.paths
     if len(paths) > 3000:
         raise OutcomeSpaceTooLarge(f"{len(paths)} paths exceed the supported matrix size")
-    if lineage is None:
-        rows = ((x, row) for x, row, _ in multiset_sweep(model, N, paths, guard))
+    if lineage is not None:
+        K = _row_matrix(paths, ((x, kernel_row(model, N, x, lineage=lineage, guard=guard)) for x in paths))
+    elif _matrix_engine(model, N, len(paths), guard)[0] == "histogram":
+        K = histogram_sweep(model, N, paths, guard)
     else:
-        rows = ((x, kernel_row(model, N, x, lineage=lineage, guard=guard)) for x in paths)
+        K = _row_matrix(paths, ((x, row) for x, row, _ in multiset_sweep(model, N, paths, guard)))
+    return FiniteChain(states=paths, kernel=K, stationary=target.probabilities.copy())
+
+
+def _row_matrix(paths, rows) -> np.ndarray:
+    """The kernel over ``paths`` from (x, row of x as a dict) pairs."""
     K = np.zeros((len(paths), len(paths)))
     index = {p: i for i, p in enumerate(paths)}
     for x, row in rows:
         i = index[x]
         for path, p in row.items():
             K[i, index[path]] += p
-    return FiniteChain(states=paths, kernel=K, stationary=target.probabilities.copy())
+    return K
+
+
+def _matrix_engine(model: DiscreteFK, N: int, n_paths: int, guard: int) -> tuple:
+    """(engine, work) of a lineage-free :func:`exact_pn_matrix`: "histogram"
+    when the histogram sweep's work is at most ``guard``, else "multiset"."""
+    work = _histogram_work(model.n_states, N, model.T, n_paths)
+    return ("histogram" if work <= guard else "multiset"), work
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +714,7 @@ class SpectralSummary:
 def _symmetrized(chain: FiniteChain, tol: float = 1e-9) -> np.ndarray:
     pi = chain.stationary
     if np.any(pi <= 0):
-        raise ValueError("spectral analysis requires strictly positive stationary mass")
+        raise ZeroStationaryMass("spectral analysis requires strictly positive stationary mass")
     flow = pi[:, None] * chain.kernel
     if np.max(np.abs(flow - flow.T)) > tol:
         raise NotReversible(f"detailed balance fails by {np.max(np.abs(flow - flow.T)):.2e}")
@@ -651,5 +805,5 @@ def exact_minorization(chain: FiniteChain) -> float:
     """min over (x, y) of K(x, y) / pi(y): the sharpest uniform minorization."""
     pi = chain.stationary
     if np.any(pi <= 0):
-        raise ValueError("minorization requires strictly positive stationary mass")
+        raise ZeroStationaryMass("minorization requires strictly positive stationary mass")
     return float(np.min(chain.kernel / pi[None, :]))

@@ -3,7 +3,9 @@
 
 Outputs are CSV files whose data sections are byte-identical across runs
 with equal configs (floats are written with shortest round-trip ``repr``),
-plus a JSON manifest recording seed, versions and wall time.
+plus a JSON manifest recording seed, versions and wall time; the oracle
+kind's manifest also names the exact engine that built its kernel and the
+histogram sweep's work count against the guard.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .c2smc import alpha_constant
 from .csmc import ChainTrace, Trajectory, icsmc_chain, select_path
 from .errors import ConfigError, TraceTooShort
 from .exact_oracle import (
+    _matrix_engine,
     exact_minorization,
     exact_pn_matrix,
     kernel_row_multiset,
@@ -53,6 +56,8 @@ from .rng import SubstreamRng
 from .smc_core import gamma_hat, run_smc
 
 _KINDS = ("icsmc", "isir", "pgibbs", "pimh", "pmmh", "oracle", "bounds", "sticky")
+# The enumeration guard of the oracle kind's kernel matrix.
+_ORACLE_GUARD = 10**7
 
 
 @dataclass
@@ -244,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         "pgibbs": _run_pgibbs,
         "sticky": _run_sticky,
     }[cfg.kind]
-    runner(cfg, out)
+    details = runner(cfg, out) or {}
     manifest = {
         "kind": cfg.kind,
         "seed": cfg.seed,
@@ -253,6 +258,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
         "replicates": cfg.replicates,
         "package_version": __version__,
         "numpy_version": np.__version__,
+        **details,
         "wall_time_s": time.monotonic() - t0,
     }
     with open(out / "manifest.json", "w") as fh:
@@ -285,10 +291,14 @@ def _run_bounds(cfg: ExperimentConfig, out: Path) -> None:
     _write_csv(out / "bounds.csv", report_rows(reports))
 
 
-def _run_oracle(cfg: ExperimentConfig, out: Path) -> None:
+def _run_oracle(cfg: ExperimentConfig, out: Path) -> dict:
+    """Write the enumerated kernel and its analyses; return the exact engine
+    that ran with its histogram work count against the guard (manifest)."""
     model = _load_model(cfg)
     n = cfg.n_sweep[0]
-    chain = exact_pn_matrix(model, n)
+    target = exact_target(model)
+    engine, work = _matrix_engine(model, n, len(target.paths), _ORACLE_GUARD)
+    chain = exact_pn_matrix(model, n, target=target, guard=_ORACLE_GUARD)
     _write_csv(
         out / "kernel.csv",
         [["x", "y", "prob"]]
@@ -320,6 +330,7 @@ def _run_oracle(cfg: ExperimentConfig, out: Path) -> None:
             ],
         ],
     )
+    return {"exact_engine": engine, "histogram_work": work, "guard": _ORACLE_GUARD}
 
 
 def _initial_trajectory(model: DiscreteFK) -> Trajectory:

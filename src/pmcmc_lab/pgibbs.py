@@ -28,6 +28,7 @@ from .csmc import Trajectory, reference_pass
 from .fk_model import exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
+    ConstantOutOfRange,
     DegenerateB,
     DimensionMismatch,
     StateSpaceTooLarge,
@@ -77,6 +78,19 @@ class JointModel:
         """The draw tables of all path models, stacked once for the passes
         that run a parameter value per replicate."""
         return PassTables.build(self.models)
+
+    @cached_property
+    def mass_tables(self) -> tuple:
+        """The initial laws (J, S), potentials (J, T, S) and transition
+        matrices (J, T-1, S, S) of all path models, stacked once for the
+        closed-form parameter law (:func:`theta_given_paths`)."""
+        stacked = tuple(
+            np.array([getattr(m, name) for m in self.models])
+            for name in ("m1", "potentials", "transitions")
+        )
+        for table in stacked:
+            table.setflags(write=False)
+        return stacked
 
 
 def build_joint_model(thetas, prior, models) -> JointModel:
@@ -224,9 +238,9 @@ class RhoEstimate:
 
     def __post_init__(self):
         if not -1e-10 <= self.rho_lower <= self.rho_exact + 1e-10:
-            raise ValueError("weighted-gap constant below its lower bound")
+            raise ConstantOutOfRange("weighted-gap constant below its lower bound")
         if self.rho_exact > 1.0 + 1e-10:
-            raise ValueError("weighted-gap constant above 1")
+            raise ConstantOutOfRange("weighted-gap constant above 1")
 
 
 def _conditional_covariance(enum: JointEnumeration, j: int) -> np.ndarray:
@@ -433,11 +447,10 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     x = np.atleast_2d(_path_rows(paths, jm.T))
     _check_paths(x.T, jm.T, jm.models[0].n_states)
     t = np.arange(jm.T)
-    mass = np.array([m.m1 for m in jm.models])[:, x[:, 0]]
-    mass = mass * np.prod(np.array([m.potentials for m in jm.models])[:, t, x], axis=-1)
+    m1, potentials, transitions = jm.mass_tables
+    mass = m1[:, x[:, 0]] * np.prod(potentials[:, t, x], axis=-1)
     if jm.T > 1:
-        moves = np.array([m.transitions for m in jm.models])[:, t[:-1], x[:, :-1], x[:, 1:]]
-        mass = mass * np.prod(moves, axis=-1)
+        mass = mass * np.prod(transitions[:, t[:-1], x[:, :-1], x[:, 1:]], axis=-1)
     joint = jm.prior[:, None] * mass
     total = joint.sum(axis=0)
     if np.any(total <= 0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csmc import reference_pass
-from .errors import TraceTooShort
+from .errors import IndexOutOfRange, TraceTooShort
 from .fk_model import DiscreteFK
 from .pgibbs import JointModel, pgibbs_update, pimh_update, pmmh_update, theta_given_paths
 from .rng import as_substream
@@ -65,8 +65,11 @@ def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
 
 def pgibbs_replicated(jm: JointModel, N: int, R: int, n_steps: int, rng, x0, theta0: int):
     """R independent two-stage chains with the particle path update.  x0 is
-    checked as the first parameter draw checks it (:func:`theta_given_paths`)."""
+    checked as the first parameter draw checks it (:func:`theta_given_paths`);
+    theta0 outside [0, J) raises IndexOutOfRange, also at n_steps = 0."""
     rng = as_substream(rng)
+    if not 0 <= theta0 < jm.J:
+        raise IndexOutOfRange(f"start parameter index {theta0} outside [0, {jm.J})")
     theta_given_paths(jm, [tuple(x0)])
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
     thetas = np.full(R, int(theta0), dtype=int)

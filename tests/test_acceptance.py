@@ -36,6 +36,7 @@ from pmcmc_lab import (
 from pmcmc_lab.bounds import mixing_floor
 from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
+    exact_pn_matrix,
     final_selection_weights,
     kernel_row,
 )
@@ -145,6 +146,36 @@ def test_criterion_04_linear_schedule_floor():
                 N = C * T + 1
                 assert epsilon_mixing(alpha, N, T).epsilon >= floor
     _ok(4, "linear particle schedule keeps the constant above exp(-(2a-1)/C)")
+
+
+def _exact_epsilon(T: int, N: int) -> float:
+    # At T=5, N=11 the histogram sweep needs 2.2e7 transition entries.
+    return exact_minorization(exact_pn_matrix(_grid_model(T, 2), N, guard=3 * 10**7))
+
+
+def test_linear_schedule_keeps_exact_minorization():
+    # N = C T + 1: the exact constant stays above the closed form, and the
+    # closed form above its horizon-free floor.
+    t0 = time.monotonic()
+    exact = {}
+    for C in (1, 2):
+        for T in range(1, 6):
+            N = C * T + 1
+            alpha = alpha_constant(_grid_model(T, 2))
+            bound = epsilon_mixing(alpha, N, T).epsilon
+            exact[C, T] = _exact_epsilon(T, N)
+            assert exact[C, T] >= bound >= mixing_floor(alpha, C)
+    levels = [exact[2, T] for T in range(2, 6)]
+    assert np.allclose(levels, [0.626, 0.579, 0.549, 0.525], atol=1e-3)
+    assert time.monotonic() - t0 < 5.0
+    _ok(4, f"exact constant under N = 2T + 1 levels off: {np.round(levels, 3).tolist()}")
+
+
+def test_fixed_particle_count_exact_minorization_falls_with_horizon():
+    levels = [_exact_epsilon(T, 5) for T in range(1, 6)]
+    assert all(a > b for a, b in zip(levels, levels[1:]))
+    assert np.allclose(levels, [0.880, 0.626, 0.452, 0.317, 0.218], atol=1e-3)
+    _ok(4, f"exact constant at N=5 falls with T: {np.round(levels, 3).tolist()}")
 
 
 def test_criterion_05_tuning_constants():

@@ -7,20 +7,26 @@ from hypothesis import strategies as st
 
 from fixtures import model, model_a, oracle_grid, pn_chain, target, tree_share
 from pmcmc_lab import exact_asymptotic_variance, exact_minorization, spectral_summary, tv_curve
+from pmcmc_lab import exact_oracle
 from pmcmc_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NonStochasticRow,
     NotReversible,
     OutcomeSpaceTooLarge,
     PmcmcLabError,
     SingularSolve,
+    ZeroPotential,
+    ZeroStationaryMass,
 )
 from pmcmc_lab.exact_oracle import (
     FiniteChain,
+    _histogram_work,
     asymptotic_variance_general,
     chain_from_kernel,
     dirichlet_form,
     exact_pn_matrix,
+    histogram_sweep,
     kernel_row,
     kernel_row_multiset,
     kernel_row_tree,
@@ -198,6 +204,117 @@ def test_property_default_engine_matches_slot_faithful(m, N):
         return
     assert got[0] == want[0]
     assert np.max(np.abs(got[1] - want[1])) < 1e-12
+
+
+def multiset_matrix(m, N, paths, guard=10**7) -> np.ndarray:
+    """The kernel over ``paths`` from the multiset sweep, row by row."""
+    return np.array([row_vector(row, paths) for _, row, _ in multiset_sweep(m, N, paths, guard)])
+
+
+def test_histogram_sweep_matches_multiset_on_oracle_grid():
+    for name, n in oracle_grid():
+        m, paths = model(name), target(name).paths
+        got = histogram_sweep(m, n, paths)
+        assert np.max(np.abs(got - multiset_matrix(m, n, paths))) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(sparse_models(), st.integers(1, 5))
+def test_property_histogram_sweep_matches_multiset(m, N):
+    try:
+        paths = exact_target(m).paths
+        want = multiset_matrix(m, N, paths, guard=10**5)
+    except (ZeroPotential, OutcomeSpaceTooLarge):  # no path to pin; reference too large
+        assume(False)
+    got = histogram_sweep(m, N, paths)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _recorded(sweep, calls):
+    """``sweep``, appending its name to ``calls`` on every call."""
+
+    def run(*args, **kwargs):
+        calls.append(sweep.__name__)
+        return sweep(*args, **kwargs)
+
+    return run
+
+
+def test_histogram_guard_is_a_true_bound(monkeypatch):
+    # Model B at N=4: T=3, 8 paths, H = C(5, 2) = 10 histograms per time.
+    m, paths = model("B"), target("B").paths
+    count = _histogram_work(m.n_states, 4, m.T, len(paths))
+    assert count == 3 * 8**2 * 10**2
+    assert exact_oracle._matrix_engine(m, 4, len(paths), count) == ("histogram", count)
+    assert exact_oracle._matrix_engine(m, 4, len(paths), count - 1) == ("multiset", count)
+    calls = []
+    for sweep in (histogram_sweep, multiset_sweep):
+        monkeypatch.setattr(exact_oracle, sweep.__name__, _recorded(sweep, calls))
+    at = exact_pn_matrix(m, 4, guard=count)
+    below = exact_pn_matrix(m, 4, guard=count - 1)
+    assert calls == ["histogram_sweep", "multiset_sweep"]
+    assert np.max(np.abs(at.kernel - below.kernel)) < 1e-12
+    with pytest.raises(OutcomeSpaceTooLarge):
+        histogram_sweep(m, 4, paths, guard=count - 1)
+
+
+def test_histogram_count_comes_before_any_array():
+    # 30 states at N=40: about 1e42 transition entries, refused at once.
+    S = 30
+    m = build_discrete_model(list(range(S)), np.full(S, 1 / S), [], [np.ones(S)])
+    paths = [(s,) for s in range(S)]
+    assert _histogram_work(S, 40, 1, S) > 10**40
+    with pytest.raises(OutcomeSpaceTooLarge):
+        histogram_sweep(m, 40, paths)
+    with pytest.raises(OutcomeSpaceTooLarge):
+        exact_pn_matrix(m, 40, guard=10**4)
+
+
+def test_histogram_sweep_particle_counts():
+    m, paths = model("B"), target("B").paths
+    with pytest.raises(IndexOutOfRange):
+        histogram_sweep(m, 0, paths)
+    with pytest.raises(IndexOutOfRange):
+        exact_pn_matrix(m, 0)
+    assert np.array_equal(histogram_sweep(m, 1, paths), np.eye(len(paths)))
+
+
+def test_histogram_sweep_at_many_particles():
+    # N=32: 31! is past int64, so the multinomial coefficients come from lgamma.
+    m = model("A")
+    chain = exact_pn_matrix(m, 32)
+    assert np.max(np.abs(chain.kernel.sum(axis=1) - 1)) < 1e-12
+    assert np.max(np.abs(chain.stationary @ chain.kernel - chain.stationary)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "site",
+    ["rows_not_stochastic", "stationary_not_invariant", "spectral_zero_mass", "minorization_zero_mass"],
+)
+def test_chain_checks_raise_typed_errors(site):
+    absorbing = np.array([[1.0, 0.0], [0.5, 0.5]])
+    cases = {
+        "rows_not_stochastic": (
+            NonStochasticRow,
+            lambda: chain_from_kernel([(0,), (1,)], np.array([[0.5, 0.4], [0.5, 0.5]])),
+        ),
+        "stationary_not_invariant": (
+            NonStochasticRow,
+            lambda: chain_from_kernel((0, 1), absorbing, np.array([0.5, 0.5])),
+        ),
+        "spectral_zero_mass": (
+            ZeroStationaryMass,
+            lambda: spectral_summary(chain_from_kernel((0, 1), absorbing, np.array([1.0, 0.0]))),
+        ),
+        "minorization_zero_mass": (
+            ZeroStationaryMass,
+            lambda: exact_minorization(chain_from_kernel((0, 1), absorbing, np.array([1.0, 0.0]))),
+        ),
+    }
+    error, call = cases[site]
+    with pytest.raises(error):
+        call()
 
 
 def test_reversibility_and_positivity_all_fixtures():

@@ -95,6 +95,20 @@ def test_oracle_experiment_outputs(tmp_path):
     assert (out / "spectral.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "label, N, engine", [("A", 6, "histogram"), ("sticky", 5, "multiset")]
+)
+def test_oracle_manifest_names_the_exact_engine(tmp_path, label, N, engine):
+    # Sticky K=4 has 9 states: at N=5 the histogram sweep would need
+    # 2 * 8^2 * C(13, 9)^2 = 6.5e7 transition entries, past the guard.
+    path = tmp_path / "model.json"
+    (model_a() if label == "A" else sticky_example_model(4)).save(path)
+    cfg = ExperimentConfig(kind="oracle", model_path=str(path), N=N, output_dir=str(tmp_path / "out"))
+    manifest = json.loads((run_experiment(cfg) / "manifest.json").read_text())
+    assert manifest["exact_engine"] == engine
+    assert (manifest["histogram_work"] <= manifest["guard"]) == (engine == "histogram")
+
+
 def test_chain_experiment_reproducible_bodies(tmp_path):
     model_path = _write_model(tmp_path)
     outs = []

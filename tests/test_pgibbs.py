@@ -21,13 +21,15 @@ from pmcmc_lab import (
 from pmcmc_lab.csmc import select_path as select
 from pmcmc_lab.errors import (
     AssertionFailure,
+    ConstantOutOfRange,
     DegenerateB,
     DimensionMismatch,
+    IndexOutOfRange,
     PmcmcLabError,
     TraceTooShort,
 )
 from pmcmc_lab.fk_model import build_discrete_model
-from pmcmc_lab.pgibbs import PimhState, PmmhState, enumerate_joint, theta_given_paths
+from pmcmc_lab.pgibbs import PimhState, PmmhState, RhoEstimate, enumerate_joint, theta_given_paths
 from pmcmc_lab.replicated import pgibbs_replicated, pimh_replicated, pmmh_replicated
 
 
@@ -338,6 +340,19 @@ def test_pgibbs_zero_mass_path_raises_typed_error():
         pgibbs_step(jm, 2, Trajectory((0, 1)), 1)
     with pytest.raises(PmcmcLabError, match="zero mass"):
         pgibbs_replicated(jm, 2, 4, 1, 1, (0, 1), 0)
+
+
+@pytest.mark.parametrize("theta0", [-1, 2, 7])
+@pytest.mark.parametrize("n_steps", [0, 2])
+def test_pgibbs_replicated_refuses_a_start_parameter_outside_the_model(theta0, n_steps):
+    with pytest.raises(IndexOutOfRange):
+        pgibbs_replicated(joint_two_time(), 2, 2, n_steps, 0, (0, 0), theta0)
+
+
+@pytest.mark.parametrize("exact, lower", [(0.5, -0.1), (0.3, 0.5), (1.2, 0.5)])
+def test_weighted_gap_constant_out_of_range_is_typed(exact, lower):
+    with pytest.raises(ConstantOutOfRange):
+        RhoEstimate(rho_exact=exact, rho_lower=lower)
 
 
 def test_replicated_acceptance_rates_need_a_step():
