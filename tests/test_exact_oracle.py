@@ -21,7 +21,6 @@ from pmcmc_lab.errors import (
 )
 from pmcmc_lab.exact_oracle import (
     FiniteChain,
-    _histogram_work,
     asymptotic_variance_general,
     chain_from_kernel,
     dirichlet_form,
@@ -34,6 +33,7 @@ from pmcmc_lab.exact_oracle import (
     multiset_sweep,
 )
 from pmcmc_lab.fk_model import build_discrete_model, exact_target
+from pmcmc_lab.histogram import _histogram_work
 
 
 def two_state_flip(p: float) -> FiniteChain:
