@@ -10,18 +10,23 @@ an arbitrary pinned slot sequence (and passes with two pinned trajectories,
 see :mod:`pmcmc_lab.c2smc`) are the same
 :func:`pmcmc_lab.smc_core.particle_pass` with another pin schedule, and
 :func:`reference_pass` runs the slot-0 pass on R replicates at once.
+
+:func:`run_chain` is the one step loop of every sampler (:func:`icsmc_sampler`
+here; PIMH, PMMH and particle Gibbs in :mod:`pmcmc_lab.pgibbs`), and
+:func:`icsmc_chain` is its one-row run kept as a trace.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .rng import as_substream
-from .smc_core import BatchedPass, _path_rows, _pin_schedule, gamma_hat, particle_pass, pass_tables
+from .smc_core import BatchedPass, _path_rows, _pin_schedule, particle_pass, pass_tables
 
 
 @dataclass(frozen=True)
@@ -121,19 +126,55 @@ class ChainTrace:
                 )
 
 
-def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
-    """Iterate pass + selection for ``n_iter`` steps starting from ``x0``."""
+class ChainState(NamedTuple):
+    """R chains after one step; a field the sampler does not carry is None."""
+
+    paths: np.ndarray | None = None       # (R, T)
+    thetas: np.ndarray | None = None      # (R,) parameter indices
+    log_gammas: np.ndarray | None = None  # (R,) log estimates
+    accepted: np.ndarray | None = None    # (R,) acceptance mask of the step
+
+
+class Sampler(NamedTuple):
+    """A start state, drawn at base 0 if at all, and an R-row step
+    ``step(state, rng, base) -> ChainState``."""
+
+    start: ChainState
+    step: Callable
+
+
+def run_chain(sampler: Sampler, n_steps: int, rng):
+    """The one step loop of every sampler: yields the state after each of
+    ``n_steps`` steps, step b drawing at base b, and keeps none of them."""
     rng = as_substream(rng)
-    T = model.T
-    states = np.empty((n_iter + 1, T), dtype=int)
+    state = sampler.start
+    for base in range(1, n_steps + 1):
+        state = sampler.step(state, rng, base)
+        yield state
+
+
+def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:
+    """R i-cSMC chains at the path ``x0``, checked as a pin; a step is one
+    slot-0 :func:`reference_pass` per row."""
+    _pin_schedule(model.tables, [((0,) * model.T, tuple(x0))], N)
+
+    def step(state, rng, base):
+        p = reference_pass(model.tables, N, state.paths, rng, base=base)
+        return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
+
+    return Sampler(ChainState(paths=np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))), step)
+
+
+def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
+    """Iterate pass + selection for ``n_iter`` steps starting from ``x0``:
+    :func:`run_chain`, the one step loop, on one row, with every state kept
+    as the trace."""
+    sampler = icsmc_sampler(model, N, x0.points, 1)
+    states = np.empty((n_iter + 1, model.T), dtype=int)
     lgh = np.empty(n_iter)
-    _pin_schedule(model.tables, [((0,) * T, x0.points)], N)
-    states[0] = x0.points
-    current = x0
-    for step in range(1, n_iter + 1):
-        p = run_csmc(model, N, current, rng, base=step)
-        current = select_path(p)
-        lgh[step - 1] = gamma_hat(p).log_value
-        states[step] = current.points
+    states[0] = sampler.start.paths[0]
+    for j, state in enumerate(run_chain(sampler, n_iter, rng)):
+        states[j + 1] = state.paths[0]
+        lgh[j] = state.log_gammas[0]
     retained = (states[1:] == states[:-1]).sum(axis=1)
     return ChainTrace(states=states, log_gamma_hats=lgh, retained=retained)

@@ -165,10 +165,13 @@ def _frozen(values) -> np.ndarray:
 
 
 def _check_prob_vector(row: np.ndarray, label: str) -> None:
+    """Refuse a probability vector, or a stack of them on the last axis,
+    with a negative or non-finite entry or a sum off 1 by more than _ROW_TOL."""
     if np.any(row < 0) or not np.all(np.isfinite(row)):
         raise NonStochasticRow(f"{label} has a negative or non-finite entry")
-    if abs(float(row.sum()) - 1.0) > _ROW_TOL:
-        raise NonStochasticRow(f"{label} sums to {row.sum()!r}, not 1")
+    sums = row.sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > _ROW_TOL):
+        raise NonStochasticRow(f"{label} sums to {sums!r}, not 1")
 
 
 def _check_reachable_mass(model: DiscreteFK) -> None:

@@ -6,6 +6,10 @@ with equal configs (floats are written with shortest round-trip ``repr``),
 plus a JSON manifest recording seed, versions and wall time; the oracle
 kind's manifest also names the exact engine that built its kernel and the
 histogram sweep's work count against the guard.
+
+The chain kinds run :func:`pmcmc_lab.csmc.run_chain`, the one step loop, on
+one row per replicate seed, from the samplers :mod:`pmcmc_lab.replicated`
+uses, and write their CSV rows from the states it yields.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .bounds import (
     report_rows,
 )
 from .c2smc import alpha_constant
-from .csmc import ChainTrace, Trajectory, icsmc_chain, select_path
+from .csmc import ChainTrace, Trajectory, icsmc_chain, run_chain
 from .errors import ConfigError, TraceTooShort
 from .exact_oracle import (
     _matrix_engine,
@@ -42,22 +46,24 @@ from .exact_oracle import (
 )
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model
 from .pgibbs import (
-    PimhState,
-    PmmhState,
     check_theta_chain_identities,
     check_x_chain_orderings,
     enumerate_joint,
     load_joint_model,
-    pgibbs_step,
-    pimh_step,
-    pmmh_step,
+    pgibbs_sampler,
+    pimh_sampler,
+    pmmh_sampler,
 )
 from .rng import SubstreamRng
-from .smc_core import gamma_hat, run_smc
 
 _KINDS = ("icsmc", "isir", "pgibbs", "pimh", "pmmh", "oracle", "bounds", "sticky")
 # The enumeration guard of the oracle kind's kernel matrix.
 _ORACLE_GUARD = 10**7
+# Inequality slacks below this size are written as 0.0 in the pgibbs kind's
+# ordering_report.csv: the identity residuals are exact zeros up to rounding
+# (about 1e-16), and the report should not carry the exact engine's last
+# bits.  Well under the suites' 1e-10 tolerance, which is checked unrounded.
+RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass
@@ -79,6 +85,8 @@ class ExperimentConfig:
         ns = self.N if isinstance(self.N, list) else [self.N]
         if len(ns) < 1 or any(int(n) < 1 for n in ns):
             raise ConfigError("N must contain at least one positive entry")
+        if self.kind == "pgibbs" and self.replicates != 1:
+            raise ConfigError("kind 'pgibbs' writes one trace; replicates must be 1")
 
     @property
     def n_sweep(self) -> list:
@@ -355,14 +363,11 @@ def _run_pimh(cfg: ExperimentConfig, out: Path) -> None:
     n = cfg.n_sweep[0]
     for r in range(cfg.replicates):
         rng = SubstreamRng(cfg.seed).spawn(r)
-        p = run_smc(model, n, rng, base=0)
-        state = PimhState(path=select_path(p), log_gamma_hat=gamma_hat(p).log_value)
         rows = [["iteration", "accepted", "log_gamma_hat"] + [f"state_{t}" for t in range(1, model.T + 1)]]
         accepted = 0
-        for step in range(1, cfg.iterations + 1):
-            state, acc = pimh_step(model, n, state, rng, base=step)
-            accepted += acc
-            rows.append([step, int(acc), _fmt(state.log_gamma_hat)] + list(state.path.points))
+        for step, s in enumerate(run_chain(pimh_sampler(model, n, 1, rng), cfg.iterations, rng), 1):
+            accepted += int(s.accepted[0])
+            rows.append([step, int(s.accepted[0]), _fmt(s.log_gammas[0])] + s.paths[0].tolist())
         _write_csv(out / f"pimh_{r}.csv", rows)
         _write_csv(
             out / f"pimh_{r}_summary.csv",
@@ -373,17 +378,12 @@ def _run_pimh(cfg: ExperimentConfig, out: Path) -> None:
 def _run_pmmh(cfg: ExperimentConfig, out: Path) -> None:
     jm = _load_joint(cfg)
     n = cfg.n_sweep[0]
-    q = np.asarray(
-        cfg.params.get("proposal_q", np.full((jm.J, jm.J), 1.0 / jm.J).tolist()), dtype=float
-    )
+    q = cfg.params.get("proposal_q", np.full((jm.J, jm.J), 1.0 / jm.J).tolist())
     for r in range(cfg.replicates):
         rng = SubstreamRng(cfg.seed).spawn(r)
-        p = run_smc(jm.models[0], n, rng, base=0)
-        state = PmmhState(theta_idx=0, log_gamma_hat=gamma_hat(p).log_value)
         rows = [["iteration", "accepted", "theta", "log_gamma_hat"]]
-        for step in range(1, cfg.iterations + 1):
-            state, acc = pmmh_step(jm, n, q, state, rng, base=step)
-            rows.append([step, int(acc), jm.thetas[state.theta_idx], _fmt(state.log_gamma_hat)])
+        for step, s in enumerate(run_chain(pmmh_sampler(jm, n, q, 1, rng), cfg.iterations, rng), 1):
+            rows.append([step, int(s.accepted[0]), jm.thetas[s.thetas[0]], _fmt(s.log_gammas[0])])
         _write_csv(out / f"pmmh_{r}.csv", rows)
 
 
@@ -405,16 +405,17 @@ def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
     report2 = check_theta_chain_identities(jm, n, f_theta)
     rows = [["inequality", "worst_violation", "witness"]]
     for name, violation, witness in list(report) + list(report2):
+        violation = 0.0 if abs(violation) < RESIDUAL_FLOOR else violation
         rows.append([name, _fmt(violation), "" if witness is None else witness])
     _write_csv(out / "ordering_report.csv", rows)
-    # A short chain trace for the record.
+    # A short chain trace for the record, from the most probable path; the
+    # start parameter (0) is never read, as step 1 draws it given the path.
     enum = enumerate_joint(jm)
-    x = Trajectory(points=enum.paths[int(np.argmax(enum.x_marginal))])
+    x0 = enum.paths[int(np.argmax(enum.x_marginal))]
     rng = SubstreamRng(cfg.seed)
     rows = [["iteration", "theta"] + [f"state_{t}" for t in range(1, jm.T + 1)]]
-    for step in range(1, cfg.iterations + 1):
-        theta, x = pgibbs_step(jm, n, x, rng, base=step)
-        rows.append([step, jm.thetas[theta]] + list(x.points))
+    for step, s in enumerate(run_chain(pgibbs_sampler(jm, n, x0, 0, 1), cfg.iterations, rng), 1):
+        rows.append([step, jm.thetas[s.thetas[0]]] + s.paths[0].tolist())
     _write_csv(out / "pgibbs_trace.csv", rows)
 
 

@@ -13,6 +13,10 @@ orderings between them are checked as matrix inequalities.
 orderings: the infimum over functions of the gap-weighted conditional
 variance ratio, solved as a generalized eigenvalue problem on the range of
 the average conditional covariance.
+
+PIMH, PMMH and particle Gibbs are R-row updates; the scalar steps are
+one-row calls of them, and the ``*_sampler`` builders pair each with its
+start state for :func:`pmcmc_lab.csmc.run_chain`, the one step loop.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import Trajectory, reference_pass
-from .fk_model import exact_target, model_from_dict
+from .csmc import ChainState, Sampler, Trajectory, reference_pass
+from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
     ConstantOutOfRange,
     DegenerateB,
     DimensionMismatch,
+    IndexOutOfRange,
     StateSpaceTooLarge,
     ZeroPathMass,
 )
@@ -478,6 +483,22 @@ def pgibbs_step(jm: JointModel, N: int, x: Trajectory, rng, base: int = 0):
     return int(thetas[0]), Trajectory(points=tuple(paths[0].tolist()))
 
 
+def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
+    """R particle Gibbs chains at (theta0, x0), a step :func:`pgibbs_update`.
+    x0 is checked as the parameter draw checks it; theta0 outside [0, J)
+    raises IndexOutOfRange."""
+    if not 0 <= theta0 < jm.J:
+        raise IndexOutOfRange(f"start parameter index {theta0} outside [0, {jm.J})")
+    theta_given_paths(jm, [tuple(x0)])
+
+    def step(state, rng, base):
+        thetas, paths = pgibbs_update(jm, N, state.paths, rng, base=base)
+        return ChainState(paths=paths, thetas=thetas)
+
+    paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
+    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), step)
+
+
 @dataclass(frozen=True)
 class PimhState:
     path: Trajectory
@@ -508,19 +529,41 @@ def pimh_step(model, N: int, current: PimhState, rng, base: int = 0):
     return PimhState(path=Trajectory(points=tuple(paths[0].tolist())), log_gamma_hat=float(lg[0])), True
 
 
+def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
+    """R PIMH chains, each at one plain pass drawn at base 0 (its selected
+    path and log estimate); a step is :func:`pimh_update`."""
+    p = particle_pass((model,), N, rng, base=0, rows=R)
+
+    def step(state, rng, base):
+        paths, lg, acc = pimh_update(model, N, state.paths, state.log_gammas, rng, base=base)
+        return ChainState(paths=paths, log_gammas=lg, accepted=acc)
+
+    return Sampler(ChainState(paths=p.paths(), log_gammas=p.log_gamma()), step)
+
+
 @dataclass(frozen=True)
 class PmmhState:
     theta_idx: int
     log_gamma_hat: float
 
 
+def _proposal(jm: JointModel, proposal_q) -> np.ndarray:
+    """``proposal_q`` as a (J, J) row-stochastic float array, or raise."""
+    q = np.asarray(proposal_q, dtype=float)
+    if q.shape != (jm.J, jm.J):
+        raise DimensionMismatch(f"proposal of shape {q.shape}, model has {jm.J} parameter values")
+    _check_prob_vector(q, "proposal_q")
+    return q
+
+
 def pmmh_update(jm: JointModel, N: int, proposal_q, thetas, log_gammas, rng, base: int = 0):
     """One marginal accept/reject step on the parameter of R rows, with
-    estimated constants.  ``proposal_q`` is a row-stochastic matrix over the
-    parameter values.  Returns the parameter indices (R,), the log estimates
-    (R,) and the acceptance mask (R,)."""
+    estimated constants.  ``proposal_q`` is a row-stochastic (J, J) matrix
+    over the parameter values (else DimensionMismatch or NonStochasticRow).
+    Returns the parameter indices (R,), the log estimates (R,) and the
+    acceptance mask (R,)."""
     rng = as_substream(rng)
-    q = np.asarray(proposal_q, dtype=float)
+    q = _proposal(jm, proposal_q)
     thetas = np.asarray(thetas, dtype=int)
     R = len(thetas)
     cand = categorical(q[thetas], rng.uniforms(base, 0, 0, SITE_THETA, shape=(R, 1)))[:, 0]
@@ -540,3 +583,17 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, current: PmmhState, rng, base:
     if not acc[0]:
         return current, False
     return PmmhState(theta_idx=int(thetas[0]), log_gamma_hat=float(lg[0])), True
+
+
+def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
+    """R PMMH chains at the first parameter value, with the log estimate of
+    one plain pass under its model drawn at base 0; a step is
+    :func:`pmmh_update`, and ``proposal_q`` is checked first."""
+    q = _proposal(jm, proposal_q)
+    lg = particle_pass((jm.models[0],), N, rng, base=0, rows=R).log_gamma()
+
+    def step(state, rng, base):
+        thetas, lg, acc = pmmh_update(jm, N, q, state.thetas, state.log_gammas, rng, base=base)
+        return ChainState(thetas=thetas, log_gammas=lg, accepted=acc)
+
+    return Sampler(ChainState(thetas=np.zeros(R, dtype=int), log_gammas=lg), step)

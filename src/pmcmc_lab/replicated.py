@@ -1,23 +1,24 @@
-"""Many independent chains at once, as loops over the batched pass.
+"""Many independent chains at once, as R-row runs of the one chain driver.
 
-Each function runs R replicates with one row-wise call per step: the plain
-:func:`pmcmc_lab.smc_core.particle_pass`, the slot-0
-:func:`pmcmc_lab.csmc.reference_pass`, or the PIMH, PMMH and particle Gibbs
-updates of :mod:`pmcmc_lab.pgibbs`.  The scalar samplers are the same calls
-on one row, so replicate 0 here equals the scalar run at the same seed and
-step numbering, draw for draw.
+Each chain function runs R replicates through
+:func:`pmcmc_lab.csmc.run_chain`, the one step loop, with the sampler's
+start-state builder (:func:`pmcmc_lab.csmc.icsmc_sampler`, or
+:func:`~pmcmc_lab.pgibbs.pimh_sampler`, :func:`~pmcmc_lab.pgibbs.pmmh_sampler`
+and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one row-wise call per step.
+The scalar samplers are the same calls on one row, so replicate 0 here
+equals the scalar run at the same seed and step numbering, draw for draw.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .csmc import reference_pass
-from .errors import IndexOutOfRange, TraceTooShort
+from .csmc import icsmc_sampler, reference_pass, run_chain
+from .errors import TraceTooShort
 from .fk_model import DiscreteFK
-from .pgibbs import JointModel, pgibbs_update, pimh_update, pmmh_update, theta_given_paths
+from .pgibbs import JointModel, pgibbs_sampler, pimh_sampler, pmmh_sampler
 from .rng import as_substream
-from .smc_core import _pin_schedule, particle_pass
+from .smc_core import particle_pass
 
 
 def smc_replicated(model: DiscreteFK, N: int, R: int, rng, base: int = 0):
@@ -34,16 +35,20 @@ def csmc_step_replicated(model: DiscreteFK, N: int, x_paths: np.ndarray, rng, ba
     return reference_pass((model,), N, x_paths, rng, base=base).paths()
 
 
+def _last(sampler, n_steps: int, rng):
+    """The state after ``n_steps`` steps and the number of proposals
+    accepted on the way, holding one state at a time."""
+    state, accepted = sampler.start, 0
+    for state in run_chain(sampler, n_steps, rng):
+        accepted += 0 if state.accepted is None else int(state.accepted.sum())
+    return state, accepted
+
+
 def icsmc_replicated(
     model: DiscreteFK, N: int, x0, R: int, n_iter: int, rng
 ) -> np.ndarray:
     """R independent chains, all started at x0, advanced n_iter steps."""
-    rng = as_substream(rng)
-    _pin_schedule(model.tables, [((0,) * model.T, tuple(x0))], N)
-    paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
-    for step in range(1, n_iter + 1):
-        paths = csmc_step_replicated(model, N, paths, rng, base=step)
-    return paths
+    return _last(icsmc_sampler(model, N, x0, R), n_iter, rng)[0].paths
 
 
 def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
@@ -55,27 +60,16 @@ def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
     if n_steps < 1:
         raise TraceTooShort(f"an acceptance rate needs n_steps >= 1, got {n_steps}")
     rng = as_substream(rng)
-    paths, lg = smc_replicated(model, N, R, rng, base=0)
-    accepted = 0
-    for step in range(1, n_steps + 1):
-        paths, lg, acc = pimh_update(model, N, paths, lg, rng, base=step)
-        accepted += int(acc.sum())
-    return paths, accepted / (R * n_steps), lg
+    state, accepted = _last(pimh_sampler(model, N, R, rng), n_steps, rng)
+    return state.paths, accepted / (R * n_steps), state.log_gammas
 
 
 def pgibbs_replicated(jm: JointModel, N: int, R: int, n_steps: int, rng, x0, theta0: int):
     """R independent two-stage chains with the particle path update.  x0 is
     checked as the first parameter draw checks it (:func:`theta_given_paths`);
     theta0 outside [0, J) raises IndexOutOfRange, also at n_steps = 0."""
-    rng = as_substream(rng)
-    if not 0 <= theta0 < jm.J:
-        raise IndexOutOfRange(f"start parameter index {theta0} outside [0, {jm.J})")
-    theta_given_paths(jm, [tuple(x0)])
-    paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
-    thetas = np.full(R, int(theta0), dtype=int)
-    for step in range(1, n_steps + 1):
-        thetas, paths = pgibbs_update(jm, N, paths, rng, base=step)
-    return thetas, paths
+    state, _ = _last(pgibbs_sampler(jm, N, x0, theta0, R), n_steps, rng)
+    return state.thetas, state.paths
 
 
 def pmmh_replicated(jm: JointModel, N: int, proposal_q, R: int, n_steps: int, rng):
@@ -85,10 +79,5 @@ def pmmh_replicated(jm: JointModel, N: int, proposal_q, R: int, n_steps: int, rn
     if n_steps < 1:
         raise TraceTooShort(f"an acceptance rate needs n_steps >= 1, got {n_steps}")
     rng = as_substream(rng)
-    thetas = np.zeros(R, dtype=int)
-    _, lg = smc_replicated(jm.models[0], N, R, rng, base=0)
-    accepted = 0
-    for step in range(1, n_steps + 1):
-        thetas, lg, acc = pmmh_update(jm, N, proposal_q, thetas, lg, rng, base=step)
-        accepted += int(acc.sum())
-    return thetas, accepted / (R * n_steps)
+    state, accepted = _last(pmmh_sampler(jm, N, proposal_q, R, rng), n_steps, rng)
+    return state.thetas, accepted / (R * n_steps)

@@ -19,7 +19,7 @@ normalizing-constant estimate, always handled in log space.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,12 +127,18 @@ class BatchedPass:
     ``states[t-1, r, i]`` is slot i's state at time t in replicate r,
     ``ancestors[t-2, r, i]`` its parent slot, ``weights`` the potentials of
     the states and ``final`` the terminal selection of each replicate.
+    ``totals`` sums the weights of each time once, for the pass's zero-weight
+    check and the estimate.
     """
 
     states: np.ndarray      # (T, R, N)
     ancestors: np.ndarray   # (T-1, R, N)
     weights: np.ndarray     # (T, R, N)
     final: np.ndarray       # (R,)
+    totals: np.ndarray = field(init=False)  # (T, R)
+
+    def __post_init__(self):
+        object.__setattr__(self, "totals", self.weights.sum(axis=-1))
 
     def lineages(self) -> np.ndarray:
         """Slot of each replicate's selected path at every time, (R, T)."""
@@ -151,7 +157,7 @@ class BatchedPass:
 
     def log_gamma(self) -> np.ndarray:
         """Log normalizing-constant estimate of each replicate, (R,)."""
-        return _log_mean_weights(self.weights)
+        return _log_mean_weights(self.totals, self.weights.shape[-1])
 
     @property
     def log_potentials(self) -> np.ndarray:
@@ -370,14 +376,15 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
             u = rng.uniforms(base, t, 0, SITE_MOVE, shape=(R, n))
             x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, u)
         weights[t - 1] = tables.potentials[t - 1][rows_of(x)]
-    # Checked once for all times: a draw from all-zero weights is still an
-    # index in range, so the first dead time is the one a check per time finds.
-    dead = (weights.sum(axis=-1) <= 0).any(axis=-1)
-    if dead.any():
-        raise AllWeightsZero(time=int(dead.argmax()) + 1)
     u = rng.uniforms(base, T + 1, 0, SITE_FINAL, shape=(R, 1))
     final = categorical_cdf(weights[-1].cumsum(axis=-1), u)[:, 0]
-    return BatchedPass(states, ancestors, weights, final)
+    p = BatchedPass(states, ancestors, weights, final)
+    # Checked once for all times: a draw from all-zero weights is still an
+    # index in range, so the first dead time is the one a check per time finds.
+    dead = (p.totals <= 0).any(axis=-1)
+    if dead.any():
+        raise AllWeightsZero(time=int(dead.argmax()) + 1)
+    return p
 
 
 def run_smc(model, N: int, rng, base: int = 0) -> BatchedPass:
@@ -385,14 +392,15 @@ def run_smc(model, N: int, rng, base: int = 0) -> BatchedPass:
     return particle_pass((model,), N, rng, base=base)
 
 
-def _log_mean_weights(weights) -> np.ndarray:
-    """Sum over time, in order, of the log average weight: (T, ..., N) -> (...).
+def _log_mean_weights(totals, N: int) -> np.ndarray:
+    """Sum over time, in order, of the log average weight, from the weight
+    sums (T, ...) of N particles -> (...).
 
     The one log normalizing-constant estimate, so replicate 0 of a batch gets
     the value its pass gets alone.  Raises DegenerateEstimate if every weight
     at some time is zero.
     """
-    means = weights.sum(axis=-1) / weights.shape[-1]
+    means = totals / N
     if (means <= 0).any():
         t = int(np.argwhere(means <= 0)[0][0]) + 1
         raise DegenerateEstimate(f"all weights zero at time {t}")

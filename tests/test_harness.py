@@ -8,8 +8,9 @@ import pytest
 from fixtures import joint_two_time, model_a, tree_share
 from pmcmc_lab import SubstreamRng, batch_means_variance, run_experiment, sticky_experiment
 from pmcmc_lab.cli import main as cli_main
-from pmcmc_lab.errors import ConfigError, TraceTooShort
+from pmcmc_lab.errors import ConfigError, DimensionMismatch, NonStochasticRow, TraceTooShort
 from pmcmc_lab.harness import (
+    RESIDUAL_FLOOR,
     ExperimentConfig,
     load_config,
     sticky_control_model,
@@ -17,6 +18,8 @@ from pmcmc_lab.harness import (
     sticky_example_model,
 )
 from pmcmc_lab.bounds import epsilon_bounded
+from pmcmc_lab.pgibbs import PmmhState, pmmh_step
+from pmcmc_lab.replicated import pmmh_replicated
 from pmcmc_lab.exact_oracle import (
     chain_from_kernel,
     exact_asymptotic_variance,
@@ -55,6 +58,10 @@ def test_config_validation():
         ExperimentConfig(kind="bounds", N=[])
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="bounds", replicates=0)
+    # The pgibbs kind writes one trace from the config seed; a replicate
+    # count it would not honour, but the manifest would record, is refused.
+    with pytest.raises(ConfigError, match="replicates"):
+        ExperimentConfig(kind="pgibbs", replicates=2)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -135,6 +142,41 @@ def test_pgibbs_experiment_report(tmp_path):
     report = (out / "ordering_report.csv").read_text().strip().splitlines()
     assert report[0] == "inequality,worst_violation,witness"
     assert all(float(line.split(",")[1]) <= 1e-9 for line in report[1:])
+    # Residuals of the exact identities are rounding noise, written as 0.0.
+    assert RESIDUAL_FLOOR < 1e-10
+    for line in report[1:]:
+        name, violation, _ = line.split(",")
+        if name.startswith("shift_identity") or name == "variance_decomposition":
+            assert violation == "0.0"
+        else:
+            assert float(violation) == 0.0 or abs(float(violation)) >= RESIDUAL_FLOOR
+
+
+@pytest.mark.parametrize(
+    "q, error",
+    [
+        ([[1.0]], DimensionMismatch),
+        ([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], DimensionMismatch),
+        ([[2.0, -1.0], [0.5, 0.5]], NonStochasticRow),
+        ([[0.5, 0.4], [0.5, 0.5]], NonStochasticRow),
+        ([[0.9, 0.9], [0.5, 0.5]], NonStochasticRow),
+    ],
+)
+def test_pmmh_refuses_a_malformed_proposal(tmp_path, q, error):
+    # A proposal that is not a (J, J) row-stochastic matrix would run: a
+    # 1 x 1 matrix never leaves the first value, and unnormalised rows enter
+    # the acceptance ratio as they are.
+    jm = joint_two_time()
+    with pytest.raises(error):
+        pmmh_step(jm, 2, q, PmmhState(theta_idx=0, log_gamma_hat=0.0), 1, base=1)
+    with pytest.raises(error):
+        pmmh_replicated(jm, 2, q, 3, 2, 1)
+    cfg = ExperimentConfig(
+        kind="pmmh", model_path=_write_joint(tmp_path), N=2, iterations=3,
+        output_dir=str(tmp_path / "out"), params={"proposal_q": q},
+    )
+    with pytest.raises(error):
+        run_experiment(cfg)
 
 
 def test_pimh_pmmh_experiments_run(tmp_path):
@@ -269,17 +311,19 @@ def test_batch_means_on_chain_trace():
 def test_empirical_variance_within_sandwich():
     # Long pinned-pass chains: batch-means estimates of the asymptotic
     # variance stay inside [var_pi, (2/eps - 1) var_pi] and reproduce the
-    # enumerated value, up to the estimator's own noise (averaged over seeds).
+    # enumerated value, up to the estimator's own noise (averaged over four
+    # chains, run as the four rows of one driver call; row 0 is the
+    # one-row chain at this seed).
     from fixtures import pn_chain, target
-    from pmcmc_lab import Trajectory, epsilon_bounded, icsmc_chain
+    from pmcmc_lab import epsilon_bounded
+    from pmcmc_lab.csmc import icsmc_sampler, run_chain
 
     m = model_a()
-    n_iter, batches = 20_000, 64
-    ests = []
-    for seed in range(4):
-        trace = icsmc_chain(m, 3, Trajectory((1, 1)), n_iter, seed)
-        values = (trace.states[1:, 1] == 1).astype(float)
-        ests.append(batch_means_variance(values, batch_count=batches))
+    n_iter, batches, chains = 20_000, 64, 4
+    values = np.empty((n_iter, chains))
+    for j, state in enumerate(run_chain(icsmc_sampler(m, 3, (1, 1), chains), n_iter, 0)):
+        values[j] = state.paths[:, 1] == 1
+    ests = [batch_means_variance(values[:, r], batch_count=batches) for r in range(chains)]
     est = float(np.mean(ests))
     t = target("A")
     p = sum(t.prob(path) for path in t.paths if path[1] == 1)
