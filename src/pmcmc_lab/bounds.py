@@ -1,9 +1,9 @@
 """Closed-form convergence and variance bounds for minorized reversible chains.
 
 Every bound is packaged as a :class:`BoundReport` holding the minorization
-constant and the quantities it implies: the total-variation rate ``1 - eps``,
-and the asymptotic-variance sandwich factors ``eps/(2-eps)`` (lower) and
-``2/eps - 1`` (upper).  Sources:
+constant, from which it derives the quantities it implies: the
+total-variation rate ``1 - eps``, and the asymptotic-variance sandwich
+factors ``eps/(2-eps)`` (lower) and ``2/eps - 1`` (upper).  Sources:
 
 * ``epsilon_bounded``  -- bounded-weight route; needs only per-time weight
   suprema and the normalizing constant.
@@ -24,6 +24,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,10 @@ from .errors import (
 )
 from .fk_model import DiscreteFK, exact_target, sup_potentials
 
+# The Newton iteration of :func:`lambert_w`: start, residual target, steps.
+_LAMBERT_W0, _LAMBERT_TOL, _LAMBERT_MAX_ITER = -0.23, 1e-14, 200
+_SCAN_MAX_STATES = 12  # most states gamma_hat_sup scans the subsets of
+
 
 class BoundSource(enum.Enum):
     BOUNDED_POTENTIALS = "BoundedPotentials"
@@ -47,41 +52,31 @@ class BoundSource(enum.Enum):
 
 @dataclass(frozen=True)
 class BoundReport:
+    """A minorization constant with its source, particle count and horizon;
+    the factors it implies are derived from it.  Raises EpsilonOutOfRange
+    outside (0, 1 + 1e-12], and stores an epsilon above 1 as 1."""
+
     epsilon: float
-    tv_rate: float
-    variance_upper_factor: float
-    variance_lower_factor: float
     source: BoundSource
     n_particles: int | None = None
     horizon: int | None = None
 
     def __post_init__(self):
-        eps = self.epsilon
-        if not 0.0 < eps <= 1.0 + 1e-12:
-            raise EpsilonOutOfRange(f"epsilon = {eps!r} outside (0, 1]")
-        checks = (
-            (self.tv_rate, 1.0 - eps),
-            (self.variance_upper_factor, 2.0 / eps - 1.0),
-            (self.variance_lower_factor, eps / (2.0 - eps)),
-        )
-        for got, want in checks:
-            if abs(got - want) > 1e-14 * max(1.0, abs(want)):
-                raise EpsilonOutOfRange("bound factors inconsistent with epsilon")
+        if not 0.0 < self.epsilon <= 1.0 + 1e-12:
+            raise EpsilonOutOfRange(f"epsilon = {self.epsilon!r} outside (0, 1]")
+        object.__setattr__(self, "epsilon", min(self.epsilon, 1.0))
 
+    @property
+    def tv_rate(self) -> float:
+        return 1.0 - self.epsilon
 
-def _report(eps: float, source: BoundSource, n=None, horizon=None) -> BoundReport:
-    if not 0.0 < eps <= 1.0 + 1e-12:
-        raise EpsilonOutOfRange(f"computed epsilon = {eps!r} outside (0, 1]")
-    eps = min(eps, 1.0)
-    return BoundReport(
-        epsilon=eps,
-        tv_rate=1.0 - eps,
-        variance_upper_factor=2.0 / eps - 1.0,
-        variance_lower_factor=eps / (2.0 - eps),
-        source=source,
-        n_particles=n,
-        horizon=horizon,
-    )
+    @property
+    def variance_upper_factor(self) -> float:
+        return 2.0 / self.epsilon - 1.0
+
+    @property
+    def variance_lower_factor(self) -> float:
+        return self.epsilon / (2.0 - self.epsilon)
 
 
 def epsilon_bounded(model: DiscreteFK, N: int) -> BoundReport:
@@ -91,7 +86,7 @@ def epsilon_bounded(model: DiscreteFK, N: int) -> BoundReport:
     """
     if N < 2:
         raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
-    return _report(_bounded_eps(model, N), BoundSource.BOUNDED_POTENTIALS, n=N, horizon=model.T)
+    return BoundReport(_bounded_eps(model, N), BoundSource.BOUNDED_POTENTIALS, N, model.T)
 
 
 def _bounded_eps(model: DiscreteFK, N: int) -> float:
@@ -113,7 +108,7 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
     if N < 2:
         raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     eps = ((1.0 - 1.0 / N) / (1.0 + 2.0 * (alpha - 1.0) / N)) ** T
-    return _report(eps, BoundSource.MIXING, n=N, horizon=T)
+    return BoundReport(eps, BoundSource.MIXING, N, T)
 
 
 def mixing_floor(alpha: float, C: float) -> float:
@@ -129,16 +124,16 @@ def epsilon_isir(g_bar: float, N: int) -> BoundReport:
     if N < 2:
         raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     eps = (N - 1.0) / (2.0 * g_bar + N - 2.0)
-    return _report(eps, BoundSource.ISIR, n=N, horizon=1)
+    return BoundReport(eps, BoundSource.ISIR, N, 1)
 
 
-def lambert_w(x: float, w0: float = -0.23, tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Principal-branch Lambert W by Newton iteration; |w e^w - x| < tol."""
-    w = w0
-    for _ in range(max_iter):
+def lambert_w(x: float) -> float:
+    """Principal-branch Lambert W by Newton iteration; |w e^w - x| < 1e-14."""
+    w = _LAMBERT_W0
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         resid = w * ew - x
-        if abs(resid) < tol:
+        if abs(resid) < _LAMBERT_TOL:
             return w
         w -= resid / (ew * (1.0 + w))
     raise ArithmeticError("Lambert W iteration did not converge")
@@ -163,7 +158,7 @@ def minorized_chain_bounds(epsilon: float) -> BoundReport:
     """Package the generic consequences of a supplied minorization constant."""
     if not 0.0 < epsilon <= 1.0:
         raise EpsilonOutOfRange(f"epsilon = {epsilon!r} outside (0, 1]")
-    return _report(epsilon, BoundSource.SUPPLIED)
+    return BoundReport(epsilon, BoundSource.SUPPLIED)
 
 
 def dirichlet_sandwich(epsilon: float) -> tuple[float, float]:
@@ -173,7 +168,7 @@ def dirichlet_sandwich(epsilon: float) -> tuple[float, float]:
     return epsilon, 2.0 - epsilon
 
 
-def gamma_hat_sup(model: DiscreteFK, N: int, max_states: int = 12) -> float:
+def gamma_hat_sup(model: DiscreteFK, N: int) -> float:
     """Largest attainable normalizing-constant estimate over reachable
     particle configurations.
 
@@ -182,8 +177,8 @@ def gamma_hat_sup(model: DiscreteFK, N: int, max_states: int = 12) -> float:
     only the support of the configuration matters for the future.
     """
     S, T = model.n_states, model.T
-    if S > max_states:
-        raise OutcomeSpaceTooLarge(f"{S} states exceed the subset-scan limit {max_states}")
+    if S > _SCAN_MAX_STATES:
+        raise OutcomeSpaceTooLarge(f"{S} states exceed the subset-scan limit {_SCAN_MAX_STATES}")
     if N < 1:
         raise TooFewParticles(f"an estimate needs at least one particle, got N={N}")
 
@@ -198,8 +193,6 @@ def gamma_hat_sup(model: DiscreteFK, N: int, max_states: int = 12) -> float:
         for z in occupied:
             out.update(int(s) for s in np.flatnonzero(mat[z]))
         return frozenset(out)
-
-    from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def value(t, occupied):
@@ -230,7 +223,7 @@ def pimh_epsilon(gamma_t: float, gamma_hat_sup_value: float) -> BoundReport:
         raise ConstantOutOfRange(
             f"need sup of the estimate >= gamma_T > 0, got {gamma_hat_sup_value!r} and {gamma_t!r}"
         )
-    return _report(gamma_t / gamma_hat_sup_value, BoundSource.PIMH)
+    return BoundReport(gamma_t / gamma_hat_sup_value, BoundSource.PIMH)
 
 
 def report_rows(reports) -> list[list]:

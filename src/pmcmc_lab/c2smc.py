@@ -78,12 +78,12 @@ def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
     return total / float(N) ** T
 
 
-def c2smc_expectation_bruteforce(model: DiscreteFK, N: int, x, y, guard: int = 10**7) -> float:
+def c2smc_expectation_bruteforce(model: DiscreteFK, N: int, x, y) -> float:
     """The same expectation by full enumeration of the pass (the oracle)."""
     T = model.T
     pins = [((0,) * T, _points(x)), ((1,) * T, _points(y))]
     total = 0.0
-    for prob, states, _ in enumerate_conditional_outcomes(model, N, pins, guard=guard):
+    for prob, states, _ in enumerate_conditional_outcomes(model, N, pins):
         est = 1.0
         for t in range(1, T + 1):
             est *= sum(model.potential(t, z) for z in states[t - 1]) / N

@@ -2,7 +2,10 @@
 
 Usage::
 
-    pmcmc-lab <simulate|oracle|bounds|pgibbs|sticky> --config cfg.json [--seed S] [--out DIR]
+    pmcmc-lab <subcommand> --config cfg.json [--seed S] [--out DIR]
+
+The subcommands, and the experiment kinds each one runs, are read from
+``harness.KINDS``.
 
 Exit codes: 0 on success, 1 on usage or configuration errors, 2 when a
 inequality-check suite reports a violation (named on stderr).
@@ -14,21 +17,13 @@ import argparse
 import sys
 
 from .errors import AssertionFailure, ConfigError, PmcmcLabError
-from .harness import load_config, run_experiment
-
-_SUBCOMMAND_KINDS = {
-    "simulate": ("icsmc", "isir", "pimh", "pmmh"),
-    "oracle": ("oracle",),
-    "bounds": ("bounds",),
-    "pgibbs": ("pgibbs",),
-    "sticky": ("sticky",),
-}
+from .harness import KINDS, load_config, run_experiment
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pmcmc-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_KINDS:
+    for name in dict.fromkeys(command for command, _ in KINDS.values()):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -40,7 +35,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        allowed = _SUBCOMMAND_KINDS[args.command]
+        allowed = tuple(kind for kind, (command, _) in KINDS.items() if command == args.command)
         if cfg.kind not in allowed:
             raise ConfigError(
                 f"kind {cfg.kind!r} is not valid for subcommand {args.command!r}"

@@ -127,7 +127,8 @@ class ChainTrace:
 
 
 class ChainState(NamedTuple):
-    """R chains after one step; a field the sampler does not carry is None."""
+    """R chains after one step; a field the sampler does not carry is None.
+    The start state of an accept/reject sampler carries an all-False mask."""
 
     paths: np.ndarray | None = None       # (R, T)
     thetas: np.ndarray | None = None      # (R,) parameter indices

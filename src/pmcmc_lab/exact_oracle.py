@@ -63,6 +63,9 @@ from .fk_model import DiscreteFK, exact_target
 from .histogram import _histogram_work, histogram_sweep
 from .smc_core import _path_rows, _pin_schedule
 
+_TREE_ROW_GUARD = 10**6  # most outcome-tree leaves kernel_row_tree enumerates
+_DETAILED_BALANCE_TOL = 1e-9  # largest |pi(x) P(x, y) - pi(y) P(y, x)| accepted
+
 
 # ---------------------------------------------------------------------------
 # Finite chains
@@ -221,13 +224,13 @@ def trace_lineage(states, ancestors, terminal: int) -> tuple:
     return tuple(out)
 
 
-def kernel_row_tree(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**6) -> dict:
+def kernel_row_tree(model: DiscreteFK, N: int, x, lineage=None) -> dict:
     """One kernel row through the outcome tree (reference; small cases only)."""
     T = model.T
     lineage = tuple(lineage) if lineage is not None else (0,) * T
     row: dict = {}
     for prob, states, ancestors in enumerate_conditional_outcomes(
-        model, N, [(lineage, tuple(x))], guard=guard
+        model, N, [(lineage, tuple(x))], guard=_TREE_ROW_GUARD
     ):
         w = final_selection_weights(model, states)
         for k in np.flatnonzero(w):
@@ -594,12 +597,12 @@ class SpectralSummary:
     is_positive: bool
 
 
-def _symmetrized(chain: FiniteChain, tol: float = 1e-9) -> np.ndarray:
+def _symmetrized(chain: FiniteChain) -> np.ndarray:
     pi = chain.stationary
     if np.any(pi <= 0):
         raise ZeroStationaryMass("spectral analysis requires strictly positive stationary mass")
     flow = pi[:, None] * chain.kernel
-    if np.max(np.abs(flow - flow.T)) > tol:
+    if np.max(np.abs(flow - flow.T)) > _DETAILED_BALANCE_TOL:
         raise NotReversible(f"detailed balance fails by {np.max(np.abs(flow - flow.T)):.2e}")
     d = np.sqrt(pi)
     sym = (d[:, None] * chain.kernel) / d[None, :]

@@ -146,8 +146,7 @@ def build_discrete_model(alphabet, m1, m, g, T: int | None = None) -> DiscreteFK
 
     _check_prob_vector(m1, "m1")
     for t, mat in enumerate(ms, start=2):
-        for row_idx, row in enumerate(mat):
-            _check_prob_vector(row, f"m[{t}] row {row_idx}")
+        _check_prob_vector(mat, f"m[{t}]")
     for t, vec in enumerate(gs, start=1):
         if np.any(vec < 0) or not np.all(np.isfinite(vec)):
             raise NegativePotential(f"potential at time {t} has a negative or non-finite entry")
@@ -302,13 +301,8 @@ def predictive_law(model: DiscreteFK, p: int) -> np.ndarray:
 
 def pi_marginal(model: DiscreteFK, t: int) -> np.ndarray:
     """Time-t marginal of the target, by forward/backward products (no path
-    enumeration)."""
-    if not 1 <= t <= model.T:
-        raise IndexOutOfRange(f"time {t} outside [1, {model.T}]")
-    u = model.m1.copy()
-    for k in range(2, t + 1):
-        u = (u * model.potential_vector(k - 1)) @ model.transition(k)
-    w = u * q_operator(model, t, model.T + 1)
+    enumeration): the predictive law times the backward weighted mass."""
+    w = predictive_law(model, t) * q_operator(model, t, model.T + 1)
     return w / float(w.sum())
 
 

@@ -9,7 +9,9 @@ histogram sweep's work count against the guard.
 
 The chain kinds run :func:`pmcmc_lab.csmc.run_chain`, the one step loop, on
 one row per replicate seed, from the samplers :mod:`pmcmc_lab.replicated`
-uses, and write their CSV rows from the states it yields.
+uses; the pimh, pmmh and pgibbs kinds write their traces with one writer,
+:func:`_write_trace`.  :data:`KINDS` is the one list of experiment kinds,
+each with its CLI subcommand and runner.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .exact_oracle import (
     spectral_summary,
     tv_curve,
 )
-from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model
+from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model, sup_potentials
 from .pgibbs import (
     check_theta_chain_identities,
     check_x_chain_orderings,
@@ -56,7 +58,6 @@ from .pgibbs import (
 )
 from .rng import SubstreamRng
 
-_KINDS = ("icsmc", "isir", "pgibbs", "pimh", "pmmh", "oracle", "bounds", "sticky")
 # The enumeration guard of the oracle kind's kernel matrix.
 _ORACLE_GUARD = 10**7
 # Inequality slacks below this size are written as 0.0 in the pgibbs kind's
@@ -78,12 +79,11 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.iterations < 0 or self.replicates < 1:
             raise ConfigError("iterations must be >= 0 and replicates >= 1")
-        ns = self.N if isinstance(self.N, list) else [self.N]
-        if len(ns) < 1 or any(int(n) < 1 for n in ns):
+        if not self.n_sweep or min(self.n_sweep) < 1:
             raise ConfigError("N must contain at least one positive entry")
         if self.kind == "pgibbs" and self.replicates != 1:
             raise ConfigError("kind 'pgibbs' writes one trace; replicates must be 1")
@@ -247,17 +247,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    runner = {
-        "bounds": _run_bounds,
-        "oracle": _run_oracle,
-        "icsmc": _run_chain,
-        "isir": _run_chain,
-        "pimh": _run_pimh,
-        "pmmh": _run_pmmh,
-        "pgibbs": _run_pgibbs,
-        "sticky": _run_sticky,
-    }[cfg.kind]
-    details = runner(cfg, out) or {}
+    details = KINDS[cfg.kind][1](cfg, out) or {}
     manifest = {
         "kind": cfg.kind,
         "seed": cfg.seed,
@@ -293,8 +283,6 @@ def _run_bounds(cfg: ExperimentConfig, out: Path) -> None:
         reports.append(epsilon_mixing(alpha, n, model.T))
         reports.append(pimh_epsilon(gamma, gamma_hat_sup(model, n)))
         if model.T == 1:
-            from .fk_model import sup_potentials
-
             reports.append(epsilon_isir(float(sup_potentials(model)[0]) / gamma, n))
     _write_csv(out / "bounds.csv", report_rows(reports))
 
@@ -358,17 +346,32 @@ def _run_chain(cfg: ExperimentConfig, out: Path) -> None:
         trace.to_csv(out / f"trace_{r}.csv")
 
 
+def _write_trace(path: Path, sampler, n_steps: int, rng, T: int, labels) -> int:
+    """Run row 0 of ``sampler`` ``n_steps`` steps; write a row per step of
+    iteration, accepted, theta (a name from ``labels``), log_gamma_hat and
+    state_1..T, each kept if its start state has it.  Returns the acceptances."""
+    columns = {
+        "accepted": (["accepted"], lambda s: [int(s.accepted[0])]),
+        "thetas": (["theta"], lambda s: [labels[s.thetas[0]]]),
+        "log_gammas": (["log_gamma_hat"], lambda s: [_fmt(s.log_gammas[0])]),
+        "paths": ([f"state_{t}" for t in range(1, T + 1)], lambda s: s.paths[0].tolist()),
+    }
+    kept = [columns[name] for name in columns if getattr(sampler.start, name) is not None]
+    rows = [["iteration"] + [h for head, _ in kept for h in head]]
+    accepted = 0
+    for step, s in enumerate(run_chain(sampler, n_steps, rng), 1):
+        rows.append([step] + [v for _, values in kept for v in values(s)])
+        accepted += 0 if s.accepted is None else int(s.accepted[0])
+    _write_csv(path, rows)
+    return accepted
+
+
 def _run_pimh(cfg: ExperimentConfig, out: Path) -> None:
     model = _load_model(cfg)
-    n = cfg.n_sweep[0]
     for r in range(cfg.replicates):
         rng = SubstreamRng(cfg.seed).spawn(r)
-        rows = [["iteration", "accepted", "log_gamma_hat"] + [f"state_{t}" for t in range(1, model.T + 1)]]
-        accepted = 0
-        for step, s in enumerate(run_chain(pimh_sampler(model, n, 1, rng), cfg.iterations, rng), 1):
-            accepted += int(s.accepted[0])
-            rows.append([step, int(s.accepted[0]), _fmt(s.log_gammas[0])] + s.paths[0].tolist())
-        _write_csv(out / f"pimh_{r}.csv", rows)
+        sampler = pimh_sampler(model, cfg.n_sweep[0], 1, rng)
+        accepted = _write_trace(out / f"pimh_{r}.csv", sampler, cfg.iterations, rng, model.T, ())
         _write_csv(
             out / f"pimh_{r}_summary.csv",
             [["steps", "acceptance_rate"], [cfg.iterations, _fmt(accepted / max(cfg.iterations, 1))]],
@@ -377,14 +380,11 @@ def _run_pimh(cfg: ExperimentConfig, out: Path) -> None:
 
 def _run_pmmh(cfg: ExperimentConfig, out: Path) -> None:
     jm = _load_joint(cfg)
-    n = cfg.n_sweep[0]
     q = cfg.params.get("proposal_q", np.full((jm.J, jm.J), 1.0 / jm.J).tolist())
     for r in range(cfg.replicates):
         rng = SubstreamRng(cfg.seed).spawn(r)
-        rows = [["iteration", "accepted", "theta", "log_gamma_hat"]]
-        for step, s in enumerate(run_chain(pmmh_sampler(jm, n, q, 1, rng), cfg.iterations, rng), 1):
-            rows.append([step, int(s.accepted[0]), jm.thetas[s.thetas[0]], _fmt(s.log_gammas[0])])
-        _write_csv(out / f"pmmh_{r}.csv", rows)
+        sampler = pmmh_sampler(jm, cfg.n_sweep[0], q, 1, rng)
+        _write_trace(out / f"pmmh_{r}.csv", sampler, cfg.iterations, rng, jm.T, jm.thetas)
 
 
 def _load_joint(cfg: ExperimentConfig):
@@ -412,11 +412,9 @@ def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
     # start parameter (0) is never read, as step 1 draws it given the path.
     enum = enumerate_joint(jm)
     x0 = enum.paths[int(np.argmax(enum.x_marginal))]
+    sampler = pgibbs_sampler(jm, n, x0, 0, 1)
     rng = SubstreamRng(cfg.seed)
-    rows = [["iteration", "theta"] + [f"state_{t}" for t in range(1, jm.T + 1)]]
-    for step, s in enumerate(run_chain(pgibbs_sampler(jm, n, x0, 0, 1), cfg.iterations, rng), 1):
-        rows.append([step, jm.thetas[s.thetas[0]]] + s.paths[0].tolist())
-    _write_csv(out / "pgibbs_trace.csv", rows)
+    _write_trace(out / "pgibbs_trace.csv", sampler, cfg.iterations, rng, jm.T, jm.thetas)
 
 
 def _run_sticky(cfg: ExperimentConfig, out: Path) -> None:
@@ -435,3 +433,17 @@ def _run_sticky(cfg: ExperimentConfig, out: Path) -> None:
         [["n", "stay_probability", "stay_bound"]]
         + [[n, _fmt(stay), _fmt(bound)] for n, stay, bound in ctrl],
     )
+
+
+# The one list of experiment kinds: kind -> (CLI subcommand, runner).  The
+# config check, :func:`run_experiment` and the CLI all read it.
+KINDS = {
+    "icsmc": ("simulate", _run_chain),
+    "isir": ("simulate", _run_chain),
+    "pimh": ("simulate", _run_pimh),
+    "pmmh": ("simulate", _run_pmmh),
+    "oracle": ("oracle", _run_oracle),
+    "bounds": ("bounds", _run_bounds),
+    "pgibbs": ("pgibbs", _run_pgibbs),
+    "sticky": ("sticky", _run_sticky),
+}

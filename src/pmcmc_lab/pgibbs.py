@@ -51,6 +51,14 @@ from .exact_oracle import (
 from .rng import SITE_ACCEPT, SITE_THETA, as_substream
 from .smc_core import PassTables, _check_paths, _path_rows, categorical, particle_pass
 
+_JOINT_GUARD = 10**4  # most (parameter, path) pairs enumerate_joint enumerates
+# Eigenvalues of the average conditional covariance below this share of the
+# largest (or of 1) are zero: rho is solved on the range of the rest.
+_RANK_TOL = 1e-12
+# The identity suite checks k = 1.._K_MAX step shifts to _TOL_IDENTITY and the
+# variance relations to _TOL_VARIANCE.
+_K_MAX, _TOL_IDENTITY, _TOL_VARIANCE = 10, 1e-10, 1e-9
+
 
 @dataclass(frozen=True)
 class JointModel:
@@ -134,10 +142,10 @@ class JointEnumeration:
         return self.paths.index(tuple(path))
 
 
-def enumerate_joint(jm: JointModel, guard: int = 10**4) -> JointEnumeration:
+def enumerate_joint(jm: JointModel) -> JointEnumeration:
     targets = [exact_target(m) for m in jm.models]
     paths = sorted({p for t in targets for p in t.paths})
-    if len(paths) * jm.J > guard:
+    if len(paths) * jm.J > _JOINT_GUARD:
         raise StateSpaceTooLarge("joint state space exceeds the enumeration guard")
     index = {p: i for i, p in enumerate(paths)}
     n = len(paths)
@@ -169,16 +177,16 @@ def enumerate_joint(jm: JointModel, guard: int = 10**4) -> JointEnumeration:
 # ---------------------------------------------------------------------------
 
 
-def exact_gibbs_matrices(jm: JointModel, guard: int = 10**4):
+def exact_gibbs_matrices(jm: JointModel):
     """The ideal two-stage sampler on the joint space and its path marginal."""
-    enum = enumerate_joint(jm, guard=guard)
+    enum = enumerate_joint(jm)
     return _compose_kernels(enum), enum
 
 
-def exact_phi_matrices(jm: JointModel, N: int, guard: int = 10**4):
+def exact_phi_matrices(jm: JointModel, N: int):
     """The particle version: the path draw is one pinned pass of N particles
     per parameter value, enumerated by :func:`exact_pn_matrix`."""
-    enum = enumerate_joint(jm, guard=guard)
+    enum = enumerate_joint(jm)
     return _compose_kernels(enum, _particle_kernels(jm, N)), enum
 
 
@@ -253,17 +261,17 @@ def _conditional_covariance(enum: JointEnumeration, j: int) -> np.ndarray:
     return np.diag(p) - np.outer(p, p)
 
 
-def rho_constants(jm: JointModel, N: int, guard: int = 10**4, rank_tol: float = 1e-12) -> RhoEstimate:
+def rho_constants(jm: JointModel, N: int) -> RhoEstimate:
     """Exact weighted-gap constant and its min-gap lower bound.
 
     rho = inf_f sum_j pi(j) var_j(f) gap_j / sum_j pi(j) var_j(f), computed
     as the smallest generalized eigenvalue of (A, B) on the range of B with
     A, B the gap-weighted and plain averages of conditional covariances.
     """
-    return _rho_from(enumerate_joint(jm, guard=guard), _particle_kernels(jm, N), rank_tol)
+    return _rho_from(enumerate_joint(jm), _particle_kernels(jm, N))
 
 
-def _rho_from(enum: JointEnumeration, kernels, rank_tol: float = 1e-12) -> RhoEstimate:
+def _rho_from(enum: JointEnumeration, kernels) -> RhoEstimate:
     """:func:`rho_constants` from the joint enumeration and the particle kernels."""
     jm = enum.jm
     gaps = np.array([spectral_summary(chain).gap_right for chain in kernels])
@@ -274,7 +282,7 @@ def _rho_from(enum: JointEnumeration, kernels, rank_tol: float = 1e-12) -> RhoEs
         a += enum.theta_marginal[j] * gaps[j] * c
         b += enum.theta_marginal[j] * c
     lam, vecs = np.linalg.eigh(b)
-    keep = lam > rank_tol * max(lam.max(), 1.0)
+    keep = lam > _RANK_TOL * max(lam.max(), 1.0)
     if not np.any(keep):
         raise DegenerateB("every conditional law is a point mass")
     w = vecs[:, keep] / np.sqrt(lam[keep])
@@ -358,14 +366,7 @@ def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> Chec
     return CheckReport(entries=entries)
 
 
-def check_theta_chain_identities(
-    jm: JointModel,
-    N: int,
-    f_theta,
-    k_max: int = 10,
-    tol_identity: float = 1e-10,
-    tol_variance: float = 1e-9,
-) -> CheckReport:
+def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> CheckReport:
     """Shift identities and variance decomposition for parameter functions.
 
     For f depending on the parameter only: the k-step joint autocovariance
@@ -398,11 +399,11 @@ def check_theta_chain_identities(
     # conditional mean.
     acc_joint = f_phi.copy()
     acc_x = fbar.copy()
-    for k in range(1, k_max + 1):
+    for k in range(1, _K_MAX + 1):
         acc_joint = phi_joint.kernel @ acc_joint
         lhs = float((pi_joint * f_phi) @ acc_joint)
         rhs = float((pi_x * fbar) @ acc_x)
-        record(f"shift_identity_k{k}", abs(lhs - rhs), tol_identity, witness=k)
+        record(f"shift_identity_k{k}", abs(lhs - rhs), _TOL_IDENTITY, witness=k)
         acc_x = phi_x.kernel @ acc_x
 
     # var(f, joint) = var_pi(f) + var_pi(fbar) + var(fbar, path chain).
@@ -413,24 +414,24 @@ def check_theta_chain_identities(
     record(
         "variance_decomposition",
         abs(v_joint - (var_pi_f + var_pi_fbar + v_fbar)),
-        tol_variance,
+        _TOL_VARIANCE,
     )
 
     # Upper bounds via the weighted-gap constant; lower via operator positivity.
     v_fbar_ideal = exact_asymptotic_variance(gamma_x, fbar)
     upper1 = var_pi_f + var_pi_fbar / rho.rho_exact + v_fbar_ideal / rho.rho_exact
-    record("var_theta_upper_rho", v_joint - upper1, tol_variance)
+    record("var_theta_upper_rho", v_joint - upper1, _TOL_VARIANCE)
     v_joint_ideal = asymptotic_variance_general(
         gamma_joint.kernel, gamma_joint.stationary, f_gamma
     )
     upper2 = (1.0 - 1.0 / rho.rho_exact) * var_pi_f + v_joint_ideal / rho.rho_exact
-    record("var_theta_upper_gamma", v_joint - upper2, tol_variance)
-    record("var_theta_lower_positive", v_joint_ideal - v_joint, tol_variance)
+    record("var_theta_upper_gamma", v_joint - upper2, _TOL_VARIANCE)
+    record("var_theta_lower_positive", v_joint_ideal - v_joint, _TOL_VARIANCE)
 
     # The weighted-gap constant dominates the bounded-weight constant of the
     # worst parameter value.
     eps = min(_bounded_eps(m, N) for m in jm.models)
-    record("rho_vs_uniform_bound", eps - rho.rho_exact, tol_variance)
+    record("rho_vs_uniform_bound", eps - rho.rho_exact, _TOL_VARIANCE)
     return CheckReport(entries=entries)
 
 
@@ -531,14 +532,14 @@ def pimh_step(model, N: int, current: PimhState, rng, base: int = 0):
 
 def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     """R PIMH chains, each at one plain pass drawn at base 0 (its selected
-    path and log estimate); a step is :func:`pimh_update`."""
+    path and log estimate) with nothing accepted; a step is :func:`pimh_update`."""
     p = particle_pass((model,), N, rng, base=0, rows=R)
 
     def step(state, rng, base):
         paths, lg, acc = pimh_update(model, N, state.paths, state.log_gammas, rng, base=base)
         return ChainState(paths=paths, log_gammas=lg, accepted=acc)
 
-    return Sampler(ChainState(paths=p.paths(), log_gammas=p.log_gamma()), step)
+    return Sampler(ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool)), step)
 
 
 @dataclass(frozen=True)
@@ -556,14 +557,13 @@ def _proposal(jm: JointModel, proposal_q) -> np.ndarray:
     return q
 
 
-def pmmh_update(jm: JointModel, N: int, proposal_q, thetas, log_gammas, rng, base: int = 0):
+def pmmh_update(jm: JointModel, N: int, q: np.ndarray, thetas, log_gammas, rng, base: int = 0):
     """One marginal accept/reject step on the parameter of R rows, with
-    estimated constants.  ``proposal_q`` is a row-stochastic (J, J) matrix
-    over the parameter values (else DimensionMismatch or NonStochasticRow).
+    estimated constants.  ``q`` is the proposal over the parameter values as
+    :func:`_proposal` returns it, checked once by the caller, not per step.
     Returns the parameter indices (R,), the log estimates (R,) and the
     acceptance mask (R,)."""
     rng = as_substream(rng)
-    q = _proposal(jm, proposal_q)
     thetas = np.asarray(thetas, dtype=int)
     R = len(thetas)
     cand = categorical(q[thetas], rng.uniforms(base, 0, 0, SITE_THETA, shape=(R, 1)))[:, 0]
@@ -576,9 +576,10 @@ def pmmh_update(jm: JointModel, N: int, proposal_q, thetas, log_gammas, rng, bas
 
 def pmmh_step(jm: JointModel, N: int, proposal_q, current: PmmhState, rng, base: int = 0):
     """Marginal accept/reject on the parameter with estimated constants
-    (:func:`pmmh_update` on one row)."""
+    (:func:`pmmh_update` on one row).  ``proposal_q`` must be a (J, J)
+    row-stochastic matrix (else DimensionMismatch or NonStochasticRow)."""
     thetas, lg, acc = pmmh_update(
-        jm, N, proposal_q, [current.theta_idx], [current.log_gamma_hat], rng, base=base
+        jm, N, _proposal(jm, proposal_q), [current.theta_idx], [current.log_gamma_hat], rng, base=base
     )
     if not acc[0]:
         return current, False
@@ -587,8 +588,8 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, current: PmmhState, rng, base:
 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     """R PMMH chains at the first parameter value, with the log estimate of
-    one plain pass under its model drawn at base 0; a step is
-    :func:`pmmh_update`, and ``proposal_q`` is checked first."""
+    one plain pass under its model drawn at base 0 and nothing accepted yet;
+    a step is :func:`pmmh_update`, and ``proposal_q`` is checked once, first."""
     q = _proposal(jm, proposal_q)
     lg = particle_pass((jm.models[0],), N, rng, base=0, rows=R).log_gamma()
 
@@ -596,4 +597,4 @@ def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
         thetas, lg, acc = pmmh_update(jm, N, q, state.thetas, state.log_gammas, rng, base=base)
         return ChainState(thetas=thetas, log_gammas=lg, accepted=acc)
 
-    return Sampler(ChainState(thetas=np.zeros(R, dtype=int), log_gammas=lg), step)
+    return Sampler(ChainState(thetas=np.zeros(R, int), log_gammas=lg, accepted=np.zeros(R, bool)), step)

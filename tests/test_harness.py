@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from fixtures import joint_two_time, model_a, tree_share
+from fixtures import joint_two_time, model_a, model_c, tree_share
 from pmcmc_lab import SubstreamRng, batch_means_variance, run_experiment, sticky_experiment
 from pmcmc_lab.cli import main as cli_main
 from pmcmc_lab.errors import ConfigError, DimensionMismatch, NonStochasticRow, TraceTooShort
 from pmcmc_lab.harness import (
+    KINDS,
     RESIDUAL_FLOOR,
     ExperimentConfig,
     load_config,
@@ -376,6 +377,60 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert (tmp_path / "a" / "trace_0.csv").read_bytes() == (
         tmp_path / "b" / "trace_0.csv"
     ).read_bytes()
+
+
+def test_isir_kind_writes_a_reproducible_trace(tmp_path):
+    path = tmp_path / "c.json"
+    model_c().save(path)
+    bodies = []
+    for d in ("run1", "run2"):
+        cfg = ExperimentConfig(kind="isir", model_path=str(path), N=3, iterations=30,
+                               seed=5, output_dir=str(tmp_path / d))
+        bodies.append((run_experiment(cfg) / "trace_0.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+    lines = bodies[0].decode().splitlines()
+    assert lines[0] == "iteration,log_gamma_hat,retained_count,state_1"
+    assert len(lines) == 32  # the header, the start state and 30 steps
+
+
+def test_isir_kind_refuses_a_multi_time_model(tmp_path):
+    cfg = {"kind": "isir", "model_path": _write_model(tmp_path), "N": 3, "iterations": 5,
+           "output_dir": str(tmp_path / "o")}
+    with pytest.raises(ConfigError, match="single-time"):
+        run_experiment(ExperimentConfig(**cfg))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 1
+
+
+def test_every_kind_runs_under_its_own_subcommand_only(tmp_path, capsys):
+    model_path, joint_path = _write_model(tmp_path), _write_joint(tmp_path)
+    single_path = tmp_path / "c.json"
+    model_c().save(single_path)
+    # kind -> (config extras, a CSV the run must write, non-empty)
+    runs = {
+        "icsmc": ({"model_path": model_path, "N": 2, "iterations": 5}, "trace_0.csv"),
+        "isir": ({"model_path": str(single_path), "N": 2, "iterations": 5}, "trace_0.csv"),
+        "pimh": ({"model_path": model_path, "N": 2, "iterations": 5}, "pimh_0.csv"),
+        "pmmh": ({"model_path": joint_path, "N": 2, "iterations": 5}, "pmmh_0.csv"),
+        "oracle": ({"model_path": model_path, "N": 2}, "kernel.csv"),
+        "bounds": ({"model_path": model_path, "N": [2, 3]}, "bounds.csv"),
+        "pgibbs": ({"model_path": joint_path, "N": 2, "iterations": 5}, "pgibbs_trace.csv"),
+        "sticky": ({"N": 2, "params": {"K": 2}}, "sticky.csv"),
+    }
+    assert set(runs) == set(KINDS)
+    subcommands = {sub for sub, _ in KINDS.values()}
+    for kind, (extras, csv_name) in runs.items():
+        out = tmp_path / kind
+        cfg_path = tmp_path / f"{kind}.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "output_dir": str(out), **extras}))
+        own = KINDS[kind][0]
+        assert cli_main([own, "--config", str(cfg_path)]) == 0, kind
+        assert (out / csv_name).stat().st_size > 0
+        for sub in sorted(subcommands - {own}):
+            capsys.readouterr()
+            assert cli_main([sub, "--config", str(cfg_path)]) == 1, (kind, sub)
+            assert "not valid for subcommand" in capsys.readouterr().err
 
 
 def test_cli_entry_point_installed():
