@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the particle count on the canonical two-time model and print how the
-minorization constants respond, alongside the exact value from enumeration."""
+minorization constants respond, alongside the exact value from enumeration.
+
+Where the exact kernel is past the enumeration guard (N = 128 at the default
+--max-exp 7), the exact column reads ``refused`` and the bound columns are
+still printed."""
 
 import argparse
 
@@ -17,6 +21,7 @@ from pmcmc_lab import (
     gamma_hat_sup,
     pimh_epsilon,
 )
+from pmcmc_lab.errors import OutcomeSpaceTooLarge
 
 
 def canonical_model():
@@ -40,8 +45,11 @@ def main():
         b = epsilon_bounded(model, n).epsilon
         mix = epsilon_mixing(alpha, n, model.T).epsilon
         imh = pimh_epsilon(target.gamma_t, gamma_hat_sup(model, n)).epsilon
-        exact = exact_minorization(exact_pn_matrix(model, n, target=target))
-        print(f"{n:>5} {b:>12.6f} {mix:>12.6f} {exact:>12.6f} {imh:>10.6f}")
+        try:
+            exact = f"{exact_minorization(exact_pn_matrix(model, n, target=target)):>12.6f}"
+        except OutcomeSpaceTooLarge:
+            exact = f"{'refused':>12}"
+        print(f"{n:>5} {b:>12.6f} {mix:>12.6f} {exact} {imh:>10.6f}")
     print("\nThe exact column dominates both lower bounds and climbs toward 1;")
     print("the independence-sampler constant stays flat in N.")
 

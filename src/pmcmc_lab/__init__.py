@@ -67,4 +67,4 @@ from .pgibbs import (
     rho_constants,
 )
 from .rng import SubstreamRng
-from .smc_core import BatchedPass, gamma_hat, multinomial_resample, run_smc
+from .smc_core import BatchedPass, multinomial_resample, run_smc

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import AssertionFailure, ConfigError, PmcmcLabError
 from .harness import KINDS, load_config, run_experiment
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
                 f" (expected one of {allowed})"
             )
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
         out = run_experiment(cfg, out_dir=args.out)
     except AssertionFailure as exc:
         print(f"pmcmc-lab: {exc}", file=sys.stderr)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TraceTooShort
 from .rng import as_substream
-from .smc_core import BatchedPass, _path_rows, _pin_schedule, particle_pass, pass_tables
+from .smc_core import BatchedPass, PassTables, _path_rows, _pin_schedule, particle_pass
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,12 @@ def conditional_system(model, N: int, pins, rng, base: int = 0) -> BatchedPass:
     """One pass (one replicate) with the given pinned (lineage, path) pairs,
     checked by :func:`pmcmc_lab.smc_core._pin_schedule`; free slots evolve
     normally."""
-    return particle_pass((model,), N, rng, base=base, pins=pins)
+    return particle_pass(model.tables, N, rng, base=base, pins=pins)
 
 
-def reference_pass(models, N: int, paths, rng, base: int = 0, which=None) -> BatchedPass:
+def reference_pass(tables: PassTables, N: int, paths, rng, base: int = 0, which=None) -> BatchedPass:
     """Pinned passes of R replicates, replicate r keeping ``paths[r]`` (R, T)
-    in slot 0 throughout; ``models`` and ``which`` as in :func:`particle_pass`."""
-    tables = pass_tables(models)
+    in slot 0 throughout; ``tables`` and ``which`` as in :func:`particle_pass`."""
     paths = _path_rows(paths, tables.T)
     pins = [((0,) * tables.T, paths.T)]
     return particle_pass(tables, N, rng, base=base, rows=len(paths), pins=pins, which=which)
@@ -138,7 +138,8 @@ class ChainState(NamedTuple):
 
 class Sampler(NamedTuple):
     """A start state, drawn at base 0 if at all, and an R-row step
-    ``step(state, rng, base) -> ChainState``."""
+    ``step(state, rng, base) -> ChainState``: a module-level step with its
+    model arguments bound by :func:`functools.partial`."""
 
     start: ChainState
     step: Callable
@@ -154,22 +155,27 @@ def run_chain(sampler: Sampler, n_steps: int, rng):
         yield state
 
 
+def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
+    """One i-cSMC step on R rows: one slot-0 :func:`reference_pass` per row,
+    keeping each row's selected path and log estimate."""
+    p = reference_pass(model.tables, N, state.paths, rng, base=base)
+    return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
+
+
 def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:
-    """R i-cSMC chains at the path ``x0``, checked as a pin; a step is one
-    slot-0 :func:`reference_pass` per row."""
+    """R i-cSMC chains at the path ``x0``, checked as a pin; a step is
+    :func:`icsmc_step`."""
     _pin_schedule(model.tables, [((0,) * model.T, tuple(x0))], N)
-
-    def step(state, rng, base):
-        p = reference_pass(model.tables, N, state.paths, rng, base=base)
-        return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
-
-    return Sampler(ChainState(paths=np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))), step)
+    start = ChainState(paths=np.tile(np.asarray(tuple(x0), dtype=int), (R, 1)))
+    return Sampler(start, partial(icsmc_step, model, N))
 
 
 def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     """Iterate pass + selection for ``n_iter`` steps starting from ``x0``:
     :func:`run_chain`, the one step loop, on one row, with every state kept
-    as the trace."""
+    as the trace.  Raises TraceTooShort for a negative ``n_iter``."""
+    if n_iter < 0:
+        raise TraceTooShort(f"a chain runs n_iter >= 0 steps, got {n_iter}")
     sampler = icsmc_sampler(model, N, x0.points, 1)
     states = np.empty((n_iter + 1, model.T), dtype=int)
     lgh = np.empty(n_iter)

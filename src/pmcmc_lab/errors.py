@@ -54,7 +54,8 @@ class ZeroPinnedPotential(PmcmcLabError):
 
 class TooFewParticles(PmcmcLabError):
     """A particle count is below what the pass or bound needs (N >= 1 for a
-    pass, N >= 2 for the minorization constants)."""
+    pass, N >= 2 for the minorization constants, count >= 0 for a resampling
+    draw)."""
 
 
 class ConstantOutOfRange(PmcmcLabError):
@@ -105,7 +106,9 @@ class DegenerateB(PmcmcLabError):
 
 
 class TraceTooShort(PmcmcLabError):
-    """A chain trace has too few iterations for the requested batch count."""
+    """A chain run or trace is too short for what is asked of it: a negative
+    step count, an acceptance rate over no rows or steps, or fewer than two
+    batches of two values for a batch-means variance."""
 
 
 class ConfigError(PmcmcLabError):

@@ -53,6 +53,8 @@ import numpy as np
 
 from .errors import (
     AllWeightsZero,
+    DimensionMismatch,
+    IndexOutOfRange,
     NonStochasticRow,
     NotReversible,
     OutcomeSpaceTooLarge,
@@ -622,7 +624,10 @@ def spectral_summary(chain: FiniteChain) -> SpectralSummary:
 
 
 def tv_curve(chain: FiniteChain, x0: int, n_max: int) -> np.ndarray:
-    """Exact total-variation distance of the n-step law from stationarity."""
+    """Exact total-variation distance of the n-step law from stationarity.
+    Raises IndexOutOfRange for a start state outside [0, n_states)."""
+    if not 0 <= x0 < chain.n_states:
+        raise IndexOutOfRange(f"start state {x0} outside [0, {chain.n_states})")
     dist = np.zeros(chain.n_states)
     dist[x0] = 1.0
     out = np.empty(n_max + 1)
@@ -632,16 +637,24 @@ def tv_curve(chain: FiniteChain, x0: int, n_max: int) -> np.ndarray:
     return out
 
 
+def _function_values(f, n: int) -> np.ndarray:
+    """``f`` as n floats, one per state; DimensionMismatch otherwise."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise DimensionMismatch(f"function of shape {f.shape} on {n} states")
+    return f
+
+
 def exact_asymptotic_variance(chain: FiniteChain, f) -> float:
     """Limiting variance of normalised ergodic averages of f, reversible case.
 
     Spectral form: decompose the symmetrised kernel and sum
     (1+lambda)/(1-lambda) over the mean-zero spectrum.
     """
+    f = _function_values(f, chain.n_states)
     sym = _symmetrized(chain)
     lam, vecs = np.linalg.eigh(sym)
     pi = chain.stationary
-    f = np.asarray(f, dtype=float)
     f0 = f - float(pi @ f)
     g = np.sqrt(pi) * f0
     coeffs = vecs.T @ g
@@ -662,7 +675,7 @@ def asymptotic_variance_general(kernel: np.ndarray, stationary: np.ndarray, f) -
     var = 2 <f0, Z f0>_pi - <f0, f0>_pi for centred f0.
     """
     pi = np.asarray(stationary, dtype=float)
-    f = np.asarray(f, dtype=float)
+    f = _function_values(f, len(pi))
     f0 = f - float(pi @ f)
     n = len(pi)
     m = np.eye(n) - kernel + np.outer(np.ones(n), pi)
@@ -676,7 +689,7 @@ def asymptotic_variance_general(kernel: np.ndarray, stationary: np.ndarray, f) -
 def dirichlet_form(chain: FiniteChain, f) -> float:
     """<f, (I-K) f> under the stationary law."""
     pi = chain.stationary
-    f = np.asarray(f, dtype=float)
+    f = _function_values(f, chain.n_states)
     return float((pi * f) @ (f - chain.kernel @ f))
 
 

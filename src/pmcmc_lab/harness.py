@@ -58,6 +58,10 @@ from .pgibbs import (
 )
 from .rng import SubstreamRng
 
+# What reading a model file raises for a missing file, invalid JSON (a
+# ValueError), a missing key or a value of the wrong type.  Model validation
+# raises PmcmcLabError subclasses, none of these, so they keep their types.
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError)
 # The enumeration guard of the oracle kind's kernel matrix.
 _ORACLE_GUARD = 10**7
 # Inequality slacks below this size are written as 0.0 in the pgibbs kind's
@@ -79,18 +83,36 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.iterations < 0 or self.replicates < 1:
-            raise ConfigError("iterations must be >= 0 and replicates >= 1")
+        for name, ok in (
+            ("model_path", self.model_path is None or isinstance(self.model_path, str)),
+            ("N", all(_is_int(n) for n in self.n_sweep)),
+            ("iterations", _is_int(self.iterations)),
+            ("replicates", _is_int(self.replicates)),
+            ("seed", _is_int(self.seed)),
+            ("output_dir", isinstance(self.output_dir, str)),
+            ("params", isinstance(self.params, dict)),
+        ):
+            if not ok:
+                raise ConfigError(f"config value {name} = {getattr(self, name)!r} has the wrong type")
+        if self.iterations < 0 or self.replicates < 1 or self.seed < 0:
+            raise ConfigError("iterations and seed must be >= 0 and replicates >= 1")
         if not self.n_sweep or min(self.n_sweep) < 1:
             raise ConfigError("N must contain at least one positive entry")
+        if len(self.n_sweep) > 1 and self.kind != "bounds":
+            raise ConfigError(f"kind {self.kind!r} runs one N; only kind 'bounds' sweeps a list")
         if self.kind == "pgibbs" and self.replicates != 1:
             raise ConfigError("kind 'pgibbs' writes one trace; replicates must be 1")
 
     @property
     def n_sweep(self) -> list:
-        return [int(n) for n in (self.N if isinstance(self.N, list) else [self.N])]
+        return list(self.N) if isinstance(self.N, list) else [self.N]
+
+
+def _is_int(value) -> bool:
+    """An integer config value, as JSON gives it: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -99,6 +121,8 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
@@ -222,8 +246,11 @@ def batch_means_variance(trace, f=None, batch_count: int = 64) -> float:
     """Batch-means estimate of the asymptotic variance of averages of f.
 
     ``trace`` is either a ChainTrace (then ``f`` maps trajectories to reals)
-    or a plain 1-d array of already-evaluated values.
+    or a plain 1-d array of already-evaluated values.  Raises TraceTooShort
+    unless there are at least 2 batches of 2 values each.
     """
+    if batch_count < 2:
+        raise TraceTooShort(f"a batch-means variance needs batch_count >= 2, got {batch_count}")
     if isinstance(trace, ChainTrace):
         values = trace.apply(f)
     else:
@@ -269,8 +296,8 @@ def _load_model(cfg: ExperimentConfig) -> DiscreteFK:
         raise ConfigError(f"kind {cfg.kind!r} requires a model_path")
     try:
         return load_model(cfg.model_path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model {cfg.model_path}: {exc}") from exc
+    except _UNREADABLE as exc:
+        raise ConfigError(f"cannot read model {cfg.model_path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _run_bounds(cfg: ExperimentConfig, out: Path) -> None:
@@ -392,8 +419,10 @@ def _load_joint(cfg: ExperimentConfig):
         raise ConfigError(f"kind {cfg.kind!r} requires a joint model_path")
     try:
         return load_joint_model(cfg.model_path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read joint model {cfg.model_path}: {exc}") from exc
+    except _UNREADABLE as exc:
+        raise ConfigError(
+            f"cannot read joint model {cfg.model_path}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:

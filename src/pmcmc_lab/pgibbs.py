@@ -14,21 +14,22 @@ orderings: the infimum over functions of the gap-weighted conditional
 variance ratio, solved as a generalized eigenvalue problem on the range of
 the average conditional covariance.
 
-PIMH, PMMH and particle Gibbs are R-row updates; the scalar steps are
-one-row calls of them, and the ``*_sampler`` builders pair each with its
-start state for :func:`pmcmc_lab.csmc.run_chain`, the one step loop.
+PIMH, PMMH and particle Gibbs each have one step, ``*_step(..., state, rng,
+base) -> ChainState`` on R rows (one row is the scalar sampler), and a
+``*_sampler`` builder that pairs it with its start state for
+:func:`pmcmc_lab.csmc.run_chain`, the one step loop.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import ChainState, Sampler, Trajectory, reference_pass
+from .csmc import ChainState, Sampler, reference_pass
 from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
@@ -465,87 +466,52 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     return (joint / total).T
 
 
-def pgibbs_update(jm: JointModel, N: int, paths, rng, base: int = 0):
+def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One particle Gibbs step on R rows: each row's parameter drawn from its
-    exact conditional given the path, then one slot-0 pinned pass at that
-    value.  Returns the parameter indices (R,) and the new paths (R, T)."""
+    exact conditional given the path (checked by :func:`theta_given_paths`),
+    then one slot-0 pinned pass at that value."""
     rng = as_substream(rng)
-    paths = _path_rows(paths, jm.T)
+    paths = _path_rows(state.paths, jm.T)
     u = rng.uniforms(base, 0, 0, SITE_THETA, shape=(len(paths), 1))
     thetas = categorical(theta_given_paths(jm, paths), u)[:, 0]
-    return thetas, reference_pass(jm.tables, N, paths, rng, base=base, which=thetas).paths()
-
-
-def pgibbs_step(jm: JointModel, N: int, x: Trajectory, rng, base: int = 0):
-    """Exact parameter draw given the path, then one pinned pass at the new
-    parameter value: :func:`pgibbs_update` on one row.  Returns the parameter
-    index and the new path."""
-    thetas, paths = pgibbs_update(jm, N, [x.points], rng, base=base)
-    return int(thetas[0]), Trajectory(points=tuple(paths[0].tolist()))
+    paths = reference_pass(jm.tables, N, paths, rng, base=base, which=thetas).paths()
+    return ChainState(paths=paths, thetas=thetas)
 
 
 def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
-    """R particle Gibbs chains at (theta0, x0), a step :func:`pgibbs_update`.
+    """R particle Gibbs chains at (theta0, x0), a step :func:`pgibbs_step`.
     x0 is checked as the parameter draw checks it; theta0 outside [0, J)
     raises IndexOutOfRange."""
     if not 0 <= theta0 < jm.J:
         raise IndexOutOfRange(f"start parameter index {theta0} outside [0, {jm.J})")
     theta_given_paths(jm, [tuple(x0)])
-
-    def step(state, rng, base):
-        thetas, paths = pgibbs_update(jm, N, state.paths, rng, base=base)
-        return ChainState(paths=paths, thetas=thetas)
-
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
-    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), step)
+    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), partial(pgibbs_step, jm, N))
 
 
-@dataclass(frozen=True)
-class PimhState:
-    path: Trajectory
-    log_gamma_hat: float
-
-
-def pimh_update(model, N: int, paths, log_gammas, rng, base: int = 0):
+def pimh_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One independence step on R rows: propose a fresh pass per row and
-    accept it with the ratio of estimates.  Returns the paths (R, T), the log
-    estimates (R,) and the acceptance mask (R,)."""
+    accept it with the ratio of estimates.  Raises DimensionMismatch unless
+    the paths are (R, T) for the R log estimates."""
+    paths, log_gammas = np.asarray(state.paths), np.asarray(state.log_gammas, dtype=float)
+    if log_gammas.ndim != 1 or paths.shape != (len(log_gammas), model.T):
+        raise DimensionMismatch(f"paths {paths.shape} for log estimates {log_gammas.shape}, T={model.T}")
     rng = as_substream(rng)
     R = len(paths)
-    proposal = particle_pass((model,), N, rng, base=base, rows=R)
+    proposal = particle_pass(model.tables, N, rng, base=base, rows=R)
     lg = proposal.log_gamma()
     log_u = np.log(rng.uniforms(base, model.T + 2, 0, SITE_ACCEPT, shape=R))
     acc = log_u < lg - log_gammas
-    return np.where(acc[:, None], proposal.paths(), paths), np.where(acc, lg, log_gammas), acc
-
-
-def pimh_step(model, N: int, current: PimhState, rng, base: int = 0):
-    """Propose a fresh pass; accept with the ratio of estimates
-    (:func:`pimh_update` on one row)."""
-    paths, lg, acc = pimh_update(
-        model, N, [current.path.points], [current.log_gamma_hat], rng, base=base
-    )
-    if not acc[0]:
-        return current, False
-    return PimhState(path=Trajectory(points=tuple(paths[0].tolist())), log_gamma_hat=float(lg[0])), True
+    paths = np.where(acc[:, None], proposal.paths(), paths)
+    return ChainState(paths=paths, log_gammas=np.where(acc, lg, log_gammas), accepted=acc)
 
 
 def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     """R PIMH chains, each at one plain pass drawn at base 0 (its selected
-    path and log estimate) with nothing accepted; a step is :func:`pimh_update`."""
-    p = particle_pass((model,), N, rng, base=0, rows=R)
-
-    def step(state, rng, base):
-        paths, lg, acc = pimh_update(model, N, state.paths, state.log_gammas, rng, base=base)
-        return ChainState(paths=paths, log_gammas=lg, accepted=acc)
-
-    return Sampler(ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool)), step)
-
-
-@dataclass(frozen=True)
-class PmmhState:
-    theta_idx: int
-    log_gamma_hat: float
+    path and log estimate) with nothing accepted; a step is :func:`pimh_step`."""
+    p = particle_pass(model.tables, N, rng, base=0, rows=R)
+    start = ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool))
+    return Sampler(start, partial(pimh_step, model, N))
 
 
 def _proposal(jm: JointModel, proposal_q) -> np.ndarray:
@@ -557,44 +523,41 @@ def _proposal(jm: JointModel, proposal_q) -> np.ndarray:
     return q
 
 
-def pmmh_update(jm: JointModel, N: int, q: np.ndarray, thetas, log_gammas, rng, base: int = 0):
-    """One marginal accept/reject step on the parameter of R rows, with
-    estimated constants.  ``q`` is the proposal over the parameter values as
-    :func:`_proposal` returns it, checked once by the caller, not per step.
-    Returns the parameter indices (R,), the log estimates (R,) and the
-    acceptance mask (R,)."""
+def _pmmh_move(jm: JointModel, N: int, q: np.ndarray, state: ChainState, rng, base: int = 0) -> ChainState:
+    """:func:`pmmh_step` with ``q`` as :func:`_proposal` returns it and the
+    parameter indices in [0, J), both checked once by the caller."""
     rng = as_substream(rng)
-    thetas = np.asarray(thetas, dtype=int)
+    thetas = np.asarray(state.thetas, dtype=int)
     R = len(thetas)
     cand = categorical(q[thetas], rng.uniforms(base, 0, 0, SITE_THETA, shape=(R, 1)))[:, 0]
     lg = particle_pass(jm.tables, N, rng, base=base, rows=R, which=cand).log_gamma()
     num = np.log(jm.prior[cand]) + np.log(q[cand, thetas]) + lg
-    den = np.log(jm.prior[thetas]) + np.log(q[thetas, cand]) + log_gammas
+    den = np.log(jm.prior[thetas]) + np.log(q[thetas, cand]) + state.log_gammas
     acc = np.log(rng.uniforms(base, jm.T + 2, 0, SITE_ACCEPT, shape=R)) < num - den
-    return np.where(acc, cand, thetas), np.where(acc, lg, log_gammas), acc
+    lg = np.where(acc, lg, state.log_gammas)
+    return ChainState(thetas=np.where(acc, cand, thetas), log_gammas=lg, accepted=acc)
 
 
-def pmmh_step(jm: JointModel, N: int, proposal_q, current: PmmhState, rng, base: int = 0):
-    """Marginal accept/reject on the parameter with estimated constants
-    (:func:`pmmh_update` on one row).  ``proposal_q`` must be a (J, J)
-    row-stochastic matrix (else DimensionMismatch or NonStochasticRow)."""
-    thetas, lg, acc = pmmh_update(
-        jm, N, _proposal(jm, proposal_q), [current.theta_idx], [current.log_gamma_hat], rng, base=base
-    )
-    if not acc[0]:
-        return current, False
-    return PmmhState(theta_idx=int(thetas[0]), log_gamma_hat=float(lg[0])), True
+def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: int = 0) -> ChainState:
+    """One marginal accept/reject step on the parameter of R rows, with
+    estimated constants.  ``proposal_q`` must be a (J, J) row-stochastic
+    matrix (else DimensionMismatch or NonStochasticRow), the parameter
+    indices and log estimates two (R,) arrays (else DimensionMismatch) and
+    every index in [0, J) (else IndexOutOfRange)."""
+    thetas = np.asarray(state.thetas, dtype=int)
+    if thetas.ndim != 1 or np.shape(state.log_gammas) != thetas.shape:
+        raise DimensionMismatch(f"parameter indices {thetas.shape} and log estimates are not both (R,)")
+    if thetas.size and (thetas.min() < 0 or thetas.max() >= jm.J):
+        raise IndexOutOfRange(f"parameter index outside [0, {jm.J})")
+    return _pmmh_move(jm, N, _proposal(jm, proposal_q), state, rng, base)
 
 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     """R PMMH chains at the first parameter value, with the log estimate of
-    one plain pass under its model drawn at base 0 and nothing accepted yet;
-    a step is :func:`pmmh_update`, and ``proposal_q`` is checked once, first."""
+    one plain pass under its model drawn at base 0 and nothing accepted yet.
+    ``proposal_q`` is checked once, first, so a step is the unchecked move of
+    :func:`pmmh_step`."""
     q = _proposal(jm, proposal_q)
-    lg = particle_pass((jm.models[0],), N, rng, base=0, rows=R).log_gamma()
-
-    def step(state, rng, base):
-        thetas, lg, acc = pmmh_update(jm, N, q, state.thetas, state.log_gammas, rng, base=base)
-        return ChainState(thetas=thetas, log_gammas=lg, accepted=acc)
-
-    return Sampler(ChainState(thetas=np.zeros(R, int), log_gammas=lg, accepted=np.zeros(R, bool)), step)
+    lg = particle_pass(jm.models[0].tables, N, rng, base=0, rows=R).log_gamma()
+    start = ChainState(thetas=np.zeros(R, int), log_gammas=lg, accepted=np.zeros(R, bool))
+    return Sampler(start, partial(_pmmh_move, jm, N, q))

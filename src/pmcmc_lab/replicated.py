@@ -5,8 +5,8 @@ Each chain function runs R replicates through
 start-state builder (:func:`pmcmc_lab.csmc.icsmc_sampler`, or
 :func:`~pmcmc_lab.pgibbs.pimh_sampler`, :func:`~pmcmc_lab.pgibbs.pmmh_sampler`
 and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one row-wise call per step.
-The scalar samplers are the same calls on one row, so replicate 0 here
-equals the scalar run at the same seed and step numbering, draw for draw.
+A step on one row is the scalar sampler, so replicate 0 here equals the
+one-row run at the same seed and step numbering, draw for draw.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .smc_core import particle_pass
 
 def smc_replicated(model: DiscreteFK, N: int, R: int, rng, base: int = 0):
     """R independent plain passes: selected paths (R, T) and log estimates (R,)."""
-    p = particle_pass((model,), N, rng, base=base, rows=R)
+    p = particle_pass(model.tables, N, rng, base=base, rows=R)
     return p.paths(), p.log_gamma()
 
 
@@ -32,7 +32,7 @@ def csmc_step_replicated(model: DiscreteFK, N: int, x_paths: np.ndarray, rng, ba
 
     Slot 0 carries the pinned path in every replicate.
     """
-    return reference_pass((model,), N, x_paths, rng, base=base).paths()
+    return reference_pass(model.tables, N, x_paths, rng, base=base).paths()
 
 
 def _last(sampler, n_steps: int, rng):
@@ -42,6 +42,12 @@ def _last(sampler, n_steps: int, rng):
     for state in run_chain(sampler, n_steps, rng):
         accepted += 0 if state.accepted is None else int(state.accepted.sum())
     return state, accepted
+
+
+def _check_rate(R: int, n_steps: int) -> None:
+    """Refuse an acceptance rate over no proposals."""
+    if R < 1 or n_steps < 1:
+        raise TraceTooShort(f"an acceptance rate needs R >= 1 and n_steps >= 1, got R={R}, n_steps={n_steps}")
 
 
 def icsmc_replicated(
@@ -55,10 +61,9 @@ def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
     """R independent estimator-driven accept/reject chains.
 
     Returns the final paths, the overall acceptance rate, and the final log
-    estimates.  Raises TraceTooShort unless n_steps >= 1.
+    estimates.  Raises TraceTooShort unless R >= 1 and n_steps >= 1.
     """
-    if n_steps < 1:
-        raise TraceTooShort(f"an acceptance rate needs n_steps >= 1, got {n_steps}")
+    _check_rate(R, n_steps)
     rng = as_substream(rng)
     state, accepted = _last(pimh_sampler(model, N, R, rng), n_steps, rng)
     return state.paths, accepted / (R * n_steps), state.log_gammas
@@ -75,9 +80,8 @@ def pgibbs_replicated(jm: JointModel, N: int, R: int, n_steps: int, rng, x0, the
 def pmmh_replicated(jm: JointModel, N: int, proposal_q, R: int, n_steps: int, rng):
     """R independent marginal accept/reject chains on the parameter, all
     started at the first parameter value.  Raises TraceTooShort unless
-    n_steps >= 1."""
-    if n_steps < 1:
-        raise TraceTooShort(f"an acceptance rate needs n_steps >= 1, got {n_steps}")
+    R >= 1 and n_steps >= 1."""
+    _check_rate(R, n_steps)
     rng = as_substream(rng)
     state, accepted = _last(pmmh_sampler(jm, N, proposal_q, R, rng), n_steps, rng)
     return state.thetas, accepted / (R * n_steps)

@@ -13,7 +13,8 @@ Every pass comes back as one :class:`BatchedPass`: states and weights for
 all times, ancestor indices for times 2..T and one terminal index per
 replicate, drawn from the final weights.  :func:`run_smc` is the one-replicate
 plain pass.  The product over time of average weights is the (unbiased)
-normalizing-constant estimate, always handled in log space.
+normalizing-constant estimate, always handled in log space
+(:meth:`BatchedPass.log_gamma`).
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
 # about 128 (2-vCPU x86 host, numpy 2.4).
 _ONE_PASS = 4096
 _COLUMNS = 64
-
-
-@dataclass(frozen=True)
-class NormConstEstimate:
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        return float(np.exp(self.log_value))
 
 
 def categorical_cdf(cdf, u) -> np.ndarray:
@@ -111,7 +103,10 @@ def categorical(weights, u) -> np.ndarray:
 
 
 def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. indices, index k with probability weights[k]/sum."""
+    """Draw ``count`` i.i.d. indices, index k with probability weights[k]/sum.
+    Raises TooFewParticles for a negative ``count``."""
+    if count < 0:
+        raise TooFewParticles(f"a resampling draw needs count >= 0, got {count}")
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise NegativePotential("resampling weights must be non-negative")
@@ -156,8 +151,15 @@ class BatchedPass:
         return self.states[np.arange(T), np.arange(R)[:, None], self.lineages()]
 
     def log_gamma(self) -> np.ndarray:
-        """Log normalizing-constant estimate of each replicate, (R,)."""
-        return _log_mean_weights(self.totals, self.weights.shape[-1])
+        """Log normalizing-constant estimate of each replicate, (R,): the sum
+        over time, in order, of the log average weight, so a replicate gets
+        the same value alone or among R.  Raises DegenerateEstimate if every
+        weight at some time is zero."""
+        means = self.totals / self.weights.shape[-1]
+        if (means <= 0).any():
+            t = int(np.argwhere(means <= 0)[0][0]) + 1
+            raise DegenerateEstimate(f"all weights zero at time {t}")
+        return sum(np.log(means))
 
     @property
     def log_potentials(self) -> np.ndarray:
@@ -217,16 +219,6 @@ class PassTables:
         for table in (tables.m1_cdf, tables.move_cdf, tables.move_cols, tables.potentials):
             table.setflags(write=False)
         return tables
-
-
-def pass_tables(models) -> PassTables:
-    """The tables of a pass over ``models``: a :class:`PassTables` as given,
-    one model's cached tables, or tables built for a sequence of models."""
-    if isinstance(models, PassTables):
-        return models
-    if len(models) == 1:
-        return models[0].tables
-    return PassTables.build(models)
 
 
 def _draw_moves(cdf_rows, cols, rows, u) -> np.ndarray:
@@ -312,21 +304,22 @@ def _pin_schedule(tables: PassTables, pins, N: int, which=None):
     return pin_state, pin_anc
 
 
-def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:
+def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:
     """One pass with N particles and multinomial resampling, for ``rows``
     independent replicates at once.
 
-    ``models`` is a sequence of models sharing horizon and alphabet, or their
-    :class:`PassTables`; replicate r runs ``models[which[r]]`` (``models[0]``
-    when ``which`` is None).  ``pins`` lists the pinned trajectories as
-    (lineage, path) pairs: slot ``lineage[t]`` holds ``path[t]`` (an int, or
-    one state per replicate) at time t+1, with parent slot ``lineage[t-1]``.
-    They are checked and merged by :func:`_pin_schedule` before any draw.
-    Every other slot draws its parent and its move.
+    ``tables`` are the :class:`PassTables` of the models (``model.tables``,
+    ``jm.tables`` or ``PassTables.build(models)``); replicate r runs model
+    ``which[r]`` (model 0 when ``which`` is None).  ``pins`` lists the pinned
+    trajectories as (lineage, path) pairs: slot ``lineage[t]`` holds
+    ``path[t]`` (an int, or one state per replicate) at time t+1, with parent
+    slot ``lineage[t-1]``.  They are checked and merged by
+    :func:`_pin_schedule` before any draw.  Every other slot draws its parent
+    and its move.
 
-    Initial and move draws read the cumulative tables built once per model
-    (:func:`pass_tables`), so no draw sums a row; ancestor draws sum the
-    current weights once per time.  Each search follows the draw's shape (see
+    Initial and move draws read the cumulative tables, built once per model,
+    so no draw sums a row; ancestor draws sum the current weights once per
+    time.  Each search follows the draw's shape (see
     :func:`categorical_cdf`).  Each ``(base, time, site)`` block is one
     substream from which the replicates read ``(rows, free slots)`` uniforms,
     so replicate 0 does not depend on ``rows``.
@@ -334,7 +327,6 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
     if N < 1:
         raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
     rng = as_substream(rng)
-    tables = pass_tables(models)
     T, R, S = tables.T, rows, tables.n_states
     if pins:
         pin_state, pin_anc = _pin_schedule(tables, pins, N, which)
@@ -389,25 +381,6 @@ def particle_pass(models, N: int, rng, base: int = 0, rows: int = 1, pins=None, 
 
 def run_smc(model, N: int, rng, base: int = 0) -> BatchedPass:
     """One standard pass: the single-replicate :func:`particle_pass`."""
-    return particle_pass((model,), N, rng, base=base)
+    return particle_pass(model.tables, N, rng, base=base)
 
 
-def _log_mean_weights(totals, N: int) -> np.ndarray:
-    """Sum over time, in order, of the log average weight, from the weight
-    sums (T, ...) of N particles -> (...).
-
-    The one log normalizing-constant estimate, so replicate 0 of a batch gets
-    the value its pass gets alone.  Raises DegenerateEstimate if every weight
-    at some time is zero.
-    """
-    means = totals / N
-    if (means <= 0).any():
-        t = int(np.argwhere(means <= 0)[0][0]) + 1
-        raise DegenerateEstimate(f"all weights zero at time {t}")
-    return sum(np.log(means))
-
-
-def gamma_hat(p: BatchedPass) -> NormConstEstimate:
-    """Product over time of average particle weights of replicate 0, in log
-    space."""
-    return NormConstEstimate(log_value=float(p.log_gamma()[0]))

@@ -19,7 +19,7 @@ from pmcmc_lab import (
     run_c2smc,
     run_csmc,
 )
-from pmcmc_lab.csmc import reference_pass
+from pmcmc_lab.csmc import ChainState, reference_pass
 from pmcmc_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -30,7 +30,7 @@ from pmcmc_lab.errors import (
 )
 from pmcmc_lab.exact_oracle import kernel_row_multiset, kernel_row_tree, multiset_sweep
 from pmcmc_lab.fk_model import build_discrete_model
-from pmcmc_lab.pgibbs import pgibbs_update, theta_given_paths
+from pmcmc_lab.pgibbs import theta_given_paths
 from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated, pgibbs_replicated
 
 
@@ -125,7 +125,7 @@ def _pinning_calls(entry, m, N, path):
         "run_csmc": lambda: run_csmc(m, N, x, 0),
         "icsmc_chain": lambda: icsmc_chain(m, N, x, 2, 0),
         "artificial_joint_step": lambda: artificial_joint_step(m, N, x, (1,) * T, 0),
-        "reference_pass": lambda: reference_pass((m,), N, [path], 0),
+        "reference_pass": lambda: reference_pass(m.tables, N, [path], 0),
         "csmc_step_replicated": lambda: csmc_step_replicated(m, N, np.array([path]), 0),
         "icsmc_replicated": lambda: icsmc_replicated(m, N, path, 2, 1, 0),
         "icsmc_chain_zero_steps": lambda: icsmc_chain(m, N, x, 0, 0),
@@ -135,7 +135,7 @@ def _pinning_calls(entry, m, N, path):
         "kernel_row_tree": lambda: kernel_row_tree(m, N, path),
         "kernel_row_multiset": lambda: kernel_row_multiset(m, N, path),
         "multiset_sweep": lambda: list(multiset_sweep(m, N, [path])),
-        "pgibbs_step": lambda: pgibbs_step(jm, N, x, 0),
+        "pgibbs_step": lambda: pgibbs_step(jm, N, ChainState(paths=[path]), 0),
         "theta_given_paths": lambda: theta_given_paths(jm, [path]),
     }
     if entry in one:
@@ -178,16 +178,16 @@ def test_state_outside_alphabet_is_rejected(entry):
                 call()
 
 
-@pytest.mark.parametrize("entry", ["multiset_sweep", "reference_pass", "theta_given_paths", "pgibbs_update"])
+@pytest.mark.parametrize("entry", ["multiset_sweep", "reference_pass", "theta_given_paths", "pgibbs_step"])
 def test_paths_of_unequal_length_are_rejected(entry):
     m = model_a()
     jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
     paths = [(0, 0), (0,)]
     call = {
         "multiset_sweep": lambda: list(multiset_sweep(m, 2, paths)),
-        "reference_pass": lambda: reference_pass((m,), 2, paths, 0),
+        "reference_pass": lambda: reference_pass(m.tables, 2, paths, 0),
         "theta_given_paths": lambda: theta_given_paths(jm, paths),
-        "pgibbs_update": lambda: pgibbs_update(jm, 2, paths, 0),
+        "pgibbs_step": lambda: pgibbs_step(jm, 2, ChainState(paths=paths), 0),
     }[entry]
     with pytest.raises(DimensionMismatch):
         call()

@@ -96,7 +96,7 @@ PASS_DIGESTS = {
 
 @pytest.mark.parametrize("name,N,R", list(PASS_DIGESTS))
 def test_plain_pass_digest(name, N, R):
-    p = particle_pass((_models()[name],), N, 31, base=2, rows=R)
+    p = particle_pass(_models()[name].tables, N, 31, base=2, rows=R)
     assert _pass_digest(p) == PASS_DIGESTS[name, N, R]
 
 
@@ -113,7 +113,7 @@ REFERENCE_DIGESTS = {
 def test_reference_pass_digest(name, N, R):
     m = _models()[name]
     start = smc_replicated(m, 2, R, 17)[0]
-    p = reference_pass((m,), N, start, 23, base=4)
+    p = reference_pass(m.tables, N, start, 23, base=4)
     assert _pass_digest(p) == REFERENCE_DIGESTS[name, N, R]
 
 
@@ -130,9 +130,9 @@ def test_multi_model_pass_digest(name, N):
     jm = joint_two_time() if name == "two_time" else _joint_sparse()
     R = 6
     which = np.arange(R) % jm.J
-    plain = particle_pass(jm.models, N, 41, base=1, rows=R, which=which)
+    plain = particle_pass(jm.tables, N, 41, base=1, rows=R, which=which)
     start = plain.paths()
-    pinned = reference_pass(jm.models, N, start, 43, base=2, which=which[::-1].copy())
+    pinned = reference_pass(jm.tables, N, start, 43, base=2, which=which[::-1].copy())
     assert _pass_digest(plain) + _pass_digest(pinned) == MULTI_DIGESTS[name, N]
 
 

@@ -8,7 +8,15 @@ import pytest
 from fixtures import joint_two_time, model_a, model_c, tree_share
 from pmcmc_lab import SubstreamRng, batch_means_variance, run_experiment, sticky_experiment
 from pmcmc_lab.cli import main as cli_main
-from pmcmc_lab.errors import ConfigError, DimensionMismatch, NonStochasticRow, TraceTooShort
+from pmcmc_lab.errors import (
+    ConfigError,
+    DimensionMismatch,
+    IndexOutOfRange,
+    NonStochasticRow,
+    PmcmcLabError,
+    TooFewParticles,
+    TraceTooShort,
+)
 from pmcmc_lab.harness import (
     KINDS,
     RESIDUAL_FLOOR,
@@ -19,7 +27,8 @@ from pmcmc_lab.harness import (
     sticky_example_model,
 )
 from pmcmc_lab.bounds import epsilon_bounded
-from pmcmc_lab.pgibbs import PmmhState, pmmh_step
+from pmcmc_lab.csmc import ChainState
+from pmcmc_lab.pgibbs import pmmh_step
 from pmcmc_lab.replicated import pmmh_replicated
 from pmcmc_lab.exact_oracle import (
     chain_from_kernel,
@@ -169,7 +178,7 @@ def test_pmmh_refuses_a_malformed_proposal(tmp_path, q, error):
     # the acceptance ratio as they are.
     jm = joint_two_time()
     with pytest.raises(error):
-        pmmh_step(jm, 2, q, PmmhState(theta_idx=0, log_gamma_hat=0.0), 1, base=1)
+        pmmh_step(jm, 2, q, ChainState(thetas=np.zeros(1, int), log_gammas=np.zeros(1)), 1, base=1)
     with pytest.raises(error):
         pmmh_replicated(jm, 2, q, 3, 2, 1)
     cfg = ExperimentConfig(
@@ -301,6 +310,41 @@ def test_batch_means_too_short():
         batch_means_variance(np.ones(100), batch_count=64)
 
 
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("pimh_replicated_no_rows", TraceTooShort),
+        ("pmmh_replicated_no_rows", TraceTooShort),
+        ("icsmc_chain_negative_steps", TraceTooShort),
+        ("tv_curve_start_past_the_states", IndexOutOfRange),
+        ("tv_curve_negative_start", IndexOutOfRange),
+        ("batch_means_no_batches", TraceTooShort),
+        ("batch_means_one_batch", TraceTooShort),
+        ("asymptotic_variance_short_f", DimensionMismatch),
+        ("resample_negative_count", TooFewParticles),
+    ],
+)
+def test_public_functions_raise_typed_errors(case, error):
+    from pmcmc_lab import Trajectory, exact_pn_matrix, icsmc_chain, multinomial_resample, tv_curve
+    from pmcmc_lab.replicated import pimh_replicated
+
+    m = model_a()
+    call = {
+        "pimh_replicated_no_rows": lambda: pimh_replicated(m, 2, 0, 3, 1),
+        "pmmh_replicated_no_rows": lambda: pmmh_replicated(joint_two_time(), 2, np.full((2, 2), 0.5), 0, 3, 1),
+        "icsmc_chain_negative_steps": lambda: icsmc_chain(m, 2, Trajectory((0, 0)), -1, 1),
+        "tv_curve_start_past_the_states": lambda: tv_curve(exact_pn_matrix(m, 2), 4, 3),
+        "tv_curve_negative_start": lambda: tv_curve(exact_pn_matrix(m, 2), -1, 3),
+        "batch_means_no_batches": lambda: batch_means_variance(np.arange(10.0), batch_count=0),
+        "batch_means_one_batch": lambda: batch_means_variance(np.arange(10.0), batch_count=1),
+        "asymptotic_variance_short_f": lambda: exact_asymptotic_variance(exact_pn_matrix(m, 2), [1.0, 0.0]),
+        "resample_negative_count": lambda: multinomial_resample([0.5, 0.5], -1, SubstreamRng(0).stream(0)),
+    }[case]
+    with pytest.raises(error):
+        call()
+    assert issubclass(error, PmcmcLabError)
+
+
 def test_batch_means_on_chain_trace():
     from pmcmc_lab import Trajectory, icsmc_chain
 
@@ -362,6 +406,49 @@ def test_cli_bounds_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["bounds", "--config", str(cfg_path)]) == 1
     assert "at least two particles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "N_not_a_number",
+        "iterations_a_string",
+        "replicates_a_float",
+        "params_a_list",
+        "seed_negative",
+        "seed_override_negative",
+        "icsmc_with_two_N",
+        "model_invalid_json",
+        "model_missing_m1",
+    ],
+)
+def test_cli_refuses_a_malformed_config_or_model(tmp_path, capsys, case):
+    model_path = _write_model(tmp_path)
+    cfg = {"kind": "icsmc", "model_path": model_path, "N": 2, "iterations": 5,
+           "output_dir": str(tmp_path / "o")}
+    broken = tmp_path / "broken.json"
+    changes = {
+        "N_not_a_number": {"N": "abc"},
+        "iterations_a_string": {"iterations": "5"},
+        "replicates_a_float": {"replicates": 1.5},
+        "params_a_list": {"params": []},
+        "seed_negative": {"seed": -1},
+        "seed_override_negative": {},
+        "icsmc_with_two_N": {"N": [2, 4]},
+        "model_invalid_json": {"model_path": str(broken)},
+        "model_missing_m1": {"model_path": str(broken)},
+    }
+    broken.write_text(
+        "{not json" if case == "model_invalid_json"
+        else json.dumps({"T": 1, "alphabet": [0, 1], "m": [], "g": [[1.0, 1.0]]})
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, **changes[case]}))
+    capsys.readouterr()
+    seed = ["--seed", "-1"] if case == "seed_override_negative" else []
+    assert cli_main(["simulate", "--config", str(cfg_path)] + seed) == 1
+    assert capsys.readouterr().err.startswith("pmcmc-lab: ")
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

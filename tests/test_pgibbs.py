@@ -4,13 +4,11 @@ import pytest
 from fixtures import joint_single_time, joint_two_time, model_a
 from pmcmc_lab import (
     SubstreamRng,
-    Trajectory,
     build_joint_model,
     check_theta_chain_identities,
     check_x_chain_orderings,
     exact_gibbs_matrices,
     exact_phi_matrices,
-    gamma_hat,
     pgibbs_step,
     pimh_step,
     pmmh_step,
@@ -18,7 +16,7 @@ from pmcmc_lab import (
     run_smc,
     spectral_summary,
 )
-from pmcmc_lab.csmc import select_path as select
+from pmcmc_lab.csmc import ChainState
 from pmcmc_lab.errors import (
     AssertionFailure,
     ConstantOutOfRange,
@@ -29,7 +27,7 @@ from pmcmc_lab.errors import (
     TraceTooShort,
 )
 from pmcmc_lab.fk_model import build_discrete_model
-from pmcmc_lab.pgibbs import PimhState, PmmhState, RhoEstimate, enumerate_joint, theta_given_paths
+from pmcmc_lab.pgibbs import RhoEstimate, enumerate_joint, theta_given_paths
 from pmcmc_lab.replicated import pgibbs_replicated, pimh_replicated, pmmh_replicated
 
 
@@ -193,9 +191,9 @@ def test_single_time_gap_transfer():
 def test_pgibbs_step_single_parameter_reduces_to_pinned_pass():
     m = model_a()
     jm = build_joint_model(["only"], [1.0], [m])
-    theta, x = pgibbs_step(jm, 3, Trajectory((0, 0)), 5)
-    assert theta == 0
-    assert len(x) == 2
+    state = pgibbs_step(jm, 3, ChainState(paths=[(0, 0)]), 5)
+    assert state.thetas.tolist() == [0]
+    assert state.paths.shape == (1, 2)
 
 
 def test_pgibbs_long_run_matches_joint_law():
@@ -220,10 +218,10 @@ def test_pimh_constant_weights_always_accept():
     )
     rng = SubstreamRng(5)
     s = run_smc(m, 4, rng, base=0)
-    state = PimhState(path=select(s), log_gamma_hat=gamma_hat(s).log_value)
+    state = ChainState(paths=s.paths(), log_gammas=s.log_gamma())
     for step in range(1, 30):
-        state, accepted = pimh_step(m, 4, state, rng, base=step)
-        assert accepted
+        state = pimh_step(m, 4, state, rng, base=step)
+        assert state.accepted[0]
 
 
 def test_pimh_acceptance_matches_enumerated_expectation():
@@ -285,11 +283,11 @@ def test_pmmh_identity_proposal_keeps_theta():
     jm = joint_two_time()
     rng = SubstreamRng(3)
     s = run_smc(jm.models[0], 4, rng, base=0)
-    state = PmmhState(theta_idx=0, log_gamma_hat=gamma_hat(s).log_value)
+    state = ChainState(thetas=np.zeros(1, int), log_gammas=s.log_gamma())
     q = np.eye(2)
     for step in range(1, 20):
-        state, _ = pmmh_step(jm, 4, q, state, rng, base=step)
-        assert state.theta_idx == 0
+        state = pmmh_step(jm, 4, q, state, rng, base=step)
+        assert state.thetas[0] == 0
 
 
 def test_pmmh_theta_marginal():
@@ -337,7 +335,7 @@ def test_pgibbs_zero_mass_path_raises_typed_error():
     )
     jm = build_joint_model(["a", "b"], [0.5, 0.5], [diag, diag])
     with pytest.raises(PmcmcLabError, match="zero mass"):
-        pgibbs_step(jm, 2, Trajectory((0, 1)), 1)
+        pgibbs_step(jm, 2, ChainState(paths=[(0, 1)]), 1)
     with pytest.raises(PmcmcLabError, match="zero mass"):
         pgibbs_replicated(jm, 2, 4, 1, 1, (0, 1), 0)
 
@@ -371,26 +369,90 @@ def test_pimh_step_loop_is_row_zero_of_pimh_replicated():
     m = model("E")
     rng = SubstreamRng(21)
     s = run_smc(m, 3, rng, base=0)
-    state = PimhState(path=select(s), log_gamma_hat=gamma_hat(s).log_value)
+    state = ChainState(paths=s.paths(), log_gammas=s.log_gamma())
     for step in range(1, 16):
-        state, _ = pimh_step(m, 3, state, rng, base=step)
+        state = pimh_step(m, 3, state, rng, base=step)
     paths, _, lg = pimh_replicated(m, 3, 5, 15, 21)
-    assert state.path.points == tuple(int(v) for v in paths[0])
-    assert state.log_gamma_hat == lg[0]
+    assert state.paths[0].tolist() == paths[0].tolist()
+    assert state.log_gammas[0] == lg[0]
 
 
 def test_pgibbs_and_pmmh_steps_are_row_zero_of_their_batched_chains():
     jm = joint_two_time()
-    theta, x = 0, Trajectory((0, 0))
+    state = ChainState(paths=[(0, 0)], thetas=np.zeros(1, int))
     for step in range(1, 13):
-        theta, x = pgibbs_step(jm, 3, x, 8, base=step)
+        state = pgibbs_step(jm, 3, state, 8, base=step)
     thetas, paths = pgibbs_replicated(jm, 3, 5, 12, 8, (0, 0), 0)
-    assert (theta, x.points) == (int(thetas[0]), tuple(int(v) for v in paths[0]))
+    assert (state.thetas[0], state.paths[0].tolist()) == (thetas[0], paths[0].tolist())
 
     q = np.full((2, 2), 0.5)
     rng = SubstreamRng(9)
-    state = PmmhState(theta_idx=0, log_gamma_hat=gamma_hat(run_smc(jm.models[0], 4, rng)).log_value)
+    state = ChainState(thetas=np.zeros(1, int), log_gammas=run_smc(jm.models[0], 4, rng).log_gamma())
     for step in range(1, 13):
-        state, _ = pmmh_step(jm, 4, q, state, rng, base=step)
+        state = pmmh_step(jm, 4, q, state, rng, base=step)
     thetas, _ = pmmh_replicated(jm, 4, q, 5, 12, 9)
-    assert state.theta_idx == int(thetas[0])
+    assert state.thetas[0] == thetas[0]
+
+
+def test_every_sampler_steps_through_a_module_level_step():
+    import functools
+
+    from pmcmc_lab import csmc, pgibbs
+
+    m, jm = model_a(), joint_two_time()
+    samplers = {
+        csmc.icsmc_step: csmc.icsmc_sampler(m, 3, (0, 0), 2),
+        pgibbs.pimh_step: pgibbs.pimh_sampler(m, 3, 2, 1),
+        pgibbs._pmmh_move: pgibbs.pmmh_sampler(jm, 3, np.full((2, 2), 0.5), 2, 1),
+        pgibbs.pgibbs_step: pgibbs.pgibbs_sampler(jm, 3, (0, 0), 0, 2),
+    }
+    for step, sampler in samplers.items():
+        assert isinstance(sampler.step, functools.partial)
+        assert sampler.step.func is step
+
+
+def test_icsmc_step_on_one_row_is_row_zero_of_icsmc_replicated():
+    from pmcmc_lab.csmc import icsmc_step
+    from pmcmc_lab.replicated import icsmc_replicated
+
+    m = model_a()
+    state, rng = ChainState(paths=[(0, 1)]), SubstreamRng(4)
+    for step in range(1, 9):
+        state = icsmc_step(m, 3, state, rng, base=step)
+    assert state.paths[0].tolist() == icsmc_replicated(m, 3, (0, 1), 5, 8, 4)[0].tolist()
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("pimh_short_estimates", DimensionMismatch),
+        ("pimh_long_paths", DimensionMismatch),
+        ("pimh_path_rows", DimensionMismatch),
+        ("pmmh_short_estimates", DimensionMismatch),
+        ("pmmh_negative_theta", IndexOutOfRange),
+        ("pmmh_theta_past_J", IndexOutOfRange),
+        ("pmmh_malformed_proposal", DimensionMismatch),
+        ("pgibbs_state_outside_alphabet", IndexOutOfRange),
+        ("pgibbs_short_path", DimensionMismatch),
+        ("icsmc_state_outside_alphabet", IndexOutOfRange),
+    ],
+)
+def test_steps_refuse_malformed_states(case, error):
+    from pmcmc_lab.csmc import icsmc_step
+
+    m, jm, q = model_a(), joint_two_time(), np.full((2, 2), 0.5)
+    lg = np.zeros(2)
+    call = {
+        "pimh_short_estimates": lambda: pimh_step(m, 2, ChainState(paths=[(0, 0), (1, 1)], log_gammas=lg[:1]), 0),
+        "pimh_long_paths": lambda: pimh_step(m, 2, ChainState(paths=[(0, 0, 1), (1, 1, 0)], log_gammas=lg), 0),
+        "pimh_path_rows": lambda: pimh_step(m, 2, ChainState(paths=[0, 1], log_gammas=lg), 0),
+        "pmmh_short_estimates": lambda: pmmh_step(jm, 2, q, ChainState(thetas=[0, 1], log_gammas=lg[:1]), 0),
+        "pmmh_negative_theta": lambda: pmmh_step(jm, 2, q, ChainState(thetas=[0, -1], log_gammas=lg), 0),
+        "pmmh_theta_past_J": lambda: pmmh_step(jm, 2, q, ChainState(thetas=[2, 0], log_gammas=lg), 0),
+        "pmmh_malformed_proposal": lambda: pmmh_step(jm, 2, q[:1], ChainState(thetas=[0, 1], log_gammas=lg), 0),
+        "pgibbs_state_outside_alphabet": lambda: pgibbs_step(jm, 2, ChainState(paths=[(0, 2)]), 0),
+        "pgibbs_short_path": lambda: pgibbs_step(jm, 2, ChainState(paths=[(0,)]), 0),
+        "icsmc_state_outside_alphabet": lambda: icsmc_step(m, 2, ChainState(paths=[(0, 0), (0, 5)]), 0),
+    }[case]
+    with pytest.raises(error):
+        call()
