@@ -146,13 +146,20 @@ class Sampler(NamedTuple):
 
 
 def run_chain(sampler: Sampler, n_steps: int, rng):
-    """The one step loop of every sampler: yields the state after each of
-    ``n_steps`` steps, step b drawing at base b, and keeps none of them."""
+    """The one step loop of every sampler: an iterator over the state after
+    each of ``n_steps`` steps, step b drawing at base b, that keeps none of
+    them.  Raises TraceTooShort for a negative ``n_steps`` when called."""
+    if n_steps < 0:
+        raise TraceTooShort(f"a chain runs n_steps >= 0 steps, got {n_steps}")
     rng = as_substream(rng)
-    state = sampler.start
-    for base in range(1, n_steps + 1):
-        state = sampler.step(state, rng, base)
-        yield state
+
+    def steps():
+        state = sampler.start
+        for base in range(1, n_steps + 1):
+            state = sampler.step(state, rng, base)
+            yield state
+
+    return steps()
 
 
 def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
@@ -174,13 +181,12 @@ def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     """Iterate pass + selection for ``n_iter`` steps starting from ``x0``:
     :func:`run_chain`, the one step loop, on one row, with every state kept
     as the trace.  Raises TraceTooShort for a negative ``n_iter``."""
-    if n_iter < 0:
-        raise TraceTooShort(f"a chain runs n_iter >= 0 steps, got {n_iter}")
     sampler = icsmc_sampler(model, N, x0.points, 1)
+    steps = run_chain(sampler, n_iter, rng)
     states = np.empty((n_iter + 1, model.T), dtype=int)
     lgh = np.empty(n_iter)
     states[0] = sampler.start.paths[0]
-    for j, state in enumerate(run_chain(sampler, n_iter, rng)):
+    for j, state in enumerate(steps):
         states[j + 1] = state.paths[0]
         lgh[j] = state.log_gammas[0]
     retained = (states[1:] == states[:-1]).sum(axis=1)

@@ -447,8 +447,14 @@ def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _run_sticky(cfg: ExperimentConfig, out: Path) -> None:
-    K = int(cfg.params.get("K", 16))
+    K = cfg.params.get("K", 16)
+    if not _is_int(K) or K < 1:
+        raise ConfigError(f"sticky param K = {K!r} must be an int >= 1")
     n_grid = cfg.params.get("n_grid")
+    if n_grid is not None and not (
+        isinstance(n_grid, list) and all(_is_int(n) and 1 <= n <= K for n in n_grid)
+    ):
+        raise ConfigError(f"sticky param n_grid = {n_grid!r} must be a list of ints in [1, {K}]")
     initial_law = cfg.params.get("initial_law", "geometric")
     rows = sticky_experiment(K, cfg.n_sweep[0], n_grid=n_grid, initial_law=initial_law)
     _write_csv(

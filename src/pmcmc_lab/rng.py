@@ -56,6 +56,16 @@ class SubstreamRng:
         self._key = _Key(key)
         self._key_words = tuple(int(k) for k in key)
         self._gen = None  # the generator uniforms() re-positions
+        # The state it is set to: a fresh Philox's, empty buffer, at the
+        # counter of the stream read, the only entry that changes.
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": self._key_words},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def stream(self, *coords: int) -> np.random.Generator:
         """Return a fresh generator for a draw site addressed by up to 4
@@ -77,19 +87,15 @@ class SubstreamRng:
 
         Re-positions one generator kept by this object instead of opening a
         new one (setting its state costs about a third of constructing a
-        generator), so it is not safe to call from several threads at once.
+        generator).  The state dict it is set from is kept too, and only its
+        counter changes between calls; a refused coordinate changes nothing.
+        Both are shared by every call, so this is not safe to call from
+        several threads at once.
         """
+        self._state["state"]["counter"] = _counter(coords)
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(self._key))
-        # The state a fresh Philox at this counter starts in: empty buffer.
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _counter(coords), "key": self._key_words},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._gen.bit_generator.state = self._state
         return self._gen.random(shape)
 
     def spawn(self, index: int) -> "SubstreamRng":
@@ -107,11 +113,12 @@ def _counter(coords) -> tuple:
     that would alias another stream."""
     if len(coords) > 4:
         raise IndexOutOfRange("at most 4 stream coordinates are supported")
-    c = (*map(int, coords), 0, 0, 0, 0)[:4]
-    for (name, bits), value in zip(_FIELDS, c):
-        if value >> bits:  # negative, or wider than its field
-            raise IndexOutOfRange(f"stream {name} coordinate {value} outside [0, 2^{bits})")
-    return (0, (c[2] << 16) | c[3], c[1], c[0])
+    c = step, time, particle, site = (*map(int, coords), 0, 0, 0, 0)[:4]
+    # A negative value, or one wider than its field, shifts to nonzero.
+    if step >> 64 or time >> 64 or particle >> 48 or site >> 16:
+        name, bits, value = next((n, b, v) for (n, b), v in zip(_FIELDS, c) if v >> b)
+        raise IndexOutOfRange(f"stream {name} coordinate {value} outside [0, 2^{bits})")
+    return (0, (particle << 16) | site, time, step)
 
 
 def as_substream(rng: "SubstreamRng | int") -> SubstreamRng:

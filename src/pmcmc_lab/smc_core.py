@@ -36,11 +36,11 @@ from .errors import (
 )
 from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
 
-# Search strategies of :func:`categorical_cdf`: compare every draw with every
-# inner sum while there are at most _ONE_PASS such pairs; otherwise count one
-# inner sum at a time up to _COLUMNS sums, and bisect beyond.  At 65536 draws
-# counting beat bisection 3.5x at 16 categories and 1.6x at 64, and tied at
-# about 128 (2-vCPU x86 host, numpy 2.4).
+# Search strategies of :func:`categorical_cdf`: one pass over the inner sums
+# for a single row of sums and of draws, or while there are at most _ONE_PASS
+# compared pairs; otherwise count one inner sum at a time up to _COLUMNS sums,
+# and bisect beyond.  At 65536 draws counting beat bisection 3.5x at 16
+# categories and 1.6x at 64, and tied at about 128 (2-vCPU x86 host, numpy 2.4).
 _ONE_PASS = 4096
 _COLUMNS = 64
 
@@ -59,8 +59,10 @@ def categorical_cdf(cdf, u) -> np.ndarray:
     The search follows the shape of the draw; every strategy counts the same
     sums, so all draw the same index:
 
-    * up to _ONE_PASS (4096) compared pairs (the one-replicate passes): one
-      comparison of every draw with every sum;
+    * one pass over the sums: a single row of sums against a single row of
+      uniforms, of any size (the one-replicate passes), is one
+      ``searchsorted`` call; otherwise, up to _ONE_PASS (4096) compared
+      pairs, one comparison of every draw with every sum;
     * up to _COLUMNS (64) inner sums: one vectorised comparison per sum,
       counted in place (the batched passes);
     * beyond: binary lifting over the inner sums, padded with +inf to a
@@ -68,8 +70,10 @@ def categorical_cdf(cdf, u) -> np.ndarray:
     """
     K = cdf.shape[-1]
     v = u * cdf[..., -1:]
+    if cdf.size == K and v.size == v.shape[-1]:  # one row of each
+        return cdf.ravel()[:-1].searchsorted(v, side="right")
     if v.size * (K - 1) <= _ONE_PASS:
-        return (cdf[..., None, :-1] <= v[..., None]).sum(axis=-1)
+        return np.add.reduce(cdf[..., None, :-1] <= v[..., None], axis=-1)
     if K - 1 <= _COLUMNS:
         return _count_columns([cdf[..., k : k + 1] for k in range(K - 1)], v).astype(np.intp)
     width = 1 << (K - 1).bit_length()
@@ -133,7 +137,7 @@ class BatchedPass:
     totals: np.ndarray = field(init=False)  # (T, R)
 
     def __post_init__(self):
-        object.__setattr__(self, "totals", self.weights.sum(axis=-1))
+        object.__setattr__(self, "totals", np.add.reduce(self.weights, axis=-1))
 
     def lineages(self) -> np.ndarray:
         """Slot of each replicate's selected path at every time, (R, T)."""
@@ -156,7 +160,7 @@ class BatchedPass:
         the same value alone or among R.  Raises DegenerateEstimate if every
         weight at some time is zero."""
         means = self.totals / self.weights.shape[-1]
-        if (means <= 0).any():
+        if not means.all():
             t = int(np.argwhere(means <= 0)[0][0]) + 1
             raise DegenerateEstimate(f"all weights zero at time {t}")
         return sum(np.log(means))
@@ -234,13 +238,15 @@ def _draw_moves(cdf_rows, cols, rows, u) -> np.ndarray:
 def _check_paths(paths, T: int, n_states: int) -> None:
     """Refuse paths that are not T states of the alphabet.
 
-    ``paths`` is an integer array with time on its first axis, (T,) or
-    (T, R).  Raises DimensionMismatch for a length other than T and
-    IndexOutOfRange for a state outside [0, n_states), negatives included.
+    ``paths`` is an array of numpy's default int (``dtype=int``) with time
+    on its first axis, (T,) or (T, R).  Raises DimensionMismatch for a
+    length other than T and IndexOutOfRange for a state outside
+    [0, n_states), negatives included.
     """
     if len(paths) != T:
         raise DimensionMismatch(f"path of length {len(paths)}, model horizon is {T}")
-    if paths.size and (paths.min() < 0 or paths.max() >= n_states):
+    # One reduction: a negative state reads as a huge unsigned one.
+    if paths.size and paths.view(np.uintp).max() >= n_states:
         bad = paths[(paths < 0) | (paths >= n_states)][0]
         raise IndexOutOfRange(f"state {bad} outside [0, {n_states})")
 
@@ -342,7 +348,7 @@ def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1,
     def rows_of(states):
         return states if offset is None else offset + states
 
-    row_start = np.arange(R)[:, None] * N
+    row_start = np.arange(0, R * N, N)[:, None]
     states = np.empty((T, R, N), dtype=int)
     ancestors = np.empty((T - 1, R, N), dtype=int)
     weights = np.empty((T, R, N))
@@ -354,14 +360,14 @@ def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1,
         else:
             free = np.setdiff1d(np.arange(N), slots)
         x = states[t - 1]
-        if slots:
-            x[:, slots] = np.array([pin_state[t - 1][s] for s in slots], dtype=int).T
+        for s in slots:
+            x[:, s] = pin_state[t - 1][s]
         if t == 1:
             x[:, free] = categorical_cdf(m1_cdf, rng.uniforms(base, 1, 0, SITE_INIT, shape=(R, n)))
         else:
             a = ancestors[t - 2]
-            if slots:
-                a[:, slots] = [pin_anc[t - 2][s] for s in slots]
+            for s in slots:
+                a[:, s] = pin_anc[t - 2][s]
             u = rng.uniforms(base, t, 0, SITE_ANCESTOR, shape=(R, n))
             a[:, free] = categorical_cdf(weights[t - 2].cumsum(axis=-1), u)
             src = rows_of(states[t - 2].ravel()[row_start + a[:, free]])
@@ -373,9 +379,8 @@ def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1,
     p = BatchedPass(states, ancestors, weights, final)
     # Checked once for all times: a draw from all-zero weights is still an
     # index in range, so the first dead time is the one a check per time finds.
-    dead = (p.totals <= 0).any(axis=-1)
-    if dead.any():
-        raise AllWeightsZero(time=int(dead.argmax()) + 1)
+    if not p.totals.all():
+        raise AllWeightsZero(time=int((p.totals <= 0).any(axis=-1).argmax()) + 1)
     return p
 
 

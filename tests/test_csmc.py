@@ -252,6 +252,9 @@ def test_run_csmc_is_row_zero_of_the_batched_step(name, N):
 def test_icsmc_chain_ends_on_row_zero_of_the_batched_chains():
     m = model("E")
     x0 = target("E").paths[0]
-    trace = icsmc_chain(m, 3, Trajectory(x0), 40, 19)
-    final = icsmc_replicated(m, 3, x0, 6, 40, 19)
-    assert tuple(trace.states[-1]) == tuple(final[0])
+    # At N = 65 and 100 one row searches its 64 or 99 inner sums in one
+    # call, while 6 rows count them one by one or bisect.
+    for N in (3, 65, 100):
+        trace = icsmc_chain(m, N, Trajectory(x0), 40, 19)
+        final = icsmc_replicated(m, N, x0, 6, 40, 19)
+        assert tuple(trace.states[-1]) == tuple(final[0])

@@ -345,6 +345,22 @@ def test_public_functions_raise_typed_errors(case, error):
     assert issubclass(error, PmcmcLabError)
 
 
+@pytest.mark.parametrize("chain", ["icsmc", "pimh", "pmmh", "pgibbs"])
+def test_replicated_chains_refuse_a_negative_step_count(chain):
+    # run_chain, the one step loop of every sampler, refuses it.
+    from pmcmc_lab.replicated import icsmc_replicated, pgibbs_replicated, pimh_replicated
+
+    m, jm = model_a(), joint_two_time()
+    call = {
+        "icsmc": lambda: icsmc_replicated(m, 2, (0, 0), 2, -3, 0),
+        "pimh": lambda: pimh_replicated(m, 2, 2, -1, 0),
+        "pmmh": lambda: pmmh_replicated(jm, 2, np.full((2, 2), 0.5), 2, -1, 0),
+        "pgibbs": lambda: pgibbs_replicated(jm, 2, 2, -1, 0, (0, 0), 0),
+    }[chain]
+    with pytest.raises(TraceTooShort):
+        call()
+
+
 def test_batch_means_on_chain_trace():
     from pmcmc_lab import Trajectory, icsmc_chain
 
@@ -448,6 +464,31 @@ def test_cli_refuses_a_malformed_config_or_model(tmp_path, capsys, case):
     seed = ["--seed", "-1"] if case == "seed_override_negative" else []
     assert cli_main(["simulate", "--config", str(cfg_path)] + seed) == 1
     assert capsys.readouterr().err.startswith("pmcmc-lab: ")
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param({"K": "abc"}, id="K_a_string"),
+        pytest.param({"K": 0}, id="K_zero"),
+        pytest.param({"K": True}, id="K_a_bool"),
+        pytest.param({"K": 3.0}, id="K_a_float"),
+        pytest.param({"K": 3, "n_grid": "x"}, id="n_grid_a_string"),
+        pytest.param({"K": 3, "n_grid": [0]}, id="n_grid_below_one"),
+        pytest.param({"K": 3, "n_grid": [4]}, id="n_grid_above_K"),
+        pytest.param({"K": 3, "n_grid": [1, True]}, id="n_grid_with_a_bool"),
+        pytest.param({"K": 3, "n_grid": [2.0]}, id="n_grid_with_a_float"),
+    ],
+)
+def test_cli_refuses_malformed_sticky_params(tmp_path, capsys, params):
+    # K is an int >= 1 and n_grid a list of ints in [1, K]; anything else is
+    # a config error (exit 1), not a traceback.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kind": "sticky", "N": 2, "params": params}))
+    capsys.readouterr()
+    assert cli_main(["sticky", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("pmcmc-lab: sticky param ")
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

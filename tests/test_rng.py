@@ -33,11 +33,16 @@ def test_stream_rejects_aliasing_coordinates(coords):
 )
 def test_uniforms_equal_a_fresh_stream(coords):
     # The re-positioned generator starts where a fresh one does, whatever was
-    # drawn from it before (a partly used buffer included).
+    # drawn from it before (a partly used buffer included) and after a call
+    # refused for an aliasing coordinate.
     rng = SubstreamRng(12)
     for shape in (1, 3, (2, 5), (4, 1)):
         rng.uniforms(9, shape=7)
         want = rng.stream(*coords).random(shape)
+        assert np.array_equal(rng.uniforms(*coords, shape=shape), want)
+        rng.uniforms(9, shape=7)
+        with pytest.raises(IndexOutOfRange):
+            rng.uniforms(0, 0, 0, 2**16, shape=shape)
         assert np.array_equal(rng.uniforms(*coords, shape=shape), want)
 
 

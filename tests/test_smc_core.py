@@ -287,9 +287,10 @@ def test_particle_relabeling_invariance(N):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 16, 17, 32, 33, 64, 65, 100, 256])
 def test_categorical_is_a_row_wise_searchsorted(K):
-    # Few draws are compared in one pass, many are counted sum by sum or
-    # bisected; every strategy, the raw-weight wrapper and the table draw
-    # must equal searchsorted(side="right") on the raw cumulative sums, capped.
+    # Few draws are compared in one pass (one row searched in one call),
+    # many are counted sum by sum or bisected; every strategy, the raw-weight
+    # wrapper and the table draw must equal searchsorted(side="right") on the
+    # raw cumulative sums, capped.
     gen = np.random.default_rng(K)
     w = gen.random((40, K)) * (gen.random((40, K)) < 0.6)
     w[:, gen.integers(K)] += 0.5
@@ -303,14 +304,18 @@ def test_categorical_is_a_row_wise_searchsorted(K):
         # The table draw reads one row per uniform: row r for draw (r, k).
         rows = np.repeat(np.arange(40)[:, None], count, axis=1)
         table = _draw_moves(move_cdf, move_cols, rows, u)
-        for out, weights in ((got, w), (table, laws)):
+        # One row of sums against one row of uniforms, (1, K) and (1, count).
+        one_row = np.concatenate([categorical_cdf(wr[None].cumsum(axis=1), ur[None]) for wr, ur in zip(w, u)])
+        for out, weights in ((got, w), (table, laws), (one_row, w)):
             for row, (wr, ur) in enumerate(zip(weights, u)):
                 cdf = np.cumsum(wr)
                 want = np.minimum(np.searchsorted(cdf, ur * cdf[-1], side="right"), K - 1)
                 assert list(out[row]) == list(want)
 
 
-@pytest.mark.parametrize("name,N", [("A", 1), ("A", 4), ("B", 2), ("E", 5)])
+# At N = 65 and 100 one row searches its 64 or 99 inner sums in one call,
+# while 7 rows count them one by one or bisect.
+@pytest.mark.parametrize("name,N", [("A", 1), ("A", 4), ("B", 2), ("E", 5), ("A", 65), ("E", 100)])
 def test_run_smc_is_row_zero_of_the_batched_pass(name, N):
     m = model(name)
     for base in (0, 3):
