@@ -2,19 +2,19 @@
 
 Four enumeration engines, each exact, cross-checked in the test suite.
 
-* The histogram sweep (:func:`histogram_sweep`, in
-  :mod:`pmcmc_lab.histogram`) builds whole kernel matrices from the law of
-  the free particles' counts over S+1 categories, one multinomial per time.
-  Its work is polynomial in N and known before it runs.
+* The count engine (:mod:`pmcmc_lab.histogram`) follows the free
+  particles' counts over the states of positive mass, one multinomial per
+  time, and sums the terminal draw by weight sums.  Its work is polynomial
+  in N and counted before it runs.  It gives matrices
+  (:func:`histogram_sweep`) and entries with the pin's retained-weight
+  share (the escape experiment's rows).
 * The multiset sweep (:func:`multiset_sweep`) collapses the free particles,
   which are exchangeable, to the multiset of their ancestral paths, which
   evolves by multinomial draws.  Many rows are one sweep that walks the
   pinned paths as a prefix trie, so rows sharing x_1..x_t share the forward
   work through time t+1.  Each row comes with the retained-weight share
-  E[G_T(x_T) / sum_j G_T(Z_T^j)].  It gives :func:`kernel_row_multiset`,
-  both columns of the escape experiment
-  (:func:`pmcmc_lab.harness.sticky_experiment`), and the matrices whose
-  alphabet is too large for the histogram sweep.
+  E[G_T(x_T) / sum_j G_T(Z_T^j)].  It gives :func:`kernel_row_multiset`
+  and the matrices past the count engine's guard.
 * :func:`kernel_row` is slot-faithful: a forward sweep over tuples of
   ancestral paths with the reference pinned to an explicit slot sequence.
   It runs only when :func:`exact_pn_matrix` is given a lineage, and it is
@@ -28,10 +28,10 @@ Four enumeration engines, each exact, cross-checked in the test suite.
   :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`, itself a reference
   for the closed form.
 
-:func:`exact_pn_matrix` without a lineage runs the histogram sweep when its
-work count is within the guard and the multiset sweep otherwise (sparse or
-large alphabets, such as the escape experiment's); one private function,
-:func:`_matrix_engine`, makes that choice before any array is built.
+:func:`exact_pn_matrix` without a lineage runs the count engine when its
+work count is within the guard and the multiset sweep otherwise; one
+private function, :func:`_matrix_engine`, makes that choice before any
+array is built.
 
 Every engine admits a pinned path exactly when a pass would: each checks
 its pins with the pass's own :func:`pmcmc_lab.smc_core._pin_schedule`
@@ -494,10 +494,9 @@ def exact_pn_matrix(
 
     * Without a ``lineage`` the engine is picked before any array is built
       (:func:`_matrix_engine`).  The :func:`histogram_sweep` runs when its
-      work, T P^2 H^2 transition entries for P paths and H = C(N-1+S, S),
-      is at most ``guard``.  Otherwise one :func:`multiset_sweep` walks all
-      paths at once, and ``guard`` bounds the multinomial terms of the whole
-      sweep.
+      work, in law entries, is at most ``guard``.  Otherwise one
+      :func:`multiset_sweep` walks all paths at once, and ``guard`` bounds
+      the multinomial terms of the whole sweep.
     * With a pin lineage each row comes from the slot-faithful
       :func:`kernel_row`, and ``guard`` bounds each row.
 
@@ -511,7 +510,7 @@ def exact_pn_matrix(
         raise OutcomeSpaceTooLarge(f"{len(paths)} paths exceed the supported matrix size")
     if lineage is not None:
         K = _row_matrix(paths, ((x, kernel_row(model, N, x, lineage=lineage, guard=guard)) for x in paths))
-    elif _matrix_engine(model, N, len(paths), guard)[0] == "histogram":
+    elif _matrix_engine(model, N, paths, guard)[0] == "histogram":
         K = histogram_sweep(model, N, paths, guard)
     else:
         K = _row_matrix(paths, ((x, row) for x, row, _ in multiset_sweep(model, N, paths, guard)))
@@ -529,10 +528,10 @@ def _row_matrix(paths, rows) -> np.ndarray:
     return K
 
 
-def _matrix_engine(model: DiscreteFK, N: int, n_paths: int, guard: int) -> tuple:
+def _matrix_engine(model: DiscreteFK, N: int, paths, guard: int) -> tuple:
     """(engine, work) of a lineage-free :func:`exact_pn_matrix`: "histogram"
-    when the histogram sweep's work is at most ``guard``, else "multiset"."""
-    work = _histogram_work(model.n_states, N, model.T, n_paths)
+    when the count engine's work is at most ``guard``, else "multiset"."""
+    work = _histogram_work(model, N, paths, guard=guard)
     return ("histogram" if work <= guard else "multiset"), work
 
 

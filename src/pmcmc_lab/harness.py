@@ -4,8 +4,8 @@
 Outputs are CSV files whose data sections are byte-identical across runs
 with equal configs (floats are written with shortest round-trip ``repr``),
 plus a JSON manifest recording seed, versions and wall time; the oracle
-kind's manifest also names the exact engine that built its kernel and the
-histogram sweep's work count against the guard.
+and sticky kinds' manifests also name the exact engine that built their
+rows and the count engine's work against the guard.
 
 The chain kinds run :func:`pmcmc_lab.csmc.run_chain`, the one step loop, on
 one row per replicate seed, from the samplers :mod:`pmcmc_lab.replicated`
@@ -41,12 +41,11 @@ from .exact_oracle import (
     _matrix_engine,
     exact_minorization,
     exact_pn_matrix,
-    kernel_row_multiset,
-    multiset_sweep,
     spectral_summary,
     tv_curve,
 )
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model, sup_potentials
+from .histogram import _histogram_work, histogram_entries
 from .pgibbs import (
     check_theta_chain_identities,
     check_x_chain_orderings,
@@ -62,7 +61,8 @@ from .rng import SubstreamRng
 # ValueError), a missing key or a value of the wrong type.  Model validation
 # raises PmcmcLabError subclasses, none of these, so they keep their types.
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError)
-# The enumeration guard of the oracle kind's kernel matrix.
+# The enumeration guard of the oracle kind's kernel matrix and of the
+# count-engine calls behind the escape experiment's rows.
 _ORACLE_GUARD = 10**7
 # Inequality slacks below this size are written as 0.0 in the pgibbs kind's
 # ordering_report.csv: the identity residuals are exact zeros up to rounding
@@ -195,45 +195,53 @@ def _sticky_set(n: int):
     return ((n - 1, 2 * n - 1), (n - 1, 2 * n))
 
 
+def _level_pairs(n_grid):
+    """The start paths (n, 2n) and the paths of A_n, one pair per path of
+    A_n for each level n in turn: (xs, ys)."""
+    pairs = [(_sticky_set(n)[0], a) for n in n_grid for a in _sticky_set(n)]
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def _level_stays(model: DiscreteFK, N: int, n_grid):
+    """Per level n: the stay probability P(x_n, A_n) and the retained share
+    from x_n, from one count-engine call for all levels."""
+    entries, shares = histogram_entries(model, N, zip(*_level_pairs(n_grid)), _ORACLE_GUARD)
+    return entries[0::2] + entries[1::2], shares[0::2]
+
+
 def sticky_experiment(K: int, N: int, n_grid=None, initial_law: str = "geometric"):
     """Exact escape diagnostics on the doubling-map model.
 
     For each start level n: the probability that one kernel step stays in
     the two-path level set, and the expected share of the terminal weight
-    carried by the retained path.  Both come from one multiset sweep per
-    level, which raises OutcomeSpaceTooLarge past its guard.
+    carried by the retained path.  Every level comes from one call of the
+    count engine (:func:`pmcmc_lab.histogram.histogram_entries`), which
+    raises OutcomeSpaceTooLarge past its guard before any array is built.
     """
     model = sticky_example_model(K, initial_law=initial_law)
     if n_grid is None:
         n_grid = list(range(1, K + 1))
-    rows = []
-    for n in n_grid:
-        x = (n - 1, 2 * n - 1)  # the path (n, 2n)
-        a_set = set(_sticky_set(n))
-        ((_, row, suff),) = multiset_sweep(model, N, [x])
-        stay = sum(p for path, p in row.items() if path in a_set)
-        rows.append((n, stay, suff))
-    return rows
+    stays, shares = _level_stays(model, N, n_grid)
+    return [(n, float(stay), float(share)) for n, stay, share in zip(n_grid, stays, shares)]
 
 
 def sticky_control_rows(K: int, N: int, n_grid=None):
     """(n, stay probability, stay bound) on the bounded-weight control.
 
     The bound is 1 - eps (1 - pi(A_n)) with eps the bounded-weight
-    minorization constant: P(x, A_n^c) >= eps pi(A_n^c) for every x.
+    minorization constant: P(x, A_n^c) >= eps pi(A_n^c) for every x.  The
+    stays come from one count-engine call, as in :func:`sticky_experiment`.
     """
     control = sticky_control_model(K)
-    eps = epsilon_bounded(control, N).epsilon
-    target = exact_target(control)
     if n_grid is None:
         n_grid = list(range(1, K + 1))
+    stays, _ = _level_stays(control, N, n_grid)
+    eps = epsilon_bounded(control, N).epsilon
+    target = exact_target(control)
     rows = []
-    for n in n_grid:
-        a_set = set(_sticky_set(n))
-        row = kernel_row_multiset(control, N, (n - 1, 2 * n - 1))
-        stay = sum(p for path, p in row.items() if path in a_set)
-        pi_a = sum(target.prob(path) for path in a_set)
-        rows.append((n, stay, 1.0 - eps * (1.0 - pi_a)))
+    for n, stay in zip(n_grid, stays):
+        pi_a = sum(target.prob(path) for path in _sticky_set(n))
+        rows.append((n, float(stay), 1.0 - eps * (1.0 - pi_a)))
     return rows
 
 
@@ -320,7 +328,7 @@ def _run_oracle(cfg: ExperimentConfig, out: Path) -> dict:
     model = _load_model(cfg)
     n = cfg.n_sweep[0]
     target = exact_target(model)
-    engine, work = _matrix_engine(model, n, len(target.paths), _ORACLE_GUARD)
+    engine, work = _matrix_engine(model, n, target.paths, _ORACLE_GUARD)
     chain = exact_pn_matrix(model, n, target=target, guard=_ORACLE_GUARD)
     _write_csv(
         out / "kernel.csv",
@@ -446,7 +454,10 @@ def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
     _write_trace(out / "pgibbs_trace.csv", sampler, cfg.iterations, rng, jm.T, jm.thetas)
 
 
-def _run_sticky(cfg: ExperimentConfig, out: Path) -> None:
+def _run_sticky(cfg: ExperimentConfig, out: Path) -> dict:
+    """Write the escape experiment's rows and its control's; return the
+    exact engine with each CSV's count-engine work against the guard
+    (manifest)."""
     K = cfg.params.get("K", 16)
     if not _is_int(K) or K < 1:
         raise ConfigError(f"sticky param K = {K!r} must be an int >= 1")
@@ -468,6 +479,11 @@ def _run_sticky(cfg: ExperimentConfig, out: Path) -> None:
         [["n", "stay_probability", "stay_bound"]]
         + [[n, _fmt(stay), _fmt(bound)] for n, stay, bound in ctrl],
     )
+    levels = n_grid if n_grid is not None else range(1, K + 1)
+    xs, ys = _level_pairs(levels)
+    models = {"sticky.csv": sticky_example_model(K, initial_law), "sticky_control.csv": sticky_control_model(K)}
+    work = {name: _histogram_work(m, cfg.n_sweep[0], xs, ys, _ORACLE_GUARD) for name, m in models.items()}
+    return {"exact_engine": "histogram", "histogram_work": work, "guard": _ORACLE_GUARD}
 
 
 # The one list of experiment kinds: kind -> (CLI subcommand, runner).  The

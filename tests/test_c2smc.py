@@ -29,6 +29,7 @@ from pmcmc_lab.errors import (
     ZeroPotential,
 )
 from pmcmc_lab.exact_oracle import kernel_row_multiset, kernel_row_tree, multiset_sweep
+from pmcmc_lab.histogram import histogram_entries, histogram_sweep
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.pgibbs import theta_given_paths
 from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated, pgibbs_replicated
@@ -110,6 +111,8 @@ _ONE_PIN = (
     "kernel_row_tree",
     "kernel_row_multiset",
     "multiset_sweep",
+    "histogram_sweep",
+    "histogram_entries",
     "pgibbs_step",
     "theta_given_paths",
 )
@@ -135,6 +138,8 @@ def _pinning_calls(entry, m, N, path):
         "kernel_row_tree": lambda: kernel_row_tree(m, N, path),
         "kernel_row_multiset": lambda: kernel_row_multiset(m, N, path),
         "multiset_sweep": lambda: list(multiset_sweep(m, N, [path])),
+        "histogram_sweep": lambda: histogram_sweep(m, N, [path]),
+        "histogram_entries": lambda: histogram_entries(m, N, [(path, path)]),
         "pgibbs_step": lambda: pgibbs_step(jm, N, ChainState(paths=[path]), 0),
         "theta_given_paths": lambda: theta_given_paths(jm, [path]),
     }
@@ -178,19 +183,32 @@ def test_state_outside_alphabet_is_rejected(entry):
                 call()
 
 
-@pytest.mark.parametrize("entry", ["multiset_sweep", "reference_pass", "theta_given_paths", "pgibbs_step"])
+@pytest.mark.parametrize(
+    "entry",
+    ["multiset_sweep", "histogram_sweep", "histogram_entries", "reference_pass", "theta_given_paths", "pgibbs_step"],
+)
 def test_paths_of_unequal_length_are_rejected(entry):
     m = model_a()
     jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
     paths = [(0, 0), (0,)]
     call = {
         "multiset_sweep": lambda: list(multiset_sweep(m, 2, paths)),
+        "histogram_sweep": lambda: histogram_sweep(m, 2, paths),
+        "histogram_entries": lambda: histogram_entries(m, 2, [((0, 0), (0, 0)), ((0, 0), (0,))]),
         "reference_pass": lambda: reference_pass(m.tables, 2, paths, 0),
         "theta_given_paths": lambda: theta_given_paths(jm, paths),
         "pgibbs_step": lambda: pgibbs_step(jm, 2, ChainState(paths=paths), 0),
     }[entry]
     with pytest.raises(DimensionMismatch):
         call()
+
+
+def test_count_engine_refuses_a_column_path_outside_the_alphabet():
+    # The y of a pair is not pinned, but its states are read all the same.
+    m = model_a()
+    for y in ((0, 5), (0, -1), (2, 0)):
+        with pytest.raises(IndexOutOfRange):
+            histogram_entries(m, 3, [((0, 0), y)])
 
 
 def test_too_few_particles_for_the_pins_is_rejected():

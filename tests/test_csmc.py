@@ -11,7 +11,7 @@ from pmcmc_lab import (
     run_smc,
     select_path,
 )
-from pmcmc_lab.csmc import conditional_system, reference_pass
+from pmcmc_lab.csmc import conditional_system, icsmc_sampler, reference_pass, run_chain
 from pmcmc_lab.errors import ZeroPinnedPotential
 from pmcmc_lab.exact_oracle import kernel_row, trace_lineage
 from pmcmc_lab.fk_model import build_discrete_model
@@ -252,9 +252,15 @@ def test_run_csmc_is_row_zero_of_the_batched_step(name, N):
 def test_icsmc_chain_ends_on_row_zero_of_the_batched_chains():
     m = model("E")
     x0 = target("E").paths[0]
-    # At N = 65 and 100 one row searches its 64 or 99 inner sums in one
-    # call, while 6 rows count them one by one or bisect.
+    # Every state and estimate of the one-row chain, not only its last
+    # state, is row 0 of six chains run at the same seed: a one-row draw
+    # that differs now and then would otherwise pass.  At N = 65 and 100 one
+    # row searches its 64 or 99 inner sums in one call, while 6 rows count
+    # them one by one or bisect.
     for N in (3, 65, 100):
         trace = icsmc_chain(m, N, Trajectory(x0), 40, 19)
+        steps = list(run_chain(icsmc_sampler(m, N, x0, 6), 40, 19))
+        assert trace.states.tolist() == [list(x0)] + [s.paths[0].tolist() for s in steps]
+        assert trace.log_gamma_hats.tolist() == [s.log_gammas[0] for s in steps]
         final = icsmc_replicated(m, N, x0, 6, 40, 19)
         assert tuple(trace.states[-1]) == tuple(final[0])

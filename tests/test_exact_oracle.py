@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from pmcmc_lab.exact_oracle import (
     multiset_sweep,
 )
 from pmcmc_lab.fk_model import build_discrete_model, exact_target
-from pmcmc_lab.histogram import _histogram_work
+from pmcmc_lab.histogram import _histogram_work, histogram_entries
 
 
 def two_state_flip(p: float) -> FiniteChain:
@@ -231,6 +232,52 @@ def test_property_histogram_sweep_matches_multiset(m, N):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _random_model(gen, S: int, T: int):
+    """S states, horizon T, with zero weights and sparse transition rows."""
+
+    def law():
+        v = gen.random(S) * (gen.random(S) < 0.6)
+        v[gen.integers(S)] += 1.0
+        return v / v.sum()
+
+    weights = [3.0 * gen.random(S) * (gen.random(S) < 0.7) for _ in range(T)]
+    return build_discrete_model(list(range(S)), law(), [[law() for _ in range(S)] for _ in range(T - 1)], weights)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_count_engine_entries_and_shares_match_multiset_on_random_models():
+    # Pins off the target's support too (positive weights, zero-probability
+    # moves), whose free children reach states no other particle can: the
+    # sparse supports must take them in.  Columns range over every path.
+    gen = np.random.default_rng(15)
+    compared = 0
+    for _ in range(120):
+        S, T, N = (int(v) for v in (gen.integers(1, 4), gen.integers(1, 4), gen.integers(1, 5)))
+        m = outcome(lambda: _random_model(gen, S, T))
+        if isinstance(m, PmcmcLabError):
+            continue
+        every = list(itertools.product(range(S), repeat=T))
+        live = [p for p in every if all(m.potentials[t][p[t]] > 0 for t in range(T))]
+        dead = [p for p in every if p not in live]
+        for x in dead[:1]:
+            # A pin of zero weight is refused by both engines, with a type.
+            assert isinstance(outcome(lambda: histogram_entries(m, N, [(x, x)])), PmcmcLabError)
+            assert isinstance(outcome(lambda: list(multiset_sweep(m, N, [x]))), PmcmcLabError)
+        if not live:
+            continue
+        got = outcome(lambda: histogram_entries(m, N, [(x, y) for x in live for y in every]))
+        want = outcome(lambda: list(multiset_sweep(m, N, live, guard=10**5)))
+        if isinstance(got, PmcmcLabError) or isinstance(want, PmcmcLabError):
+            continue  # a refusal, typed; the engines' guards differ
+        entries, shares = (v.reshape(len(live), len(every)) for v in got)
+        for i, (x, row, share) in enumerate(want):
+            assert x == live[i]
+            assert np.max(np.abs(entries[i] - row_vector(row, every))) < 1e-12
+            assert np.max(np.abs(shares[i] - share)) < 1e-12
+        compared += 1
+    assert compared >= 60
+
+
 def _recorded(sweep, calls):
     """``sweep``, appending its name to ``calls`` on every call."""
 
@@ -242,33 +289,42 @@ def _recorded(sweep, calls):
 
 
 def test_histogram_guard_is_a_true_bound(monkeypatch):
-    # Model B at N=4: T=3, 8 paths, H = C(5, 2) = 10 histograms per time.
+    # Model B at N=3: T=3 and 8 paths with 4 prefixes (x_1, x_2), so 16
+    # prefix pairs, 4 with equal halves; 3 and 6 histograms at times 1
+    # and 2; 2 terminal weights, whose sums of 0..2 take 1, 2, 3 values.
+    # The multiset sweep needs 553 terms, within the count less one.
     m, paths = model("B"), target("B").paths
-    count = _histogram_work(m.n_states, 4, m.T, len(paths))
-    assert count == 3 * 8**2 * 10**2
-    assert exact_oracle._matrix_engine(m, 4, len(paths), count) == ("histogram", count)
-    assert exact_oracle._matrix_engine(m, 4, len(paths), count - 1) == ("multiset", count)
+    count = _histogram_work(m, 3, paths)
+    transitions, grids = 16 * 3 * 6, 2 * (1 + 2)
+    laws, pairs = 6 * (16 * 2 + 4 * 3), 8**2 * 2 + 8 * 3
+    assert count == transitions + grids + laws + pairs
+    assert exact_oracle._matrix_engine(m, 3, paths, count) == ("histogram", count)
+    assert exact_oracle._matrix_engine(m, 3, paths, count - 1) == ("multiset", count)
     calls = []
     for sweep in (histogram_sweep, multiset_sweep):
         monkeypatch.setattr(exact_oracle, sweep.__name__, _recorded(sweep, calls))
-    at = exact_pn_matrix(m, 4, guard=count)
-    below = exact_pn_matrix(m, 4, guard=count - 1)
+    at = exact_pn_matrix(m, 3, guard=count)
+    below = exact_pn_matrix(m, 3, guard=count - 1)
     assert calls == ["histogram_sweep", "multiset_sweep"]
     assert np.max(np.abs(at.kernel - below.kernel)) < 1e-12
     with pytest.raises(OutcomeSpaceTooLarge):
-        histogram_sweep(m, 4, paths, guard=count - 1)
+        histogram_sweep(m, 3, paths, guard=count - 1)
 
 
 def test_histogram_count_comes_before_any_array():
-    # 30 states at N=40: about 1e42 transition entries, refused at once.
+    # 30 states at T=2, N=40: about 3e19 histograms at time 1 for each of
+    # 900 prefix pairs, refused at once.
     S = 30
-    m = build_discrete_model(list(range(S)), np.full(S, 1 / S), [], [np.ones(S)])
-    paths = [(s,) for s in range(S)]
-    assert _histogram_work(S, 40, 1, S) > 10**40
+    uniform = np.full(S, 1 / S)
+    m = build_discrete_model(list(range(S)), uniform, [np.tile(uniform, (S, 1))], [np.ones(S), np.ones(S)])
+    paths = exact_target(m).paths
+    assert _histogram_work(m, 40, paths) > 10**20
+    t0 = time.monotonic()
     with pytest.raises(OutcomeSpaceTooLarge):
         histogram_sweep(m, 40, paths)
     with pytest.raises(OutcomeSpaceTooLarge):
         exact_pn_matrix(m, 40, guard=10**4)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_histogram_sweep_particle_counts():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pmcmc_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NonStochasticRow,
+    OutcomeSpaceTooLarge,
     PmcmcLabError,
     TooFewParticles,
     TraceTooShort,
@@ -21,6 +23,8 @@ from pmcmc_lab.harness import (
     KINDS,
     RESIDUAL_FLOOR,
     ExperimentConfig,
+    _level_pairs,
+    _sticky_set,
     load_config,
     sticky_control_model,
     sticky_control_rows,
@@ -34,7 +38,9 @@ from pmcmc_lab.exact_oracle import (
     chain_from_kernel,
     exact_asymptotic_variance,
     kernel_row,
+    kernel_row_multiset,
 )
+from pmcmc_lab.histogram import _histogram_work
 
 
 def _write_model(tmp_path):
@@ -113,13 +119,15 @@ def test_oracle_experiment_outputs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "label, N, engine", [("A", 6, "histogram"), ("sticky", 5, "multiset")]
+    "label, N, engine", [("A", 6, "histogram"), ("sticky", 3, "multiset")]
 )
 def test_oracle_manifest_names_the_exact_engine(tmp_path, label, N, engine):
-    # Sticky K=4 has 9 states: at N=5 the histogram sweep would need
-    # 2 * 8^2 * C(13, 9)^2 = 6.5e7 transition entries, past the guard.
+    # Sticky K=25 has 51 states and 50 paths: at N=3 the count engine needs
+    # 1.1e7 law entries (625 prefix pairs, 325 histograms at time 1, 50
+    # terminal weights), past the guard; the multiset sweep takes about half
+    # a second.
     path = tmp_path / "model.json"
-    (model_a() if label == "A" else sticky_example_model(4)).save(path)
+    (model_a() if label == "A" else sticky_example_model(25)).save(path)
     cfg = ExperimentConfig(kind="oracle", model_path=str(path), N=N, output_dir=str(tmp_path / "out"))
     manifest = json.loads((run_experiment(cfg) / "manifest.json").read_text())
     assert manifest["exact_engine"] == engine
@@ -265,6 +273,42 @@ def test_sticky_rows_match_slot_faithful_rows_and_outcome_tree(K, N, initial_law
         want = sum(p for path, p in row.items() if path in (x, (n - 1, 2 * n)))
         assert abs(stay - want) < 1e-12
         assert abs(share - tree_share(model, N, x)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("K", [4, 6])
+def test_sticky_control_stays_match_slot_faithful_and_multiset_rows(K, N):
+    control = sticky_control_model(K)
+    rows = sticky_control_rows(K, N)
+    assert [n for n, *_ in rows] == list(range(1, K + 1))
+    for n, stay, _ in rows:
+        x = (n - 1, 2 * n - 1)
+        for row in (kernel_row(control, N, x), kernel_row_multiset(control, N, x)):
+            assert abs(stay - sum(p for path, p in row.items() if path in _sticky_set(n))) < 1e-12
+
+
+@pytest.mark.parametrize("rows, K, N", [(sticky_experiment, 16, 6), (sticky_control_rows, 16, 8)])
+def test_sticky_rows_past_the_guard_are_refused_at_once(rows, K, N):
+    # The work is counted before any array is built: 1.2e8 law entries for
+    # the experiment at N=6 (16 levels, 15504 histograms at time 1), 9.6e7
+    # for the control at N=8 (2 terminal weights, 170544 histograms).
+    t0 = time.monotonic()
+    with pytest.raises(OutcomeSpaceTooLarge):
+        rows(K, N)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_sticky_manifest_names_the_exact_engine(tmp_path):
+    cfg = ExperimentConfig(kind="sticky", N=3, output_dir=str(tmp_path / "out"), params={"K": 16})
+    manifest = json.loads((run_experiment(cfg) / "manifest.json").read_text())
+    assert manifest["exact_engine"] == "histogram"
+    assert manifest["guard"] == 10**7
+    xs, ys = _level_pairs(range(1, 17))
+    assert manifest["histogram_work"] == {
+        "sticky.csv": _histogram_work(sticky_example_model(16), 3, xs, ys),
+        "sticky_control.csv": _histogram_work(sticky_control_model(16), 3, xs, ys),
+    }
+    assert 0 < manifest["histogram_work"]["sticky_control.csv"] < manifest["histogram_work"]["sticky.csv"] <= 10**7
 
 
 def test_sticky_experiment_runs_past_the_old_estimated_guards():
