@@ -2,9 +2,10 @@
 """Sweep the particle count on the canonical two-time model and print how the
 minorization constants respond, alongside the exact value from enumeration.
 
-Where the exact kernel is past the enumeration guard (N = 128 at the default
---max-exp 7), the exact column reads ``refused`` and the bound columns are
-still printed."""
+At the default --max-exp 7 every exact column (N up to 128) comes from the
+count engine.  Where the exact kernel is past the enumeration guard (from
+N = 256, --max-exp 8), the exact column reads ``refused`` and the bound
+columns are still printed."""
 
 import argparse
 

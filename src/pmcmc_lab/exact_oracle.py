@@ -10,33 +10,28 @@ Four enumeration engines, each exact, cross-checked in the test suite.
   share (the escape experiment's rows).
 * The multiset sweep (:func:`multiset_sweep`) collapses the free particles,
   which are exchangeable, to the multiset of their ancestral paths, which
-  evolves by multinomial draws.  Many rows are one sweep that walks the
-  pinned paths as a prefix trie, so rows sharing x_1..x_t share the forward
-  work through time t+1.  Each row comes with the retained-weight share
-  E[G_T(x_T) / sum_j G_T(Z_T^j)].  It gives :func:`kernel_row_multiset`
-  and the matrices past the count engine's guard.
-* :func:`kernel_row` is slot-faithful: a forward sweep over tuples of
-  ancestral paths with the reference pinned to an explicit slot sequence.
-  It runs only when :func:`exact_pn_matrix` is given a lineage, and it is
-  the independent engine against which the other sweeps' blindness to that
-  lineage is tested.
+  evolves by multinomial draws.  Each row comes with the retained-weight
+  share E[G_T(x_T) / sum_j G_T(Z_T^j)].  It gives
+  :func:`kernel_row_multiset` and the matrices past the count engine's guard.
+* The slot sweep (:func:`slot_sweep`, one row: :func:`kernel_row`) is
+  slot-faithful, with the reference pinned to an explicit slot sequence.  A
+  particle system is one int64 key over its slots' path codes, and each
+  time is a blocked outer product of the free slots' (parent slot, state)
+  options, merged by sort-and-sum.  It is the independent engine against
+  which the other sweeps' blindness to the lineage is tested.
 * :func:`enumerate_conditional_outcomes` walks the full outcome tree of a
-  pass (states and ancestor rows with exact probabilities).  It supports any
-  functional of the particle system and any pin configuration, at the price
-  of exponential cost.  It is the maximally-dumb reference: it runs in the
-  tests (:func:`kernel_row_tree`) and behind the two-pin brute force
-  :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`, itself a reference
-  for the closed form.
+  pass, any functional and any pins, at exponential cost.  It is the
+  maximally-dumb reference: it runs in the tests (:func:`kernel_row_tree`)
+  and behind the two-pin brute force
+  :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`.
 
+The two sweeps walk many pinned paths as a prefix trie (:func:`_trie_walk`),
+so rows sharing x_1..x_t share the forward work through time t+1.
 :func:`exact_pn_matrix` without a lineage runs the count engine when its
-work count is within the guard and the multiset sweep otherwise; one
-private function, :func:`_matrix_engine`, makes that choice before any
-array is built.
-
-Every engine admits a pinned path exactly when a pass would: each checks
-its pins with the pass's own :func:`pmcmc_lab.smc_core._pin_schedule`
-(length, slots in [0, N), states in the alphabet, positive weights, no
-clashing slots).
+work count is within the guard and the multiset sweep otherwise, a choice
+made before any array is built (:func:`_matrix_engine`).  Every engine
+checks its pins with the pass's own
+:func:`pmcmc_lab.smc_core._pin_schedule`.
 
 Also here: stationary laws, total-variation curves, spectral summaries,
 asymptotic variances and the exact minorization constant of enumerated
@@ -62,11 +57,12 @@ from .errors import (
     ZeroStationaryMass,
 )
 from .fk_model import DiscreteFK, exact_target
-from .histogram import _histogram_work, histogram_sweep
+from .histogram import _prepare, histogram_sweep
 from .smc_core import _path_rows, _pin_schedule
 
 _TREE_ROW_GUARD = 10**6  # most outcome-tree leaves kernel_row_tree enumerates
 _DETAILED_BALANCE_TOL = 1e-9  # largest |pi(x) P(x, y) - pi(y) P(y, x)| accepted
+_SLOT_BLOCK = 2**13  # entries per slot-sweep block; its ~7 live arrays stay near 0.5 MB
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +118,10 @@ def chain_from_kernel(states, kernel, stationary=None) -> FiniteChain:
 
 def _tree_size(model: DiscreteFK, N: int, pin_state) -> float:
     """Upper bound on the number of leaves of the outcome tree."""
-    count = 1.0
-    supp1 = int(np.sum(model.m1 > 0))
-    count *= supp1 ** (N - len(pin_state[0]))
+    count = float(np.sum(model.m1 > 0)) ** (N - len(pin_state[0]))
     for t in range(2, model.T + 1):
-        n_free = N - len(pin_state[t - 1])
-        max_row = max(int(np.sum(row > 0)) for row in model.transition(t))
-        count *= float(N * max_row) ** n_free
+        max_row = int((model.transition(t) > 0).sum(axis=1).max())
+        count *= float(N * max_row) ** (N - len(pin_state[t - 1]))
     return count
 
 
@@ -146,7 +139,9 @@ def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int =
     if _tree_size(model, N, pin_state) > guard:
         raise OutcomeSpaceTooLarge("outcome tree exceeds the enumeration guard")
 
-    m1_support = [(int(s), float(model.m1[s])) for s in np.flatnonzero(model.m1)]
+    # A free particle's options: (parent slot, state, probability); at t=1
+    # there is no parent.
+    initial = [(None, int(s), float(model.m1[s])) for s in np.flatnonzero(model.m1)]
 
     def rec(t, states, ancestors, prob):
         if t > T:
@@ -154,20 +149,8 @@ def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int =
             return
         pinned = pin_state[t - 1]
         free = [i for i in range(N) if i not in pinned]
-        if t == 1:
-            options = [m1_support] * len(free)
-
-            def build(combo):
-                row = [None] * N
-                for i, st in pinned.items():
-                    row[i] = st
-                p = 1.0
-                for slot, (s, w) in zip(free, combo):
-                    row[slot] = s
-                    p *= w
-                return tuple(row), None, p
-
-        else:
+        options = initial
+        if t > 1:
             prev = states[-1]
             g = np.array([model.potential(t - 1, z) for z in prev])
             tot = float(g.sum())
@@ -175,34 +158,23 @@ def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int =
                 raise AllWeightsZero(time=t - 1)
             w = g / tot
             mat = model.transition(t)
-            per_free = [
+            options = [
                 (k, int(s), float(w[k] * mat[prev[k], s]))
                 for k in range(N)
                 if w[k] > 0
                 for s in np.flatnonzero(mat[prev[k]])
             ]
-            options = [per_free] * len(free)
-
-            def build(combo):
-                row = [None] * N
-                anc = [None] * N
-                for i, st in pinned.items():
-                    row[i] = st
-                    anc[i] = pin_anc[t - 2][i]
-                p = 1.0
-                for slot, (k, s, pw) in zip(free, combo):
-                    row[slot] = s
-                    anc[slot] = k
-                    p *= pw
-                return tuple(row), tuple(anc), p
-
-        for combo in itertools.product(*options):
-            row, anc, p = build(combo)
-            if p == 0.0:
-                continue
-            new_states = states + [row]
-            new_anc = ancestors + [anc] if anc is not None else ancestors
-            yield from rec(t + 1, new_states, new_anc, prob * p)
+        for combo in itertools.product(options, repeat=len(free)):
+            row, anc, p = [None] * N, [None] * N, 1.0
+            for i, st in pinned.items():
+                row[i] = st
+                anc[i] = pin_anc[t - 2][i] if t > 1 else None
+            for slot, (k, s, pw) in zip(free, combo):
+                row[slot], anc[slot] = s, k
+                p *= pw
+            if p != 0.0:
+                new_anc = ancestors + [tuple(anc)] if t > 1 else ancestors
+                yield from rec(t + 1, states + [tuple(row)], new_anc, prob * p)
 
     yield from rec(1, [], [], 1.0)
 
@@ -242,89 +214,149 @@ def kernel_row_tree(model: DiscreteFK, N: int, x, lineage=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Path-tuple dynamic program (slot-faithful kernel rows)
+# Slot sweep (slot-faithful kernel rows, the reference on any lineage)
 # ---------------------------------------------------------------------------
 
 
-def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -> dict:
-    """Exact law of the selected path for one starting trajectory.
+class _SlotSweep:
+    """Forward sweep over whole particle systems, slot by slot.
 
-    ``lineage`` pins the reference to an arbitrary slot sequence (slot 0
-    everywhere by default), checked as every pin schedule is.  Returns a
-    dict path -> probability.
+    After time t the ancestral paths in play are the rows of a (P, t) table;
+    a child is coded (parent row) S + (its state), and the codes in play are
+    renumbered densely.  A system is its free slots' codes, one int64 key,
+    with a probability; the pinned slot ``lineage[t-1]`` holds x_1..x_t.
+    Each time is the outer product of the free slots' (parent slot, state)
+    options, built in blocks of about ``_SLOT_BLOCK`` entries and merged
+    by sort-and-sum.  ``entries`` counts the entries built: the time-1
+    product, keys x options^(N-1) per later time and keys x N per terminal
+    sum, each counted before it is built and refused past ``guard``.
     """
-    T = model.T
-    x = tuple(x)
-    lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * T
-    _pin_schedule(model.tables, [(lineage, x)], N)
-    if N == 1:
-        return {x: 1.0}
 
-    n_free = N - 1
-    # Support-aware work estimate: reachable path counts per time versus the
-    # per-particle expansion factor.
-    reachable = float(np.sum(model.m1 > 0))
-    work = 0.0
-    for t in range(2, T + 1):
-        max_row = max(int(np.sum(row > 0)) for row in model.transition(t))
-        work += reachable**n_free * float(N * max_row) ** n_free
-        reachable = min(reachable * max_row, float(model.n_states) ** t)
-    if work > guard:
-        raise OutcomeSpaceTooLarge("path-tuple sweep exceeds the enumeration guard")
+    def __init__(self, model: DiscreteFK, N: int, lineage, guard: int):
+        self.model, self.n_free, self.lineage, self.guard, self.entries = model, N - 1, lineage, guard, 0
+        # Per time, each state's successors (positive entries sort first),
+        # padded to one width, with their probabilities (0 on the padding).
+        self.moves = [None, None]
+        for M in model.transitions:
+            succ = np.argsort(M <= 0, axis=1, kind="stable")[:, : (M > 0).sum(axis=1).max()]
+            self.moves.append((succ, np.take_along_axis(M, succ, axis=1)))
 
-    pin = lineage[0]
-    cur: dict = {}
-    m1_support = [(int(s), float(model.m1[s])) for s in np.flatnonzero(model.m1)]
-    free = [i for i in range(N) if i != pin]
-    for combo in itertools.product(m1_support, repeat=n_free):
-        paths = [None] * N
-        paths[pin] = (x[0],)
-        p = 1.0
-        for slot, (s, w) in zip(free, combo):
-            paths[slot] = (s,)
-            p *= w
-        key = tuple(paths)
-        cur[key] = cur.get(key, 0.0) + p
+    def rows(self, paths):
+        """Yield (x, kernel row of x) for each pinned path, in trie order."""
+        support = np.flatnonzero(self.model.m1)
+        codes = np.arange(len(support))[None]
+        law = (support[:, None],) + self._expand(np.ones(1), self.model.m1[support][None], codes, len(support))
+        yield from _trie_walk(self.model.T, 1, law, list(paths), self._step, self._select)
 
-    for t in range(2, T + 1):
-        pin = lineage[t - 1]
-        free = [i for i in range(N) if i != pin]
-        mat = model.transition(t)
-        nxt: dict = {}
-        for paths, prob in cur.items():
-            last = [p[-1] for p in paths]
-            g = np.array([model.potential(t - 1, z) for z in last])
-            tot = float(g.sum())
-            if tot <= 0:
-                raise AllWeightsZero(time=t - 1)
-            w = g / tot
-            per_free = [
-                (paths[k] + (int(s),), float(w[k] * mat[last[k], s]))
-                for k in range(N)
-                if w[k] > 0
-                for s in np.flatnonzero(mat[last[k]])
-            ]
-            pinned_path = x[: t]
-            for combo in itertools.product(per_free, repeat=n_free):
-                new_paths = [None] * N
-                new_paths[pin] = pinned_path
-                p = prob
-                for slot, (np_path, pw) in zip(free, combo):
-                    new_paths[slot] = np_path
-                    p *= pw
-                key = tuple(new_paths)
-                nxt[key] = nxt.get(key, 0.0) + p
-        cur = nxt
+    def _count(self, n: int) -> None:
+        self.entries += n
+        if self.entries > self.guard:
+            raise OutcomeSpaceTooLarge(f"slot sweep passes the guard of {self.guard} entries")
 
-    terms: dict = {}
-    for paths, prob in cur.items():
-        g = np.array([model.potential(T, p[-1]) for p in paths])
-        tot = float(g.sum())
-        if tot <= 0:
-            raise AllWeightsZero(time=T)
-        for k in np.flatnonzero(g):
-            terms.setdefault(paths[k], []).append(prob * float(g[k]) / tot)
-    return {path: math.fsum(v) for path, v in terms.items()}
+    def _place(self, law, x, t):
+        """The path table and (K, N) systems after time t, the pin x_1..x_t in
+        its slot (and in the table, if no free slot holds it), and each
+        system's selection weights at t."""
+        table, free, _ = law
+        row = np.flatnonzero((table == x[:t]).all(axis=1))
+        if not len(row):
+            table, row = np.vstack([table, x[:t]]), [len(table)]
+        systems = np.insert(free, self.lineage[t - 1], row[0], axis=1)
+        g = self.model.potentials[t - 1][table[:, -1]][systems]
+        total = g.sum(axis=1)
+        if not total.all():
+            raise AllWeightsZero(time=t)
+        return table, systems, g / total[:, None]
+
+    def _step(self, t, law, pinned):
+        """The law after time t from the law after t-1 and the pinned parent
+        path x_1..x_{t-1}."""
+        table, systems, w = self._place(law, pinned, t - 1)
+        K, S, (succ, q) = len(systems), self.model.n_states, self.moves[t]
+        last = table[:, -1][systems]
+        opt_p = (w[..., None] * q[last]).reshape(K, -1)
+        raw = (systems[..., None] * S + succ[last]).reshape(K, -1)
+        used = np.bincount(raw[opt_p > 0], minlength=len(table) * S) > 0
+        kept = np.flatnonzero(used)
+        children = np.hstack([table[kept // S], (kept % S)[:, None]])
+        return (children,) + self._expand(law[2], opt_p, (np.cumsum(used) - 1)[raw], len(kept))
+
+    def _expand(self, probs, opt_p, opt_c, base):
+        """K systems of probabilities ``probs`` times every choice, for each
+        free slot, of one of O options (K, O) of probability ``opt_p`` and
+        code ``opt_c`` < base: the merged (K', N-1) codes and probabilities."""
+        n, (K, O) = self.n_free, opt_p.shape
+        if base**n > np.iinfo(np.int64).max:
+            raise OutcomeSpaceTooLarge(f"{n} slot codes in base {base} pass one int64 key")
+        self._count(K * O**n)
+        rows, parts = max(1, _SLOT_BLOCK // O**n), []
+        for lo in range(0, K, rows):
+            p = probs[lo : lo + rows, None]
+            key = np.zeros(p.shape, dtype=np.int64)
+            for _ in range(n):
+                p = (p[..., None] * opt_p[lo : lo + rows, None]).reshape(len(p), -1)
+                key = (key[..., None] * base + opt_c[lo : lo + rows, None]).reshape(len(p), -1)
+            parts.append(_merge(key[p > 0], p[p > 0]))
+        key, probs = _merge(*map(np.concatenate, zip(*parts)))
+        return key[:, None] // base ** np.arange(n - 1, -1, -1) % base, probs
+
+    def _select(self, law, group):
+        """Yield (x, kernel row of x) for each x in ``group``: the terminal
+        draw, one weighted sum per selected path."""
+        for x in group:
+            self._count(len(law[1]) * (self.n_free + 1))
+            table, systems, w = self._place(law, x, self.model.T)
+            mass = np.bincount(systems.ravel(), (law[2][:, None] * w).ravel(), len(table))
+            hit = np.bincount(systems[w > 0], minlength=len(table)) > 0
+            yield x, dict(zip(map(tuple, table[hit].tolist()), mass[hit].tolist()))
+
+
+def _merge(keys, probs):
+    """The distinct keys in order, with the probabilities of equal keys summed."""
+    order = np.argsort(keys, kind="stable")
+    keys, probs = keys[order], probs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(probs, starts)
+
+
+def _trie_walk(T, t, law, group, step, select):
+    """Yield the rows of ``group``, pinned paths that agree on x_1..x_{t-1},
+    from ``law``, the law after time t that they share: each distinct x_t
+    steps to its law after t+1 (``step``), and at T ``select`` yields."""
+    if t == T:
+        yield from select(law, group)
+        return
+    branches: dict = {}
+    for x in group:
+        branches.setdefault(x[t - 1], []).append(x)
+    for branch in branches.values():
+        yield from _trie_walk(T, t + 1, step(t + 1, law, branch[0][:t]), branch, step, select)
+
+
+def slot_sweep(model: DiscreteFK, N: int, paths, lineage=None, guard: int = 10**7):
+    """Yield (x, kernel row of x) for each pinned path, in prefix-trie order,
+    with the reference on ``lineage`` (slot 0 at every time by default).
+
+    The paths are checked as one batched pin on the lineage; ``guard``
+    bounds the entries of the whole sweep.
+    """
+    lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * model.T
+    yield from _SlotSweep(model, N, lineage, guard).rows(_checked_pins(model, N, paths, lineage))
+
+
+def _checked_pins(model: DiscreteFK, N: int, paths, lineage) -> list:
+    """``paths`` as tuples, checked as one batched pin on ``lineage``."""
+    paths = [tuple(x) for x in paths]
+    if paths:
+        _pin_schedule(model.tables, [(lineage, _path_rows(paths, model.T).T)], N)
+    return paths
+
+
+def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -> dict:
+    """Exact law of the selected path from one trajectory, a dict path ->
+    probability: the one-path call of :func:`slot_sweep`."""
+    ((_, row),) = slot_sweep(model, N, [x], lineage, guard)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -337,26 +369,16 @@ class _MultisetSweep:
 
     Free children are conditionally i.i.d. given the current states, so the
     multiset of the N-1 free paths evolves by multinomial draws.  A state is
-    a tuple of (path, count) pairs sorted by path.  The law of the state
-    after time t depends on the pinned path only through x_1..x_{t-1}, so
-    :meth:`rows` walks the pinned paths as a prefix trie: each law is built
-    once per distinct prefix and shared by every row below it, and only the
-    terminal selection runs per row.
-
-    ``terms`` counts the multinomial terms enumerated so far; a draw that
-    would take it past ``guard`` raises OutcomeSpaceTooLarge before it runs.
+    a tuple of (path, count) pairs sorted by path.  ``terms`` counts the
+    multinomial terms enumerated so far; a draw that would take it past
+    ``guard`` raises OutcomeSpaceTooLarge before it runs.
     """
 
     def __init__(self, model: DiscreteFK, N: int, guard: int):
-        self.model = model
-        self.n_free = N - 1
-        self.guard = guard
-        self.terms = 0
-        T = model.T
-        self.g = [None] + [model.potential_vector(t).tolist() for t in range(1, T + 1)]
+        self.model, self.n_free, self.guard, self.terms = model, N - 1, guard, 0
+        self.g = [None] + [g.tolist() for g in model.potentials]
         self.moves = [None, None] + [
-            [[(int(s), float(row[s])) for s in np.flatnonzero(row)] for row in model.transition(t)]
-            for t in range(2, T + 1)
+            [[(int(s), float(row[s])) for s in np.flatnonzero(row)] for row in M] for M in model.transitions
         ]
 
     def rows(self, paths):
@@ -364,19 +386,7 @@ class _MultisetSweep:
         m1 = self.model.m1
         initial: dict = {}
         self._draw({(int(s),): float(m1[s]) for s in np.flatnonzero(m1)}, 1.0, initial)
-        yield from self._walk(1, initial, list(paths))
-
-    def _walk(self, t, law, group):
-        # ``law`` is the state law after time t, shared by ``group``: the
-        # pinned paths that agree on x_1..x_{t-1}.
-        if t == self.model.T:
-            yield from self._select(law, group)
-            return
-        branches: dict = {}
-        for x in group:
-            branches.setdefault(x[t - 1], []).append(x)
-        for branch in branches.values():
-            yield from self._walk(t + 1, self._step(t + 1, law, branch[0][:t]), branch)
+        yield from _trie_walk(self.model.T, 1, initial, list(paths), self._step, self._select)
 
     def _step(self, t, law, pinned) -> dict:
         """State law after time t, given the law after t-1 and the pinned
@@ -398,17 +408,12 @@ class _MultisetSweep:
         return out
 
     def _draw(self, law: dict, prob: float, out: dict) -> None:
-        """Add prob times the law of n_free i.i.d. draws from ``law`` to ``out``.
-
-        ``law`` maps child path -> probability; each outcome is keyed as a
-        state, weighted by its multinomial probability.
-        """
+        """Add prob times the law of n_free i.i.d. draws from ``law`` (child
+        path -> probability), keyed as states, to ``out``."""
         types = sorted(law)
         self.terms += math.comb(self.n_free + len(types) - 1, self.n_free)
         if self.terms > self.guard:
-            raise OutcomeSpaceTooLarge(
-                f"multiset sweep passes the guard of {self.guard} multinomial terms"
-            )
+            raise OutcomeSpaceTooLarge(f"multiset sweep passes the guard of {self.guard} multinomial terms")
         partial = [((), self.n_free, prob)]
         for tp in types[:-1]:
             p = law[tp]
@@ -431,11 +436,8 @@ class _MultisetSweep:
 
     def _select(self, law, group):
         """Yield (x, kernel row of x, retained-weight share) for each x in
-        ``group``: the terminal selection from the state law after time T.
-
-        The share is the chance that the terminal draw picks the pinned
-        particle, E[G_T(x_T) / sum_j G_T(Z_T^j)]; the row's entry for x also
-        counts free copies of x."""
+        ``group``: the terminal draw.  The row's entry for x also counts free
+        copies of x; the share does not."""
         g = self.g[self.model.T]
         free = []
         for key, prob in law.items():
@@ -457,29 +459,17 @@ class _MultisetSweep:
 
 def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
     """Yield (x, kernel row of x, retained-weight share) for each pinned path,
-    in prefix-trie order: the exact row engine.
-
-    The row maps path -> probability; the share is the chance that the
-    terminal draw picks the pinned particle itself.  ``guard`` bounds the
-    multinomial terms of the whole sweep.  The paths are checked as one
-    batched pin, as :func:`pmcmc_lab.csmc.reference_pass` checks its rows.
+    in prefix-trie order.  The share is the chance that the terminal draw
+    picks the pinned particle itself.  ``guard`` bounds the multinomial terms
+    of the whole sweep.
     """
-    paths = [tuple(x) for x in paths]
-    if paths:
-        _pin_schedule(model.tables, [((0,) * model.T, _path_rows(paths, model.T).T)], N)
-    yield from _MultisetSweep(model, N, guard).rows(paths)
+    yield from _MultisetSweep(model, N, guard).rows(_checked_pins(model, N, paths, (0,) * model.T))
 
 
 def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dict:
-    """Exact kernel row using exchangeability of the free particles.
-
-    The one-path call of :func:`multiset_sweep`: the pass is collapsed to
-    (pinned path, multiset of free ancestral paths), which is polynomial in
-    N.  ``guard`` bounds the multinomial terms the sweep enumerates.  The
-    sweep is blind to the pinned slot sequence; the slot-faithful engine in
-    :func:`kernel_row` exists precisely so that this blindness can be
-    tested, not assumed.
-    """
+    """Exact kernel row using exchangeability of the free particles: the
+    one-path call of :func:`multiset_sweep`, blind to the pinned slot
+    sequence (a blindness :func:`kernel_row` tests, not assumes)."""
     ((_, row, _),) = multiset_sweep(model, N, [x], guard)
     return row
 
@@ -497,41 +487,51 @@ def exact_pn_matrix(
       work, in law entries, is at most ``guard``.  Otherwise one
       :func:`multiset_sweep` walks all paths at once, and ``guard`` bounds
       the multinomial terms of the whole sweep.
-    * With a pin lineage each row comes from the slot-faithful
-      :func:`kernel_row`, and ``guard`` bounds each row.
+    * With a pin lineage one slot-faithful :func:`slot_sweep` walks all
+      paths at once, and ``guard`` bounds the entries of the whole sweep.
 
-    The outcome-tree engine (:func:`kernel_row_tree`) is a test reference
-    only and never runs here.
     """
+    return _pn_matrix(model, N, lineage, target, guard)[0]
+
+
+def _pn_matrix(model: DiscreteFK, N: int, lineage, target, guard: int) -> tuple:
+    """:func:`exact_pn_matrix`, the engine that ran and the count engine's
+    work, with the count plan built once ("slot" and 0 with a lineage)."""
     if target is None:
         target = exact_target(model)
     paths = target.paths
     if len(paths) > 3000:
         raise OutcomeSpaceTooLarge(f"{len(paths)} paths exceed the supported matrix size")
+    engine, work = "slot", 0
     if lineage is not None:
-        K = _row_matrix(paths, ((x, kernel_row(model, N, x, lineage=lineage, guard=guard)) for x in paths))
-    elif _matrix_engine(model, N, paths, guard)[0] == "histogram":
-        K = histogram_sweep(model, N, paths, guard)
+        K = _row_matrix(paths, slot_sweep(model, N, paths, lineage, guard))
     else:
-        K = _row_matrix(paths, ((x, row) for x, row, _ in multiset_sweep(model, N, paths, guard)))
-    return FiniteChain(states=paths, kernel=K, stationary=target.probabilities.copy())
+        prepared = _prepare(model, N, paths, None, guard)
+        engine, work = _matrix_engine(model, N, paths, guard, prepared)
+        if engine == "histogram":
+            K = histogram_sweep(model, N, paths, guard, prepared)
+        else:
+            K = _row_matrix(paths, multiset_sweep(model, N, paths, guard))
+    return FiniteChain(states=paths, kernel=K, stationary=target.probabilities.copy()), engine, work
 
 
 def _row_matrix(paths, rows) -> np.ndarray:
-    """The kernel over ``paths`` from (x, row of x as a dict) pairs."""
+    """The kernel over ``paths`` from (x, row of x as a dict, ...) tuples."""
     K = np.zeros((len(paths), len(paths)))
     index = {p: i for i, p in enumerate(paths)}
-    for x, row in rows:
+    for x, row, *_ in rows:
         i = index[x]
         for path, p in row.items():
             K[i, index[path]] += p
     return K
 
 
-def _matrix_engine(model: DiscreteFK, N: int, paths, guard: int) -> tuple:
+def _matrix_engine(model: DiscreteFK, N: int, paths, guard: int, prepared=None) -> tuple:
     """(engine, work) of a lineage-free :func:`exact_pn_matrix`: "histogram"
-    when the count engine's work is at most ``guard``, else "multiset"."""
-    work = _histogram_work(model, N, paths, guard=guard)
+    when the count engine's work is at most ``guard``, else "multiset".
+    ``prepared`` is the count plan of these arguments, when already built."""
+    plan = (prepared or _prepare(model, N, paths, None, guard))[3]
+    work = 0 if plan is None else plan.work
     return ("histogram" if work <= guard else "multiset"), work
 
 

@@ -37,15 +37,9 @@ from .bounds import (
 from .c2smc import alpha_constant
 from .csmc import ChainTrace, Trajectory, icsmc_chain, run_chain
 from .errors import ConfigError, TraceTooShort
-from .exact_oracle import (
-    _matrix_engine,
-    exact_minorization,
-    exact_pn_matrix,
-    spectral_summary,
-    tv_curve,
-)
+from .exact_oracle import _pn_matrix, exact_minorization, spectral_summary, tv_curve
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model, sup_potentials
-from .histogram import _histogram_work, histogram_entries
+from .histogram import _entries
 from .pgibbs import (
     check_theta_chain_identities,
     check_x_chain_orderings,
@@ -204,9 +198,9 @@ def _level_pairs(n_grid):
 
 def _level_stays(model: DiscreteFK, N: int, n_grid):
     """Per level n: the stay probability P(x_n, A_n) and the retained share
-    from x_n, from one count-engine call for all levels."""
-    entries, shares = histogram_entries(model, N, zip(*_level_pairs(n_grid)), _ORACLE_GUARD)
-    return entries[0::2] + entries[1::2], shares[0::2]
+    from x_n, from one count-engine call for all levels; and its work."""
+    entries, shares, work = _entries(model, N, zip(*_level_pairs(n_grid)), _ORACLE_GUARD)
+    return entries[0::2] + entries[1::2], shares[0::2], work
 
 
 def sticky_experiment(K: int, N: int, n_grid=None, initial_law: str = "geometric"):
@@ -218,11 +212,16 @@ def sticky_experiment(K: int, N: int, n_grid=None, initial_law: str = "geometric
     count engine (:func:`pmcmc_lab.histogram.histogram_entries`), which
     raises OutcomeSpaceTooLarge past its guard before any array is built.
     """
+    return _sticky_rows(K, N, n_grid, initial_law)[0]
+
+
+def _sticky_rows(K: int, N: int, n_grid, initial_law: str):
+    """:func:`sticky_experiment`'s rows and the count engine's work."""
     model = sticky_example_model(K, initial_law=initial_law)
     if n_grid is None:
         n_grid = list(range(1, K + 1))
-    stays, shares = _level_stays(model, N, n_grid)
-    return [(n, float(stay), float(share)) for n, stay, share in zip(n_grid, stays, shares)]
+    stays, shares, work = _level_stays(model, N, n_grid)
+    return [(n, float(stay), float(share)) for n, stay, share in zip(n_grid, stays, shares)], work
 
 
 def sticky_control_rows(K: int, N: int, n_grid=None):
@@ -232,17 +231,22 @@ def sticky_control_rows(K: int, N: int, n_grid=None):
     minorization constant: P(x, A_n^c) >= eps pi(A_n^c) for every x.  The
     stays come from one count-engine call, as in :func:`sticky_experiment`.
     """
+    return _control_rows(K, N, n_grid)[0]
+
+
+def _control_rows(K: int, N: int, n_grid):
+    """:func:`sticky_control_rows`'s rows and the count engine's work."""
     control = sticky_control_model(K)
     if n_grid is None:
         n_grid = list(range(1, K + 1))
-    stays, _ = _level_stays(control, N, n_grid)
+    stays, _, work = _level_stays(control, N, n_grid)
     eps = epsilon_bounded(control, N).epsilon
     target = exact_target(control)
     rows = []
     for n, stay in zip(n_grid, stays):
         pi_a = sum(target.prob(path) for path in _sticky_set(n))
         rows.append((n, float(stay), 1.0 - eps * (1.0 - pi_a)))
-    return rows
+    return rows, work
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +332,7 @@ def _run_oracle(cfg: ExperimentConfig, out: Path) -> dict:
     model = _load_model(cfg)
     n = cfg.n_sweep[0]
     target = exact_target(model)
-    engine, work = _matrix_engine(model, n, target.paths, _ORACLE_GUARD)
-    chain = exact_pn_matrix(model, n, target=target, guard=_ORACLE_GUARD)
+    chain, engine, work = _pn_matrix(model, n, None, target, _ORACLE_GUARD)
     _write_csv(
         out / "kernel.csv",
         [["x", "y", "prob"]]
@@ -467,22 +470,19 @@ def _run_sticky(cfg: ExperimentConfig, out: Path) -> dict:
     ):
         raise ConfigError(f"sticky param n_grid = {n_grid!r} must be a list of ints in [1, {K}]")
     initial_law = cfg.params.get("initial_law", "geometric")
-    rows = sticky_experiment(K, cfg.n_sweep[0], n_grid=n_grid, initial_law=initial_law)
+    rows, sticky_work = _sticky_rows(K, cfg.n_sweep[0], n_grid, initial_law)
     _write_csv(
         out / "sticky.csv",
         [["n", "stay_probability", "suff_expectation"]]
         + [[n, _fmt(stay), _fmt(suff)] for n, stay, suff in rows],
     )
-    ctrl = sticky_control_rows(K, cfg.n_sweep[0], n_grid=n_grid)
+    ctrl, control_work = _control_rows(K, cfg.n_sweep[0], n_grid)
     _write_csv(
         out / "sticky_control.csv",
         [["n", "stay_probability", "stay_bound"]]
         + [[n, _fmt(stay), _fmt(bound)] for n, stay, bound in ctrl],
     )
-    levels = n_grid if n_grid is not None else range(1, K + 1)
-    xs, ys = _level_pairs(levels)
-    models = {"sticky.csv": sticky_example_model(K, initial_law), "sticky_control.csv": sticky_control_model(K)}
-    work = {name: _histogram_work(m, cfg.n_sweep[0], xs, ys, _ORACLE_GUARD) for name, m in models.items()}
+    work = {"sticky.csv": sticky_work, "sticky_control.csv": control_work}
     return {"exact_engine": "histogram", "histogram_work": work, "guard": _ORACLE_GUARD}
 
 

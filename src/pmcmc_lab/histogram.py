@@ -201,15 +201,17 @@ def _refuse_past(plan, guard: int) -> None:
         raise OutcomeSpaceTooLarge(f"count engine passes the guard of {guard} law entries (counted {plan.work})")
 
 
-def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7) -> np.ndarray:
+def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7, prepared=None) -> np.ndarray:
     """The kernel entries P(x, y) for x, y in ``paths``, as a (P, P) array;
     rows sum to one when ``paths`` holds every positive-mass path.
 
     Past ``guard`` law entries it raises OutcomeSpaceTooLarge before any
     array is built.  The paths are checked as one batched pin, as
-    :func:`pmcmc_lab.exact_oracle.multiset_sweep` checks them.
+    :func:`pmcmc_lab.exact_oracle.multiset_sweep` checks them.  A caller
+    that has already run :func:`_prepare` on these arguments passes its
+    result as ``prepared``, so the checks and the plan are built once.
     """
-    xs, _, layout, plan = _prepare(model, N, [tuple(x) for x in paths], None, guard)
+    xs, _, layout, plan = prepared or _prepare(model, N, [tuple(x) for x in paths], None, guard)
     _refuse_past(plan, guard)
     P = len(xs)
     if plan is None:
@@ -233,15 +235,21 @@ def histogram_entries(model: DiscreteFK, N: int, pairs, guard: int = 10**7):
     Past ``guard`` law entries it raises OutcomeSpaceTooLarge before any
     array is built; the pins x_b are checked as one batched pin.
     """
+    return _entries(model, N, pairs, guard)[:2]
+
+
+def _entries(model: DiscreteFK, N: int, pairs, guard: int):
+    """:func:`histogram_entries` and the work it counted."""
     pairs = [(tuple(x), tuple(y)) for x, y in pairs]
     xs, ys, layout, plan = _prepare(model, N, [x for x, _ in pairs], [y for _, y in pairs], guard)
     _refuse_past(plan, guard)
     if plan is None:
         same = np.all(xs == ys, axis=1) if len(xs) else np.zeros(0, bool)
-        return same.astype(float), np.ones(len(xs))
+        return same.astype(float), np.ones(len(xs)), 0
     A1, A2 = _prefix_sums(model, plan, layout)
     shares = _shares(model, plan, A2[layout.pin_prefix], xs)
-    return _free_part(model, plan, A1[layout.pair_prefix], xs, ys) + np.all(xs == ys, axis=1) * shares, shares
+    entries = _free_part(model, plan, A1[layout.pair_prefix], xs, ys) + np.all(xs == ys, axis=1) * shares
+    return entries, shares, plan.work
 
 
 def _free_part(model: DiscreteFK, plan: _Plan, A1, xs, ys) -> np.ndarray:

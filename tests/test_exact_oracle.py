@@ -161,6 +161,35 @@ def test_multiset_guard_counts_enumerated_terms():
         exact_pn_matrix(m, 3, guard=48)
 
 
+def test_slot_sweep_guard_counts_built_entries():
+    # Model A, N=3, x=(0, 0): time 1 builds 2^2 = 4 systems of the two free
+    # slots.  At time 2 each free slot has 3 parent slots x 2 successors = 6
+    # options: 4 x 6^2 = 144 entries, which merge to 16 systems.  The
+    # terminal sum reads 16 systems x 3 slots.  Total 4 + 144 + 48 = 196.
+    m = model_a()
+    kernel_row(m, 3, (0, 0), guard=196)
+    with pytest.raises(OutcomeSpaceTooLarge):
+        kernel_row(m, 3, (0, 0), guard=195)
+    # The lineage-pinned matrix shares time 1 across all four rows and time
+    # 2 across the two rows of each x_1: 4 + 2 x 144 + 4 x 48, not 4 x 196.
+    exact_pn_matrix(m, 3, lineage=(1, 2), guard=484)
+    with pytest.raises(OutcomeSpaceTooLarge):
+        exact_pn_matrix(m, 3, lineage=(1, 2), guard=483)
+
+
+def test_slot_sweep_matches_tree_for_a_pin_off_the_transition_support():
+    # x = (0, 1, 0) moves 0 -> 1, which the chain never does: at time 3 free
+    # slots copy the pin's prefix (0, 1), a path no transition reaches.
+    m = build_discrete_model(
+        [0, 1], [0.5, 0.5], [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.25, 0.75]]], [[1.0, 2.0]] * 3
+    )
+    for lineage in ((0, 0, 0), (2, 0, 1)):
+        row, tree = kernel_row(m, 3, (0, 1, 0), lineage), kernel_row_tree(m, 3, (0, 1, 0), lineage)
+        assert (0, 1, 1) in row
+        assert set(row) == set(tree)
+        assert max(abs(row[k] - tree[k]) for k in row) < 1e-12
+
+
 @st.composite
 def sparse_models(draw):
     """Models with S, T <= 3, zero weights and sparse transition rows."""
@@ -205,6 +234,29 @@ def test_property_default_engine_matches_slot_faithful(m, N):
         return
     assert got[0] == want[0]
     assert np.max(np.abs(got[1] - want[1])) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_models(), st.integers(1, 3), st.data())
+def test_property_lineage_pinned_matrix_matches_default_engine(m, N, data):
+    # The pass's kernel does not depend on the slots that carry the
+    # reference: any lineage gives the default engine's matrix, or both
+    # refuse with a typed error.
+    lineage = tuple(data.draw(st.lists(st.integers(0, N - 1), min_size=m.T, max_size=m.T)))
+    got = outcome(lambda: exact_pn_matrix(m, N, lineage=lineage))
+    want = outcome(lambda: exact_pn_matrix(m, N))
+    if isinstance(got, PmcmcLabError) or isinstance(want, PmcmcLabError):
+        assert isinstance(got, PmcmcLabError) and isinstance(want, PmcmcLabError)
+        return
+    assert got.states == want.states
+    assert np.max(np.abs(got.kernel - want.kernel)) < 1e-12
+    # One row against the outcome tree on the same lineage, where it fits.
+    x = data.draw(st.sampled_from(got.states))
+    tree = outcome(lambda: kernel_row_tree(m, N, x, lineage))
+    if not isinstance(tree, OutcomeSpaceTooLarge):
+        row = kernel_row(m, N, x, lineage)
+        assert set(row) == set(tree)
+        assert max(abs(row[k] - tree[k]) for k in row) < 1e-12
 
 
 def multiset_matrix(m, N, paths, guard=10**7) -> np.ndarray:
