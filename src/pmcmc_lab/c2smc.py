@@ -6,7 +6,9 @@ sum over increasing index chains: each chain records the times at which a
 surviving lineage passes through one of the two pinned paths, every other
 segment contributing a free factor of N-2.  The closed form evaluates that
 sum by a backward accumulation over chain start points (cost T^2), checked
-against a brute-force enumeration of the pass.
+against a brute-force enumeration of the pass: the blocks of the outcome
+tree (:mod:`pmcmc_lab.exact_oracle`), each outcome's estimate added in
+outcome order.
 
 The module also computes the two mixing constants used by the escape-rate
 bounds: the predictive-overshoot ratio ``alpha`` and the pair ``beta`` /
@@ -21,7 +23,7 @@ import numpy as np
 
 from .csmc import Trajectory, conditional_system
 from .errors import AssertionFailure, IndexOutOfRange, ZeroPotential, ZeroTransitionOverlap
-from .exact_oracle import enumerate_conditional_outcomes
+from .exact_oracle import _OutcomeTree
 from .fk_model import DiscreteFK, predictive_law, q_operator
 from .smc_core import BatchedPass, _pin_schedule
 
@@ -79,15 +81,26 @@ def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
 
 
 def c2smc_expectation_bruteforce(model: DiscreteFK, N: int, x, y) -> float:
-    """The same expectation by full enumeration of the pass (the oracle)."""
+    """The same expectation by full enumeration of the pass (the oracle).
+
+    Each block of the outcome tree gives its outcomes' estimates, products
+    over time of the average weights.  Weights add in slot order and terms
+    in outcome order, as a running total, so the value does not depend on
+    the block size.
+    """
     T = model.T
     pins = [((0,) * T, _points(x)), ((1,) * T, _points(y))]
     total = 0.0
-    for prob, states, _ in enumerate_conditional_outcomes(model, N, pins):
-        est = 1.0
-        for t in range(1, T + 1):
-            est *= sum(model.potential(t, z) for z in states[t - 1]) / N
-        total += prob * est
+    for prob, states, _ in _OutcomeTree(model, N, pins).blocks():
+        est = np.ones(len(prob))
+        for g, z in zip(model.potentials, states.transpose(1, 2, 0)):
+            mass = g[z[0]]
+            for col in z[1:]:
+                mass = mass + g[col]
+            est = est * (mass / N)
+        terms = prob * est
+        terms[0] += total
+        total = float(np.cumsum(terms)[-1])
     return total
 
 

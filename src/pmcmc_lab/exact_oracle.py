@@ -19,11 +19,16 @@ Four enumeration engines, each exact, cross-checked in the test suite.
   time is a blocked outer product of the free slots' (parent slot, state)
   options, merged by sort-and-sum.  It is the independent engine against
   which the other sweeps' blindness to the lineage is tested.
-* :func:`enumerate_conditional_outcomes` walks the full outcome tree of a
-  pass, any functional and any pins, at exponential cost.  It is the
-  maximally-dumb reference: it runs in the tests (:func:`kernel_row_tree`)
-  and behind the two-pin brute force
-  :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`.
+* The outcome tree (:class:`_OutcomeTree`) walks every outcome of a pass,
+  any functional and any pins, at exponential cost.  It is the
+  maximally-dumb reference: every outcome is kept and nothing is merged.
+  Each time expands a block of outcomes by the product of its free slots'
+  (parent slot, state) options at once, depth-first in blocks of at most
+  ``_TREE_BLOCK`` children, and its entries are counted against the guard
+  before any is built.  :func:`enumerate_conditional_outcomes` is its view
+  one outcome at a time; :func:`kernel_row_tree` (in the tests) and the
+  two-pin brute force :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`
+  reduce its blocks directly.
 
 The two sweeps walk many pinned paths as a prefix trie (:func:`_trie_walk`),
 so rows sharing x_1..x_t share the forward work through time t+1.
@@ -54,13 +59,15 @@ from .errors import (
     NotReversible,
     OutcomeSpaceTooLarge,
     SingularSolve,
+    TooFewParticles,
     ZeroStationaryMass,
 )
 from .fk_model import DiscreteFK, exact_target
 from .histogram import _prepare, histogram_sweep
 from .smc_core import _path_rows, _pin_schedule
 
-_TREE_ROW_GUARD = 10**6  # most outcome-tree leaves kernel_row_tree enumerates
+_TREE_ROW_GUARD = 10**6  # most outcome-tree entries kernel_row_tree builds
+_TREE_BLOCK = 2**13  # children per outcome-tree block
 _DETAILED_BALANCE_TOL = 1e-9  # largest |pi(x) P(x, y) - pi(y) P(y, x)| accepted
 _SLOT_BLOCK = 2**13  # entries per slot-sweep block; its ~7 live arrays stay near 0.5 MB
 
@@ -112,83 +119,169 @@ def chain_from_kernel(states, kernel, stationary=None) -> FiniteChain:
 
 
 # ---------------------------------------------------------------------------
-# Outcome-tree enumeration (reference engine)
+# Outcome tree (reference engine)
 # ---------------------------------------------------------------------------
 
 
-def _tree_size(model: DiscreteFK, N: int, pin_state) -> float:
-    """Upper bound on the number of leaves of the outcome tree."""
-    count = float(np.sum(model.m1 > 0)) ** (N - len(pin_state[0]))
-    for t in range(2, model.T + 1):
-        max_row = int((model.transition(t) > 0).sum(axis=1).max())
-        count *= float(N * max_row) ** (N - len(pin_state[t - 1]))
-    return count
+def _padded_moves(M) -> tuple:
+    """Each state's successors under the transition matrix M (positive
+    entries first, in order), padded to the widest row, with their
+    probabilities (0 on the padding)."""
+    succ = np.argsort(M <= 0, axis=1, kind="stable")[:, : (M > 0).sum(axis=1).max()]
+    return succ, np.take_along_axis(M, succ, axis=1)
+
+
+class _OutcomeTree:
+    """The full outcome tree of a pass, grown one time at a time in blocks.
+
+    A block of outcomes after time t is (probabilities (K,), states (K, t, N),
+    ancestors (K, t-1, N)).  At time t each free slot takes one of O_t
+    options: a state of positive initial mass at t=1, and after that a
+    parent slot and one of the W_t successors of the widest transition row
+    (padded with probability 0), O_t = N W_t.  An outcome's children are the
+    product of its free slots' options in ``itertools.product`` order, the
+    first free slot slowest, each of probability the outcome's times the
+    options' product; children whose options' product is 0 are dropped and
+    nothing is merged.  The walk is depth-first over blocks of at most
+    ``_TREE_BLOCK`` children: whole outcomes' products, or pieces of one
+    product larger than a block.
+
+    ``entries`` counts the children the walk can build: at each time the
+    outcomes after the time before, at most the product of the earlier
+    times' O^(free slots), times O_t^(free slots).  It is counted before any
+    array is built and refused past ``guard``.
+    """
+
+    def __init__(self, model: DiscreteFK, N: int, pins, guard: int = 10**7):
+        if N < 1:
+            raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
+        pin_state, pin_anc = _pin_schedule(model.tables, pins, N)
+        self.support = np.flatnonzero(model.m1)
+        self.widths = [len(self.support)] + [N * int((M > 0).sum(axis=1).max()) for M in model.transitions]
+        self.entries, bound = 0, 1
+        for width, pinned in zip(self.widths, pin_state):
+            bound *= width ** (N - len(pinned))
+            self.entries += bound
+        if self.entries > min(guard, np.iinfo(np.int64).max):
+            raise OutcomeSpaceTooLarge(f"outcome tree of {self.entries} entries passes the guard of {guard}")
+        self.model, self.N = model, N
+        # Per time: the free slots, and the pinned slots with their states
+        # and (after time 1) their parent slots.
+        self.free = [[i for i in range(N) if i not in pinned] for pinned in pin_state]
+        self.pins = [
+            (list(pinned), list(pinned.values()), [parents[i] for i in pinned] if parents is not None else None)
+            for pinned, parents in zip(pin_state, [None] + pin_anc)
+        ]
+        self.moves = [None] + [_padded_moves(M) for M in model.transitions]
+
+    def blocks(self):
+        """Yield the leaves as blocks (probabilities, states, ancestors), in
+        enumeration order."""
+        empty = np.zeros((1, 0, self.N), dtype=int)
+        yield from self._grow(1, np.ones(1), empty, empty)
+
+    def _grow(self, t, prob, states, anc):
+        """Yield the leaf blocks below the outcomes ``prob``, ``states``,
+        ``anc`` after time t-1.  A parent whose weights are all zero raises
+        AllWeightsZero after the leaves of the parents before it."""
+        size = self.widths[t - 1] ** len(self.free[t - 1])
+        chunk = max(1, min(size, _TREE_BLOCK))
+        per = max(1, _TREE_BLOCK // max(size, 1))
+        for lo in range(0, len(prob), per):
+            hi, w, dead = min(lo + per, len(prob)), None, None
+            if t > 1:
+                g = self.model.potentials[t - 2][states[lo:hi, -1]]
+                total = g.sum(axis=1)
+                if not (total > 0).all():
+                    dead = int(np.flatnonzero(total <= 0)[0])
+                    hi, g, total = lo + dead, g[:dead], total[:dead]
+                w = g / total[:, None]
+            for c in range(0, size if hi > lo else 0, chunk):
+                child = self._children(t, prob[lo:hi], states[lo:hi], anc[lo:hi], w, c, min(chunk, size - c))
+                if not len(child[0]):
+                    continue
+                if t == self.model.T:
+                    yield child
+                else:
+                    yield from self._grow(t + 1, *child)
+            if dead is not None:
+                raise AllWeightsZero(time=t - 1)
+
+    def _children(self, t, prob, states, anc, w, c, L):
+        """The children of options' product indices c..c+L-1 of each outcome
+        ``prob``, ``states``, ``anc`` after time t-1 (weights ``w``)."""
+        free, (slots, pinned, parents) = self.free[t - 1], self.pins[t - 1]
+        O = self.widths[t - 1]
+        j = np.arange(len(prob) * L)
+        parent, r = j // L, c + j % L
+        row = np.empty((len(j), self.N), dtype=int)
+        row[:, slots] = pinned
+        arow = np.empty_like(row)
+        if t > 1:
+            arow[:, slots] = parents
+        p = np.ones(len(j))
+        for i, slot in enumerate(free):
+            d = r // O ** (len(free) - 1 - i) % O
+            if t == 1:
+                s, pw = self.support[d], self.model.m1[self.support[d]]
+            else:
+                (succ, q), k, m = self.moves[t - 1], d // (O // self.N), d % (O // self.N)
+                prev = states[parent, -1, k]
+                s, pw = succ[prev, m], w[parent, k] * q[prev, m]
+                arow[:, slot] = k
+            row[:, slot] = s
+            p = p * pw
+        keep = p != 0
+        parent, row, arow = parent[keep], row[keep], arow[keep]
+        new_prob = prob[parent] * p[keep]
+        new_states = np.concatenate((states[parent], row[:, None]), axis=1)
+        new_anc = anc[parent] if t == 1 else np.concatenate((anc[parent], arow[:, None]), axis=1)
+        return new_prob, new_states, new_anc
 
 
 def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int = 10**7):
-    """Yield (probability, states, ancestors) over all outcomes of a pass.
+    """Yield (probability, states, ancestors) over all outcomes of a pass,
+    one outcome at a time: the row view of the outcome tree's blocks.
 
     ``pins`` is a list of (lineage, path) pairs, checked as the pass checks
     them (:func:`pmcmc_lab.smc_core._pin_schedule`); an empty list
-    enumerates the unconditional pass.  The terminal selection is not
-    included: consumers weight over it with the final potential row when
-    they need it.
+    enumerates the unconditional pass.  Raises TooFewParticles for N < 1 and
+    OutcomeSpaceTooLarge when the tree's entry count passes ``guard``.  The
+    terminal selection is not included: consumers weight over it with
+    :func:`final_selection_weights` when they need it.
     """
-    T = model.T
-    pin_state, pin_anc = _pin_schedule(model.tables, pins, N)
-    if _tree_size(model, N, pin_state) > guard:
-        raise OutcomeSpaceTooLarge("outcome tree exceeds the enumeration guard")
+    for prob, states, ancestors in _OutcomeTree(model, N, pins, guard).blocks():
+        # Converted a slice at a time: a whole block's nested lists would
+        # hold about 0.5 MB at model A's 1728 outcomes.
+        for lo in range(0, len(prob), 64):
+            part = slice(lo, lo + 64)
+            yield from zip(prob[part].tolist(), _tuples(states[part]), _tuples(ancestors[part]))
 
-    # A free particle's options: (parent slot, state, probability); at t=1
-    # there is no parent.
-    initial = [(None, int(s), float(model.m1[s])) for s in np.flatnonzero(model.m1)]
 
-    def rec(t, states, ancestors, prob):
-        if t > T:
-            yield prob, tuple(states), tuple(ancestors)
-            return
-        pinned = pin_state[t - 1]
-        free = [i for i in range(N) if i not in pinned]
-        options = initial
-        if t > 1:
-            prev = states[-1]
-            g = np.array([model.potential(t - 1, z) for z in prev])
-            tot = float(g.sum())
-            if tot <= 0:
-                raise AllWeightsZero(time=t - 1)
-            w = g / tot
-            mat = model.transition(t)
-            options = [
-                (k, int(s), float(w[k] * mat[prev[k], s]))
-                for k in range(N)
-                if w[k] > 0
-                for s in np.flatnonzero(mat[prev[k]])
-            ]
-        for combo in itertools.product(options, repeat=len(free)):
-            row, anc, p = [None] * N, [None] * N, 1.0
-            for i, st in pinned.items():
-                row[i] = st
-                anc[i] = pin_anc[t - 2][i] if t > 1 else None
-            for slot, (k, s, pw) in zip(free, combo):
-                row[slot], anc[slot] = s, k
-                p *= pw
-            if p != 0.0:
-                new_anc = ancestors + [tuple(anc)] if t > 1 else ancestors
-                yield from rec(t + 1, states + [tuple(row)], new_anc, prob * p)
-
-    yield from rec(1, [], [], 1.0)
+def _tuples(a):
+    """The (K, r, N) array ``a`` as K tuples of r row tuples."""
+    rows = map(tuple, a.reshape(-1, a.shape[2]).tolist())
+    return zip(*[rows] * a.shape[1]) if a.shape[1] else itertools.repeat((), len(a))
 
 
 def final_selection_weights(model: DiscreteFK, states) -> np.ndarray:
-    g = np.array([model.potential(model.T, z) for z in states[-1]])
-    tot = float(g.sum())
-    if tot <= 0:
+    """The terminal draw's law over the N slots of one outcome: the time-T
+    potentials of ``states[-1]``, normalised.  Raises AllWeightsZero when they
+    are all zero."""
+    g = model.potentials[-1][list(states[-1])]
+    total = float(g.sum())
+    if total <= 0:
         raise AllWeightsZero(time=model.T)
-    return g / tot
+    return g / total
 
 
 def trace_lineage(states, ancestors, terminal: int) -> tuple:
-    T = len(states)
+    """The ancestral path of slot ``terminal`` at time T: its state at each
+    time, following ``ancestors`` (rows for times 2..T) back to time 1.
+    Raises IndexOutOfRange for a terminal slot outside [0, N)."""
+    T, N = len(states), len(states[-1])
+    if not 0 <= terminal < N:
+        raise IndexOutOfRange(f"terminal slot {terminal} outside [0, {N})")
     idx = terminal
     out = [None] * T
     for t in range(T, 0, -1):
@@ -199,17 +292,28 @@ def trace_lineage(states, ancestors, terminal: int) -> tuple:
 
 
 def kernel_row_tree(model: DiscreteFK, N: int, x, lineage=None) -> dict:
-    """One kernel row through the outcome tree (reference; small cases only)."""
+    """One kernel row through the outcome tree (reference; small cases only):
+    each outcome's terminal draw, added to its selected path's entry in
+    outcome order."""
     T = model.T
     lineage = tuple(lineage) if lineage is not None else (0,) * T
     row: dict = {}
-    for prob, states, ancestors in enumerate_conditional_outcomes(
-        model, N, [(lineage, tuple(x))], guard=_TREE_ROW_GUARD
-    ):
-        w = final_selection_weights(model, states)
-        for k in np.flatnonzero(w):
-            path = trace_lineage(states, ancestors, int(k))
-            row[path] = row.get(path, 0.0) + prob * float(w[k])
+    for prob, states, ancestors in _OutcomeTree(model, N, [(lineage, tuple(x))], _TREE_ROW_GUARD).blocks():
+        g = model.potentials[-1][states[:, -1]]
+        total = g.sum(axis=1)
+        if not (total > 0).all():
+            raise AllWeightsZero(time=T)
+        w = g / total[:, None]
+        o, k = np.nonzero(w)
+        mass = prob[o] * w[o, k]
+        paths = np.empty((len(o), T), dtype=int)
+        for t in range(T - 1, -1, -1):
+            paths[:, t] = states[o, t, k]
+            if t:
+                k = ancestors[o, t - 1, k]
+        for lo in range(0, len(o), 64):
+            for path, p in zip(map(tuple, paths[lo : lo + 64].tolist()), mass[lo : lo + 64].tolist()):
+                row[path] = row.get(path, 0.0) + p
     return row
 
 
@@ -234,12 +338,7 @@ class _SlotSweep:
 
     def __init__(self, model: DiscreteFK, N: int, lineage, guard: int):
         self.model, self.n_free, self.lineage, self.guard, self.entries = model, N - 1, lineage, guard, 0
-        # Per time, each state's successors (positive entries sort first),
-        # padded to one width, with their probabilities (0 on the padding).
-        self.moves = [None, None]
-        for M in model.transitions:
-            succ = np.argsort(M <= 0, axis=1, kind="stable")[:, : (M > 0).sum(axis=1).max()]
-            self.moves.append((succ, np.take_along_axis(M, succ, axis=1)))
+        self.moves = [None, None] + [_padded_moves(M) for M in model.transitions]
 
     def rows(self, paths):
         """Yield (x, kernel row of x) for each pinned path, in trie order."""

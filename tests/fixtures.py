@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
 from pmcmc_lab import build_discrete_model, build_joint_model, exact_target
+from pmcmc_lab.errors import AllWeightsZero
 from pmcmc_lab.exact_oracle import enumerate_conditional_outcomes, exact_pn_matrix
+from pmcmc_lab.smc_core import _pin_schedule
 
 
 def model_a():
@@ -105,6 +108,52 @@ def tree_share(m, N: int, x) -> float:
     for prob, states, _ in enumerate_conditional_outcomes(m, N, [((0,) * m.T, tuple(x))]):
         total += prob * gx / sum(m.potential(m.T, z) for z in states[-1])
     return total
+
+
+def reference_outcomes(m, N: int, pins):
+    """Yield (probability, states, ancestors) over all outcomes of a pass, one
+    outcome at a time by recursion: the reference for the outcome tree's
+    blocks (:func:`pmcmc_lab.exact_oracle.enumerate_conditional_outcomes`)."""
+    T = m.T
+    pin_state, pin_anc = _pin_schedule(m.tables, pins, N)
+    # A free particle's options: (parent slot, state, probability); at t=1
+    # there is no parent.
+    initial = [(None, int(s), float(m.m1[s])) for s in np.flatnonzero(m.m1)]
+
+    def rec(t, states, ancestors, prob):
+        if t > T:
+            yield prob, tuple(states), tuple(ancestors)
+            return
+        pinned = pin_state[t - 1]
+        free = [i for i in range(N) if i not in pinned]
+        options = initial
+        if t > 1:
+            prev = states[-1]
+            g = np.array([m.potential(t - 1, z) for z in prev])
+            tot = float(g.sum())
+            if tot <= 0:
+                raise AllWeightsZero(time=t - 1)
+            w = g / tot
+            mat = m.transition(t)
+            options = [
+                (k, int(s), float(w[k] * mat[prev[k], s]))
+                for k in range(N)
+                if w[k] > 0
+                for s in np.flatnonzero(mat[prev[k]])
+            ]
+        for combo in itertools.product(options, repeat=len(free)):
+            row, anc, p = [None] * N, [None] * N, 1.0
+            for i, st in pinned.items():
+                row[i] = st
+                anc[i] = pin_anc[t - 2][i] if t > 1 else None
+            for slot, (k, s, pw) in zip(free, combo):
+                row[slot], anc[slot] = s, k
+                p *= pw
+            if p != 0.0:
+                new_anc = ancestors + [tuple(anc)] if t > 1 else ancestors
+                yield from rec(t + 1, states + [tuple(row)], new_anc, prob * p)
+
+    yield from rec(1, [], [], 1.0)
 
 
 def oracle_grid():

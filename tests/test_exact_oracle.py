@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import model, model_a, oracle_grid, pn_chain, target, tree_share
-from pmcmc_lab import exact_asymptotic_variance, exact_minorization, spectral_summary, tv_curve
+from fixtures import model, model_a, oracle_grid, pn_chain, reference_outcomes, target, tree_share
+from pmcmc_lab import c2smc_expectation_bruteforce, exact_asymptotic_variance, exact_minorization
+from pmcmc_lab import spectral_summary, tv_curve
 from pmcmc_lab import exact_oracle
 from pmcmc_lab.errors import (
     DimensionMismatch,
@@ -17,6 +18,7 @@ from pmcmc_lab.errors import (
     OutcomeSpaceTooLarge,
     PmcmcLabError,
     SingularSolve,
+    TooFewParticles,
     ZeroPotential,
     ZeroStationaryMass,
 )
@@ -25,13 +27,16 @@ from pmcmc_lab.exact_oracle import (
     asymptotic_variance_general,
     chain_from_kernel,
     dirichlet_form,
+    enumerate_conditional_outcomes,
     exact_pn_matrix,
+    final_selection_weights,
     histogram_sweep,
     kernel_row,
     kernel_row_multiset,
     kernel_row_tree,
     l2_distance,
     multiset_sweep,
+    trace_lineage,
 )
 from pmcmc_lab.fk_model import build_discrete_model, exact_target
 from pmcmc_lab.histogram import _histogram_work, histogram_entries
@@ -583,3 +588,116 @@ def test_monte_carlo_rows_match_enumeration():
             p = row.get(key, 0.0)
             sd = np.sqrt(max(p * (1 - p), 1e-12) / R)
             assert abs(freq[code] - p) <= 5 * sd
+
+
+# ---------------------------------------------------------------------------
+# Outcome tree
+# ---------------------------------------------------------------------------
+
+
+def test_outcome_tree_without_particles_is_a_typed_error():
+    m, single_time = model_a(), model("C")
+    for mod, N in ((m, 0), (m, -1), (single_time, 0), (single_time, -2)):
+        with pytest.raises(TooFewParticles):
+            list(enumerate_conditional_outcomes(mod, N, []))
+    with pytest.raises(TooFewParticles):
+        kernel_row_tree(m, 0, (0, 0))
+    with pytest.raises(TooFewParticles):
+        c2smc_expectation_bruteforce(m, 0, (0, 0), (1, 1))
+
+
+def test_trace_lineage_refuses_a_terminal_outside_the_slots():
+    states, ancestors = ((0, 1, 1), (1, 0, 1)), ((0, 0, 2),)
+    assert trace_lineage(states, ancestors, 2) == (1, 1)
+    assert trace_lineage(states, ancestors, 0) == (0, 1)
+    for terminal in (-1, 3):
+        with pytest.raises(IndexOutOfRange):
+            trace_lineage(states, ancestors, terminal)
+
+
+def test_final_selection_weights_equal_the_per_particle_potentials():
+    m = model("B")
+    for _, states, _ in itertools.islice(enumerate_conditional_outcomes(m, 3, []), 200):
+        g = np.array([m.potential(m.T, z) for z in states[-1]])
+        assert final_selection_weights(m, states).tolist() == (g / float(g.sum())).tolist()
+
+
+def test_outcome_tree_guard_counts_built_entries():
+    # Model A, N=3, no pin: time 1 builds 2^3 = 8 outcomes.  At time 2 each
+    # free slot has 3 parent slots x 2 successors = 6 options: 8 x 6^3 =
+    # 1728 entries.  Total 8 + 1728 = 1736; no weight or move is zero, so
+    # every entry is built and all 1728 are outcomes.
+    m = model_a()
+    assert len(list(enumerate_conditional_outcomes(m, 3, [], guard=1736))) == 1728
+    with pytest.raises(OutcomeSpaceTooLarge):
+        list(enumerate_conditional_outcomes(m, 3, [], guard=1735))
+    # Pinned to slot 0: 2^2 = 4 outcomes at time 1, 4 x 6^2 = 144 at time 2.
+    pins = [((0, 0), (0, 1))]
+    assert len(list(enumerate_conditional_outcomes(m, 3, pins, guard=148))) == 144
+    with pytest.raises(OutcomeSpaceTooLarge):
+        list(enumerate_conditional_outcomes(m, 3, pins, guard=147))
+
+
+def _until_error(outcomes):
+    """The outcomes yielded, and the typed error that ended them (or None)."""
+    got = []
+    try:
+        for item in outcomes:
+            got.append(item)
+    except PmcmcLabError as exc:
+        return got, exc
+    return got, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_models(), st.integers(1, 4), st.data())
+def test_property_outcome_tree_matches_recursive_reference(m, N, data):
+    # Pinned paths of positive mass where there are any, so most pins are
+    # admissible; any path otherwise.
+    paths = outcome(lambda: exact_target(m).paths)
+    any_path = st.lists(st.integers(0, m.n_states - 1), min_size=m.T, max_size=m.T).map(tuple)
+    pins = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        lineage = data.draw(st.lists(st.integers(0, N - 1), min_size=m.T, max_size=m.T))
+        path = data.draw(any_path if isinstance(paths, PmcmcLabError) else st.sampled_from(paths) | any_path)
+        pins.append((tuple(lineage), path))
+    got, error = _until_error(enumerate_conditional_outcomes(m, N, pins, guard=3000))
+    if isinstance(error, OutcomeSpaceTooLarge):
+        return
+    want, want_error = _until_error(reference_outcomes(m, N, pins))
+    assert got == want
+    assert type(error) is type(want_error) and str(error) == str(want_error)
+    assert all(prob != 0.0 for prob, _, _ in got)
+    if not pins and error is None:
+        assert abs(sum(prob for prob, _, _ in got) - 1.0) < 1e-12
+
+
+def test_outcome_tree_raises_after_the_outcomes_before_a_dead_system(monkeypatch):
+    # N=1: the time-1 state 1 has zero weight, so the pass dies there after
+    # the outcomes below state 0, in every block size.
+    m = build_discrete_model([0, 1], [0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]]], [[1.0, 0.0], [1.0, 1.0]])
+    want = _until_error(reference_outcomes(m, 1, []))
+    assert len(want[0]) == 2 and want[1].time == 1
+    for block in (1, 2, 8192):
+        monkeypatch.setattr(exact_oracle, "_TREE_BLOCK", block)
+        got = _until_error(enumerate_conditional_outcomes(m, 1, []))
+        assert got[0] == want[0] and type(got[1]) is type(want[1]) and got[1].time == 1
+
+
+def test_outcome_tree_blocks_do_not_change_the_results(monkeypatch):
+    a, b, e = model_a(), model("B"), model("E")
+    pairs = (((0, 1, 2), (2, 2, 0)), ((1, 1, 1), (0, 0, 0)))
+
+    def results():
+        return (
+            list(enumerate_conditional_outcomes(a, 3, [])),
+            list(enumerate_conditional_outcomes(b, 3, [((2, 0, 1), (1, 1, 0))])),
+            [list(kernel_row_tree(b, 2, x, (1, 0, 1)).items()) for x in target("B").paths],
+            [c2smc_expectation_bruteforce(e, 3, x, y) for x, y in pairs],
+        )
+
+    want = results()
+    for block in (1, 7):
+        monkeypatch.setattr(exact_oracle, "_TREE_BLOCK", block)
+        assert results() == want
+        assert max(len(p) for p, _, _ in exact_oracle._OutcomeTree(a, 3, []).blocks()) <= block
