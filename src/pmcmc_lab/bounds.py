@@ -105,6 +105,8 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
     """
     if alpha < 1.0:
         raise ConstantOutOfRange(f"alpha is at least 1 by construction, got {alpha!r}")
+    if T < 1:
+        raise ConstantOutOfRange(f"the horizon is at least 1, got T={T!r}")
     if N < 2:
         raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
     eps = ((1.0 - 1.0 / N) / (1.0 + 2.0 * (alpha - 1.0) / N)) ** T
@@ -113,6 +115,8 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
 
 def mixing_floor(alpha: float, C: float) -> float:
     """Horizon-free floor exp(-(2 alpha - 1)/C), valid whenever N - 1 >= C T."""
+    if alpha < 1.0 or not C > 0:
+        raise ConstantOutOfRange(f"the floor needs alpha >= 1 and C > 0, got alpha={alpha!r}, C={C!r}")
     return math.exp(-(2.0 * alpha - 1.0) / C)
 
 

@@ -29,8 +29,8 @@ class PathSpaceTooLarge(PmcmcLabError):
 
 class IndexOutOfRange(PmcmcLabError):
     """An index falls outside its valid range: a time, a stream coordinate,
-    or a pinned path's slot (outside [0, N)) or state (outside the alphabet,
-    negatives included)."""
+    a pinned path's slot (outside [0, N)) or state (outside the alphabet,
+    negatives included), or a path or state an enumeration does not hold."""
 
 
 class AllWeightsZero(PmcmcLabError):
@@ -61,7 +61,7 @@ class TooFewParticles(PmcmcLabError):
 class ConstantOutOfRange(PmcmcLabError):
     """A constant passed to a bound lies outside the range its definition
     gives it (alpha >= 1, a normalised weight supremum >= 1, an estimate's
-    supremum >= gamma_T > 0)."""
+    supremum >= gamma_T > 0, a schedule slope C > 0, a horizon T >= 1)."""
 
 
 class ZeroPathMass(PmcmcLabError):
@@ -107,8 +107,8 @@ class DegenerateB(PmcmcLabError):
 
 class TraceTooShort(PmcmcLabError):
     """A chain run or trace is too short for what is asked of it: a negative
-    step count, an acceptance rate over no rows or steps, or fewer than two
-    batches of two values for a batch-means variance."""
+    step count or curve length, an acceptance rate over no rows or steps, or
+    fewer than two batches of two values for a batch-means variance."""
 
 
 class ConfigError(PmcmcLabError):

@@ -26,17 +26,17 @@ Four enumeration engines, each exact, cross-checked in the test suite.
   (parent slot, state) options at once, depth-first in blocks of at most
   ``_TREE_BLOCK`` children, and its entries are counted against the guard
   before any is built.  :func:`enumerate_conditional_outcomes` is its view
-  one outcome at a time; :func:`kernel_row_tree` (in the tests) and the
-  two-pin brute force :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`
-  reduce its blocks directly.
+  one outcome at a time; :func:`kernel_row_tree` (the tests' reference
+  row) and :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce` (the
+  two-pin brute force) reduce its blocks directly.
 
 The two sweeps walk many pinned paths as a prefix trie (:func:`_trie_walk`),
 so rows sharing x_1..x_t share the forward work through time t+1.
 :func:`exact_pn_matrix` without a lineage runs the count engine when its
 work count is within the guard and the multiset sweep otherwise, a choice
-made before any array is built (:func:`_matrix_engine`).  Every engine
-checks its pins with the pass's own
-:func:`pmcmc_lab.smc_core._pin_schedule`.
+made before any array is built by one count-engine plan
+(:class:`pmcmc_lab.histogram._Plan`).  Every engine checks its pins with
+the pass's own :func:`pmcmc_lab.smc_core._pin_schedule`.
 
 Also here: stationary laws, total-variation curves, spectral summaries,
 asymptotic variances and the exact minorization constant of enumerated
@@ -60,11 +60,12 @@ from .errors import (
     OutcomeSpaceTooLarge,
     SingularSolve,
     TooFewParticles,
+    TraceTooShort,
     ZeroStationaryMass,
 )
 from .fk_model import DiscreteFK, exact_target
-from .histogram import _prepare, histogram_sweep
-from .smc_core import _path_rows, _pin_schedule
+from .histogram import _Plan, histogram_sweep  # noqa: F401 (histogram_sweep is re-exported)
+from .smc_core import _checked_pins, _pin_schedule
 
 _TREE_ROW_GUARD = 10**6  # most outcome-tree entries kernel_row_tree builds
 _TREE_BLOCK = 2**13  # children per outcome-tree block
@@ -98,6 +99,8 @@ class FiniteChain:
         return len(self.states)
 
     def index(self, state) -> int:
+        if state not in self.states:
+            raise IndexOutOfRange(f"{state!r} is not a state of the chain")
         return self.states.index(state)
 
 
@@ -440,15 +443,9 @@ def slot_sweep(model: DiscreteFK, N: int, paths, lineage=None, guard: int = 10**
     bounds the entries of the whole sweep.
     """
     lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * model.T
-    yield from _SlotSweep(model, N, lineage, guard).rows(_checked_pins(model, N, paths, lineage))
-
-
-def _checked_pins(model: DiscreteFK, N: int, paths, lineage) -> list:
-    """``paths`` as tuples, checked as one batched pin on ``lineage``."""
     paths = [tuple(x) for x in paths]
-    if paths:
-        _pin_schedule(model.tables, [(lineage, _path_rows(paths, model.T).T)], N)
-    return paths
+    _checked_pins(model, N, paths, lineage)
+    yield from _SlotSweep(model, N, lineage, guard).rows(paths)
 
 
 def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -> dict:
@@ -562,7 +559,9 @@ def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
     picks the pinned particle itself.  ``guard`` bounds the multinomial terms
     of the whole sweep.
     """
-    yield from _MultisetSweep(model, N, guard).rows(_checked_pins(model, N, paths, (0,) * model.T))
+    paths = [tuple(x) for x in paths]
+    _checked_pins(model, N, paths)
+    yield from _MultisetSweep(model, N, guard).rows(paths)
 
 
 def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dict:
@@ -581,9 +580,9 @@ def exact_pn_matrix(
     ``guard`` bounds the work of the engine that runs, and a refusal raises
     OutcomeSpaceTooLarge:
 
-    * Without a ``lineage`` the engine is picked before any array is built
-      (:func:`_matrix_engine`).  The :func:`histogram_sweep` runs when its
-      work, in law entries, is at most ``guard``.  Otherwise one
+    * Without a ``lineage`` one count-engine plan counts its work before
+      any array is built, and builds the matrix (:func:`histogram_sweep`)
+      when that work, in law entries, is at most ``guard``.  Otherwise one
       :func:`multiset_sweep` walks all paths at once, and ``guard`` bounds
       the multinomial terms of the whole sweep.
     * With a pin lineage one slot-faithful :func:`slot_sweep` walks all
@@ -605,12 +604,9 @@ def _pn_matrix(model: DiscreteFK, N: int, lineage, target, guard: int) -> tuple:
     if lineage is not None:
         K = _row_matrix(paths, slot_sweep(model, N, paths, lineage, guard))
     else:
-        prepared = _prepare(model, N, paths, None, guard)
-        engine, work = _matrix_engine(model, N, paths, guard, prepared)
-        if engine == "histogram":
-            K = histogram_sweep(model, N, paths, guard, prepared)
-        else:
-            K = _row_matrix(paths, multiset_sweep(model, N, paths, guard))
+        plan = _Plan(model, N, paths, guard=guard)
+        engine, work = ("histogram" if plan.complete else "multiset"), plan.work
+        K = plan.matrix() if plan.complete else _row_matrix(paths, multiset_sweep(model, N, paths, guard))
     return FiniteChain(states=paths, kernel=K, stationary=target.probabilities.copy()), engine, work
 
 
@@ -623,15 +619,6 @@ def _row_matrix(paths, rows) -> np.ndarray:
         for path, p in row.items():
             K[i, index[path]] += p
     return K
-
-
-def _matrix_engine(model: DiscreteFK, N: int, paths, guard: int, prepared=None) -> tuple:
-    """(engine, work) of a lineage-free :func:`exact_pn_matrix`: "histogram"
-    when the count engine's work is at most ``guard``, else "multiset".
-    ``prepared`` is the count plan of these arguments, when already built."""
-    plan = (prepared or _prepare(model, N, paths, None, guard))[3]
-    work = 0 if plan is None else plan.work
-    return ("histogram" if work <= guard else "multiset"), work
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +709,13 @@ def spectral_summary(chain: FiniteChain) -> SpectralSummary:
 
 
 def tv_curve(chain: FiniteChain, x0: int, n_max: int) -> np.ndarray:
-    """Exact total-variation distance of the n-step law from stationarity.
-    Raises IndexOutOfRange for a start state outside [0, n_states)."""
+    """Exact total-variation distance of the n-step law from stationarity,
+    for n = 0..n_max.  Raises IndexOutOfRange for a start state outside
+    [0, n_states) and TraceTooShort for n_max < 0."""
     if not 0 <= x0 < chain.n_states:
         raise IndexOutOfRange(f"start state {x0} outside [0, {chain.n_states})")
+    if n_max < 0:
+        raise TraceTooShort(f"a total-variation curve needs n_max >= 0, got {n_max}")
     dist = np.zeros(chain.n_states)
     dist[x0] = 1.0
     out = np.empty(n_max + 1)

@@ -215,6 +215,8 @@ class TargetLaw:
         return float(self.probabilities[i]) if i is not None else 0.0
 
     def index(self, path) -> int:
+        if tuple(path) not in self._index:
+            raise IndexOutOfRange(f"{tuple(path)} is not a positive-mass path")
         return self._index[tuple(path)]
 
     def marginal(self, t: int) -> np.ndarray:

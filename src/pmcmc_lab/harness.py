@@ -39,7 +39,7 @@ from .csmc import ChainTrace, Trajectory, icsmc_chain, run_chain
 from .errors import ConfigError, TraceTooShort
 from .exact_oracle import _pn_matrix, exact_minorization, spectral_summary, tv_curve
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model, sup_potentials
-from .histogram import _entries
+from .histogram import _Plan
 from .pgibbs import (
     check_theta_chain_identities,
     check_x_chain_orderings,
@@ -151,7 +151,10 @@ def sticky_example_model(K: int, initial_law: str = "geometric") -> DiscreteFK:
     start on small states ("geometric", the default, or "poisson"), which is
     what makes the high-weight level sets sticky; "uniform" spreads the free
     particles over all levels and caps the stay probability near 0.85.
+    Raises ConfigError for K < 1, as for an unknown ``initial_law``.
     """
+    if K < 1:
+        raise ConfigError(f"the sticky model needs K >= 1, got {K!r}")
     size = 2 * K + 1
     alphabet = tuple(range(1, size + 1))
     m1 = np.zeros(size)
@@ -196,11 +199,18 @@ def _level_pairs(n_grid):
     return [x for x, _ in pairs], [y for _, y in pairs]
 
 
-def _level_stays(model: DiscreteFK, N: int, n_grid):
-    """Per level n: the stay probability P(x_n, A_n) and the retained share
-    from x_n, from one count-engine call for all levels; and its work."""
-    entries, shares, work = _entries(model, N, zip(*_level_pairs(n_grid)), _ORACLE_GUARD)
-    return entries[0::2] + entries[1::2], shares[0::2], work
+def _level_stays(model: DiscreteFK, K: int, N: int, n_grid):
+    """The levels ``n_grid`` as a list (1..K when None; a ConfigError names
+    a level outside [1, K]) and per level n: the stay probability
+    P(x_n, A_n) and the retained share from x_n, from one count-engine call
+    for all levels; and its work."""
+    n_grid = list(range(1, K + 1) if n_grid is None else n_grid)
+    for n in n_grid:
+        if not 1 <= n <= K:
+            raise ConfigError(f"level {n!r} outside [1, {K}]")
+    plan = _Plan(model, N, *_level_pairs(n_grid), guard=_ORACLE_GUARD)
+    entries, shares = plan.entries()
+    return n_grid, entries[0::2] + entries[1::2], shares[0::2], plan.work
 
 
 def sticky_experiment(K: int, N: int, n_grid=None, initial_law: str = "geometric"):
@@ -218,9 +228,7 @@ def sticky_experiment(K: int, N: int, n_grid=None, initial_law: str = "geometric
 def _sticky_rows(K: int, N: int, n_grid, initial_law: str):
     """:func:`sticky_experiment`'s rows and the count engine's work."""
     model = sticky_example_model(K, initial_law=initial_law)
-    if n_grid is None:
-        n_grid = list(range(1, K + 1))
-    stays, shares, work = _level_stays(model, N, n_grid)
+    n_grid, stays, shares, work = _level_stays(model, K, N, n_grid)
     return [(n, float(stay), float(share)) for n, stay, share in zip(n_grid, stays, shares)], work
 
 
@@ -237,9 +245,7 @@ def sticky_control_rows(K: int, N: int, n_grid=None):
 def _control_rows(K: int, N: int, n_grid):
     """:func:`sticky_control_rows`'s rows and the count engine's work."""
     control = sticky_control_model(K)
-    if n_grid is None:
-        n_grid = list(range(1, K + 1))
-    stays, _, work = _level_stays(control, N, n_grid)
+    n_grid, stays, _, work = _level_stays(control, K, N, n_grid)
     eps = epsilon_bounded(control, N).epsilon
     target = exact_target(control)
     rows = []
@@ -303,13 +309,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> Path:
     return out
 
 
-def _load_model(cfg: ExperimentConfig) -> DiscreteFK:
+def _load_model(cfg: ExperimentConfig, loader=load_model, name: str = "model"):
+    """The config's model file read by ``loader``; a ConfigError when it is
+    missing or cannot be read."""
     if not cfg.model_path:
-        raise ConfigError(f"kind {cfg.kind!r} requires a model_path")
+        raise ConfigError(f"kind {cfg.kind!r} requires a {name}_path")
     try:
-        return load_model(cfg.model_path)
+        return loader(cfg.model_path)
     except _UNREADABLE as exc:
-        raise ConfigError(f"cannot read model {cfg.model_path}: {type(exc).__name__}: {exc}") from exc
+        raise ConfigError(f"cannot read {name} {cfg.model_path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _run_bounds(cfg: ExperimentConfig, out: Path) -> None:
@@ -417,7 +425,7 @@ def _run_pimh(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _run_pmmh(cfg: ExperimentConfig, out: Path) -> None:
-    jm = _load_joint(cfg)
+    jm = _load_model(cfg, load_joint_model, "joint model")
     q = cfg.params.get("proposal_q", np.full((jm.J, jm.J), 1.0 / jm.J).tolist())
     for r in range(cfg.replicates):
         rng = SubstreamRng(cfg.seed).spawn(r)
@@ -425,19 +433,8 @@ def _run_pmmh(cfg: ExperimentConfig, out: Path) -> None:
         _write_trace(out / f"pmmh_{r}.csv", sampler, cfg.iterations, rng, jm.T, jm.thetas)
 
 
-def _load_joint(cfg: ExperimentConfig):
-    if not cfg.model_path:
-        raise ConfigError(f"kind {cfg.kind!r} requires a joint model_path")
-    try:
-        return load_joint_model(cfg.model_path)
-    except _UNREADABLE as exc:
-        raise ConfigError(
-            f"cannot read joint model {cfg.model_path}: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
 def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
-    jm = _load_joint(cfg)
+    jm = _load_model(cfg, load_joint_model, "joint model")
     n = cfg.n_sweep[0]
     report = check_x_chain_orderings(jm, n)
     f_theta = np.zeros(jm.J)

@@ -23,8 +23,8 @@ sums of k weights, one grid for every pair, and is a convolution.
 
 Up to the terminal draw the pass sees a pair only through its prefix pair
 (x_1..x_{T-1}, y_1..y_{T-1}), so the engine runs once per distinct prefix
-pair.  Its work is counted before any array is built
-(:func:`_histogram_work`), in law entries:
+pair.  Its work is counted before any array is built (:class:`_Plan`, the
+one object of an engine call), in law entries:
 
     U sum_{t=2}^{T-1} H_{t-1} H_t + H_{T-1} (U sum_{k<n} G_k + U_x G_n)
       + D sum_{k<=n} G_{k-1} + B G_{n-1} + Q G_n,
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import OutcomeSpaceTooLarge
 from .fk_model import DiscreteFK
-from .smc_core import _check_paths, _path_rows, _pin_schedule
+from .smc_core import _check_paths, _checked_pins, _path_rows
 
 # A block holds whole prefix pairs, as many as keep its largest temporary
 # near this many floats (256 KB; at least one pair), so that the engine's
@@ -102,17 +102,28 @@ def _distinct_rows(rows: np.ndarray):
 
 
 class _Plan:
-    """Supports, histogram counts and weight-sum grids of one engine call,
-    with its work counted before any of them is built.
+    """One count-engine call on the pairs of ``xs``: every (x, y) in xs^2
+    when ``ys`` is None (a kernel matrix), else (xs[b], ys[b]).
 
-    Counting stops as soon as the work passes ``guard``; ``work`` is then
-    past the guard and the plan is not complete.
+    It checks the pins xs as one batched pin and the ys against the
+    alphabet, lays out the prefix pairs and counts the work before any
+    array is built.  Counting stops once the work passes ``guard``; the
+    plan is then not complete, and :meth:`matrix` and :meth:`entries`
+    refuse it.
     """
 
-    def __init__(self, model: DiscreteFK, N: int, layout: _Layout, guard=None):
+    def __init__(self, model: DiscreteFK, N: int, xs, ys=None, guard=math.inf):
         T, n = model.T, N - 1
-        self.n = n
-        self.supports = _supports(model, layout.xs)
+        self.model, self.n, self.guard = model, n, guard
+        self.ys = None if ys is None else _path_rows(ys, T)
+        self.xs = _checked_pins(model, N, xs)
+        if self.ys is not None and len(self.xs):
+            _check_paths(self.ys.T, T, model.n_states)
+        self.work, self.complete, self.layout = 0, True, None
+        if n < 1 or not len(self.xs):
+            return
+        self.layout = layout = _Layout(self.xs, self.ys)
+        self.supports = _supports(model, self.xs)
         # Histograms at times 1..T-1.  A one-time model reads none (its
         # children draw from m1): one empty histogram stands before time 1.
         self.sizes = [math.comb(n - 1 + len(self.supports[0]), n)]
@@ -120,7 +131,7 @@ class _Plan:
         U, last = layout.n_prefix_pairs, self.sizes[-1] if T > 1 else 1
         self.work = U * sum(a * b for a, b in zip(self.sizes, self.sizes[1 : T - 1]))
         self.complete = False
-        if guard is not None and self.work > guard:
+        if self.work > guard:
             return
         R_T = self.supports[T - 1]
         # Distinct values by a set: np.unique would load numpy.ma (0.75 MB).
@@ -132,7 +143,7 @@ class _Plan:
         for k in range(1, n + 1):
             sums = self.grids[-1][0]
             self.work += len(sums) * len(self.values)
-            if guard is not None and self.work > guard:
+            if self.work > guard:
                 return
             cand = (sums[:, None] + self.values).ravel()
             order = np.argsort(cand, kind="stable")
@@ -140,10 +151,43 @@ class _Plan:
             starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
             self.grids.append((ordered[starts], order // len(self.values), order % len(self.values), starts))
             self.work += last * len(starts) * (U if k < n else layout.n_shared)
-            if guard is not None and self.work > guard:
+            if self.work > guard:
                 return
         self.work += layout.n_pairs * len(self.grids[n - 1][0]) + layout.n_shares * len(self.grids[n][0])
-        self.complete = guard is None or self.work <= guard
+        self.complete = self.work <= guard
+
+    def _refuse_incomplete(self) -> None:
+        if not self.complete:
+            raise OutcomeSpaceTooLarge(
+                f"count engine passes the guard of {self.guard} law entries (counted {self.work})"
+            )
+
+    def matrix(self) -> np.ndarray:
+        """P(x, y) for x, y in xs, as a (P, P) array (the identity at N = 1)."""
+        self._refuse_incomplete()
+        xs, layout, P = self.xs, self.layout, len(self.xs)
+        if layout is None:
+            return np.eye(P)
+        A1, A2 = _prefix_sums(self)
+        p = len(layout.prefixes)
+        K = np.empty((P, P))
+        rows = max(1, _HISTOGRAM_BLOCK // (P * A1.shape[1]))
+        for lo in range(0, P, rows):
+            u = layout.pin_prefix[lo : lo + rows, None] * p + layout.pin_prefix[None, :]
+            K[lo : lo + rows] = _free_part(self, A1[u], xs[lo : lo + rows, None], xs[None])
+        K[np.diag_indices(P)] += _shares(self, A2[layout.pin_prefix], xs)
+        return K
+
+    def entries(self):
+        """(P(xs[b], ys[b]), retained share of xs[b]) per pair, as two arrays."""
+        self._refuse_incomplete()
+        xs, ys, layout = self.xs, self.ys, self.layout
+        if layout is None:
+            same = np.all(xs == ys, axis=1) if len(xs) else np.zeros(0, bool)
+            return same.astype(float), np.ones(len(xs))
+        A1, A2 = _prefix_sums(self)
+        shares = _shares(self, A2[layout.pin_prefix], xs)
+        return _free_part(self, A1[layout.pair_prefix], xs, ys) + np.all(xs == ys, axis=1) * shares, shares
 
 
 def _supports(model: DiscreteFK, xs: np.ndarray) -> list:
@@ -171,60 +215,15 @@ def _histograms(n: int, n_categories: int):
     return counts, np.exp(log_fact[n] - log_fact[counts].sum(axis=1))
 
 
-def _histogram_work(model: DiscreteFK, N: int, xs, ys=None, guard=None) -> int:
-    """The count engine's work, in law entries (module docstring), on the
-    pairs of ``xs``: every (x, y) in xs^2 when ``ys`` is None, else
-    (xs[b], ys[b]).  Past ``guard`` the count stops once it passes it."""
-    plan = _prepare(model, N, xs, ys, guard)[3]
-    return 0 if plan is None else plan.work
-
-
-def _prepare(model: DiscreteFK, N: int, xs, ys, guard):
-    """Check the pins as one batched pin and the other paths' states, and
-    count the work; return the paths as arrays, the layout and the plan
-    (None for N = 1 or no pairs; not complete past ``guard``)."""
-    T = model.T
-    xs = _path_rows(xs, T)
-    ys = None if ys is None else _path_rows(ys, T)
-    if len(xs):
-        _pin_schedule(model.tables, [((0,) * T, xs.T)], N)
-        if ys is not None:
-            _check_paths(ys.T, T, model.n_states)
-    if N <= 1 or not len(xs):
-        return xs, ys, None, None
-    layout = _Layout(xs, ys)
-    return xs, ys, layout, _Plan(model, N, layout, guard)
-
-
-def _refuse_past(plan, guard: int) -> None:
-    if plan is not None and not plan.complete:
-        raise OutcomeSpaceTooLarge(f"count engine passes the guard of {guard} law entries (counted {plan.work})")
-
-
-def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7, prepared=None) -> np.ndarray:
+def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7) -> np.ndarray:
     """The kernel entries P(x, y) for x, y in ``paths``, as a (P, P) array;
     rows sum to one when ``paths`` holds every positive-mass path.
 
     Past ``guard`` law entries it raises OutcomeSpaceTooLarge before any
     array is built.  The paths are checked as one batched pin, as
-    :func:`pmcmc_lab.exact_oracle.multiset_sweep` checks them.  A caller
-    that has already run :func:`_prepare` on these arguments passes its
-    result as ``prepared``, so the checks and the plan are built once.
+    :func:`pmcmc_lab.exact_oracle.multiset_sweep` checks them.
     """
-    xs, _, layout, plan = prepared or _prepare(model, N, [tuple(x) for x in paths], None, guard)
-    _refuse_past(plan, guard)
-    P = len(xs)
-    if plan is None:
-        return np.eye(P)
-    A1, A2 = _prefix_sums(model, plan, layout)
-    p = len(layout.prefixes)
-    K = np.empty((P, P))
-    rows = max(1, _HISTOGRAM_BLOCK // (P * A1.shape[1]))
-    for lo in range(0, P, rows):
-        u = layout.pin_prefix[lo : lo + rows, None] * p + layout.pin_prefix[None, :]
-        K[lo : lo + rows] = _free_part(model, plan, A1[u], xs[lo : lo + rows, None], xs[None])
-    K[np.diag_indices(P)] += _shares(model, plan, A2[layout.pin_prefix], xs)
-    return K
+    return _Plan(model, N, [tuple(x) for x in paths], guard=guard).matrix()
 
 
 def histogram_entries(model: DiscreteFK, N: int, pairs, guard: int = 10**7):
@@ -235,28 +234,16 @@ def histogram_entries(model: DiscreteFK, N: int, pairs, guard: int = 10**7):
     Past ``guard`` law entries it raises OutcomeSpaceTooLarge before any
     array is built; the pins x_b are checked as one batched pin.
     """
-    return _entries(model, N, pairs, guard)[:2]
-
-
-def _entries(model: DiscreteFK, N: int, pairs, guard: int):
-    """:func:`histogram_entries` and the work it counted."""
     pairs = [(tuple(x), tuple(y)) for x, y in pairs]
-    xs, ys, layout, plan = _prepare(model, N, [x for x, _ in pairs], [y for _, y in pairs], guard)
-    _refuse_past(plan, guard)
-    if plan is None:
-        same = np.all(xs == ys, axis=1) if len(xs) else np.zeros(0, bool)
-        return same.astype(float), np.ones(len(xs)), 0
-    A1, A2 = _prefix_sums(model, plan, layout)
-    shares = _shares(model, plan, A2[layout.pin_prefix], xs)
-    entries = _free_part(model, plan, A1[layout.pair_prefix], xs, ys) + np.all(xs == ys, axis=1) * shares
-    return entries, shares, plan.work
+    return _Plan(model, N, [x for x, _ in pairs], [y for _, y in pairs], guard).entries()
 
 
-def _free_part(model: DiscreteFK, plan: _Plan, A1, xs, ys) -> np.ndarray:
+def _free_part(plan: _Plan, A1, xs, ys) -> np.ndarray:
     """n q_on G_T(y_T) E[1/(G_T(x_T) + G_T(y_T) + W_{n-1})], the chance that
     a free particle on y is drawn, from the prefix pairs' sums A1 (..., G)
     and paths xs, ys (..., T) broadcast to A1's leading shape.  q_on is the
     prefix sums' on-prefix share times the chance to move on to y_T."""
+    model = plan.model
     g = model.potentials[model.T - 1]
     gx, gy = g[xs[..., -1]], g[ys[..., -1]]
     if model.T == 1:
@@ -267,22 +254,23 @@ def _free_part(model: DiscreteFK, plan: _Plan, A1, xs, ys) -> np.ndarray:
     return plan.n * gy * land * np.einsum("...g,...g->...", A1, inv)
 
 
-def _shares(model: DiscreteFK, plan: _Plan, A2, xs) -> np.ndarray:
+def _shares(plan: _Plan, A2, xs) -> np.ndarray:
     """G_T(x_T) E[1/(G_T(x_T) + W_n)] per pin from its prefix's sums A2."""
-    gx = model.potentials[model.T - 1][xs[:, -1]]
+    gx = plan.model.potentials[plan.model.T - 1][xs[:, -1]]
     return gx * np.einsum("bg,bg->b", A2, 1.0 / (gx[:, None] + plan.grids[plan.n][0]))
 
 
-def _prefix_sums(model: DiscreteFK, plan: _Plan, layout: _Layout):
+def _prefix_sums(plan: _Plan):
     """Per prefix pair, the law of W_{n-1} weighted by the on-prefix weight
     share at T-1, (U, G_{n-1}); per prefix pair with equal halves, the law
     of W_n, (U_x, G_n)."""
+    model, layout = plan.model, plan.layout
     T, n, N = model.T, plan.n, plan.n + 1
     U = layout.n_prefix_pairs
     A1 = np.empty((U, len(plan.grids[n - 1][0])))
     A2 = np.empty((layout.n_shared, len(plan.grids[n][0])))
     if T == 1:
-        r = _by_value(model.m1, model, plan)[None, None, :]
+        r = _by_value(plan, model.m1)[None, None, :]
         A1[:], A2[:] = _weight_sums(np.ones((1, 1)), np.ones((1, 1)), r, plan, np.array([True]))
         return A1, A2
     counts1, coef1 = _histograms(n, len(plan.supports[0]))
@@ -300,17 +288,18 @@ def _prefix_sums(model: DiscreteFK, plan: _Plan, layout: _Layout):
     for lo in range(0, U, rows):
         hi = min(lo + rows, U)
         bx, by, share_row = layout.block(lo, hi)
-        law, lead, r = _terminal_law(model, plan, bx, by, law1, counts1, steps)
+        law, lead, r = _terminal_law(plan, bx, by, law1, counts1, steps)
         a1, a2 = _weight_sums(law, lead, r, plan, share_row >= 0)
         A1[lo:hi] = a1
         A2[share_row[share_row >= 0]] = a2
     return A1, A2
 
 
-def _terminal_law(model: DiscreteFK, plan: _Plan, bx, by, law1, counts1, steps):
+def _terminal_law(plan: _Plan, bx, by, law1, counts1, steps):
     """For B prefix pairs: the law of the histograms at T-1 (B, H), its
     on-prefix weight share (B, H), and a child's terminal weight law over
     the distinct values (B, H, D)."""
+    model = plan.model
     T, S = model.T, model.n_states
     B, b = len(bx), np.arange(len(bx))
     # Time 1: the counts over R_1 are the state counts; the on-prefix count
@@ -351,13 +340,14 @@ def _terminal_law(model: DiscreteFK, plan: _Plan, bx, by, law1, counts1, steps):
     a[b, :, xp] += g[xp][:, None]
     total = a.sum(axis=-1)
     lead = law * (on_free + (flag * g[xp])[:, None]) / total
-    r = _by_value(a, model, plan, model.transitions[T - 2]) / total[..., None]
+    r = _by_value(plan, a, model.transitions[T - 2]) / total[..., None]
     return law, lead, r
 
 
-def _by_value(weights, model: DiscreteFK, plan: _Plan, M=None):
+def _by_value(plan: _Plan, weights, M=None):
     """Child mass by distinct terminal weight: ``weights`` over the parents'
     states moved by M (or, at T=1, the initial law), summed per value."""
+    model = plan.model
     g, R = model.potentials[model.T - 1], plan.supports[model.T - 1]
     onto = np.zeros((model.n_states, len(plan.values)))
     onto[R, np.searchsorted(plan.values, g[R])] = 1.0

@@ -140,6 +140,8 @@ class JointEnumeration:
     gammas: np.ndarray           # (J,) per-parameter normalizing constants
 
     def path_index(self, path) -> int:
+        if tuple(path) not in self.paths:
+            raise IndexOutOfRange(f"{tuple(path)} is not a path of the joint enumeration")
         return self.paths.index(tuple(path))
 
 

@@ -310,6 +310,15 @@ def _pin_schedule(tables: PassTables, pins, N: int, which=None):
     return pin_state, pin_anc
 
 
+def _checked_pins(model, N: int, paths, lineage=None) -> np.ndarray:
+    """``paths`` as an (R, T) array, checked as one batched pin of
+    ``model`` on ``lineage`` (slot 0 at every time by default)."""
+    rows = _path_rows(paths, model.T)
+    if len(rows):
+        _pin_schedule(model.tables, [(lineage or (0,) * model.T, rows.T)], N)
+    return rows
+
+
 def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:
     """One pass with N particles and multinomial resampling, for ``rows``
     independent replicates at once.

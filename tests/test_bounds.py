@@ -52,6 +52,11 @@ def test_out_of_range_constants_are_typed_errors():
         lambda: epsilon_isir(0.5, 3),
         lambda: pimh_epsilon(2.0, 1.0),
         lambda: pimh_epsilon(0.0, 1.0),
+        lambda: mixing_floor(0.5, 1.3),
+        lambda: mixing_floor(1.2, 0.0),
+        lambda: mixing_floor(1.2, -1.0),
+        lambda: epsilon_mixing(1.2, 3, 0),
+        lambda: epsilon_mixing(1.2, 3, -1),
     ):
         with pytest.raises(ConstantOutOfRange):
             bound()

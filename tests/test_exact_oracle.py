@@ -24,6 +24,7 @@ from pmcmc_lab.errors import (
 )
 from pmcmc_lab.exact_oracle import (
     FiniteChain,
+    _pn_matrix,
     asymptotic_variance_general,
     chain_from_kernel,
     dirichlet_form,
@@ -39,7 +40,7 @@ from pmcmc_lab.exact_oracle import (
     trace_lineage,
 )
 from pmcmc_lab.fk_model import build_discrete_model, exact_target
-from pmcmc_lab.histogram import _histogram_work, histogram_entries
+from pmcmc_lab.histogram import _Plan, histogram_entries
 
 
 def two_state_flip(p: float) -> FiniteChain:
@@ -335,35 +336,21 @@ def test_count_engine_entries_and_shares_match_multiset_on_random_models():
     assert compared >= 60
 
 
-def _recorded(sweep, calls):
-    """``sweep``, appending its name to ``calls`` on every call."""
-
-    def run(*args, **kwargs):
-        calls.append(sweep.__name__)
-        return sweep(*args, **kwargs)
-
-    return run
-
-
-def test_histogram_guard_is_a_true_bound(monkeypatch):
+def test_histogram_guard_is_a_true_bound():
     # Model B at N=3: T=3 and 8 paths with 4 prefixes (x_1, x_2), so 16
     # prefix pairs, 4 with equal halves; 3 and 6 histograms at times 1
     # and 2; 2 terminal weights, whose sums of 0..2 take 1, 2, 3 values.
     # The multiset sweep needs 553 terms, within the count less one.
     m, paths = model("B"), target("B").paths
-    count = _histogram_work(m, 3, paths)
+    count = _Plan(m, 3, paths).work
     transitions, grids = 16 * 3 * 6, 2 * (1 + 2)
     laws, pairs = 6 * (16 * 2 + 4 * 3), 8**2 * 2 + 8 * 3
     assert count == transitions + grids + laws + pairs
-    assert exact_oracle._matrix_engine(m, 3, paths, count) == ("histogram", count)
-    assert exact_oracle._matrix_engine(m, 3, paths, count - 1) == ("multiset", count)
-    calls = []
-    for sweep in (histogram_sweep, multiset_sweep):
-        monkeypatch.setattr(exact_oracle, sweep.__name__, _recorded(sweep, calls))
-    at = exact_pn_matrix(m, 3, guard=count)
-    below = exact_pn_matrix(m, 3, guard=count - 1)
-    assert calls == ["histogram_sweep", "multiset_sweep"]
-    assert np.max(np.abs(at.kernel - below.kernel)) < 1e-12
+    at = _pn_matrix(m, 3, None, None, count)
+    below = _pn_matrix(m, 3, None, None, count - 1)
+    assert at[1:] == ("histogram", count)
+    assert below[1:] == ("multiset", count)
+    assert np.max(np.abs(at[0].kernel - below[0].kernel)) < 1e-12
     with pytest.raises(OutcomeSpaceTooLarge):
         histogram_sweep(m, 3, paths, guard=count - 1)
 
@@ -375,7 +362,7 @@ def test_histogram_count_comes_before_any_array():
     uniform = np.full(S, 1 / S)
     m = build_discrete_model(list(range(S)), uniform, [np.tile(uniform, (S, 1))], [np.ones(S), np.ones(S)])
     paths = exact_target(m).paths
-    assert _histogram_work(m, 40, paths) > 10**20
+    assert _Plan(m, 40, paths).work > 10**20
     t0 = time.monotonic()
     with pytest.raises(OutcomeSpaceTooLarge):
         histogram_sweep(m, 40, paths)

@@ -40,7 +40,7 @@ from pmcmc_lab.exact_oracle import (
     kernel_row,
     kernel_row_multiset,
 )
-from pmcmc_lab.histogram import _histogram_work
+from pmcmc_lab.histogram import _Plan
 
 
 def _write_model(tmp_path):
@@ -305,10 +305,17 @@ def test_sticky_manifest_names_the_exact_engine(tmp_path):
     assert manifest["guard"] == 10**7
     xs, ys = _level_pairs(range(1, 17))
     assert manifest["histogram_work"] == {
-        "sticky.csv": _histogram_work(sticky_example_model(16), 3, xs, ys),
-        "sticky_control.csv": _histogram_work(sticky_control_model(16), 3, xs, ys),
+        "sticky.csv": _Plan(sticky_example_model(16), 3, xs, ys).work,
+        "sticky_control.csv": _Plan(sticky_control_model(16), 3, xs, ys).work,
     }
     assert 0 < manifest["histogram_work"]["sticky_control.csv"] < manifest["histogram_work"]["sticky.csv"] <= 10**7
+
+
+@pytest.mark.parametrize("rows", [sticky_experiment, sticky_control_rows])
+def test_sticky_rows_name_a_level_outside_the_model(rows):
+    # Level 7 at K=4 would read the states 13 and 14 of a 9-state model.
+    with pytest.raises(ConfigError, match=r"level 7 outside \[1, 4\]"):
+        rows(4, 3, n_grid=[2, 7])
 
 
 def test_sticky_experiment_runs_past_the_old_estimated_guards():
@@ -366,10 +373,21 @@ def test_batch_means_too_short():
         ("batch_means_one_batch", TraceTooShort),
         ("asymptotic_variance_short_f", DimensionMismatch),
         ("resample_negative_count", TooFewParticles),
+        ("chain_index_not_a_state", IndexOutOfRange),
+        ("target_index_not_a_path", IndexOutOfRange),
+        ("joint_path_index_not_a_path", IndexOutOfRange),
+        ("tv_curve_negative_length", TraceTooShort),
+        ("tv_curve_length_below_minus_one", TraceTooShort),
+        ("sticky_model_without_levels", ConfigError),
+        ("sticky_model_negative_levels", ConfigError),
+        ("sticky_experiment_level_past_k", ConfigError),
+        ("sticky_experiment_level_zero", ConfigError),
+        ("sticky_control_level_past_k", ConfigError),
     ],
 )
 def test_public_functions_raise_typed_errors(case, error):
-    from pmcmc_lab import Trajectory, exact_pn_matrix, icsmc_chain, multinomial_resample, tv_curve
+    from pmcmc_lab import Trajectory, exact_pn_matrix, exact_target, icsmc_chain, multinomial_resample, tv_curve
+    from pmcmc_lab.pgibbs import enumerate_joint
     from pmcmc_lab.replicated import pimh_replicated
 
     m = model_a()
@@ -383,6 +401,16 @@ def test_public_functions_raise_typed_errors(case, error):
         "batch_means_one_batch": lambda: batch_means_variance(np.arange(10.0), batch_count=1),
         "asymptotic_variance_short_f": lambda: exact_asymptotic_variance(exact_pn_matrix(m, 2), [1.0, 0.0]),
         "resample_negative_count": lambda: multinomial_resample([0.5, 0.5], -1, SubstreamRng(0).stream(0)),
+        "chain_index_not_a_state": lambda: exact_pn_matrix(m, 2).index((5, 5)),
+        "target_index_not_a_path": lambda: exact_target(m).index((5, 5)),
+        "joint_path_index_not_a_path": lambda: enumerate_joint(joint_two_time()).path_index((5, 5)),
+        "tv_curve_negative_length": lambda: tv_curve(exact_pn_matrix(m, 2), 0, -1),
+        "tv_curve_length_below_minus_one": lambda: tv_curve(exact_pn_matrix(m, 2), 0, -2),
+        "sticky_model_without_levels": lambda: sticky_example_model(0),
+        "sticky_model_negative_levels": lambda: sticky_example_model(-1),
+        "sticky_experiment_level_past_k": lambda: sticky_experiment(4, 3, n_grid=[7]),
+        "sticky_experiment_level_zero": lambda: sticky_experiment(4, 3, n_grid=[0]),
+        "sticky_control_level_past_k": lambda: sticky_control_rows(4, 3, n_grid=[1, 7]),
     }[case]
     with pytest.raises(error):
         call()
