@@ -25,9 +25,8 @@ from .c2smc import (
     beta_delta_constants,
     c2smc_expectation_bruteforce,
     c2smc_expectation_closed_form,
-    run_c2smc,
 )
-from .csmc import ChainTrace, Trajectory, artificial_joint_step, icsmc_chain, run_csmc, select_path
+from .csmc import ChainTrace, Trajectory, icsmc_chain, select_path
 from .exact_oracle import (
     FiniteChain,
     SpectralSummary,

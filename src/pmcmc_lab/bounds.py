@@ -37,7 +37,8 @@ from .errors import (
 )
 from .fk_model import DiscreteFK, exact_target, sup_potentials
 
-# The Newton iteration of :func:`lambert_w`: start, residual target, steps.
+# The Newton iteration of :func:`lambert_w`: start for x <= 0, residual
+# target (times max(1, |x|)), steps.
 _LAMBERT_W0, _LAMBERT_TOL, _LAMBERT_MAX_ITER = -0.23, 1e-14, 200
 _SCAN_MAX_STATES = 12  # most states gamma_hat_sup scans the subsets of
 
@@ -103,7 +104,7 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
     eps = ((1 - 1/N) / (1 + 2(alpha - 1)/N))^T, which simplifies to
     ((N-1)/(N - 2 + 2 alpha))^T.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ConstantOutOfRange(f"alpha is at least 1 by construction, got {alpha!r}")
     if T < 1:
         raise ConstantOutOfRange(f"the horizon is at least 1, got T={T!r}")
@@ -115,7 +116,7 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
 
 def mixing_floor(alpha: float, C: float) -> float:
     """Horizon-free floor exp(-(2 alpha - 1)/C), valid whenever N - 1 >= C T."""
-    if alpha < 1.0 or not C > 0:
+    if not (alpha >= 1.0 and C > 0):
         raise ConstantOutOfRange(f"the floor needs alpha >= 1 and C > 0, got alpha={alpha!r}, C={C!r}")
     return math.exp(-(2.0 * alpha - 1.0) / C)
 
@@ -123,7 +124,7 @@ def mixing_floor(alpha: float, C: float) -> float:
 def epsilon_isir(g_bar: float, N: int) -> BoundReport:
     """Single-time case: eps = (N - 1)/(2 Gbar + N - 2) for the normalised
     weight supremum Gbar >= 1."""
-    if g_bar < 1.0:
+    if not g_bar >= 1.0:
         raise ConstantOutOfRange(f"the normalised weight supremum is at least 1, got {g_bar!r}")
     if N < 2:
         raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
@@ -132,12 +133,17 @@ def epsilon_isir(g_bar: float, N: int) -> BoundReport:
 
 
 def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W by Newton iteration; |w e^w - x| < 1e-14."""
-    w = _LAMBERT_W0
+    """Principal-branch Lambert W by Newton iteration, started at log(1 + x)
+    for x > 0; |w e^w - x| < 1e-14 max(1, |x|).  Raises ConstantOutOfRange
+    below -1/e, where the branch is not defined."""
+    if not x >= -1.0 / math.e:
+        raise ConstantOutOfRange(f"Lambert W needs x >= -1/e, got {x!r}")
+    w = math.log1p(x) if x > 0 else _LAMBERT_W0
+    tol = _LAMBERT_TOL * max(1.0, abs(x))
     for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         resid = w * ew - x
-        if abs(resid) < _LAMBERT_TOL:
+        if abs(resid) < tol:
             return w
         w -= resid / (ew * (1.0 + w))
     raise ArithmeticError("Lambert W iteration did not converge")
@@ -150,7 +156,7 @@ def tuning_c_star(alpha: float) -> tuple[float, float]:
     C* = (2 alpha - 1)/(W(-1/(2e)) + 1) ~ 1.302 (2 alpha - 1) and a level
     eps* = exp(-(W(-1/(2e)) + 1)) ~ 0.464 independent of alpha.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ConstantOutOfRange(f"alpha is at least 1 by construction, got {alpha!r}")
     w = lambert_w(-1.0 / (2.0 * math.e))
     c_star = (2.0 * alpha - 1.0) / (w + 1.0)

@@ -1,8 +1,9 @@
 """Two-trajectory conditional passes and mixing constants.
 
 Pinning a second trajectory (with its own slot sequence) alongside the
-reference turns the expected normalizing-constant estimate into a finite
-sum over increasing index chains: each chain records the times at which a
+reference (one :func:`pmcmc_lab.csmc.conditional_system` call with two
+pins) turns the expected normalizing-constant estimate into a finite sum
+over increasing index chains: each chain records the times at which a
 surviving lineage passes through one of the two pinned paths, every other
 segment contributing a free factor of N-2.  The closed form evaluates that
 sum by a backward accumulation over chain start points (cost T^2), checked
@@ -21,29 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csmc import Trajectory, conditional_system
 from .errors import AssertionFailure, IndexOutOfRange, ZeroPotential, ZeroTransitionOverlap
 from .exact_oracle import _OutcomeTree
 from .fk_model import DiscreteFK, predictive_law, q_operator
-from .smc_core import BatchedPass, _pin_schedule
-
-
-def run_c2smc(model, N: int, x: Trajectory, k, y: Trajectory, rng, base: int = 0) -> BatchedPass:
-    """One pass with the reference pinned to slot 0 and a second trajectory
-    pinned along the slot sequence ``k``; raises LineageClash where ``k``
-    claims slot 0 for another state or parent than the reference's."""
-    pins = [((0,) * model.T, x.points), (k, y.points)]
-    return conditional_system(model, N, pins, rng, base=base)
+from .smc_core import _pin_schedule
 
 
 # ---------------------------------------------------------------------------
 # Closed form for the expected normalizing-constant estimate
 # ---------------------------------------------------------------------------
-
-
-def _points(path) -> tuple:
-    """The states of a Trajectory or of a plain path."""
-    return tuple(path.points if isinstance(path, Trajectory) else path)
 
 
 def _pair_factor(model: DiscreteFK, p: int, q: int, x, y) -> float:
@@ -52,7 +39,8 @@ def _pair_factor(model: DiscreteFK, p: int, q: int, x, y) -> float:
 
 
 def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
-    """Expected normalizing-constant estimate under the two-pin pass.
+    """Expected normalizing-constant estimate under the two-pin pass, with
+    the path x pinned to slot 0 and the path y to slot 1.
 
     The sum over the increasing index chains 0 < i_1 < ... < i_s = T+1,
 
@@ -63,7 +51,6 @@ def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
     backward accumulation over chain start points in T^2 steps.  Raises as
     the pass does for paths it cannot pin, and IndexOutOfRange for N < 2.
     """
-    x, y = _points(x), _points(y)
     T = model.T
     _pin_schedule(model.tables, [((0,) * T, x), ((1,) * T, y)], N)
     # r[p] accumulates all chains starting at p, each segment (a, b)
@@ -89,7 +76,7 @@ def c2smc_expectation_bruteforce(model: DiscreteFK, N: int, x, y) -> float:
     the block size.
     """
     T = model.T
-    pins = [((0,) * T, _points(x)), ((1,) * T, _points(y))]
+    pins = [((0,) * T, x), ((1,) * T, y)]
     total = 0.0
     for prob, states, _ in _OutcomeTree(model, N, pins).blocks():
         est = np.ones(len(prob))

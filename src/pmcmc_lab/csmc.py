@@ -5,11 +5,11 @@ states are forced and its parent index always points at its own previous
 slot.  Every pass here is a :class:`pmcmc_lab.smc_core.BatchedPass`; the
 next state of the chain is replicate 0's selected ancestral line
 (:meth:`~pmcmc_lab.smc_core.BatchedPass.lineages`), read by
-:func:`select_path`.  The pinned slot is 0 everywhere by default; passes with
-an arbitrary pinned slot sequence (and passes with two pinned trajectories,
-see :mod:`pmcmc_lab.c2smc`) are the same
-:func:`pmcmc_lab.smc_core.particle_pass` with another pin schedule, and
-:func:`reference_pass` runs the slot-0 pass on R replicates at once.
+:func:`select_path`.  :func:`conditional_system` is the one one-replicate
+pinned pass: any pinned (lineage, path) pairs, so the slot-0 pass, a pass
+pinned along an arbitrary slot sequence and the two-pin pass of
+:mod:`pmcmc_lab.c2smc` differ only in their pins.  :func:`reference_pass`
+runs the slot-0 pass on R replicates at once.
 
 :func:`run_chain` is the one step loop of every sampler (:func:`icsmc_sampler`
 here; PIMH, PMMH and particle Gibbs in :mod:`pmcmc_lab.pgibbs`), and
@@ -51,7 +51,7 @@ class Trajectory:
 def conditional_system(model, N: int, pins, rng, base: int = 0) -> BatchedPass:
     """One pass (one replicate) with the given pinned (lineage, path) pairs,
     checked by :func:`pmcmc_lab.smc_core._pin_schedule`; free slots evolve
-    normally."""
+    normally, and with every slot pinned the pass replays its pins."""
     return particle_pass(model.tables, N, rng, base=base, pins=pins)
 
 
@@ -63,28 +63,11 @@ def reference_pass(tables: PassTables, N: int, paths, rng, base: int = 0, which=
     return particle_pass(tables, N, rng, base=base, rows=len(paths), pins=pins, which=which)
 
 
-def run_csmc(model, N: int, x: Trajectory, rng, base: int = 0) -> BatchedPass:
-    """Pass with the reference trajectory pinned to slot 0 throughout.
-
-    With N=1 there are no free particles and the pass replays ``x``.
-    """
-    return conditional_system(model, N, [((0,) * model.T, x.points)], rng, base=base)
-
-
 def select_path(p: BatchedPass) -> Trajectory:
     """Replicate 0's selected path, with the slots it was read from."""
     slots = p.lineages()[0]
     points = p.states[np.arange(len(slots)), 0, slots]
     return Trajectory(points=tuple(points.tolist()), lineage=tuple(slots.tolist()))
-
-
-def artificial_joint_step(model, N: int, x: Trajectory, k, rng, base: int = 0) -> Trajectory:
-    """One step of the pass pinned along an arbitrary slot sequence ``k``.
-
-    For multinomial resampling this kernel coincides in law with the slot-0
-    kernel; it exists so the coincidence can be tested.
-    """
-    return select_path(conditional_system(model, N, [(k, x.points)], rng, base=base))
 
 
 @dataclass
@@ -103,12 +86,6 @@ class ChainTrace:
     @property
     def n_iterations(self) -> int:
         return len(self.log_gamma_hats)
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(points=tuple(int(s) for s in self.states[i]))
-
-    def apply(self, f) -> np.ndarray:
-        return np.array([f(self.trajectory(i)) for i in range(len(self.states))])
 
     def to_csv(self, path) -> None:
         T = self.states.shape[1]

@@ -61,7 +61,8 @@ class TooFewParticles(PmcmcLabError):
 class ConstantOutOfRange(PmcmcLabError):
     """A constant passed to a bound lies outside the range its definition
     gives it (alpha >= 1, a normalised weight supremum >= 1, an estimate's
-    supremum >= gamma_T > 0, a schedule slope C > 0, a horizon T >= 1)."""
+    supremum >= gamma_T > 0, a schedule slope C > 0, a horizon T >= 1, the
+    argument of Lambert W >= -1/e); NaN lies outside every range."""
 
 
 class ZeroPathMass(PmcmcLabError):

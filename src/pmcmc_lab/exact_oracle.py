@@ -6,8 +6,8 @@ Four enumeration engines, each exact, cross-checked in the test suite.
   particles' counts over the states of positive mass, one multinomial per
   time, and sums the terminal draw by weight sums.  Its work is polynomial
   in N and counted before it runs.  It gives matrices
-  (:func:`histogram_sweep`) and entries with the pin's retained-weight
-  share (the escape experiment's rows).
+  (:func:`pmcmc_lab.histogram.histogram_sweep`) and entries with the pin's
+  retained-weight share (the escape experiment's rows).
 * The multiset sweep (:func:`multiset_sweep`) collapses the free particles,
   which are exchangeable, to the multiset of their ancestral paths, which
   evolves by multinomial draws.  Each row comes with the retained-weight
@@ -26,9 +26,8 @@ Four enumeration engines, each exact, cross-checked in the test suite.
   (parent slot, state) options at once, depth-first in blocks of at most
   ``_TREE_BLOCK`` children, and its entries are counted against the guard
   before any is built.  :func:`enumerate_conditional_outcomes` is its view
-  one outcome at a time; :func:`kernel_row_tree` (the tests' reference
-  row) and :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce` (the
-  two-pin brute force) reduce its blocks directly.
+  one outcome at a time; :func:`pmcmc_lab.c2smc.c2smc_expectation_bruteforce`
+  (the two-pin brute force) reduces its blocks directly.
 
 The two sweeps walk many pinned paths as a prefix trie (:func:`_trie_walk`),
 so rows sharing x_1..x_t share the forward work through time t+1.
@@ -37,6 +36,10 @@ work count is within the guard and the multiset sweep otherwise, a choice
 made before any array is built by one count-engine plan
 (:class:`pmcmc_lab.histogram._Plan`).  Every engine checks its pins with
 the pass's own :func:`pmcmc_lab.smc_core._pin_schedule`.
+
+The expectation of the normalizing-constant estimate under the plain pass
+(:func:`exact_gamma_hat_expectation`) is the count engine's multinomial
+step without pins: a forward sweep over the histograms of the N particles.
 
 Also here: stationary laws, total-variation curves, spectral summaries,
 asymptotic variances and the exact minorization constant of enumerated
@@ -64,10 +67,9 @@ from .errors import (
     ZeroStationaryMass,
 )
 from .fk_model import DiscreteFK, exact_target
-from .histogram import _Plan, histogram_sweep  # noqa: F401 (histogram_sweep is re-exported)
+from .histogram import _GUARD, _histograms, _multinomial, _Plan
 from .smc_core import _checked_pins, _pin_schedule
 
-_TREE_ROW_GUARD = 10**6  # most outcome-tree entries kernel_row_tree builds
 _TREE_BLOCK = 2**13  # children per outcome-tree block
 _DETAILED_BALANCE_TOL = 1e-9  # largest |pi(x) P(x, y) - pi(y) P(y, x)| accepted
 _SLOT_BLOCK = 2**13  # entries per slot-sweep block; its ~7 live arrays stay near 0.5 MB
@@ -104,8 +106,17 @@ class FiniteChain:
         return self.states.index(state)
 
 
+def _square(kernel) -> np.ndarray:
+    """``kernel`` as an (n, n) float array; DimensionMismatch otherwise."""
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+        raise DimensionMismatch(f"kernel of shape {kernel.shape} is not square")
+    return kernel
+
+
 def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
     """Solve pi K = pi, sum(pi) = 1 by least squares."""
+    kernel = _square(kernel)
     n = kernel.shape[0]
     a = np.vstack([kernel.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
@@ -115,7 +126,7 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
 
 
 def chain_from_kernel(states, kernel, stationary=None) -> FiniteChain:
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = _square(kernel)
     if stationary is None:
         stationary = stationary_distribution(kernel)
     return FiniteChain(states=tuple(states), kernel=kernel, stationary=np.asarray(stationary, dtype=float))
@@ -142,8 +153,8 @@ class _OutcomeTree:
     options: a state of positive initial mass at t=1, and after that a
     parent slot and one of the W_t successors of the widest transition row
     (padded with probability 0), O_t = N W_t.  An outcome's children are the
-    product of its free slots' options in ``itertools.product`` order, the
-    first free slot slowest, each of probability the outcome's times the
+    product of its free slots' options in lexicographic order, the first
+    free slot slowest, each of probability the outcome's times the
     options' product; children whose options' product is 0 are dropped and
     nothing is merged.  The walk is depth-first over blocks of at most
     ``_TREE_BLOCK`` children: whole outcomes' products, or pieces of one
@@ -155,7 +166,7 @@ class _OutcomeTree:
     array is built and refused past ``guard``.
     """
 
-    def __init__(self, model: DiscreteFK, N: int, pins, guard: int = 10**7):
+    def __init__(self, model: DiscreteFK, N: int, pins, guard: int = _GUARD):
         if N < 1:
             raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
         pin_state, pin_anc = _pin_schedule(model.tables, pins, N)
@@ -242,7 +253,7 @@ class _OutcomeTree:
         return new_prob, new_states, new_anc
 
 
-def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int = 10**7):
+def enumerate_conditional_outcomes(model: DiscreteFK, N: int, pins, guard: int = _GUARD):
     """Yield (probability, states, ancestors) over all outcomes of a pass,
     one outcome at a time: the row view of the outcome tree's blocks.
 
@@ -292,32 +303,6 @@ def trace_lineage(states, ancestors, terminal: int) -> tuple:
         if t > 1:
             idx = ancestors[t - 2][idx]
     return tuple(out)
-
-
-def kernel_row_tree(model: DiscreteFK, N: int, x, lineage=None) -> dict:
-    """One kernel row through the outcome tree (reference; small cases only):
-    each outcome's terminal draw, added to its selected path's entry in
-    outcome order."""
-    T = model.T
-    lineage = tuple(lineage) if lineage is not None else (0,) * T
-    row: dict = {}
-    for prob, states, ancestors in _OutcomeTree(model, N, [(lineage, tuple(x))], _TREE_ROW_GUARD).blocks():
-        g = model.potentials[-1][states[:, -1]]
-        total = g.sum(axis=1)
-        if not (total > 0).all():
-            raise AllWeightsZero(time=T)
-        w = g / total[:, None]
-        o, k = np.nonzero(w)
-        mass = prob[o] * w[o, k]
-        paths = np.empty((len(o), T), dtype=int)
-        for t in range(T - 1, -1, -1):
-            paths[:, t] = states[o, t, k]
-            if t:
-                k = ancestors[o, t - 1, k]
-        for lo in range(0, len(o), 64):
-            for path, p in zip(map(tuple, paths[lo : lo + 64].tolist()), mass[lo : lo + 64].tolist()):
-                row[path] = row.get(path, 0.0) + p
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +420,7 @@ def _trie_walk(T, t, law, group, step, select):
         yield from _trie_walk(T, t + 1, step(t + 1, law, branch[0][:t]), branch, step, select)
 
 
-def slot_sweep(model: DiscreteFK, N: int, paths, lineage=None, guard: int = 10**7):
+def slot_sweep(model: DiscreteFK, N: int, paths, lineage=None, guard: int = _GUARD):
     """Yield (x, kernel row of x) for each pinned path, in prefix-trie order,
     with the reference on ``lineage`` (slot 0 at every time by default).
 
@@ -448,7 +433,7 @@ def slot_sweep(model: DiscreteFK, N: int, paths, lineage=None, guard: int = 10**
     yield from _SlotSweep(model, N, lineage, guard).rows(paths)
 
 
-def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = 10**7) -> dict:
+def kernel_row(model: DiscreteFK, N: int, x, lineage=None, guard: int = _GUARD) -> dict:
     """Exact law of the selected path from one trajectory, a dict path ->
     probability: the one-path call of :func:`slot_sweep`."""
     ((_, row),) = slot_sweep(model, N, [x], lineage, guard)
@@ -553,7 +538,7 @@ class _MultisetSweep:
             yield x, {path: math.fsum(v) for path, v in terms.items()}, math.fsum(pinned)
 
 
-def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
+def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = _GUARD):
     """Yield (x, kernel row of x, retained-weight share) for each pinned path,
     in prefix-trie order.  The share is the chance that the terminal draw
     picks the pinned particle itself.  ``guard`` bounds the multinomial terms
@@ -564,7 +549,7 @@ def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7):
     yield from _MultisetSweep(model, N, guard).rows(paths)
 
 
-def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dict:
+def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = _GUARD) -> dict:
     """Exact kernel row using exchangeability of the free particles: the
     one-path call of :func:`multiset_sweep`, blind to the pinned slot
     sequence (a blindness :func:`kernel_row` tests, not assumes)."""
@@ -573,7 +558,7 @@ def kernel_row_multiset(model: DiscreteFK, N: int, x, guard: int = 10**7) -> dic
 
 
 def exact_pn_matrix(
-    model: DiscreteFK, N: int, lineage=None, target=None, guard: int = 10**7
+    model: DiscreteFK, N: int, lineage=None, target=None, guard: int = _GUARD
 ) -> FiniteChain:
     """The iterated-pass kernel over all positive-mass paths, enumerated exactly.
 
@@ -581,7 +566,8 @@ def exact_pn_matrix(
     OutcomeSpaceTooLarge:
 
     * Without a ``lineage`` one count-engine plan counts its work before
-      any array is built, and builds the matrix (:func:`histogram_sweep`)
+      any array is built, and builds the matrix
+      (:func:`pmcmc_lab.histogram.histogram_sweep`)
       when that work, in law entries, is at most ``guard``.  Otherwise one
       :func:`multiset_sweep` walks all paths at once, and ``guard`` bounds
       the multinomial terms of the whole sweep.
@@ -626,41 +612,34 @@ def _row_matrix(paths, rows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exact_gamma_hat_expectation(model: DiscreteFK, N: int, guard: int = 10**6) -> float:
-    """E[product of average weights] under the unconditional pass.
-
-    Forward sweep over full particle configurations (S^N of them): the
-    configuration chain is Markov and the estimator multiplies one factor
-    per time, so the expectation is a finite sum computed exactly.  Each
-    step gathers an (S^N, S^N, N) array, so ``guard`` bounds its S^(2N) N
-    entries, refused before any is built.
+def exact_gamma_hat_expectation(model: DiscreteFK, N: int, guard: int = _GUARD) -> float:
+    """E[product over time of the average weights] under the plain pass
+    (gamma_T, by unbiasedness): a forward sweep over the H = C(N+S-1, N)
+    histograms of the N particles, one multinomial per time.  Its entries,
+    S (N+1) + H for the time-1 law and H S (N+1) + H^2 per later time, are
+    refused past ``guard`` before any array is built.  Raises
+    TooFewParticles for N < 1 and AllWeightsZero for a histogram of positive
+    probability without weight before time T.
     """
+    if N < 1:
+        raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
     S, T = model.n_states, model.T
-    if S ** (2 * N) * N > guard:
-        raise OutcomeSpaceTooLarge(
-            f"{S}^{2 * N} x {N} configuration-pair entries exceed the guard of {guard}"
-        )
-    configs = np.array(list(itertools.product(range(S), repeat=N)), dtype=int)
-    m1 = model.m1
-    init_prob = np.prod(m1[configs], axis=1)
-
-    def mean_weight(t):
-        g = model.potential_vector(t)
-        return g[configs].mean(axis=1)
-
-    v = init_prob * mean_weight(1)
-    for t in range(2, T + 1):
-        g_prev = model.potential_vector(t - 1)[configs]
-        tot = g_prev.sum(axis=1)
-        live = (v > 0)
-        if np.any(live & (tot <= 0)):
-            raise AllWeightsZero(time=t - 1)
-        w = np.divide(g_prev, tot[:, None], out=np.zeros_like(g_prev), where=tot[:, None] > 0)
-        # q[c, s] = chance one child of configuration c lands in state s
-        q = np.einsum("ck,cks->cs", w, model.transition(t)[configs])
-        trans = np.prod(q[:, configs], axis=2)  # (from, to)
-        v = (v @ trans) * mean_weight(t)
-    return float(v.sum())
+    H = math.comb(N + S - 1, N)
+    entries = S * (N + 1) + H + (T - 1) * (H * S * (N + 1) + H * H)
+    if entries > guard:
+        raise OutcomeSpaceTooLarge(f"histogram sweep of {entries} entries passes the guard of {guard}")
+    counts, coef = _histograms(N, S)
+    # law[h]: P(histogram h at t) times the average weights before t.
+    law = _multinomial(model.m1[None, None], counts, coef)[0, 0]
+    for t in range(1, T):
+        mass = counts * model.potentials[t - 1]
+        total = mass.sum(axis=1)
+        if np.any((law > 0) & (total <= 0)):
+            raise AllWeightsZero(time=t)
+        # A row without weight has mass 0 and no probability; keep it finite.
+        q = mass @ model.transitions[t - 1] / np.where(total > 0, total, 1.0)[:, None]
+        law = (law * total / N) @ _multinomial(q[None], counts, coef)[0]
+    return float(law @ (counts @ model.potentials[T - 1]) / N)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +763,7 @@ def dirichlet_form(chain: FiniteChain, f) -> float:
 def l2_distance(chain: FiniteChain, nu) -> float:
     """Chi-square style L2(pi) distance of a probability vector from pi."""
     pi = chain.stationary
-    dens = np.asarray(nu, dtype=float) / pi - 1.0
+    dens = _function_values(nu, chain.n_states) / pi - 1.0
     return float(math.sqrt(np.sum(dens * dens * pi)))
 
 

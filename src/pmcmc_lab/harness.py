@@ -35,11 +35,11 @@ from .bounds import (
     report_rows,
 )
 from .c2smc import alpha_constant
-from .csmc import ChainTrace, Trajectory, icsmc_chain, run_chain
+from .csmc import Trajectory, icsmc_chain, run_chain
 from .errors import ConfigError, TraceTooShort
 from .exact_oracle import _pn_matrix, exact_minorization, spectral_summary, tv_curve
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model, sup_potentials
-from .histogram import _Plan
+from .histogram import _GUARD, _Plan
 from .pgibbs import (
     check_theta_chain_identities,
     check_x_chain_orderings,
@@ -55,9 +55,6 @@ from .rng import SubstreamRng
 # ValueError), a missing key or a value of the wrong type.  Model validation
 # raises PmcmcLabError subclasses, none of these, so they keep their types.
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError)
-# The enumeration guard of the oracle kind's kernel matrix and of the
-# count-engine calls behind the escape experiment's rows.
-_ORACLE_GUARD = 10**7
 # Inequality slacks below this size are written as 0.0 in the pgibbs kind's
 # ordering_report.csv: the identity residuals are exact zeros up to rounding
 # (about 1e-16), and the report should not carry the exact engine's last
@@ -208,7 +205,7 @@ def _level_stays(model: DiscreteFK, K: int, N: int, n_grid):
     for n in n_grid:
         if not 1 <= n <= K:
             raise ConfigError(f"level {n!r} outside [1, {K}]")
-    plan = _Plan(model, N, *_level_pairs(n_grid), guard=_ORACLE_GUARD)
+    plan = _Plan(model, N, *_level_pairs(n_grid), guard=_GUARD)
     entries, shares = plan.entries()
     return n_grid, entries[0::2] + entries[1::2], shares[0::2], plan.work
 
@@ -260,19 +257,14 @@ def _control_rows(K: int, N: int, n_grid):
 # ---------------------------------------------------------------------------
 
 
-def batch_means_variance(trace, f=None, batch_count: int = 64) -> float:
-    """Batch-means estimate of the asymptotic variance of averages of f.
-
-    ``trace`` is either a ChainTrace (then ``f`` maps trajectories to reals)
-    or a plain 1-d array of already-evaluated values.  Raises TraceTooShort
+def batch_means_variance(values, batch_count: int = 64) -> float:
+    """Batch-means estimate of the asymptotic variance of averages of the
+    evaluated values, a 1-d array along the chain.  Raises TraceTooShort
     unless there are at least 2 batches of 2 values each.
     """
     if batch_count < 2:
         raise TraceTooShort(f"a batch-means variance needs batch_count >= 2, got {batch_count}")
-    if isinstance(trace, ChainTrace):
-        values = trace.apply(f)
-    else:
-        values = np.asarray(trace, dtype=float)
+    values = np.asarray(values, dtype=float)
     n = len(values)
     if n < 2 * batch_count:
         raise TraceTooShort(f"{n} values cannot fill 2 x {batch_count} batches")
@@ -340,7 +332,7 @@ def _run_oracle(cfg: ExperimentConfig, out: Path) -> dict:
     model = _load_model(cfg)
     n = cfg.n_sweep[0]
     target = exact_target(model)
-    chain, engine, work = _pn_matrix(model, n, None, target, _ORACLE_GUARD)
+    chain, engine, work = _pn_matrix(model, n, None, target, _GUARD)
     _write_csv(
         out / "kernel.csv",
         [["x", "y", "prob"]]
@@ -372,7 +364,7 @@ def _run_oracle(cfg: ExperimentConfig, out: Path) -> dict:
             ],
         ],
     )
-    return {"exact_engine": engine, "histogram_work": work, "guard": _ORACLE_GUARD}
+    return {"exact_engine": engine, "histogram_work": work, "guard": _GUARD}
 
 
 def _initial_trajectory(model: DiscreteFK) -> Trajectory:
@@ -480,7 +472,7 @@ def _run_sticky(cfg: ExperimentConfig, out: Path) -> dict:
         + [[n, _fmt(stay), _fmt(bound)] for n, stay, bound in ctrl],
     )
     work = {"sticky.csv": sticky_work, "sticky_control.csv": control_work}
-    return {"exact_engine": "histogram", "histogram_work": work, "guard": _ORACLE_GUARD}
+    return {"exact_engine": "histogram", "histogram_work": work, "guard": _GUARD}
 
 
 # The one list of experiment kinds: kind -> (CLI subcommand, runner).  The

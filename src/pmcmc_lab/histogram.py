@@ -47,6 +47,10 @@ from .errors import OutcomeSpaceTooLarge
 from .fk_model import DiscreteFK
 from .smc_core import _check_paths, _checked_pins, _path_rows
 
+# The default work bound of every exact engine, each in its own unit (law
+# entries here, outcome-tree and slot-sweep entries, multinomial terms),
+# and the guard that the oracle and sticky kinds write to their manifests.
+_GUARD = 10**7
 # A block holds whole prefix pairs, as many as keep its largest temporary
 # near this many floats (256 KB; at least one pair), so that the engine's
 # temporaries stay small beside the process's resident memory.
@@ -215,7 +219,7 @@ def _histograms(n: int, n_categories: int):
     return counts, np.exp(log_fact[n] - log_fact[counts].sum(axis=1))
 
 
-def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7) -> np.ndarray:
+def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = _GUARD) -> np.ndarray:
     """The kernel entries P(x, y) for x, y in ``paths``, as a (P, P) array;
     rows sum to one when ``paths`` holds every positive-mass path.
 
@@ -226,7 +230,7 @@ def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = 10**7) -> np.
     return _Plan(model, N, [tuple(x) for x in paths], guard=guard).matrix()
 
 
-def histogram_entries(model: DiscreteFK, N: int, pairs, guard: int = 10**7):
+def histogram_entries(model: DiscreteFK, N: int, pairs, guard: int = _GUARD):
     """(P(x_b, y_b), retained share of x_b) for each pair (x_b, y_b), as two
     arrays; the share is the chance that the terminal draw picks the pinned
     particle, E[G_T(x_T) / sum_j G_T(Z_T^j)].

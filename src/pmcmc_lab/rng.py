@@ -48,10 +48,13 @@ class _Key(ISeedSequence):
 
 
 class SubstreamRng:
-    """A 64-bit seed plus a coordinate scheme for independent substreams."""
+    """A 64-bit seed plus a coordinate scheme for independent substreams.
+    A negative seed raises IndexOutOfRange."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise IndexOutOfRange(f"seed {self.seed} is negative")
         key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
         self._key = _Key(key)
         self._key_words = tuple(int(k) for k in key)
@@ -99,7 +102,10 @@ class SubstreamRng:
         return self._gen.random(shape)
 
     def spawn(self, index: int) -> "SubstreamRng":
-        """Derive an independent child (used for parallel chains/replicates)."""
+        """Derive an independent child (used for parallel chains/replicates);
+        a negative index raises IndexOutOfRange."""
+        if index < 0:
+            raise IndexOutOfRange(f"spawn index {index} is negative")
         child = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(index),))
         return SubstreamRng(int(child.generate_state(1, np.uint64)[0]))
 

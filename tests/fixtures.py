@@ -8,9 +8,12 @@ from functools import lru_cache
 import numpy as np
 
 from pmcmc_lab import build_discrete_model, build_joint_model, exact_target
+from pmcmc_lab.csmc import conditional_system
 from pmcmc_lab.errors import AllWeightsZero
-from pmcmc_lab.exact_oracle import enumerate_conditional_outcomes, exact_pn_matrix
+from pmcmc_lab.exact_oracle import _OutcomeTree, enumerate_conditional_outcomes, exact_pn_matrix
 from pmcmc_lab.smc_core import _pin_schedule
+
+_TREE_ROW_GUARD = 10**6  # most outcome-tree entries kernel_row_tree builds
 
 
 def model_a():
@@ -98,6 +101,37 @@ def target(name: str):
 @lru_cache(maxsize=None)
 def pn_chain(name: str, n: int):
     return exact_pn_matrix(model(name), n, target=target(name))
+
+
+def pinned_pass(m, N: int, x, rng, base: int = 0):
+    """One pass with the path ``x`` pinned to slot 0 throughout."""
+    return conditional_system(m, N, [((0,) * m.T, tuple(x))], rng, base)
+
+
+def kernel_row_tree(m, N: int, x, lineage=None) -> dict:
+    """One kernel row through the outcome tree (reference; small cases only):
+    each outcome's terminal draw, added to its selected path's entry in
+    outcome order."""
+    T = m.T
+    lineage = tuple(lineage) if lineage is not None else (0,) * T
+    row: dict = {}
+    for prob, states, ancestors in _OutcomeTree(m, N, [(lineage, tuple(x))], _TREE_ROW_GUARD).blocks():
+        g = m.potentials[-1][states[:, -1]]
+        total = g.sum(axis=1)
+        if not (total > 0).all():
+            raise AllWeightsZero(time=T)
+        w = g / total[:, None]
+        o, k = np.nonzero(w)
+        mass = prob[o] * w[o, k]
+        paths = np.empty((len(o), T), dtype=int)
+        for t in range(T - 1, -1, -1):
+            paths[:, t] = states[o, t, k]
+            if t:
+                k = ancestors[o, t - 1, k]
+        for lo in range(0, len(o), 64):
+            for path, p in zip(map(tuple, paths[lo : lo + 64].tolist()), mass[lo : lo + 64].tolist()):
+                row[path] = row.get(path, 0.0) + p
+    return row
 
 
 def tree_share(m, N: int, x) -> float:

@@ -57,6 +57,15 @@ def test_out_of_range_constants_are_typed_errors():
         lambda: mixing_floor(1.2, -1.0),
         lambda: epsilon_mixing(1.2, 3, 0),
         lambda: epsilon_mixing(1.2, 3, -1),
+        # NaN fails every range check.
+        lambda: epsilon_mixing(math.nan, 3, 2),
+        lambda: tuning_c_star(math.nan),
+        lambda: epsilon_isir(math.nan, 3),
+        lambda: mixing_floor(math.nan, 1.3),
+        lambda: mixing_floor(1.2, math.nan),
+        # The principal branch starts at -1/e.
+        lambda: lambert_w(-1.0),
+        lambda: lambert_w(math.nan),
     ):
         with pytest.raises(ConstantOutOfRange):
             bound()
@@ -170,6 +179,15 @@ def test_lambert_w_residual():
     w = lambert_w(x)
     assert abs(w * math.exp(w) - x) < 1e-14
     assert w == pytest.approx(-0.2320, abs=1e-4)
+    assert lambert_w(math.e) == pytest.approx(1.0, rel=1e-14)
+    assert lambert_w(1e6) == pytest.approx(11.38335808614, rel=1e-11)
+
+
+@pytest.mark.parametrize("x", [-1 / math.e, 1e-12, 1.0, math.e, 1e6, 1e300])
+def test_lambert_w_over_its_domain(x):
+    w = lambert_w(x)
+    assert abs(w * math.exp(w) - x) < 1e-14 * max(1.0, abs(x))
+    assert w >= -1.0
 
 
 def test_tuning_constants():

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import model, model_a, model_t1, target
+from fixtures import kernel_row_tree, model, model_a, model_t1, target
 from pmcmc_lab import (
     Trajectory,
     alpha_constant,
-    artificial_joint_step,
     beta_delta_constants,
     build_joint_model,
     c2smc_expectation_bruteforce,
@@ -16,10 +15,8 @@ from pmcmc_lab import (
     icsmc_chain,
     kernel_row,
     pgibbs_step,
-    run_c2smc,
-    run_csmc,
 )
-from pmcmc_lab.csmc import ChainState, reference_pass
+from pmcmc_lab.csmc import ChainState, conditional_system, reference_pass
 from pmcmc_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -28,7 +25,7 @@ from pmcmc_lab.errors import (
     ZeroPinnedPotential,
     ZeroPotential,
 )
-from pmcmc_lab.exact_oracle import kernel_row_multiset, kernel_row_tree, multiset_sweep
+from pmcmc_lab.exact_oracle import kernel_row_multiset, multiset_sweep
 from pmcmc_lab.histogram import histogram_entries, histogram_sweep
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.pgibbs import theta_given_paths
@@ -38,8 +35,8 @@ from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated, pgibbs_
 def test_two_particles_no_randomness():
     # With two particles both slots are pinned: the estimate is deterministic.
     m = model_a()
-    x, y = Trajectory((0, 0)), Trajectory((1, 1))
-    s = run_c2smc(m, 2, x, (1, 1), y, 3)
+    x, y = (0, 0), (1, 1)
+    s = conditional_system(m, 2, [((0, 0), x), ((1, 1), y)], 3)
     assert s.states[:, 0].tolist() == [[0, 1], [0, 1]]
     expected = ((1 + 2) / 2) * ((1 + 3) / 2)
     assert c2smc_expectation_bruteforce(m, 2, x, y) == pytest.approx(expected, rel=1e-14)
@@ -49,12 +46,12 @@ def test_two_particles_no_randomness():
 def test_lineage_clash_detected():
     m = model_a()
     with pytest.raises(LineageClash):
-        run_c2smc(m, 3, Trajectory((0, 0)), (0, 1), Trajectory((1, 1)), 0)
+        conditional_system(m, 3, [((0, 0), (0, 0)), ((0, 1), (1, 1))], 0)
 
 
 def test_shared_slot_allowed_when_paths_agree():
     m = model_a()
-    s = run_c2smc(m, 3, Trajectory((0, 1)), (0, 0), Trajectory((0, 1)), 1)
+    s = conditional_system(m, 3, [((0, 0), (0, 1)), ((0, 0), (0, 1))], 1)
     assert s.states[0, 0, 0] == 0 and s.states[1, 0, 0] == 1
 
 
@@ -63,7 +60,7 @@ def test_free_particle_matches_initial_law():
     counts = np.zeros(2)
     R = 20_000
     for seed in range(R):
-        s = run_c2smc(m, 3, Trajectory((0,)), (1,), Trajectory((1,)), seed)
+        s = conditional_system(m, 3, [((0,), (0,)), ((1,), (1,))], seed)
         counts[s.states[0, 0, 2]] += 1
     freq = counts / R
     sd = np.sqrt(0.25 / R)
@@ -97,6 +94,10 @@ def _zero_first_weight():
 # Every public entry point that pins a path.  The two-pin entry points pin
 # the path under test as x and, in a second call, as y.  A chain of zero
 # steps returns its start, so it checks the start as its first step would.
+# "run_csmc", "artificial_joint_step" and "run_c2smc" name the three
+# one-replicate passes of conditional_system by the kernels they step: the
+# path pinned to slot 0, pinned along the slots (1,) * T, and beside a
+# second pin.
 _ONE_PIN = (
     "run_csmc",
     "icsmc_chain",
@@ -125,9 +126,9 @@ def _pinning_calls(entry, m, N, path):
     x, T = Trajectory(path), m.T
     jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
     one = {
-        "run_csmc": lambda: run_csmc(m, N, x, 0),
+        "run_csmc": lambda: conditional_system(m, N, [((0,) * T, path)], 0),
         "icsmc_chain": lambda: icsmc_chain(m, N, x, 2, 0),
-        "artificial_joint_step": lambda: artificial_joint_step(m, N, x, (1,) * T, 0),
+        "artificial_joint_step": lambda: conditional_system(m, N, [((1,) * T, path)], 0),
         "reference_pass": lambda: reference_pass(m.tables, N, [path], 0),
         "csmc_step_replicated": lambda: csmc_step_replicated(m, N, np.array([path]), 0),
         "icsmc_replicated": lambda: icsmc_replicated(m, N, path, 2, 1, 0),
@@ -146,7 +147,7 @@ def _pinning_calls(entry, m, N, path):
     if entry in one:
         return [one[entry]]
     two = {
-        "run_c2smc": lambda a, b: run_c2smc(m, N, Trajectory(a), (1,) * T, Trajectory(b), 0),
+        "run_c2smc": lambda a, b: conditional_system(m, N, [((0,) * T, a), ((1,) * T, b)], 0),
         "c2smc_expectation_closed_form": lambda a, b: c2smc_expectation_closed_form(m, N, a, b),
         "c2smc_expectation_bruteforce": lambda a, b: c2smc_expectation_bruteforce(m, N, a, b),
     }[entry]

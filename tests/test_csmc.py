@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from fixtures import model, model_a, model_t1, model_unit, target
-from pmcmc_lab import (
-    SubstreamRng,
-    Trajectory,
-    artificial_joint_step,
-    icsmc_chain,
-    run_csmc,
-    run_smc,
-    select_path,
-)
+from fixtures import model, model_a, model_t1, model_unit, pinned_pass, target
+from pmcmc_lab import SubstreamRng, Trajectory, icsmc_chain, run_smc, select_path
 from pmcmc_lab.csmc import conditional_system, icsmc_sampler, reference_pass, run_chain
 from pmcmc_lab.errors import ZeroPinnedPotential
 from pmcmc_lab.exact_oracle import kernel_row, trace_lineage
@@ -22,25 +14,25 @@ from pmcmc_lab.smc_core import PassTables
 
 def test_pinned_particle_occupies_slot_zero():
     m = model("B")
-    x = Trajectory((0, 1, 0))
-    s = run_csmc(m, 4, x, 3)
+    x = (0, 1, 0)
+    s = pinned_pass(m, 4, x, 3)
     for t in range(m.T):
-        assert s.states[t, 0, 0] == x.points[t]
+        assert s.states[t, 0, 0] == x[t]
     for row in s.ancestors[:, 0]:
         assert row[0] == 0
 
 
 def test_single_particle_replays_the_pin():
     m = model_a()
-    x = Trajectory((1, 0))
-    s = run_csmc(m, 1, x, 5)
-    assert select_path(s).points == x.points
+    x = (1, 0)
+    s = pinned_pass(m, 1, x, 5)
+    assert select_path(s).points == x
 
 
 def test_zero_weight_pin_rejected():
     m = build_discrete_model([0, 1], [0.5, 0.5], [], [[1.0, 0.0]])
     with pytest.raises(ZeroPinnedPotential):
-        run_csmc(m, 2, Trajectory((1,)), 0)
+        pinned_pass(m, 2, (1,), 0)
 
 
 def test_free_particle_initial_law():
@@ -50,7 +42,7 @@ def test_free_particle_initial_law():
     rng = SubstreamRng(17)
     counts = np.zeros(2)
     for step in range(R):
-        s = run_csmc(m, 2, Trajectory((0,)), rng, base=step)
+        s = pinned_pass(m, 2, (0,), rng, base=step)
         counts[s.states[0, 0, 1]] += 1
     sd = np.sqrt(0.25 / R)
     assert abs(counts[0] / R - 0.5) < 5 * sd
@@ -58,7 +50,7 @@ def test_free_particle_initial_law():
 
 def test_select_path_traces_ancestors():
     m = model_a()
-    s = run_csmc(m, 3, Trajectory((0, 0)), 9)
+    s = pinned_pass(m, 3, (0, 0), 9)
     traj = select_path(s)
     i = traj.lineage
     assert [s.states[t, 0, i[t]] for t in range(m.T)] == list(traj.points)
@@ -75,7 +67,7 @@ def test_select_path_is_the_oracle_lineage_of_replicate_zero(N):
     for base in range(12):
         passes = (
             run_smc(m, N, 31, base=base),
-            run_csmc(m, N, Trajectory(x), 31, base=base),
+            pinned_pass(m, N, x, 31, base=base),
             conditional_system(m, N, [(lineage, x)], 31, base=base),
         )
         for p in passes:
@@ -87,11 +79,11 @@ def test_select_path_is_the_oracle_lineage_of_replicate_zero(N):
 
 def test_select_path_identity_on_pinned_lineage():
     m = model_a()
-    x = Trajectory((1, 1))
+    x = (1, 1)
     for seed in range(30):
-        s = run_csmc(m, 2, x, seed)
+        s = pinned_pass(m, 2, x, seed)
         if s.final[0] == 0:
-            assert select_path(s).points == x.points
+            assert select_path(s).points == x
             return
     pytest.fail("terminal selection never chose the pinned slot")
 
@@ -155,7 +147,7 @@ def test_single_time_unit_weight_pin_survival():
     wins = 0
     R = 20_000
     for step in range(R):
-        s = run_csmc(m, 2, Trajectory((0,)), rng, base=step)
+        s = pinned_pass(m, 2, (0,), rng, base=step)
         wins += select_path(s).lineage[-1] == 0
     sd = np.sqrt(0.25 / R)
     assert abs(wins / R - 0.5) < 5 * sd
@@ -201,7 +193,7 @@ def test_chain_and_replicated_agree_in_law():
     n_scalar = 4000
     rng = SubstreamRng(23)
     for step in range(n_scalar):
-        s = run_csmc(m, 2, Trajectory(x), rng, base=step)
+        s = pinned_pass(m, 2, x, rng, base=step)
         p = select_path(s).points
         scalar_counts[p[0] * 2 + p[1]] += 1
     scalar_freq = scalar_counts / n_scalar
@@ -223,9 +215,9 @@ def test_arbitrary_pin_lineage_same_kernel(k):
 
 def test_artificial_joint_step_runs_and_single_particle_identity():
     m = model_a()
-    out = artificial_joint_step(m, 3, Trajectory((0, 1)), (1, 2), 5)
+    out = select_path(conditional_system(m, 3, [((1, 2), (0, 1))], 5))
     assert len(out) == 2
-    out1 = artificial_joint_step(m, 1, Trajectory((0, 1)), (0, 0), 5)
+    out1 = select_path(conditional_system(m, 1, [((0, 0), (0, 1))], 5))
     assert out1.points == (0, 1)
 
 
@@ -245,7 +237,7 @@ def test_run_csmc_is_row_zero_of_the_batched_step(name, N):
     x = target(name).paths[-1]
     for base in (1, 4):
         paths = csmc_step_replicated(m, N, np.tile(x, (5, 1)), 13, base=base)
-        s = run_csmc(m, N, Trajectory(x), 13, base=base)
+        s = pinned_pass(m, N, x, 13, base=base)
         assert select_path(s).points == tuple(int(v) for v in paths[0])
 
 

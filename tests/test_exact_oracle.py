@@ -6,7 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixtures import model, model_a, oracle_grid, pn_chain, reference_outcomes, target, tree_share
+from fixtures import (
+    kernel_row_tree,
+    model,
+    model_a,
+    oracle_grid,
+    pn_chain,
+    reference_outcomes,
+    target,
+    tree_share,
+)
 from pmcmc_lab import c2smc_expectation_bruteforce, exact_asymptotic_variance, exact_minorization
 from pmcmc_lab import spectral_summary, tv_curve
 from pmcmc_lab import exact_oracle
@@ -31,16 +40,15 @@ from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
     exact_pn_matrix,
     final_selection_weights,
-    histogram_sweep,
     kernel_row,
     kernel_row_multiset,
-    kernel_row_tree,
     l2_distance,
     multiset_sweep,
+    stationary_distribution,
     trace_lineage,
 )
 from pmcmc_lab.fk_model import build_discrete_model, exact_target
-from pmcmc_lab.histogram import _Plan, histogram_entries
+from pmcmc_lab.histogram import _Plan, histogram_entries, histogram_sweep
 
 
 def two_state_flip(p: float) -> FiniteChain:
@@ -73,8 +81,6 @@ def test_kernel_rows_are_stochastic_and_stationary_is_target():
         resid = np.max(np.abs(chain.stationary @ chain.kernel - chain.stationary))
         assert resid < 1e-10
         # the stationary vector recovered from the matrix matches the target
-        from pmcmc_lab.exact_oracle import stationary_distribution
-
         pi = stationary_distribution(chain.kernel)
         assert np.max(np.abs(pi - target(name).probabilities)) < 1e-9
 
@@ -390,7 +396,15 @@ def test_histogram_sweep_at_many_particles():
 
 @pytest.mark.parametrize(
     "site",
-    ["rows_not_stochastic", "stationary_not_invariant", "spectral_zero_mass", "minorization_zero_mass"],
+    [
+        "rows_not_stochastic",
+        "stationary_not_invariant",
+        "spectral_zero_mass",
+        "minorization_zero_mass",
+        "kernel_not_square",
+        "stationary_of_a_kernel_not_square",
+        "l2_distance_wrong_length",
+    ],
 )
 def test_chain_checks_raise_typed_errors(site):
     absorbing = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -411,6 +425,9 @@ def test_chain_checks_raise_typed_errors(site):
             ZeroStationaryMass,
             lambda: exact_minorization(chain_from_kernel((0, 1), absorbing, np.array([1.0, 0.0]))),
         ),
+        "kernel_not_square": (DimensionMismatch, lambda: chain_from_kernel((0, 1), np.full((2, 3), 1 / 3))),
+        "stationary_of_a_kernel_not_square": (DimensionMismatch, lambda: stationary_distribution(np.ones((1, 2)))),
+        "l2_distance_wrong_length": (DimensionMismatch, lambda: l2_distance(two_state_flip(0.3), [0.2, 0.3, 0.5])),
     }
     error, call = cases[site]
     with pytest.raises(error):

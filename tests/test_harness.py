@@ -437,7 +437,7 @@ def test_batch_means_on_chain_trace():
     from pmcmc_lab import Trajectory, icsmc_chain
 
     trace = icsmc_chain(model_a(), 4, Trajectory((0, 0)), 600, 3)
-    est = batch_means_variance(trace, f=lambda tr: float(tr.points[1]), batch_count=16)
+    est = batch_means_variance(trace.states[:, 1].astype(float), batch_count=16)
     assert est >= 0.0
 
 

@@ -46,6 +46,13 @@ def test_uniforms_equal_a_fresh_stream(coords):
         assert np.array_equal(rng.uniforms(*coords, shape=shape), want)
 
 
+def test_negative_seed_or_spawn_index_is_refused():
+    with pytest.raises(IndexOutOfRange):
+        SubstreamRng(-1)
+    with pytest.raises(IndexOutOfRange):
+        SubstreamRng(5).spawn(-1)
+
+
 def test_stream_returns_a_fresh_generator():
     rng = SubstreamRng(4)
     first = rng.stream(1, 2)

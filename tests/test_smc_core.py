@@ -3,15 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fixtures import model, model_a, model_unit, target
-from pmcmc_lab import (
-    SubstreamRng,
-    Trajectory,
-    multinomial_resample,
-    run_csmc,
-    run_smc,
-    select_path,
-)
+from fixtures import model, model_a, model_unit, pinned_pass, target
+from pmcmc_lab import SubstreamRng, multinomial_resample, run_smc, select_path
 from pmcmc_lab.errors import (
     AllWeightsZero,
     DegenerateEstimate,
@@ -208,10 +201,14 @@ def test_gamma_hat_degenerate_slice():
 
 def test_all_weights_zero_carries_time_index():
     # State 1 carries zero weight at time 1; a run whose particles all start
-    # there must fail with the offending time attached.
+    # there must fail with the offending time attached, and so must the
+    # exact expectation of the estimate, as that run has probability 1/8.
     m = build_discrete_model(
         [0, 1], [0.5, 0.5], [[[1.0, 0.0], [0.0, 1.0]]], [[1.0, 0.0], [1.0, 1.0]]
     )
+    with pytest.raises(AllWeightsZero) as err:
+        exact_gamma_hat_expectation(m, 3)
+    assert err.value.time == 1
     for seed in range(200):
         system = None
         try:
@@ -223,16 +220,23 @@ def test_all_weights_zero_carries_time_index():
     pytest.fail("no seed stranded every particle in the zero-weight state")
 
 
-@pytest.mark.parametrize("name,N", [("A", 2), ("A", 5), ("B", 2), ("B", 5), ("D", 2), ("unit31", 5)])
+# Model E at N = 12 and 20 has 3^N particle configurations, but only
+# C(N+2, 2) histograms: 91 and 231.
+@pytest.mark.parametrize(
+    "name,N", [("A", 2), ("A", 5), ("B", 2), ("B", 5), ("D", 2), ("unit31", 5), ("E", 12), ("E", 20)]
+)
 def test_estimator_unbiased_by_exact_enumeration(name, N):
     e = exact_gamma_hat_expectation(model(name), N)
     assert e == pytest.approx(target(name).gamma_t, rel=1e-10)
 
 
 def test_estimator_expectation_guard_counts_the_gathered_entries():
-    # S^N = 8 configurations, but the step gathers 2^6 x 3 = 192 entries.
+    # Model A at N=3: H = C(4, 3) = 4 histograms over S = 2 states.  The
+    # time-1 law builds S (N+1) = 8 powers and H = 4 entries, the one
+    # transition H S (N+1) = 32 powers and the H^2 = 16 entries of its law.
+    exact_gamma_hat_expectation(model("A"), 3, guard=60)
     with pytest.raises(OutcomeSpaceTooLarge):
-        exact_gamma_hat_expectation(model("A"), 3, guard=100)
+        exact_gamma_hat_expectation(model("A"), 3, guard=59)
 
 
 def test_pass_without_particles_is_a_typed_error():
@@ -240,6 +244,8 @@ def test_pass_without_particles_is_a_typed_error():
         particle_pass(model_a().tables, 0, 0)
     with pytest.raises(TooFewParticles):
         run_smc(model_a(), 0, 0)
+    with pytest.raises(TooFewParticles):
+        exact_gamma_hat_expectation(model_a(), 0)
 
 
 def test_estimator_unbiased_empirically():
@@ -347,7 +353,7 @@ def test_stream_calls_per_pass_do_not_grow_with_particles():
     for N in (2, 64):
         rng = _CountingRng(3)
         run_smc(m, N, rng)
-        run_csmc(m, N, Trajectory((0, 0, 0)), rng, base=1)
+        pinned_pass(m, N, (0, 0, 0), rng, base=1)
         calls.append(rng.calls)
     assert calls[0] == calls[1] == 2 * 2 * m.T
 
