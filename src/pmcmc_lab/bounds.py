@@ -40,6 +40,9 @@ from .fk_model import DiscreteFK, exact_target, sup_potentials
 # The Newton iteration of :func:`lambert_w`: start for x <= 0, residual
 # target (times max(1, |x|)), steps.
 _LAMBERT_W0, _LAMBERT_TOL, _LAMBERT_MAX_ITER = -0.23, 1e-14, 200
+# Above this x, w e^w overflows from the log(1 + x) start (from about
+# 2.6e305 on), so lambert_w solves w + log w = log x instead.
+_LAMBERT_LARGE = 1e300
 _SCAN_MAX_STATES = 12  # most states gamma_hat_sup scans the subsets of
 
 
@@ -134,10 +137,21 @@ def epsilon_isir(g_bar: float, N: int) -> BoundReport:
 
 def lambert_w(x: float) -> float:
     """Principal-branch Lambert W by Newton iteration, started at log(1 + x)
-    for x > 0; |w e^w - x| < 1e-14 max(1, |x|).  Raises ConstantOutOfRange
-    below -1/e, where the branch is not defined."""
-    if not x >= -1.0 / math.e:
-        raise ConstantOutOfRange(f"Lambert W needs x >= -1/e, got {x!r}")
+    for x > 0; |w e^w - x| < 1e-14 max(1, |x|).  Above 1e300 the iteration
+    runs on w + log w = log x, from log x - log log x, until a step is below
+    1e-14 w.  Raises ConstantOutOfRange below -1/e, where the branch is not
+    defined, and for NaN or infinite x."""
+    if not -1.0 / math.e <= x < math.inf:
+        raise ConstantOutOfRange(f"Lambert W needs finite x >= -1/e, got {x!r}")
+    if x > _LAMBERT_LARGE:
+        log_x = math.log(x)
+        w = log_x - math.log(log_x)
+        for _ in range(_LAMBERT_MAX_ITER):
+            step = (w + math.log(w) - log_x) * w / (1.0 + w)
+            w -= step
+            if abs(step) < _LAMBERT_TOL * w:
+                return w
+        raise ArithmeticError("Lambert W iteration did not converge")
     w = math.log1p(x) if x > 0 else _LAMBERT_W0
     tol = _LAMBERT_TOL * max(1.0, abs(x))
     for _ in range(_LAMBERT_MAX_ITER):

@@ -16,12 +16,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .errors import AssertionFailure, ConfigError, PmcmcLabError
 from .harness import KINDS, load_config, run_experiment
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged, and
+    building it costs more than a short subcommand's parse."""
     parser = argparse.ArgumentParser(prog="pmcmc-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in dict.fromkeys(command for command, _ in KINDS.values()):

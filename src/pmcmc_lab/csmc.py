@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, TraceTooShort
 from .rng import as_substream
-from .smc_core import BatchedPass, PassTables, _path_rows, _pin_schedule, particle_pass
+from .smc_core import BatchedPass, PassTables, _checked_paths, _PassPlan, _path_rows, particle_pass
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ class Trajectory:
 
 def conditional_system(model, N: int, pins, rng, base: int = 0) -> BatchedPass:
     """One pass (one replicate) with the given pinned (lineage, path) pairs,
-    checked by :func:`pmcmc_lab.smc_core._pin_schedule`; free slots evolve
-    normally, and with every slot pinned the pass replays its pins."""
+    checked as :func:`pmcmc_lab.smc_core._pin_schedule` checks them; free
+    slots evolve normally, and with every slot pinned the pass replays its
+    pins."""
     return particle_pass(model.tables, N, rng, base=base, pins=pins)
 
 
@@ -139,19 +140,32 @@ def run_chain(sampler: Sampler, n_steps: int, rng):
     return steps()
 
 
+def _reference_plan(tables: PassTables, N: int, R: int) -> _PassPlan:
+    """The plan of :func:`reference_pass` on R rows: one pin, slot 0 at
+    every time."""
+    return _PassPlan(tables, N, R, [(0,) * tables.T])
+
+
+def _icsmc_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> ChainState:
+    """:func:`icsmc_step` on the rows of a :func:`_reference_plan`."""
+    paths = _path_rows(state.paths, plan.tables.T)
+    p = plan.run(rng, base, [paths.T])
+    return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
+
+
 def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One i-cSMC step on R rows: one slot-0 :func:`reference_pass` per row,
     keeping each row's selected path and log estimate."""
-    p = reference_pass(model.tables, N, state.paths, rng, base=base)
-    return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
+    paths = _path_rows(state.paths, model.T)
+    return _icsmc_move(_reference_plan(model.tables, N, len(paths)), ChainState(paths=paths), rng, base)
 
 
 def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:
     """R i-cSMC chains at the path ``x0``, checked as a pin; a step is
-    :func:`icsmc_step`."""
-    _pin_schedule(model.tables, [((0,) * model.T, tuple(x0))], N)
-    start = ChainState(paths=np.tile(np.asarray(tuple(x0), dtype=int), (R, 1)))
-    return Sampler(start, partial(icsmc_step, model, N))
+    :func:`icsmc_step` on a plan built once."""
+    plan = _reference_plan(model.tables, N, R)
+    (x0,) = _checked_paths(model.tables, [tuple(x0)])
+    return Sampler(ChainState(paths=np.tile(x0, (R, 1))), partial(_icsmc_move, plan))
 
 
 def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:

@@ -126,10 +126,13 @@ def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
 
 
 def chain_from_kernel(states, kernel, stationary=None) -> FiniteChain:
-    kernel = _square(kernel)
-    if stationary is None:
-        stationary = stationary_distribution(kernel)
-    return FiniteChain(states=tuple(states), kernel=kernel, stationary=np.asarray(stationary, dtype=float))
+    """A :class:`FiniteChain`; DimensionMismatch unless there is one state
+    and one stationary entry per kernel row."""
+    kernel, states = _square(kernel), tuple(states)
+    pi = np.asarray(stationary_distribution(kernel) if stationary is None else stationary, dtype=float)
+    if len(states) != len(kernel) or pi.shape != (len(kernel),):
+        raise DimensionMismatch(f"{len(states)} states, stationary {pi.shape}, kernel {kernel.shape}")
+    return FiniteChain(states=states, kernel=kernel, stationary=pi)
 
 
 # ---------------------------------------------------------------------------

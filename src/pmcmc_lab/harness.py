@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .c2smc import alpha_constant
 from .csmc import Trajectory, icsmc_chain, run_chain
-from .errors import ConfigError, TraceTooShort
+from .errors import ConfigError, DimensionMismatch, TraceTooShort
 from .exact_oracle import _pn_matrix, exact_minorization, spectral_summary, tv_curve
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model, sup_potentials
 from .histogram import _GUARD, _Plan
@@ -259,12 +259,15 @@ def _control_rows(K: int, N: int, n_grid):
 
 def batch_means_variance(values, batch_count: int = 64) -> float:
     """Batch-means estimate of the asymptotic variance of averages of the
-    evaluated values, a 1-d array along the chain.  Raises TraceTooShort
-    unless there are at least 2 batches of 2 values each.
+    evaluated values, a 1-d array along the chain (else DimensionMismatch).
+    Raises TraceTooShort unless there are at least 2 batches of 2 values
+    each.
     """
     if batch_count < 2:
         raise TraceTooShort(f"a batch-means variance needs batch_count >= 2, got {batch_count}")
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DimensionMismatch(f"batch means need a 1-d trace, got shape {values.shape}")
     n = len(values)
     if n < 2 * batch_count:
         raise TraceTooShort(f"{n} values cannot fill 2 x {batch_count} batches")

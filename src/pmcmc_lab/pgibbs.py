@@ -29,7 +29,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import ChainState, Sampler, reference_pass
+from .csmc import ChainState, Sampler, _reference_plan
 from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
@@ -50,7 +50,7 @@ from .exact_oracle import (
     spectral_summary,
 )
 from .rng import SITE_ACCEPT, SITE_THETA, as_substream
-from .smc_core import PassTables, _check_paths, _path_rows, categorical, particle_pass
+from .smc_core import PassTables, _check_paths, _PassPlan, _path_rows, categorical, particle_pass
 
 _JOINT_GUARD = 10**4  # most (parameter, path) pairs enumerate_joint enumerates
 # Eigenvalues of the average conditional covariance below this share of the
@@ -468,52 +468,66 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     return (joint / total).T
 
 
-def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
-    """One particle Gibbs step on R rows: each row's parameter drawn from its
-    exact conditional given the path (checked by :func:`theta_given_paths`),
-    then one slot-0 pinned pass at that value."""
+def _pgibbs_move(jm: JointModel, plan: _PassPlan, state: ChainState, rng, base: int = 0) -> ChainState:
+    """:func:`pgibbs_step` on the rows of a slot-0 plan of ``jm.tables``."""
     rng = as_substream(rng)
     paths = _path_rows(state.paths, jm.T)
     u = rng.uniforms(base, 0, 0, SITE_THETA, shape=(len(paths), 1))
     thetas = categorical(theta_given_paths(jm, paths), u)[:, 0]
-    paths = reference_pass(jm.tables, N, paths, rng, base=base, which=thetas).paths()
+    paths = plan.run(rng, base, [paths.T], thetas).paths()
     return ChainState(paths=paths, thetas=thetas)
 
 
+def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
+    """One particle Gibbs step on R rows: each row's parameter drawn from its
+    exact conditional given the path (checked by :func:`theta_given_paths`),
+    then one slot-0 pinned pass at that value."""
+    paths = _path_rows(state.paths, jm.T)
+    return _pgibbs_move(jm, _reference_plan(jm.tables, N, len(paths)), ChainState(paths=paths), rng, base)
+
+
 def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
-    """R particle Gibbs chains at (theta0, x0), a step :func:`pgibbs_step`.
-    x0 is checked as the parameter draw checks it; theta0 outside [0, J)
-    raises IndexOutOfRange."""
+    """R particle Gibbs chains at (theta0, x0), a step :func:`pgibbs_step`
+    on a plan built once.  x0 is checked as the parameter draw checks it;
+    theta0 outside [0, J) raises IndexOutOfRange."""
     if not 0 <= theta0 < jm.J:
         raise IndexOutOfRange(f"start parameter index {theta0} outside [0, {jm.J})")
     theta_given_paths(jm, [tuple(x0)])
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
-    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), partial(pgibbs_step, jm, N))
+    step = partial(_pgibbs_move, jm, _reference_plan(jm.tables, N, R))
+    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), step)
+
+
+def _pimh_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> ChainState:
+    """:func:`pimh_step` on the rows of a pin-free plan."""
+    paths, log_gammas = np.asarray(state.paths), np.asarray(state.log_gammas, dtype=float)
+    R, T = plan.rows, plan.tables.T
+    if log_gammas.shape != (R,) or paths.shape != (R, T):
+        raise DimensionMismatch(f"paths {paths.shape} for log estimates {log_gammas.shape}, T={T}")
+    rng = as_substream(rng)
+    proposal = plan.run(rng, base)
+    lg = proposal.log_gamma()
+    log_u = np.log(rng.uniforms(base, T + 2, 0, SITE_ACCEPT, shape=R))
+    acc = log_u < lg - log_gammas
+    paths = np.where(acc[:, None], proposal.paths(), paths)
+    return ChainState(paths=paths, log_gammas=np.where(acc, lg, log_gammas), accepted=acc)
 
 
 def pimh_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One independence step on R rows: propose a fresh pass per row and
     accept it with the ratio of estimates.  Raises DimensionMismatch unless
     the paths are (R, T) for the R log estimates."""
-    paths, log_gammas = np.asarray(state.paths), np.asarray(state.log_gammas, dtype=float)
-    if log_gammas.ndim != 1 or paths.shape != (len(log_gammas), model.T):
-        raise DimensionMismatch(f"paths {paths.shape} for log estimates {log_gammas.shape}, T={model.T}")
-    rng = as_substream(rng)
-    R = len(paths)
-    proposal = particle_pass(model.tables, N, rng, base=base, rows=R)
-    lg = proposal.log_gamma()
-    log_u = np.log(rng.uniforms(base, model.T + 2, 0, SITE_ACCEPT, shape=R))
-    acc = log_u < lg - log_gammas
-    paths = np.where(acc[:, None], proposal.paths(), paths)
-    return ChainState(paths=paths, log_gammas=np.where(acc, lg, log_gammas), accepted=acc)
+    return _pimh_move(_PassPlan(model.tables, N, np.size(state.log_gammas)), state, rng, base)
 
 
 def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     """R PIMH chains, each at one plain pass drawn at base 0 (its selected
-    path and log estimate) with nothing accepted; a step is :func:`pimh_step`."""
-    p = particle_pass(model.tables, N, rng, base=0, rows=R)
+    path and log estimate) with nothing accepted; a step is
+    :func:`pimh_step` on the plan of that pass."""
+    plan = _PassPlan(model.tables, N, R)
+    p = plan.run(rng, 0)
     start = ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool))
-    return Sampler(start, partial(pimh_step, model, N))
+    return Sampler(start, partial(_pimh_move, plan))
 
 
 def _proposal(jm: JointModel, proposal_q) -> np.ndarray:
@@ -525,14 +539,15 @@ def _proposal(jm: JointModel, proposal_q) -> np.ndarray:
     return q
 
 
-def _pmmh_move(jm: JointModel, N: int, q: np.ndarray, state: ChainState, rng, base: int = 0) -> ChainState:
-    """:func:`pmmh_step` with ``q`` as :func:`_proposal` returns it and the
-    parameter indices in [0, J), both checked once by the caller."""
+def _pmmh_move(jm: JointModel, plan: _PassPlan, q: np.ndarray, state: ChainState, rng, base: int = 0) -> ChainState:
+    """:func:`pmmh_step` on the rows of a pin-free plan of ``jm.tables``,
+    with ``q`` as :func:`_proposal` returns it and the parameter indices in
+    [0, J), both checked once by the caller."""
     rng = as_substream(rng)
     thetas = np.asarray(state.thetas, dtype=int)
     R = len(thetas)
     cand = categorical(q[thetas], rng.uniforms(base, 0, 0, SITE_THETA, shape=(R, 1)))[:, 0]
-    lg = particle_pass(jm.tables, N, rng, base=base, rows=R, which=cand).log_gamma()
+    lg = plan.run(rng, base, which=cand).log_gamma()
     num = np.log(jm.prior[cand]) + np.log(q[cand, thetas]) + lg
     den = np.log(jm.prior[thetas]) + np.log(q[thetas, cand]) + state.log_gammas
     acc = np.log(rng.uniforms(base, jm.T + 2, 0, SITE_ACCEPT, shape=R)) < num - den
@@ -551,15 +566,16 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: 
         raise DimensionMismatch(f"parameter indices {thetas.shape} and log estimates are not both (R,)")
     if thetas.size and (thetas.min() < 0 or thetas.max() >= jm.J):
         raise IndexOutOfRange(f"parameter index outside [0, {jm.J})")
-    return _pmmh_move(jm, N, _proposal(jm, proposal_q), state, rng, base)
+    plan = _PassPlan(jm.tables, N, len(thetas))
+    return _pmmh_move(jm, plan, _proposal(jm, proposal_q), state, rng, base)
 
 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     """R PMMH chains at the first parameter value, with the log estimate of
     one plain pass under its model drawn at base 0 and nothing accepted yet.
     ``proposal_q`` is checked once, first, so a step is the unchecked move of
-    :func:`pmmh_step`."""
+    :func:`pmmh_step` on a plan built once."""
     q = _proposal(jm, proposal_q)
     lg = particle_pass(jm.models[0].tables, N, rng, base=0, rows=R).log_gamma()
     start = ChainState(thetas=np.zeros(R, int), log_gammas=lg, accepted=np.zeros(R, bool))
-    return Sampler(start, partial(_pmmh_move, jm, N, q))
+    return Sampler(start, partial(_pmmh_move, jm, _PassPlan(jm.tables, N, R), q))

@@ -95,7 +95,13 @@ class SubstreamRng:
         Both are shared by every call, so this is not safe to call from
         several threads at once.
         """
-        self._state["state"]["counter"] = _counter(coords)
+        return self._block(_counter(coords), shape)
+
+    def _block(self, counter: tuple, shape) -> np.ndarray:
+        """:meth:`uniforms` at counter words already checked by
+        :func:`_counter`, for a caller that checks them once and reads
+        the same blocks at every step."""
+        self._state["state"]["counter"] = counter
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(self._key))
         self._gen.bit_generator.state = self._state
@@ -115,8 +121,8 @@ class SubstreamRng:
 
 def _counter(coords) -> tuple:
     """The Philox counter words of the stream at ``coords`` (see
-    :meth:`SubstreamRng.stream`); raises IndexOutOfRange for a coordinate
-    that would alias another stream."""
+    :meth:`SubstreamRng.stream`), the step last; raises IndexOutOfRange for
+    a coordinate that would alias another stream."""
     if len(coords) > 4:
         raise IndexOutOfRange("at most 4 stream coordinates are supported")
     c = step, time, particle, site = (*map(int, coords), 0, 0, 0, 0)[:4]

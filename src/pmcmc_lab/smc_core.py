@@ -1,11 +1,15 @@
 """The particle pass: propagation, multinomial resampling, pinned slots, and
 the normalizing-constant estimator.
 
-:func:`particle_pass` is the one implementation of a pass.  It runs R
-independent replicates as ``(R, N)`` integer arrays; pinned trajectories
-(the reference of a conditional pass, or two of them) are forced into their
-slots, every other slot resamples and moves.  :func:`_pin_schedule` is the
-one admissibility check of a pinned path, for the pass and for every exact
+:func:`particle_pass` is the one implementation of a pass: a
+:class:`_PassPlan` (what stays fixed from step to step: pinned and free
+slots, row offsets, the counter words of every uniform block), built once
+per sampler or once per call, and its run.  It runs R independent replicates
+as ``(R, N)`` integer arrays; pinned trajectories (the reference of a
+conditional pass, or two of them) are forced into their slots, every other
+slot resamples and moves.  :func:`_pin_layout` (lineages) and
+:func:`_checked_paths` (paths) are the one admissibility check of a pinned
+path, for the pass and, merged by :func:`_pin_schedule`, for every exact
 engine.  :func:`categorical_cdf` is the one inverse-CDF draw behind every
 sampler (:func:`categorical` when the weights are raw); the initial and move
 draws read cumulative tables built once per model (:class:`PassTables`).
@@ -34,7 +38,7 @@ from .errors import (
     TooFewParticles,
     ZeroPinnedPotential,
 )
-from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
+from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _counter, as_substream
 
 # Search strategies of :func:`categorical_cdf`: one pass over the inner sums
 # for a single row of sums and of draws, or while there are at most _ONE_PASS
@@ -43,6 +47,11 @@ from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, as_substream
 # categories and 1.6x at 64, and tied at about 128 (2-vCPU x86 host, numpy 2.4).
 _ONE_PASS = 4096
 _COLUMNS = 64
+# A move draw of at most _FEW_SUMS inner sums counts column by column even
+# at one row: 2-8 draws took 5.9-7.8 us against 6.9-12.7 us for the broadcast
+# comparison at S = 2 and 3, and lost at S = 4 (7.4-7.6 against 6.6-6.9 us);
+# a single draw is one searchsorted call (timeit, same host as above).
+_FEW_SUMS = 2
 
 
 def categorical_cdf(cdf, u) -> np.ndarray:
@@ -139,31 +148,38 @@ class BatchedPass:
     def __post_init__(self):
         object.__setattr__(self, "totals", np.add.reduce(self.weights, axis=-1))
 
+    def _walk(self):
+        """The one lineage walk: the row offsets (R,) and the index of each
+        replicate's selected slot among its time's R * N slots, (T, R)."""
+        T, R, N = self.states.shape
+        row_start = np.arange(0, R * N, N)
+        index = np.empty((T, R), dtype=int)
+        np.add(row_start, self.final, out=index[-1])
+        for t in range(T - 1, 0, -1):
+            np.add(row_start, self.ancestors[t - 1].take(index[t]), out=index[t - 1])
+        return row_start, index
+
     def lineages(self) -> np.ndarray:
         """Slot of each replicate's selected path at every time, (R, T)."""
-        T, R, N = self.states.shape
-        slots = np.empty((T, R), dtype=int)
-        slots[-1] = self.final
-        row_start = np.arange(0, R * N, N)
-        for t in range(T - 1, 0, -1):
-            self.ancestors[t - 1].take(row_start + slots[t], out=slots[t - 1])
-        return slots.T
+        row_start, index = self._walk()
+        return (index - row_start).T
 
     def paths(self) -> np.ndarray:
         """The selected path of each replicate, (R, T)."""
-        T, R, _ = self.states.shape
-        return self.states[np.arange(T), np.arange(R)[:, None], self.lineages()]
+        _, index = self._walk()
+        T = len(index)
+        return self.states.reshape(T, -1)[np.arange(T), index.T]
 
     def log_gamma(self) -> np.ndarray:
         """Log normalizing-constant estimate of each replicate, (R,): the sum
-        over time, in order, of the log average weight, so a replicate gets
-        the same value alone or among R.  Raises DegenerateEstimate if every
-        weight at some time is zero."""
+        over time, in order (a running sum), of the log average weight, so a
+        replicate gets the same value alone or among R.  Raises
+        DegenerateEstimate if every weight at some time is zero."""
         means = self.totals / self.weights.shape[-1]
-        if not means.all():
+        if np.count_nonzero(means) < means.size:
             t = int(np.argwhere(means <= 0)[0][0]) + 1
             raise DegenerateEstimate(f"all weights zero at time {t}")
-        return sum(np.log(means))
+        return np.add.accumulate(np.log(means))[-1]
 
     @property
     def log_potentials(self) -> np.ndarray:
@@ -227,9 +243,14 @@ class PassTables:
 
 def _draw_moves(cdf_rows, cols, rows, u) -> np.ndarray:
     """One draw per uniform from the cumulative transition row ``rows`` of a
-    :class:`PassTables` time slice; :func:`categorical_cdf` semantics."""
+    :class:`PassTables` time slice; :func:`categorical_cdf` semantics.
+
+    With 1 to _FEW_SUMS inner sums, more than one draw is counted column by
+    column at any size; otherwise the search follows
+    :func:`categorical_cdf` (a single draw is one ``searchsorted``)."""
     S = cols.shape[0]
-    if rows.size * (S - 1) <= _ONE_PASS or S - 1 > _COLUMNS:
+    few = 0 < S - 1 <= _FEW_SUMS and rows.size > 1
+    if S - 1 > _COLUMNS or (rows.size * (S - 1) <= _ONE_PASS and not few):
         return categorical_cdf(cdf_rows[rows], u[..., None])[..., 0]
     v = u * cols[-1].take(rows)
     return _count_columns([col.take(rows) for col in cols[:-1]], v)
@@ -264,50 +285,86 @@ def _path_rows(paths, T: int) -> np.ndarray:
     return np.asarray(paths, dtype=int)
 
 
-def _pin_schedule(tables: PassTables, pins, N: int, which=None):
-    """Check pinned trajectories and merge them into per-time slot/state and
-    slot/parent maps: the one admissibility check of a pinned path.
+def _pin_layout(T: int, N: int, lineages):
+    """Merge pin lineages into per-time maps: ``owners[t]`` maps each slot
+    pinned at time t+1 to the first pin holding it, ``parents[t-1]`` to its
+    parent slot, and ``clashes`` lists (t, slot, j, k) for pins j < k that
+    share a slot at time t+1, whose states a run must compare.
 
-    ``pins`` is a list of (lineage, path) pairs; a lineage is T 0-based
-    slots and ``path[t]`` the state at time t+1, an int or one state per
-    replicate ((T,) or (T, R)).  Replicate r is checked under model
-    ``which[r]`` of ``tables`` (model 0 when ``which`` is None).  Each path
-    is checked once, as one array over time and replicates.  Raises
-    DimensionMismatch for a lineage or path whose length is not T,
-    IndexOutOfRange for a slot outside [0, N) or a state outside the
-    alphabet, ZeroPinnedPotential for a state with zero weight under its
-    replicate's model, and LineageClash when two trajectories claim one slot
-    with different states (in any replicate) or parents.
+    A lineage is T 0-based slots.  Raises DimensionMismatch for a lineage
+    whose length is not T, IndexOutOfRange for a slot outside [0, N), and
+    LineageClash when two lineages give one slot different parents.
     """
-    T, S = tables.T, tables.n_states
-    pin_state = [dict() for _ in range(T)]
-    pin_anc = [dict() for _ in range(T - 1)]
-    for lineage, path in pins:
-        path = np.asarray(path, dtype=int)
+    owners = [{} for _ in range(T)]
+    parents = [{} for _ in range(T - 1)]
+    clashes = []
+    for k, lineage in enumerate(lineages):
         if len(lineage) != T:
             raise DimensionMismatch(f"pin lineage of length {len(lineage)}, model horizon is {T}")
-        _check_paths(path, T, S)
         slots = [int(s) for s in lineage]
         if min(slots) < 0 or max(slots) >= N:
             raise IndexOutOfRange(f"pinned slot outside [0, {N}): lineage {tuple(slots)}")
+        for t, slot in enumerate(slots):
+            j = owners[t].setdefault(slot, k)
+            if j != k:
+                clashes.append((t, slot, j, k))
+            # The parent recorded for this slot, or recorded now.
+            if t and parents[t - 1].setdefault(slot, slots[t - 1]) != slots[t - 1]:
+                raise LineageClash(f"slot {slot} at time {t + 1} pinned to two parents")
+    return owners, parents, clashes
+
+
+def _checked_paths(tables: PassTables, paths, clashes=(), offset=None, rows=None) -> list:
+    """The pinned ``paths`` as integer arrays, (T,) or (T, R), each checked
+    once as one array over time and replicates.
+
+    Replicate r is checked under the table rows ``offset[r] + state``
+    (model 0 when ``offset`` is None).  Raises DimensionMismatch for a path
+    whose length is not T or, given ``rows``, with another replicate count,
+    IndexOutOfRange for a state outside the alphabet, ZeroPinnedPotential
+    for a state with zero weight under its replicate's model, and
+    LineageClash when two pins of a ``clashes`` entry (see
+    :func:`_pin_layout`) hold different states in any replicate.
+    """
+    T = tables.T
+    out = []
+    for path in paths:
+        path = np.asarray(path, dtype=int)
+        _check_paths(path, T, tables.n_states)
+        if rows is not None and path.ndim == 2 and path.shape[1] != rows:
+            raise DimensionMismatch(f"pinned paths of {path.shape[1]} replicates for {rows} rows")
         # Only a table with a zero weight can refuse a state of the alphabet,
         # and gathering the pinned weights costs more than the rest of the check.
         if not tables.positive:
-            rows = path.reshape(T, -1) + (0 if which is None else np.asarray(which) * S)
+            rows = path.reshape(T, -1) + (0 if offset is None else offset.T)
             g = tables.potentials[np.arange(T)[:, None], rows]
             if not g.all():
                 t = int(np.flatnonzero(~g.all(axis=1))[0]) + 1
                 raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")
-        # One path keeps Python ints, as the exact engines key outcomes by them.
-        states = path.tolist() if path.ndim == 1 else path
-        for t, slot in enumerate(slots):
-            if slot in pin_state[t] and np.any(pin_state[t][slot] != states[t]):
-                raise LineageClash(f"slot {slot} at time {t + 1} pinned to two states")
-            pin_state[t][slot] = states[t]
-            # The parent recorded for this slot, or recorded now.
-            if t and pin_anc[t - 1].setdefault(slot, slots[t - 1]) != slots[t - 1]:
-                raise LineageClash(f"slot {slot} at time {t + 1} pinned to two parents")
-    return pin_state, pin_anc
+        out.append(path)
+    for t, slot, j, k in clashes:
+        if np.any(out[j][t] != out[k][t]):
+            raise LineageClash(f"slot {slot} at time {t + 1} pinned to two states")
+    return out
+
+
+def _pin_schedule(tables: PassTables, pins, N: int):
+    """Check pinned trajectories and merge them into per-time slot/state and
+    slot/parent maps for the exact engines, with the checks a pass runs.
+
+    ``pins`` is a list of (lineage, path) pairs; a lineage is T 0-based
+    slots and ``path[t]`` the state at time t+1, an int or one state per
+    replicate ((T,) or (T, R)).  Raises as :func:`_pin_layout` does for the
+    lineages and as :func:`_checked_paths` does for the paths.
+    """
+    lineages, paths = zip(*pins) if pins else ((), ())
+    pin_state, parents, clashes = _pin_layout(tables.T, N, lineages)
+    # One path keeps Python ints, as the exact engines key outcomes by them.
+    states = [path.tolist() if path.ndim == 1 else path for path in _checked_paths(tables, paths, clashes)]
+    for t, owners in enumerate(pin_state):
+        for slot, k in owners.items():
+            owners[slot] = states[k][t]
+    return pin_state, parents
 
 
 def _checked_pins(model, N: int, paths, lineage=None) -> np.ndarray:
@@ -319,17 +376,114 @@ def _checked_pins(model, N: int, paths, lineage=None) -> np.ndarray:
     return rows
 
 
+class _PassPlan:
+    """What a pass keeps from step to step: built once from the tables, N,
+    the row count and the pin lineages, and run once per step
+    (:meth:`run`), so a sampler pays for its layout once.
+
+    Per time it holds the free slots (a slice when the pins lead, else an
+    index array) and the counter words and shape of each uniform block; per
+    pin, the (time, slot) index of its states; and the pinned slots'
+    parents.  The lineages are checked here (:func:`_pin_layout`), the
+    pinned paths by every run.
+    """
+
+    def __init__(self, tables: PassTables, N: int, rows: int = 1, lineages=()):
+        if N < 1:
+            raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
+        T = tables.T
+        owners, _, self.clashes = _pin_layout(T, N, lineages)
+        self.tables, self.N, self.rows = tables, N, rows
+        self.row_start = np.arange(0, rows * N, N)[:, None]
+        # Per pin: the index of its states in (T, R, N) and of its parents in
+        # (T-1, R, N), and the parents; a pin that keeps one slot throughout
+        # is its own parent, and a basic index writes it without index arrays.
+        self.pins = []
+        for lineage in lineages:
+            slots = np.array(lineage, dtype=int)
+            if (slots == slots[0]).all():
+                index = (slice(None), slice(None), slots[0])
+                self.pins.append((index, index, slots[0]))
+            else:
+                times = np.arange(T)
+                self.pins.append(((times, slice(None), slots), (times[:-1], slice(None), slots[1:]), slots[:-1, None]))
+
+        def block(t, site):  # the counter words of (time t, site), step left out
+            return _counter((0, t, 0, site))[:-1]
+
+        # Per time: free slots, uniform shape, and the counter words of its
+        # initial or ancestor block and (after time 1) of its move block.
+        self.layout = []
+        for t, owner in enumerate(owners, 1):
+            slots = sorted(owner)
+            if slots == list(range(len(slots))):
+                free = slice(len(slots), N)  # a view, not a copy
+            else:
+                free = np.array([i for i in range(N) if i not in owner], dtype=int)
+            first = block(1, SITE_INIT) if t == 1 else block(t, SITE_ANCESTOR)
+            self.layout.append((free, (rows, N - len(slots)), first, block(t, SITE_MOVE)))
+        self.final = block(T + 1, SITE_FINAL)
+
+    def run(self, rng, base: int = 0, paths=(), which=None) -> BatchedPass:
+        """One pass at step ``base``: pin k holds ``paths[k]`` (checked by
+        :func:`_checked_paths`), replicate r runs model ``which[r]``; as
+        :func:`particle_pass` describes, draw for draw."""
+        rng = as_substream(rng)
+        step = _counter((base,))[-1:]
+        tables, R = self.tables, self.rows
+        T, S = tables.T, tables.n_states
+        # Replicate r reads table row which[r] * S + state.  One model needs
+        # no offset, and skipping it saves an index array per lookup.
+        if which is None:
+            m1_cdf, offset = tables.m1_cdf[:1], None
+        else:
+            m1_cdf, offset = tables.m1_cdf[which], np.asarray(which, dtype=int)[:, None] * S
+        # A plan serves its own row count only: refuse what numpy would
+        # broadcast or fail on.
+        if offset is not None and len(offset) != R:
+            raise DimensionMismatch(f"{len(offset)} model indices for the plan's {R} rows")
+        paths = _checked_paths(tables, paths, self.clashes, offset, R)
+        states = np.empty((T, R, self.N), dtype=int)
+        ancestors = np.empty((T - 1, R, self.N), dtype=int)
+        weights = np.empty((T, R, self.N))
+        for (index, parent_index, parent), path in zip(self.pins, paths):
+            states[index] = path.reshape(T, -1)
+            ancestors[parent_index] = parent
+        for t, (free, shape, first, move) in enumerate(self.layout, 1):
+            x = states[t - 1]
+            u = rng._block(first + step, shape)
+            if t == 1:
+                x[:, free] = categorical_cdf(m1_cdf, u)
+            else:
+                parents = categorical_cdf(weights[t - 2].cumsum(axis=-1), u)
+                ancestors[t - 2][:, free] = parents
+                src = states[t - 2].take(self.row_start + parents)
+                if offset is not None:
+                    src += offset
+                u = rng._block(move + step, shape)
+                x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, u)
+            weights[t - 1] = tables.potentials[t - 1][x if offset is None else offset + x]
+        u = rng._block(self.final + step, (R, 1))
+        final = categorical_cdf(weights[-1].cumsum(axis=-1), u)[:, 0]
+        p = BatchedPass(states, ancestors, weights, final)
+        # Checked once for all times: a draw from all-zero weights is still an
+        # index in range, so the first dead time is the one a check per time finds.
+        if np.count_nonzero(p.totals) < p.totals.size:
+            raise AllWeightsZero(time=int((p.totals <= 0).any(axis=-1).argmax()) + 1)
+        return p
+
+
 def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:
     """One pass with N particles and multinomial resampling, for ``rows``
-    independent replicates at once.
+    independent replicates at once: a one-off :class:`_PassPlan`, run once.
 
     ``tables`` are the :class:`PassTables` of the models (``model.tables``,
     ``jm.tables`` or ``PassTables.build(models)``); replicate r runs model
     ``which[r]`` (model 0 when ``which`` is None).  ``pins`` lists the pinned
     trajectories as (lineage, path) pairs: slot ``lineage[t]`` holds
     ``path[t]`` (an int, or one state per replicate) at time t+1, with parent
-    slot ``lineage[t-1]``.  They are checked and merged by
-    :func:`_pin_schedule` before any draw.  Every other slot draws its parent
+    slot ``lineage[t-1]``.  They are checked before any draw, as
+    :func:`_pin_schedule` checks them.  Every other slot draws its parent
     and its move.
 
     Initial and move draws read the cumulative tables, built once per model,
@@ -339,58 +493,9 @@ def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1,
     substream from which the replicates read ``(rows, free slots)`` uniforms,
     so replicate 0 does not depend on ``rows``.
     """
-    if N < 1:
-        raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
-    rng = as_substream(rng)
-    T, R, S = tables.T, rows, tables.n_states
-    if pins:
-        pin_state, pin_anc = _pin_schedule(tables, pins, N, which)
-    else:
-        pin_state, pin_anc = [{}] * T, [{}] * (T - 1)
-    # Replicate r reads table row which[r] * S + state.  One model needs no
-    # offset, and skipping it saves an index array per lookup.
-    if which is None:
-        m1_cdf, offset = tables.m1_cdf[:1], None
-    else:
-        m1_cdf, offset = tables.m1_cdf[which], np.asarray(which, dtype=int)[:, None] * S
-
-    def rows_of(states):
-        return states if offset is None else offset + states
-
-    row_start = np.arange(0, R * N, N)[:, None]
-    states = np.empty((T, R, N), dtype=int)
-    ancestors = np.empty((T - 1, R, N), dtype=int)
-    weights = np.empty((T, R, N))
-    for t in range(1, T + 1):
-        slots = sorted(pin_state[t - 1])
-        n = N - len(slots)
-        if slots == list(range(len(slots))):
-            free = slice(len(slots), N)  # a view, not a copy
-        else:
-            free = np.setdiff1d(np.arange(N), slots)
-        x = states[t - 1]
-        for s in slots:
-            x[:, s] = pin_state[t - 1][s]
-        if t == 1:
-            x[:, free] = categorical_cdf(m1_cdf, rng.uniforms(base, 1, 0, SITE_INIT, shape=(R, n)))
-        else:
-            a = ancestors[t - 2]
-            for s in slots:
-                a[:, s] = pin_anc[t - 2][s]
-            u = rng.uniforms(base, t, 0, SITE_ANCESTOR, shape=(R, n))
-            a[:, free] = categorical_cdf(weights[t - 2].cumsum(axis=-1), u)
-            src = rows_of(states[t - 2].ravel()[row_start + a[:, free]])
-            u = rng.uniforms(base, t, 0, SITE_MOVE, shape=(R, n))
-            x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, u)
-        weights[t - 1] = tables.potentials[t - 1][rows_of(x)]
-    u = rng.uniforms(base, T + 1, 0, SITE_FINAL, shape=(R, 1))
-    final = categorical_cdf(weights[-1].cumsum(axis=-1), u)[:, 0]
-    p = BatchedPass(states, ancestors, weights, final)
-    # Checked once for all times: a draw from all-zero weights is still an
-    # index in range, so the first dead time is the one a check per time finds.
-    if not p.totals.all():
-        raise AllWeightsZero(time=int((p.totals <= 0).any(axis=-1).argmax()) + 1)
-    return p
+    pins = pins or ()
+    plan = _PassPlan(tables, N, rows, [lineage for lineage, _ in pins])
+    return plan.run(rng, base, [path for _, path in pins], which)
 
 
 def run_smc(model, N: int, rng, base: int = 0) -> BatchedPass:

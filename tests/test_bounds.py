@@ -66,6 +66,7 @@ def test_out_of_range_constants_are_typed_errors():
         # The principal branch starts at -1/e.
         lambda: lambert_w(-1.0),
         lambda: lambert_w(math.nan),
+        lambda: lambert_w(math.inf),
     ):
         with pytest.raises(ConstantOutOfRange):
             bound()
@@ -181,6 +182,15 @@ def test_lambert_w_residual():
     assert w == pytest.approx(-0.2320, abs=1e-4)
     assert lambert_w(math.e) == pytest.approx(1.0, rel=1e-14)
     assert lambert_w(1e6) == pytest.approx(11.38335808614, rel=1e-11)
+
+
+def test_lambert_w_past_the_overflow_of_w_exp_w():
+    # From about 2.6e305, w e^w overflows at the log(1 + x) start; the
+    # references are scipy.special.lambertw's.
+    assert lambert_w(1e306) == pytest.approx(698.0427580972728, rel=1e-15)
+    assert lambert_w(1e308) == pytest.approx(702.6413620341068, rel=1e-15)
+    w = lambert_w(1.7976931348623157e308)
+    assert w + math.log(w) == pytest.approx(math.log(1.7976931348623157e308), rel=1e-15)
 
 
 @pytest.mark.parametrize("x", [-1 / math.e, 1e-12, 1.0, math.e, 1e6, 1e300])

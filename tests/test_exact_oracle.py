@@ -404,6 +404,8 @@ def test_histogram_sweep_at_many_particles():
         "kernel_not_square",
         "stationary_of_a_kernel_not_square",
         "l2_distance_wrong_length",
+        "stationary_wrong_length",
+        "fewer_states_than_kernel_rows",
     ],
 )
 def test_chain_checks_raise_typed_errors(site):
@@ -428,6 +430,8 @@ def test_chain_checks_raise_typed_errors(site):
         "kernel_not_square": (DimensionMismatch, lambda: chain_from_kernel((0, 1), np.full((2, 3), 1 / 3))),
         "stationary_of_a_kernel_not_square": (DimensionMismatch, lambda: stationary_distribution(np.ones((1, 2)))),
         "l2_distance_wrong_length": (DimensionMismatch, lambda: l2_distance(two_state_flip(0.3), [0.2, 0.3, 0.5])),
+        "stationary_wrong_length": (DimensionMismatch, lambda: chain_from_kernel((0, 1), np.eye(2), [0.2, 0.3, 0.5])),
+        "fewer_states_than_kernel_rows": (DimensionMismatch, lambda: chain_from_kernel((0,), np.eye(2), [0.5, 0.5])),
     }
     error, call = cases[site]
     with pytest.raises(error):

@@ -361,6 +361,11 @@ def test_batch_means_too_short():
         batch_means_variance(np.ones(100), batch_count=64)
 
 
+def test_batch_means_refuses_a_trace_that_is_not_1d():
+    with pytest.raises(DimensionMismatch):
+        batch_means_variance(np.ones((1000, 2)), batch_count=8)
+
+
 @pytest.mark.parametrize(
     "case, error",
     [

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from fixtures import joint_single_time, joint_two_time, model_a
+from fixtures import joint_single_time, joint_two_time, model, model_a
 from pmcmc_lab import (
     SubstreamRng,
+    Trajectory,
     build_joint_model,
     check_theta_chain_identities,
     check_x_chain_orderings,
     exact_gibbs_matrices,
     exact_phi_matrices,
+    icsmc_chain,
     pgibbs_step,
     pimh_step,
     pmmh_step,
@@ -16,7 +18,7 @@ from pmcmc_lab import (
     run_smc,
     spectral_summary,
 )
-from pmcmc_lab.csmc import ChainState
+from pmcmc_lab.csmc import ChainState, run_chain
 from pmcmc_lab.errors import (
     AssertionFailure,
     ConstantOutOfRange,
@@ -25,6 +27,8 @@ from pmcmc_lab.errors import (
     IndexOutOfRange,
     PmcmcLabError,
     TraceTooShort,
+    ZeroPathMass,
+    ZeroPinnedPotential,
 )
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.pgibbs import RhoEstimate, enumerate_joint, theta_given_paths
@@ -400,11 +404,12 @@ def test_every_sampler_steps_through_a_module_level_step():
     from pmcmc_lab import csmc, pgibbs
 
     m, jm = model_a(), joint_two_time()
+    # Each binds the pass plan it built once into the move behind its public step.
     samplers = {
-        csmc.icsmc_step: csmc.icsmc_sampler(m, 3, (0, 0), 2),
-        pgibbs.pimh_step: pgibbs.pimh_sampler(m, 3, 2, 1),
+        csmc._icsmc_move: csmc.icsmc_sampler(m, 3, (0, 0), 2),
+        pgibbs._pimh_move: pgibbs.pimh_sampler(m, 3, 2, 1),
         pgibbs._pmmh_move: pgibbs.pmmh_sampler(jm, 3, np.full((2, 2), 0.5), 2, 1),
-        pgibbs.pgibbs_step: pgibbs.pgibbs_sampler(jm, 3, (0, 0), 0, 2),
+        pgibbs._pgibbs_move: pgibbs.pgibbs_sampler(jm, 3, (0, 0), 0, 2),
     }
     for step, sampler in samplers.items():
         assert isinstance(sampler.step, functools.partial)
@@ -456,3 +461,81 @@ def test_steps_refuse_malformed_states(case, error):
     }[case]
     with pytest.raises(error):
         call()
+
+
+def _bound_and_public(kind, m, jm, R):
+    """The sampler of ``kind`` on R rows, and its public step with the
+    sampler's arguments bound."""
+    import functools
+
+    from pmcmc_lab import csmc, pgibbs
+
+    q = np.full((2, 2), 0.5)
+    return {
+        "icsmc": lambda: (csmc.icsmc_sampler(m, 3, (0,) * m.T, R), functools.partial(csmc.icsmc_step, m, 3)),
+        "pimh": lambda: (pgibbs.pimh_sampler(m, 3, R, 7), functools.partial(pgibbs.pimh_step, m, 3)),
+        "pmmh": lambda: (pgibbs.pmmh_sampler(jm, 3, q, R, 7), functools.partial(pgibbs.pmmh_step, jm, 3, q)),
+        "pgibbs": lambda: (pgibbs.pgibbs_sampler(jm, 3, (0, 0), 1, R), functools.partial(pgibbs.pgibbs_step, jm, 3)),
+    }[kind]()
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("kind, name", [
+    ("icsmc", "A"), ("icsmc", "E"), ("pimh", "A"), ("pimh", "E"), ("pmmh", "J"), ("pgibbs", "J"),
+])
+def test_sampler_bound_plan_steps_as_the_public_step(kind, name, R):
+    # The plan a sampler builds once gives, step for step, the states of
+    # the public step, which builds a one-off plan per call.
+    m = model("A" if name == "J" else name)
+    sampler, public = _bound_and_public(kind, m, joint_two_time(), R)
+    state, rng = sampler.start, SubstreamRng(11)
+    for base, bound in enumerate(run_chain(sampler, 12, rng), 1):
+        state = public(state, rng, base)
+        for got, want in zip(bound, state):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["icsmc", "pgibbs"])
+def test_sampler_bound_plan_checks_the_pinned_state(kind):
+    # A bound step refuses a state as the public step does: outside the
+    # alphabet, or of zero weight (which particle Gibbs refuses as a path of
+    # zero mass under every parameter value).
+    m = build_discrete_model([0, 1], [0.5, 0.5], [[[0.75, 0.25], [0.25, 0.75]]], [[1.0, 0.0], [1.0, 3.0]])
+    jm = build_joint_model(["a", "b"], [0.5, 0.5], [m, m])
+    sampler, public = _bound_and_public(kind, m, jm, 2)
+    zero_weight = ZeroPinnedPotential if kind == "icsmc" else ZeroPathMass
+    for paths, error in (([(0, 2), (0, 0)], IndexOutOfRange), ([(0, 0), (1, 0)], zero_weight)):
+        state = sampler.start._replace(paths=np.array(paths))
+        for step in (sampler.step, public):
+            with pytest.raises(error):
+                step(state, 0, 1)
+
+
+def test_icsmc_chain_builds_its_pin_layout_once(monkeypatch):
+    from pmcmc_lab import smc_core
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return layout(*args)
+
+    layout = smc_core._pin_layout
+    monkeypatch.setattr(smc_core, "_pin_layout", counted)
+    icsmc_chain(model_a(), 4, Trajectory((0, 1)), 50, 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["icsmc", "pimh", "pmmh", "pgibbs"])
+def test_sampler_bound_plan_refuses_another_row_count(kind):
+    # A plan is built for the sampler's R rows; a state of other rows is a
+    # typed refusal, not a numpy broadcast.
+    sampler, _ = _bound_and_public(kind, model_a(), joint_two_time(), 2)
+    state = sampler.start._replace(**{
+        field: np.concatenate([value, value[:1]]) for field, value in sampler.start._asdict().items()
+        if value is not None
+    })
+    with pytest.raises(DimensionMismatch):
+        sampler.step(state, 0, 1)

@@ -342,9 +342,10 @@ class _CountingRng(SubstreamRng):
         self.calls += 1
         return super().stream(*coords)
 
-    def uniforms(self, *coords, shape):
+    def _block(self, counter, shape):
+        # Every uniform block is read here, through uniforms() or a pass plan.
         self.calls += 1
-        return super().uniforms(*coords, shape=shape)
+        return super()._block(counter, shape)
 
 
 def test_stream_calls_per_pass_do_not_grow_with_particles():
