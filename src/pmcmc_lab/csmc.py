@@ -60,8 +60,7 @@ def reference_pass(tables: PassTables, N: int, paths, rng, base: int = 0, which=
     """Pinned passes of R replicates, replicate r keeping ``paths[r]`` (R, T)
     in slot 0 throughout; ``tables`` and ``which`` as in :func:`particle_pass`."""
     paths = _path_rows(paths, tables.T)
-    pins = [((0,) * tables.T, paths.T)]
-    return particle_pass(tables, N, rng, base=base, rows=len(paths), pins=pins, which=which)
+    return _reference_plan(tables, N, len(paths)).run(rng, base, [paths.T], which)
 
 
 def select_path(p: BatchedPass) -> Trajectory:
@@ -156,8 +155,7 @@ def _icsmc_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> Chain
 def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One i-cSMC step on R rows: one slot-0 :func:`reference_pass` per row,
     keeping each row's selected path and log estimate."""
-    paths = _path_rows(state.paths, model.T)
-    return _icsmc_move(_reference_plan(model.tables, N, len(paths)), ChainState(paths=paths), rng, base)
+    return _icsmc_move(_reference_plan(model.tables, N, len(state.paths)), state, rng, base)
 
 
 def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:

@@ -482,8 +482,7 @@ def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -
     """One particle Gibbs step on R rows: each row's parameter drawn from its
     exact conditional given the path (checked by :func:`theta_given_paths`),
     then one slot-0 pinned pass at that value."""
-    paths = _path_rows(state.paths, jm.T)
-    return _pgibbs_move(jm, _reference_plan(jm.tables, N, len(paths)), ChainState(paths=paths), rng, base)
+    return _pgibbs_move(jm, _reference_plan(jm.tables, N, len(state.paths)), state, rng, base)
 
 
 def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:

@@ -172,14 +172,14 @@ class BatchedPass:
 
     def log_gamma(self) -> np.ndarray:
         """Log normalizing-constant estimate of each replicate, (R,): the sum
-        over time, in order (a running sum), of the log average weight, so a
-        replicate gets the same value alone or among R.  Raises
-        DegenerateEstimate if every weight at some time is zero."""
+        over time, in order, of the log average weight, so a replicate gets
+        the same value alone or among R.  Raises DegenerateEstimate if every
+        weight at some time is zero."""
         means = self.totals / self.weights.shape[-1]
         if np.count_nonzero(means) < means.size:
             t = int(np.argwhere(means <= 0)[0][0]) + 1
             raise DegenerateEstimate(f"all weights zero at time {t}")
-        return np.add.accumulate(np.log(means))[-1]
+        return sum(np.log(means))
 
     @property
     def log_potentials(self) -> np.ndarray:
@@ -336,8 +336,8 @@ def _checked_paths(tables: PassTables, paths, clashes=(), offset=None, rows=None
         # Only a table with a zero weight can refuse a state of the alphabet,
         # and gathering the pinned weights costs more than the rest of the check.
         if not tables.positive:
-            rows = path.reshape(T, -1) + (0 if offset is None else offset.T)
-            g = tables.potentials[np.arange(T)[:, None], rows]
+            cells = path.reshape(T, -1) + (0 if offset is None else offset.T)
+            g = tables.potentials[np.arange(T)[:, None], cells]
             if not g.all():
                 t = int(np.flatnonzero(~g.all(axis=1))[0]) + 1
                 raise ZeroPinnedPotential(f"pinned state at time {t} carries zero weight")

@@ -11,6 +11,7 @@ from pmcmc_lab.errors import (
     NegativePotential,
     OutcomeSpaceTooLarge,
     TooFewParticles,
+    ZeroPinnedPotential,
 )
 from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
@@ -237,6 +238,20 @@ def test_estimator_expectation_guard_counts_the_gathered_entries():
     exact_gamma_hat_expectation(model("A"), 3, guard=60)
     with pytest.raises(OutcomeSpaceTooLarge):
         exact_gamma_hat_expectation(model("A"), 3, guard=59)
+
+
+def test_two_batched_pins_are_checked_against_zero_weights():
+    # State 1 carries zero weight at time 2, so every pin is gathered and
+    # checked, one (T, R) path per pin on R rows.
+    m = build_discrete_model(
+        [0, 1], [0.5, 0.5], [[[0.75, 0.25], [0.25, 0.75]]], [[1.0, 2.0], [1.0, 0.0]]
+    )
+    pins = [((0, 0), np.array([[0, 1, 0], [0, 0, 0]])), ((1, 1), np.array([[1, 1, 0], [0, 0, 0]]))]
+    p = particle_pass(m.tables, 3, 0, rows=3, pins=pins)
+    assert (p.states[:, :, 1] == pins[1][1]).all()
+    pins[1] = ((1, 1), np.array([[1, 1, 0], [0, 1, 0]]))
+    with pytest.raises(ZeroPinnedPotential):
+        particle_pass(m.tables, 3, 0, rows=3, pins=pins)
 
 
 def test_pass_without_particles_is_a_typed_error():
