@@ -13,12 +13,16 @@ runs the slot-0 pass on R replicates at once.
 
 :func:`run_chain` is the one step loop of every sampler (:func:`icsmc_sampler`
 here; PIMH, PMMH and particle Gibbs in :mod:`pmcmc_lab.pgibbs`), and
-:func:`icsmc_chain` is its one-row run kept as a trace.
+:func:`icsmc_chain` is the one-row i-cSMC chain kept as a trace: on a small
+model a table of each step over every positive-weight path, walked, and
+otherwise :func:`run_chain` on one row, with the same trace.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -139,6 +143,13 @@ def run_chain(sampler: Sampler, n_steps: int, rng):
     return steps()
 
 
+# A one-row chain runs as a table while |Y| N T, the particle-times of
+# tabulating one step, is at most _TABLE_WORK; a table pass holds at most
+# _CHUNK particle-times.  See icsmc_chain.
+_TABLE_WORK = 1024
+_CHUNK = 1 << 13
+
+
 def _reference_plan(tables: PassTables, N: int, R: int) -> _PassPlan:
     """The plan of :func:`reference_pass` on R rows: one pin, slot 0 at
     every time."""
@@ -167,16 +178,69 @@ def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:
 
 
 def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
-    """Iterate pass + selection for ``n_iter`` steps starting from ``x0``:
-    :func:`run_chain`, the one step loop, on one row, with every state kept
-    as the trace.  Raises TraceTooShort for a negative ``n_iter``."""
-    sampler = icsmc_sampler(model, N, x0.points, 1)
-    steps = run_chain(sampler, n_iter, rng)
-    states = np.empty((n_iter + 1, model.T), dtype=int)
-    lgh = np.empty(n_iter)
-    states[0] = sampler.start.paths[0]
-    for j, state in enumerate(steps):
-        states[j + 1] = state.paths[0]
-        lgh[j] = state.log_gammas[0]
+    """Iterate pass + selection for ``n_iter`` steps starting from ``x0``,
+    with every state kept as the trace.
+
+    A step selects a path of Y = {y : G_t(y_t) > 0 for every t}, as a
+    map x -> F_b(x) that step b's uniforms fix.  While |Y| N T is at most
+    _TABLE_WORK, chunks of steps are tabulated over Y as one slot-0 pass
+    (:func:`_table_walk`); past it, every step is one :func:`run_chain`
+    step on one row.  Both routes give the same trace, draw for draw.
+    Raises TooFewParticles for N < 1, as a pin does for a bad ``x0`` and
+    TraceTooShort for a negative ``n_iter``, in that order.
+    """
+    tables, T = model.tables, model.T
+    live = tables.potentials > 0
+    size = math.prod(live.sum(axis=1).tolist())  # |Y|, before enumerating it
+    work = size * N * T
+    steps = min(n_iter, _CHUNK // work) if 0 < work <= _TABLE_WORK else 0
+    plan = _reference_plan(tables, N, max(steps * size, 1))
+    (x,) = _checked_paths(tables, [tuple(x0.points)])
+    if steps > 0:
+        states, lgh = _table_walk(plan, live, x, n_iter, steps, as_substream(rng))
+    else:
+        sampler = Sampler(ChainState(paths=x[None]), partial(_icsmc_move, plan))
+        chain = run_chain(sampler, n_iter, rng)
+        states = np.empty((n_iter + 1, T), dtype=int)
+        lgh = np.empty(n_iter)
+        states[0] = x
+        for j, state in enumerate(chain):
+            states[j + 1] = state.paths[0]
+            lgh[j] = state.log_gammas[0]
     retained = (states[1:] == states[:-1]).sum(axis=1)
     return ChainTrace(states=states, log_gamma_hats=lgh, retained=retained)
+
+
+def _table_walk(plan: _PassPlan, live, x, n_iter: int, steps: int, rng):
+    """The states (n_iter + 1, T) and log estimates (n_iter,) of a one-row
+    i-cSMC chain from ``x``, ``steps`` steps per table.
+
+    Y, the paths positive under ``live`` (T, S), is coded in mixed radix,
+    time 1 leading.  A chunk's table is one pass of ``plan`` pinned at every
+    y in Y for each step b of the chunk, row (b, y) reading the one-row
+    blocks of step b; the chain walks it from row (b, code of x_{b-1}).
+    """
+    T = len(live)
+    ys = np.array(list(itertools.product(*map(np.flatnonzero, live))))
+    size = len(ys)
+    rank = live.cumsum(axis=1) - 1
+    strides = size // live.sum(axis=1).cumprod()
+    pins = np.tile(ys, (steps, 1)).T
+    states = np.empty((n_iter + 1, T), dtype=int)
+    lgh = np.empty(n_iter)
+    states[0] = x
+    code = int(rank[np.arange(T), x] @ strides)
+    for start in range(0, n_iter, steps):
+        n = min(steps, n_iter - start)
+        reads = zip(*[plan.blocks(rng, base, 1) for base in range(start + 1, start + n + 1)])
+        blocks = (np.repeat(np.concatenate(block), size, axis=0) for block in reads)
+        p = plan.run_blocks(blocks, n * size, [pins[:, : n * size]])
+        paths = p.paths()
+        codes = (rank[np.arange(T), paths] @ strides).tolist()
+        rows = []
+        for k in range(n):
+            rows.append(k * size + code)
+            code = codes[rows[-1]]
+        states[start + 1 : start + n + 1] = paths[rows]
+        lgh[start : start + n] = p.log_gamma()[rows]
+    return states, lgh

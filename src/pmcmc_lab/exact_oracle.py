@@ -431,8 +431,7 @@ def slot_sweep(model: DiscreteFK, N: int, paths, lineage=None, guard: int = _GUA
     bounds the entries of the whole sweep.
     """
     lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * model.T
-    paths = [tuple(x) for x in paths]
-    _checked_pins(model, N, paths, lineage)
+    paths = list(map(tuple, _checked_pins(model, N, paths, lineage).tolist()))
     yield from _SlotSweep(model, N, lineage, guard).rows(paths)
 
 
@@ -547,8 +546,7 @@ def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = _GUARD):
     picks the pinned particle itself.  ``guard`` bounds the multinomial terms
     of the whole sweep.
     """
-    paths = [tuple(x) for x in paths]
-    _checked_pins(model, N, paths)
+    paths = list(map(tuple, _checked_pins(model, N, paths).tolist()))
     yield from _MultisetSweep(model, N, guard).rows(paths)
 
 

@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .errors import OutcomeSpaceTooLarge
+from .errors import DimensionMismatch, OutcomeSpaceTooLarge
 from .fk_model import DiscreteFK
 from .smc_core import _check_paths, _checked_pins, _path_rows
 
@@ -227,7 +227,7 @@ def histogram_sweep(model: DiscreteFK, N: int, paths, guard: int = _GUARD) -> np
     array is built.  The paths are checked as one batched pin, as
     :func:`pmcmc_lab.exact_oracle.multiset_sweep` checks them.
     """
-    return _Plan(model, N, [tuple(x) for x in paths], guard=guard).matrix()
+    return _Plan(model, N, paths, guard=guard).matrix()
 
 
 def histogram_entries(model: DiscreteFK, N: int, pairs, guard: int = _GUARD):
@@ -236,9 +236,12 @@ def histogram_entries(model: DiscreteFK, N: int, pairs, guard: int = _GUARD):
     particle, E[G_T(x_T) / sum_j G_T(Z_T^j)].
 
     Past ``guard`` law entries it raises OutcomeSpaceTooLarge before any
-    array is built; the pins x_b are checked as one batched pin.
+    array is built; the pins x_b are checked as one batched pin.  Raises
+    DimensionMismatch for an entry that is not a pair.
     """
-    pairs = [(tuple(x), tuple(y)) for x, y in pairs]
+    pairs = list(pairs)
+    if not all(hasattr(pair, "__len__") and len(pair) == 2 for pair in pairs):
+        raise DimensionMismatch("histogram entries take a batch of (x, y) pairs of paths")
     return _Plan(model, N, [x for x, _ in pairs], [y for _, y in pairs], guard).entries()
 
 

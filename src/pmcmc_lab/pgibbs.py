@@ -453,7 +453,7 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     that is not T states of the alphabet, and ZeroPathMass for a path that
     has zero mass under every parameter value.
     """
-    x = np.atleast_2d(_path_rows(paths, jm.T))
+    x = _path_rows(paths, jm.T)
     _check_paths(x.T, jm.T, jm.models[0].n_states)
     t = np.arange(jm.T)
     m1, potentials, transitions = jm.mass_tables

@@ -275,14 +275,21 @@ def _check_paths(paths, T: int, n_states: int) -> None:
 def _path_rows(paths, T: int) -> np.ndarray:
     """A batch of paths as an (R, T) integer array.
 
-    Raises DimensionMismatch for a path whose length is not T before the
-    array is built, so unequal lengths never reach numpy.
+    Raises DimensionMismatch for anything but R paths of length T, a single
+    flat path included, and checks each length before the array is built,
+    so unequal lengths never reach numpy.
     """
     if not isinstance(paths, np.ndarray):
+        paths = list(paths)
         for path in paths:
-            if len(path) != T:
-                raise DimensionMismatch(f"path of length {len(path)}, model horizon is {T}")
-    return np.asarray(paths, dtype=int)
+            if not hasattr(path, "__len__") or len(path) != T:
+                raise DimensionMismatch(f"a batch of paths holds {path!r}, not a path of length {T}")
+    rows = np.asarray(paths, dtype=int)
+    if rows.shape == (0,):  # no paths
+        return rows.reshape(0, T)
+    if rows.ndim != 2 or rows.shape[1] != T:
+        raise DimensionMismatch(f"a batch of paths of shape {rows.shape}, not (R, {T})")
+    return rows
 
 
 def _pin_layout(T: int, N: int, lineages):
@@ -382,10 +389,12 @@ class _PassPlan:
     (:meth:`run`), so a sampler pays for its layout once.
 
     Per time it holds the free slots (a slice when the pins lead, else an
-    index array) and the counter words and shape of each uniform block; per
-    pin, the (time, slot) index of its states; and the pinned slots'
-    parents.  The lineages are checked here (:func:`_pin_layout`), the
-    pinned paths by every run.
+    index array); per uniform block, in the order a pass reads them, its
+    counter words and width; per pin, the (time, slot) index of its states;
+    and the pinned slots' parents.  The lineages are checked here
+    (:func:`_pin_layout`), the pinned paths by every run.  A run is the
+    step's uniform blocks (:meth:`blocks`) handed to the pass arithmetic
+    (:meth:`run_blocks`).
     """
 
     def __init__(self, tables: PassTables, N: int, rows: int = 1, lineages=()):
@@ -411,26 +420,42 @@ class _PassPlan:
         def block(t, site):  # the counter words of (time t, site), step left out
             return _counter((0, t, 0, site))[:-1]
 
-        # Per time: free slots, uniform shape, and the counter words of its
-        # initial or ancestor block and (after time 1) of its move block.
-        self.layout = []
+        # Per time its free slots; per block its counter words and width: the
+        # initial or ancestor block of each time and, after time 1, its move
+        # block, then the terminal block.
+        self.free, self.reads = [], []
         for t, owner in enumerate(owners, 1):
             slots = sorted(owner)
             if slots == list(range(len(slots))):
-                free = slice(len(slots), N)  # a view, not a copy
+                self.free.append(slice(len(slots), N))  # a view, not a copy
             else:
-                free = np.array([i for i in range(N) if i not in owner], dtype=int)
-            first = block(1, SITE_INIT) if t == 1 else block(t, SITE_ANCESTOR)
-            self.layout.append((free, (rows, N - len(slots)), first, block(t, SITE_MOVE)))
-        self.final = block(T + 1, SITE_FINAL)
+                self.free.append(np.array([i for i in range(N) if i not in owner], dtype=int))
+            width = N - len(slots)
+            self.reads.append((block(1, SITE_INIT) if t == 1 else block(t, SITE_ANCESTOR), width))
+            if t > 1:
+                self.reads.append((block(t, SITE_MOVE), width))
+        self.reads.append((block(T + 1, SITE_FINAL), 1))
+
+    def blocks(self, rng, base: int, rows: int):
+        """The uniform blocks of step ``base``, (rows, width) each, as an
+        iterator in the order a pass reads them.  The base is checked now
+        and each block read when it is asked for, so a pass holds few
+        blocks at once."""
+        rng = as_substream(rng)
+        step = _counter((base,))[-1:]
+        return (rng._block(words + step, (rows, width)) for words, width in self.reads)
 
     def run(self, rng, base: int = 0, paths=(), which=None) -> BatchedPass:
         """One pass at step ``base``: pin k holds ``paths[k]`` (checked by
         :func:`_checked_paths`), replicate r runs model ``which[r]``; as
         :func:`particle_pass` describes, draw for draw."""
-        rng = as_substream(rng)
-        step = _counter((base,))[-1:]
-        tables, R = self.tables, self.rows
+        return self.run_blocks(self.blocks(rng, base, self.rows), self.rows, paths, which)
+
+    def run_blocks(self, blocks, R: int, paths=(), which=None) -> BatchedPass:
+        """The pass on R rows, at most the plan's, from the uniform
+        ``blocks`` of R rows, an iterable laid out as :meth:`blocks` yields
+        them; pins and ``which`` as in :meth:`run`."""
+        tables = self.tables
         T, S = tables.T, tables.n_states
         # Replicate r reads table row which[r] * S + state.  One model needs
         # no offset, and skipping it saves an index array per lookup.
@@ -438,33 +463,32 @@ class _PassPlan:
             m1_cdf, offset = tables.m1_cdf[:1], None
         else:
             m1_cdf, offset = tables.m1_cdf[which], np.asarray(which, dtype=int)[:, None] * S
-        # A plan serves its own row count only: refuse what numpy would
+        # A pass serves its R rows only: refuse what numpy would
         # broadcast or fail on.
         if offset is not None and len(offset) != R:
             raise DimensionMismatch(f"{len(offset)} model indices for the plan's {R} rows")
         paths = _checked_paths(tables, paths, self.clashes, offset, R)
+        row_start = self.row_start[:R]
         states = np.empty((T, R, self.N), dtype=int)
         ancestors = np.empty((T - 1, R, self.N), dtype=int)
         weights = np.empty((T, R, self.N))
         for (index, parent_index, parent), path in zip(self.pins, paths):
             states[index] = path.reshape(T, -1)
             ancestors[parent_index] = parent
-        for t, (free, shape, first, move) in enumerate(self.layout, 1):
+        u = iter(blocks)
+        for t, free in enumerate(self.free, 1):
             x = states[t - 1]
-            u = rng._block(first + step, shape)
             if t == 1:
-                x[:, free] = categorical_cdf(m1_cdf, u)
+                x[:, free] = categorical_cdf(m1_cdf, next(u))
             else:
-                parents = categorical_cdf(weights[t - 2].cumsum(axis=-1), u)
+                parents = categorical_cdf(weights[t - 2].cumsum(axis=-1), next(u))
                 ancestors[t - 2][:, free] = parents
-                src = states[t - 2].take(self.row_start + parents)
+                src = states[t - 2].take(row_start + parents)
                 if offset is not None:
                     src += offset
-                u = rng._block(move + step, shape)
-                x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, u)
+                x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, next(u))
             weights[t - 1] = tables.potentials[t - 1][x if offset is None else offset + x]
-        u = rng._block(self.final + step, (R, 1))
-        final = categorical_cdf(weights[-1].cumsum(axis=-1), u)[:, 0]
+        final = categorical_cdf(weights[-1].cumsum(axis=-1), next(u))[:, 0]
         p = BatchedPass(states, ancestors, weights, final)
         # Checked once for all times: a draw from all-zero weights is still an
         # index in range, so the first dead time is the one a check per time finds.

@@ -16,7 +16,7 @@ from pmcmc_lab import (
     kernel_row,
     pgibbs_step,
 )
-from pmcmc_lab.csmc import ChainState, conditional_system, reference_pass
+from pmcmc_lab.csmc import ChainState, conditional_system, icsmc_step, reference_pass
 from pmcmc_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -25,7 +25,7 @@ from pmcmc_lab.errors import (
     ZeroPinnedPotential,
     ZeroPotential,
 )
-from pmcmc_lab.exact_oracle import kernel_row_multiset, multiset_sweep
+from pmcmc_lab.exact_oracle import kernel_row_multiset, multiset_sweep, slot_sweep
 from pmcmc_lab.histogram import histogram_entries, histogram_sweep
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.pgibbs import theta_given_paths
@@ -184,24 +184,53 @@ def test_state_outside_alphabet_is_rejected(entry):
                 call()
 
 
+def _batch_call(entry, paths, pairs):
+    """A zero-argument call of ``entry`` on the batch ``paths`` (``pairs``
+    for the entry that takes (x, y) pairs)."""
+    m = model_a()
+    jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
+    return {
+        "multiset_sweep": lambda: list(multiset_sweep(m, 2, paths)),
+        "slot_sweep": lambda: list(slot_sweep(m, 2, paths)),
+        "histogram_sweep": lambda: histogram_sweep(m, 2, paths),
+        "histogram_entries": lambda: histogram_entries(m, 2, pairs),
+        "reference_pass": lambda: reference_pass(m.tables, 2, paths, 0),
+        "csmc_step_replicated": lambda: csmc_step_replicated(m, 3, paths, 1),
+        "icsmc_step": lambda: icsmc_step(m, 2, ChainState(paths=paths), 0),
+        "theta_given_paths": lambda: theta_given_paths(jm, paths),
+        "pgibbs_step": lambda: pgibbs_step(jm, 2, ChainState(paths=paths), 0),
+    }[entry]
+
+
 @pytest.mark.parametrize(
     "entry",
     ["multiset_sweep", "histogram_sweep", "histogram_entries", "reference_pass", "theta_given_paths", "pgibbs_step"],
 )
 def test_paths_of_unequal_length_are_rejected(entry):
-    m = model_a()
-    jm = build_joint_model((0, 1), [0.5, 0.5], [m, m])
-    paths = [(0, 0), (0,)]
-    call = {
-        "multiset_sweep": lambda: list(multiset_sweep(m, 2, paths)),
-        "histogram_sweep": lambda: histogram_sweep(m, 2, paths),
-        "histogram_entries": lambda: histogram_entries(m, 2, [((0, 0), (0, 0)), ((0, 0), (0,))]),
-        "reference_pass": lambda: reference_pass(m.tables, 2, paths, 0),
-        "theta_given_paths": lambda: theta_given_paths(jm, paths),
-        "pgibbs_step": lambda: pgibbs_step(jm, 2, ChainState(paths=paths), 0),
-    }[entry]
+    call = _batch_call(entry, [(0, 0), (0,)], [((0, 0), (0, 0)), ((0, 0), (0,))])
     with pytest.raises(DimensionMismatch):
         call()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["multiset_sweep", "slot_sweep", "histogram_sweep", "histogram_entries", "reference_pass",
+     "csmc_step_replicated", "icsmc_step", "theta_given_paths", "pgibbs_step"],
+)
+def test_a_flat_path_is_not_a_batch(entry):
+    # One path of length T where a batch (R, T) is due, as a tuple or an
+    # array (a pair of paths where pairs are due): the tuple used to raise a
+    # bare TypeError and the array to run T rows, one per state.
+    for path in ((0, 1), np.array([0, 1])):
+        with pytest.raises(DimensionMismatch):
+            _batch_call(entry, path, (path, path))()
+
+
+def test_count_engine_refuses_a_flat_pair():
+    # One (x, y) pair where a batch of pairs is due: at T = 3 its paths
+    # unpacked into three values, numpy's bare ValueError.
+    with pytest.raises(DimensionMismatch):
+        histogram_entries(model("E"), 2, ((0, 0, 0), (1, 1, 1)))
 
 
 def test_count_engine_refuses_a_column_path_outside_the_alphabet():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fixtures import model, model_a, model_t1, model_unit, pinned_pass, target
-from pmcmc_lab import SubstreamRng, Trajectory, icsmc_chain, run_smc, select_path
+from pmcmc_lab import SubstreamRng, Trajectory, csmc, icsmc_chain, run_smc, select_path
 from pmcmc_lab.csmc import conditional_system, icsmc_sampler, reference_pass, run_chain
-from pmcmc_lab.errors import ZeroPinnedPotential
+from pmcmc_lab.errors import DimensionMismatch, TooFewParticles, TraceTooShort, ZeroPinnedPotential
 from pmcmc_lab.exact_oracle import kernel_row, trace_lineage
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated
@@ -256,3 +256,69 @@ def test_icsmc_chain_ends_on_row_zero_of_the_batched_chains():
         assert trace.log_gamma_hats.tolist() == [s.log_gammas[0] for s in steps]
         final = icsmc_replicated(m, N, x0, 6, 40, 19)
         assert tuple(trace.states[-1]) == tuple(final[0])
+
+
+def _sparse_model():
+    """Three times, three states, with zero initial mass (state 0), zero
+    transition mass and a zero weight at every time; (0, 2, 1) has positive
+    weights and zero mass."""
+    return build_discrete_model(
+        [0, 1, 2],
+        [0.0, 0.6, 0.4],
+        [[[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]], [[0.0, 1.0, 0.0], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]],
+        [[1.0, 2.0, 0.0], [1.5, 0.0, 1.0], [0.0, 1.0, 2.0]],
+    )
+
+
+def _run_chain_trace(m, N, x0, n_iter, seed):
+    """States and log estimates of the one-row chain stepped by run_chain."""
+    steps = list(run_chain(icsmc_sampler(m, N, x0, 1), n_iter, seed))
+    return [list(x0)] + [s.paths[0].tolist() for s in steps], [s.log_gammas[0] for s in steps]
+
+
+def _counted_table_walk(monkeypatch):
+    calls = []
+    walk = csmc._table_walk
+    monkeypatch.setattr(csmc, "_table_walk", lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A", "E", "sparse"])
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_table_route_gives_the_run_chain_trace(monkeypatch, name, N):
+    # One full table chunk and part of a second; the sparse model starts at
+    # a path of zero mass and so walks paths no stationary chain visits.
+    m, x0 = (_sparse_model(), (0, 2, 1)) if name == "sparse" else (model(name), target(name).paths[0])
+    live = m.tables.potentials > 0
+    work = int(np.prod(live.sum(axis=1))) * N * m.T
+    assert work <= csmc._TABLE_WORK
+    calls = _counted_table_walk(monkeypatch)
+    for n_iter in (0, csmc._CHUNK // work + 3):
+        trace = icsmc_chain(m, N, Trajectory(x0), n_iter, 23)
+        states, lgh = _run_chain_trace(m, N, x0, n_iter, 23)
+        assert trace.states.tolist() == states
+        assert trace.log_gamma_hats.tolist() == lgh
+        assert trace.retained.tolist() == [sum(a == b for a, b in zip(u, v)) for u, v in zip(states, states[1:])]
+    assert len(calls) == 1  # n_iter = 0 has no step to tabulate
+
+
+def test_chain_past_the_table_work_steps_one_row(monkeypatch):
+    m, x0, N = model_a(), (1, 0), 160  # |Y| N T = 4 * 160 * 2 = 1280
+    assert 4 * N * m.T > csmc._TABLE_WORK
+    calls = _counted_table_walk(monkeypatch)
+    trace = icsmc_chain(m, N, Trajectory(x0), 30, 5)
+    states, lgh = _run_chain_trace(m, N, x0, 30, 5)
+    assert trace.states.tolist() == states and trace.log_gamma_hats.tolist() == lgh
+    assert not calls
+
+
+@pytest.mark.parametrize("N", [3, 160])
+def test_chain_errors_keep_their_order_on_both_routes(N):
+    # Too few particles first, then the start path, then the step count.
+    m, bad, good = model_a(), Trajectory((0, 0, 0)), Trajectory((0, 0))
+    with pytest.raises(TooFewParticles):
+        icsmc_chain(m, 0, bad, -1, 0)
+    with pytest.raises(DimensionMismatch):
+        icsmc_chain(m, N, bad, -1, 0)
+    with pytest.raises(TraceTooShort):
+        icsmc_chain(m, N, good, -1, 0)

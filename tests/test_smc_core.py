@@ -33,6 +33,11 @@ def test_resample_all_zero_raises():
         multinomial_resample([0.0, 0.0], 1, SubstreamRng(0).stream(0))
 
 
+def test_resample_zero_count_draws_nothing():
+    out = multinomial_resample([0.5, 0.5], 0, SubstreamRng(0).stream(0))
+    assert out.shape == (0,) and out.dtype.kind == "i"
+
+
 def test_resample_empirical_frequency():
     rng = SubstreamRng(123).stream(0)
     draws = multinomial_resample([1.0, 1.0], 10**6, rng)
@@ -219,6 +224,23 @@ def test_all_weights_zero_carries_time_index():
             return
         assert 0 in system.states[0]
     pytest.fail("no seed stranded every particle in the zero-weight state")
+
+
+def test_all_weights_zero_reports_a_later_time():
+    # Time 3 keeps each time-2 state and state 1 weighs nothing there, so a
+    # run dies at time 3 exactly when both of its time-2 particles sit in
+    # state 1 (one run in four), and the error must name time 3, not 1.
+    m = build_discrete_model(
+        [0, 1], [0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]],
+        [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
+    )
+    times = []
+    for seed in range(40):
+        try:
+            run_smc(m, 2, seed)
+        except AllWeightsZero as err:
+            times.append(err.time)
+    assert times and set(times) == {3}
 
 
 # Model E at N = 12 and 20 has 3^N particle configurations, but only
