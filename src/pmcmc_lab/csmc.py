@@ -13,23 +13,25 @@ runs the slot-0 pass on R replicates at once.
 
 :func:`run_chain` is the one step loop of every sampler (:func:`icsmc_sampler`
 here; PIMH, PMMH and particle Gibbs in :mod:`pmcmc_lab.pgibbs`), and
-:func:`icsmc_chain` is the one-row i-cSMC chain kept as a trace: on a small
-model a table of each step over every positive-weight path, walked, and
-otherwise :func:`run_chain` on one row, with the same trace.
+:func:`icsmc_chain` keeps a one-row i-cSMC chain as a trace.  Both take the
+one route switch, :func:`_chain_blocks`: a one-row chain runs chunks of steps
+as one table pass (:func:`_tabulate`) over each step's rows, walked (i-cSMC:
+every positive-weight path; PIMH: the proposal; PMMH: every parameter value;
+particle Gibbs: every path of positive joint mass), or one row at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, TraceTooShort
+from .errors import AllWeightsZero, DimensionMismatch, TraceTooShort
 from .rng import as_substream
 from .smc_core import BatchedPass, PassTables, _checked_paths, _PassPlan, _path_rows, particle_pass
 
@@ -117,37 +119,101 @@ class ChainState(NamedTuple):
     accepted: np.ndarray | None = None    # (R,) acceptance mask of the step
 
 
+class StepTable(NamedTuple):
+    """A one-row step as a map over the rows its uniforms fix: ``work``, its
+    particle-times (rows x N x T), and ``run(state, rng, bases)``, the states
+    after steps ``bases``, one row each, from one :func:`_tabulate` pass."""
+
+    work: int
+    run: Callable
+
+
 class Sampler(NamedTuple):
-    """A start state, drawn at base 0 if at all, and an R-row step
-    ``step(state, rng, base) -> ChainState``: a module-level step with its
-    model arguments bound by :func:`functools.partial`."""
+    """A start state, drawn at base 0 if at all, an R-row step
+    ``step(state, rng, base) -> ChainState`` (a module-level step with its
+    model arguments bound by :func:`functools.partial`) and its StepTable."""
 
     start: ChainState
     step: Callable
+    table: StepTable | None = None
+
+
+# A one-row chain runs as a table while one step's table work is at most
+# _TABLE_WORK particle-times; a table pass holds at most _CHUNK of them.
+_TABLE_WORK = 1024
+_CHUNK = 1 << 13
+
+
+def _rows(state: ChainState) -> int:
+    return len(next(f for f in state if f is not None))
+
+
+def _row(block: ChainState, k: int) -> ChainState:
+    return ChainState(*(None if f is None else f[k : k + 1] for f in block))
+
+
+def _chain_blocks(sampler: Sampler, n_steps: int, rng):
+    """The one route switch: the states after steps 1..n_steps, step b at
+    base b, in blocks.  A one-row sampler whose table works at most
+    _TABLE_WORK per step runs chunks of _CHUNK particle-times as tables, one
+    row per step; a chunk whose table raises AllWeightsZero, as a row the
+    chain never visits can, steps again one row at a time, so a failing step
+    raises its own error.  Every other block is one ``sampler.step``.  Raises
+    TraceTooShort unless ``n_steps`` is an integer >= 0, when called."""
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise TraceTooShort(f"a chain runs a whole number n_steps >= 0 of steps, got {n_steps!r}")
+    rng, table = as_substream(rng), sampler.table
+    tabulate = table is not None and _rows(sampler.start) == 1 and table.work <= _TABLE_WORK
+    steps = _CHUNK // table.work if tabulate else 1
+
+    def blocks():
+        state = sampler.start
+        for first in range(1, n_steps + 1, steps):
+            bases = range(first, min(first + steps, n_steps + 1))
+            try:
+                block = table.run(state, rng, bases) if tabulate else None
+            except AllWeightsZero:
+                block = None
+            if block is not None:
+                yield block
+                state = _row(block, len(bases) - 1)
+                continue
+            for base in bases:
+                state = sampler.step(state, rng, base)
+                yield state
+
+    return blocks()
 
 
 def run_chain(sampler: Sampler, n_steps: int, rng):
     """The one step loop of every sampler: an iterator over the state after
     each of ``n_steps`` steps, step b drawing at base b, that keeps none of
-    them.  Raises TraceTooShort for a negative ``n_steps`` when called."""
-    if n_steps < 0:
-        raise TraceTooShort(f"a chain runs n_steps >= 0 steps, got {n_steps}")
-    rng = as_substream(rng)
-
-    def steps():
-        state = sampler.start
-        for base in range(1, n_steps + 1):
-            state = sampler.step(state, rng, base)
-            yield state
-
-    return steps()
+    them; the states of :func:`_chain_blocks`, one step at a time.  Raises
+    TraceTooShort unless ``n_steps`` is an integer >= 0, when called."""
+    blocks = _chain_blocks(sampler, n_steps, rng)
+    if _rows(sampler.start) != 1:
+        return blocks
+    return (_row(block, k) for block in blocks for k in range(_rows(block)))
 
 
-# A one-row chain runs as a table while |Y| N T, the particle-times of
-# tabulating one step, is at most _TABLE_WORK; a table pass holds at most
-# _CHUNK particle-times.  See icsmc_chain.
-_TABLE_WORK = 1024
-_CHUNK = 1 << 13
+def _tabulate(plan: _PassPlan, rng, bases, K: int, pins=None, which=None) -> BatchedPass:
+    """One pass of ``plan``'s layout over K rows per step of ``bases``, row
+    (b, k) on step b's one-row blocks, at ``pins[k]`` and ``which[b K + k]``."""
+    reads = zip(*[plan.blocks(rng, base, 1) for base in bases])
+    blocks = (np.repeat(np.concatenate(block), K, axis=0) for block in reads)
+    pins = [] if pins is None else [np.tile(pins, (len(bases), 1)).T]
+    return plan.run_blocks(blocks, len(bases) * K, pins, which)
+
+
+def _pinned_rows(key, K: int, paths, x, n: int) -> list:
+    """The table row a pinned chain from path ``x`` reads at each of n steps:
+    k * K + the row ``key`` maps the previous state's path to."""
+    after, row = key(paths).tolist(), int(key(x))
+    rows = []
+    for k in range(n):
+        rows.append(k * K + row)
+        row = after[rows[-1]]
+    return rows
 
 
 def _reference_plan(tables: PassTables, N: int, R: int) -> _PassPlan:
@@ -163,6 +229,16 @@ def _icsmc_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> Chain
     return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
 
 
+def _icsmc_table(plan: _PassPlan, state: ChainState, rng, bases) -> ChainState:
+    """:func:`_icsmc_move` over steps ``bases`` from one row, tabulated
+    over every path of positive weight at every time."""
+    ys, code = plan.tables.live_paths
+    p = _tabulate(plan, rng, bases, len(ys), ys)
+    paths = p.paths()
+    rows = _pinned_rows(code, len(ys), paths, state.paths[0], len(bases))
+    return ChainState(paths=paths[rows], log_gammas=p.log_gamma()[rows])
+
+
 def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One i-cSMC step on R rows: one slot-0 :func:`reference_pass` per row,
     keeping each row's selected path and log estimate."""
@@ -174,73 +250,23 @@ def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:
     :func:`icsmc_step` on a plan built once."""
     plan = _reference_plan(model.tables, N, R)
     (x0,) = _checked_paths(model.tables, [tuple(x0)])
-    return Sampler(ChainState(paths=np.tile(x0, (R, 1))), partial(_icsmc_move, plan))
+    table = StepTable(math.prod(model.tables.live.sum(axis=1).tolist()) * N * model.T, partial(_icsmc_table, plan))
+    return Sampler(ChainState(paths=np.tile(x0, (R, 1))), partial(_icsmc_move, plan), table)
 
 
 def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     """Iterate pass + selection for ``n_iter`` steps starting from ``x0``,
-    with every state kept as the trace.
-
-    A step selects a path of Y = {y : G_t(y_t) > 0 for every t}, as a
-    map x -> F_b(x) that step b's uniforms fix.  While |Y| N T is at most
-    _TABLE_WORK, chunks of steps are tabulated over Y as one slot-0 pass
-    (:func:`_table_walk`); past it, every step is one :func:`run_chain`
-    step on one row.  Both routes give the same trace, draw for draw.
-    Raises TooFewParticles for N < 1, as a pin does for a bad ``x0`` and
-    TraceTooShort for a negative ``n_iter``, in that order.
-    """
-    tables, T = model.tables, model.T
-    live = tables.potentials > 0
-    size = math.prod(live.sum(axis=1).tolist())  # |Y|, before enumerating it
-    work = size * N * T
-    steps = min(n_iter, _CHUNK // work) if 0 < work <= _TABLE_WORK else 0
-    plan = _reference_plan(tables, N, max(steps * size, 1))
-    (x,) = _checked_paths(tables, [tuple(x0.points)])
-    if steps > 0:
-        states, lgh = _table_walk(plan, live, x, n_iter, steps, as_substream(rng))
-    else:
-        sampler = Sampler(ChainState(paths=x[None]), partial(_icsmc_move, plan))
-        chain = run_chain(sampler, n_iter, rng)
-        states = np.empty((n_iter + 1, T), dtype=int)
-        lgh = np.empty(n_iter)
-        states[0] = x
-        for j, state in enumerate(chain):
-            states[j + 1] = state.paths[0]
-            lgh[j] = state.log_gammas[0]
+    with every state kept as the trace: the blocks of the one-row
+    :func:`icsmc_sampler` (:func:`_chain_blocks`), copied whole.  Raises
+    TooFewParticles for N < 1, as a pin does for a bad ``x0`` and
+    TraceTooShort unless ``n_iter`` is an integer >= 0, in that order."""
+    sampler = icsmc_sampler(model, N, x0.points, 1)
+    blocks = _chain_blocks(sampler, n_iter, rng)
+    states, lgh = np.empty((n_iter + 1, model.T), dtype=int), np.empty(n_iter)
+    states[0], done = sampler.start.paths[0], 0
+    for block in blocks:
+        n = len(block.paths)
+        states[done + 1 : done + n + 1], lgh[done : done + n] = block.paths, block.log_gammas
+        done += n
     retained = (states[1:] == states[:-1]).sum(axis=1)
     return ChainTrace(states=states, log_gamma_hats=lgh, retained=retained)
-
-
-def _table_walk(plan: _PassPlan, live, x, n_iter: int, steps: int, rng):
-    """The states (n_iter + 1, T) and log estimates (n_iter,) of a one-row
-    i-cSMC chain from ``x``, ``steps`` steps per table.
-
-    Y, the paths positive under ``live`` (T, S), is coded in mixed radix,
-    time 1 leading.  A chunk's table is one pass of ``plan`` pinned at every
-    y in Y for each step b of the chunk, row (b, y) reading the one-row
-    blocks of step b; the chain walks it from row (b, code of x_{b-1}).
-    """
-    T = len(live)
-    ys = np.array(list(itertools.product(*map(np.flatnonzero, live))))
-    size = len(ys)
-    rank = live.cumsum(axis=1) - 1
-    strides = size // live.sum(axis=1).cumprod()
-    pins = np.tile(ys, (steps, 1)).T
-    states = np.empty((n_iter + 1, T), dtype=int)
-    lgh = np.empty(n_iter)
-    states[0] = x
-    code = int(rank[np.arange(T), x] @ strides)
-    for start in range(0, n_iter, steps):
-        n = min(steps, n_iter - start)
-        reads = zip(*[plan.blocks(rng, base, 1) for base in range(start + 1, start + n + 1)])
-        blocks = (np.repeat(np.concatenate(block), size, axis=0) for block in reads)
-        p = plan.run_blocks(blocks, n * size, [pins[:, : n * size]])
-        paths = p.paths()
-        codes = (rank[np.arange(T), paths] @ strides).tolist()
-        rows = []
-        for k in range(n):
-            rows.append(k * size + code)
-            code = codes[rows[-1]]
-        states[start + 1 : start + n + 1] = paths[rows]
-        lgh[start : start + n] = p.log_gamma()[rows]
-    return states, lgh

@@ -16,20 +16,23 @@ the average conditional covariance.
 
 PIMH, PMMH and particle Gibbs each have one step, ``*_step(..., state, rng,
 base) -> ChainState`` on R rows (one row is the scalar sampler), and a
-``*_sampler`` builder that pairs it with its start state for
+``*_sampler`` builder that pairs it with its start state and its step table
+(:func:`_mh_table`, :func:`_pgibbs_table`) for
 :func:`pmcmc_lab.csmc.run_chain`, the one step loop.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import ChainState, Sampler, _reference_plan
+from .csmc import ChainState, Sampler, StepTable, _pinned_rows, _reference_plan, _tabulate
 from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
@@ -443,6 +446,16 @@ def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> CheckReport
 # ---------------------------------------------------------------------------
 
 
+def _joint_mass(jm: JointModel, x) -> np.ndarray:
+    """prior_j * mass_j(x), (J, R), of each checked path x of (R, T)."""
+    t = np.arange(jm.T)
+    m1, potentials, transitions = jm.mass_tables
+    mass = m1[:, x[:, 0]] * np.prod(potentials[:, t, x], axis=-1)
+    if jm.T > 1:
+        mass = mass * np.prod(transitions[:, t[:-1], x[:, :-1], x[:, 1:]], axis=-1)
+    return jm.prior[:, None] * mass
+
+
 def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     """Law of the parameter given each of R paths (R, T), as an (R, J) array.
 
@@ -455,12 +468,7 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     """
     x = _path_rows(paths, jm.T)
     _check_paths(x.T, jm.T, jm.models[0].n_states)
-    t = np.arange(jm.T)
-    m1, potentials, transitions = jm.mass_tables
-    mass = m1[:, x[:, 0]] * np.prod(potentials[:, t, x], axis=-1)
-    if jm.T > 1:
-        mass = mass * np.prod(transitions[:, t[:-1], x[:, :-1], x[:, 1:]], axis=-1)
-    joint = jm.prior[:, None] * mass
+    joint = _joint_mass(jm, x)
     total = joint.sum(axis=0)
     if np.any(total <= 0):
         bad = tuple(int(s) for s in x[int(np.argmin(total > 0))])
@@ -478,6 +486,19 @@ def _pgibbs_move(jm: JointModel, plan: _PassPlan, state: ChainState, rng, base: 
     return ChainState(paths=paths, thetas=thetas)
 
 
+def _pgibbs_table(jm: JointModel, plan: _PassPlan, state: ChainState, rng, bases) -> ChainState:
+    """:func:`_pgibbs_move` over steps ``bases`` from one row, tabulated over
+    every path of positive joint mass, at the parameter it draws in each step."""
+    ys, code = jm.tables.live_paths
+    kept = _joint_mass(jm, ys).sum(axis=0) > 0
+    ys, index = ys[kept], kept.cumsum() - 1  # the row of each kept code
+    u = np.concatenate([rng.uniforms(base, 0, 0, SITE_THETA, shape=(1, 1)) for base in bases], axis=1)
+    which = categorical(theta_given_paths(jm, ys), u).T.ravel()
+    paths = _tabulate(plan, rng, bases, len(ys), ys, which).paths()
+    rows = _pinned_rows(lambda x: index[code(x)], len(ys), paths, state.paths[0], len(bases))
+    return ChainState(paths=paths[rows], thetas=which[rows])
+
+
 def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One particle Gibbs step on R rows: each row's parameter drawn from its
     exact conditional given the path (checked by :func:`theta_given_paths`),
@@ -488,13 +509,15 @@ def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -
 def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
     """R particle Gibbs chains at (theta0, x0), a step :func:`pgibbs_step`
     on a plan built once.  x0 is checked as the parameter draw checks it;
-    theta0 outside [0, J) raises IndexOutOfRange."""
-    if not 0 <= theta0 < jm.J:
-        raise IndexOutOfRange(f"start parameter index {theta0} outside [0, {jm.J})")
+    theta0 other than an integer in [0, J) raises IndexOutOfRange."""
+    if not isinstance(theta0, numbers.Integral) or not 0 <= theta0 < jm.J:
+        raise IndexOutOfRange(f"start parameter index {theta0!r} is not an integer in [0, {jm.J})")
     theta_given_paths(jm, [tuple(x0)])
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
-    step = partial(_pgibbs_move, jm, _reference_plan(jm.tables, N, R))
-    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), step)
+    plan = _reference_plan(jm.tables, N, R)
+    # The paths of live states bound the paths of positive joint mass.
+    table = StepTable(math.prod(jm.tables.live.sum(axis=1).tolist()) * N * jm.T, partial(_pgibbs_table, jm, plan))
+    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), partial(_pgibbs_move, jm, plan), table)
 
 
 def _pimh_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> ChainState:
@@ -526,32 +549,60 @@ def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     plan = _PassPlan(model.tables, N, R)
     p = plan.run(rng, 0)
     start = ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool))
-    return Sampler(start, partial(_pimh_move, plan))
+    return Sampler(start, partial(_pimh_move, plan), StepTable(N * model.T, partial(_mh_table, plan, None, np.zeros((1, 1)))))
 
 
-def _proposal(jm: JointModel, proposal_q) -> np.ndarray:
-    """``proposal_q`` as a (J, J) row-stochastic float array, or raise."""
+def _proposal(jm: JointModel, proposal_q) -> tuple:
+    """``proposal_q`` as a (J, J) row-stochastic float array, or raise, and
+    log prior_c + log q(c, theta) of each pair, -inf where either is 0."""
     q = np.asarray(proposal_q, dtype=float)
     if q.shape != (jm.J, jm.J):
         raise DimensionMismatch(f"proposal of shape {q.shape}, model has {jm.J} parameter values")
     _check_prob_vector(q, "proposal_q")
-    return q
+    with np.errstate(divide="ignore"):
+        return q, np.log(jm.prior)[:, None] + np.log(q)
 
 
-def _pmmh_move(jm: JointModel, plan: _PassPlan, q: np.ndarray, state: ChainState, rng, base: int = 0) -> ChainState:
+def _pmmh_move(jm: JointModel, plan: _PassPlan, q: np.ndarray, log_pq, state: ChainState, rng, base: int = 0) -> ChainState:
     """:func:`pmmh_step` on the rows of a pin-free plan of ``jm.tables``,
-    with ``q`` as :func:`_proposal` returns it and the parameter indices in
-    [0, J), both checked once by the caller."""
+    with ``q`` and ``log_pq`` as :func:`_proposal` returns them and the
+    parameter indices in [0, J), both checked once by the caller."""
     rng = as_substream(rng)
     thetas = np.asarray(state.thetas, dtype=int)
     R = len(thetas)
     cand = categorical(q[thetas], rng.uniforms(base, 0, 0, SITE_THETA, shape=(R, 1)))[:, 0]
     lg = plan.run(rng, base, which=cand).log_gamma()
-    num = np.log(jm.prior[cand]) + np.log(q[cand, thetas]) + lg
-    den = np.log(jm.prior[thetas]) + np.log(q[thetas, cand]) + state.log_gammas
+    num = log_pq[cand, thetas] + lg
+    den = log_pq[thetas, cand] + state.log_gammas
     acc = np.log(rng.uniforms(base, jm.T + 2, 0, SITE_ACCEPT, shape=R)) < num - den
     lg = np.where(acc, lg, state.log_gammas)
     return ChainState(thetas=np.where(acc, cand, thetas), log_gammas=lg, accepted=acc)
+
+
+def _mh_table(plan: _PassPlan, q, log_pq, state: ChainState, rng, bases) -> ChainState:
+    """:func:`_pmmh_move`, or with ``q`` None :func:`_pimh_move`, over steps
+    ``bases`` from one row, tabulated over every model of the plan: from
+    theta, step k proposes row k * K + theta's candidate (0 for PIMH)."""
+    n, K = len(bases), len(log_pq)
+    which = None if q is None else np.tile(np.arange(K), n)
+    p = _tabulate(plan, rng, bases, K, which=which)
+    lg = p.log_gamma()
+    cands = [[0] * n] if q is None else categorical(q, np.concatenate(
+        [rng.uniforms(base, 0, 0, SITE_THETA, shape=(1, 1)) for base in bases], axis=1)).tolist()
+    log_u = np.log(np.concatenate([rng.uniforms(base, plan.tables.T + 2, 0, SITE_ACCEPT, shape=1) for base in bases]))
+    log_pq, g = log_pq.tolist(), lg.tolist()
+    theta, cur = 0 if q is None else int(state.thetas[0]), float(state.log_gammas[0])
+    src, rows, accepted = -1, [], []
+    for k, lu in enumerate(log_u.tolist()):
+        c = cands[theta][k]
+        row = k * K + c
+        accepted.append(lu < (log_pq[c][theta] + g[row]) - (log_pq[theta][c] + cur))
+        if accepted[-1]:
+            src, theta, cur = row, c, g[row]
+        rows.append(src)
+    kept = [None if last is None else np.concatenate([table, last])[rows] for table, last in
+            ((p.paths(), state.paths), (which, state.thetas), (lg, state.log_gammas))]  # row -1: the start
+    return ChainState(*kept, accepted=np.array(accepted))
 
 
 def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: int = 0) -> ChainState:
@@ -559,14 +610,15 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: 
     estimated constants.  ``proposal_q`` must be a (J, J) row-stochastic
     matrix (else DimensionMismatch or NonStochasticRow), the parameter
     indices and log estimates two (R,) arrays (else DimensionMismatch) and
-    every index in [0, J) (else IndexOutOfRange)."""
+    every index in [0, J) (else IndexOutOfRange).  A zero prior or proposal
+    entry rejects the proposal it would weigh."""
     thetas = np.asarray(state.thetas, dtype=int)
     if thetas.ndim != 1 or np.shape(state.log_gammas) != thetas.shape:
         raise DimensionMismatch(f"parameter indices {thetas.shape} and log estimates are not both (R,)")
     if thetas.size and (thetas.min() < 0 or thetas.max() >= jm.J):
         raise IndexOutOfRange(f"parameter index outside [0, {jm.J})")
     plan = _PassPlan(jm.tables, N, len(thetas))
-    return _pmmh_move(jm, plan, _proposal(jm, proposal_q), state, rng, base)
+    return _pmmh_move(jm, plan, *_proposal(jm, proposal_q), state, rng, base)
 
 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
@@ -574,7 +626,9 @@ def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     one plain pass under its model drawn at base 0 and nothing accepted yet.
     ``proposal_q`` is checked once, first, so a step is the unchecked move of
     :func:`pmmh_step` on a plan built once."""
-    q = _proposal(jm, proposal_q)
+    q, log_pq = _proposal(jm, proposal_q)
     lg = particle_pass(jm.models[0].tables, N, rng, base=0, rows=R).log_gamma()
     start = ChainState(thetas=np.zeros(R, int), log_gammas=lg, accepted=np.zeros(R, bool))
-    return Sampler(start, partial(_pmmh_move, jm, _PassPlan(jm.tables, N, R), q))
+    plan = _PassPlan(jm.tables, N, R)
+    table = StepTable(jm.J * N * jm.T, partial(_mh_table, plan, q, log_pq))
+    return Sampler(start, partial(_pmmh_move, jm, plan, q, log_pq), table)

@@ -6,7 +6,8 @@ start-state builder (:func:`pmcmc_lab.csmc.icsmc_sampler`, or
 :func:`~pmcmc_lab.pgibbs.pimh_sampler`, :func:`~pmcmc_lab.pgibbs.pmmh_sampler`
 and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one row-wise call per step.
 A step on one row is the scalar sampler, so replicate 0 here equals the
-one-row run at the same seed and step numbering, draw for draw.
+one-row run at the same seed and step numbering, draw for draw; at R = 1
+:func:`run_chain` takes the one-row table route, and at R > 1 never.
 """
 
 from __future__ import annotations

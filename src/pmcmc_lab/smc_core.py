@@ -24,7 +24,9 @@ normalizing-constant estimate, always handled in log space
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -240,6 +242,22 @@ class PassTables:
             table.setflags(write=False)
         return tables
 
+    @cached_property
+    def live(self) -> np.ndarray:
+        """(T, S): whether state s has positive weight at time t under some model."""
+        return (self.potentials.reshape(self.T, -1, self.n_states) > 0).any(axis=1)
+
+    @cached_property
+    def live_paths(self) -> tuple:
+        """Y, the (K, T) paths of :attr:`live` states in mixed radix order
+        (time 1 leading), built when first asked for, and the code of paths
+        (M, T) in that radix, which numbers Y 0..K-1."""
+        T, live = self.T, self.live
+        ys = np.array(list(itertools.product(*map(np.flatnonzero, live))))
+        ys.setflags(write=False)
+        rank, strides = live.cumsum(axis=1) - 1, len(ys) // live.sum(axis=1).cumprod()
+        return ys, lambda paths: rank[np.arange(T), paths] @ strides
+
 
 def _draw_moves(cdf_rows, cols, rows, u) -> np.ndarray:
     """One draw per uniform from the cumulative transition row ``rows`` of a
@@ -452,9 +470,9 @@ class _PassPlan:
         return self.run_blocks(self.blocks(rng, base, self.rows), self.rows, paths, which)
 
     def run_blocks(self, blocks, R: int, paths=(), which=None) -> BatchedPass:
-        """The pass on R rows, at most the plan's, from the uniform
-        ``blocks`` of R rows, an iterable laid out as :meth:`blocks` yields
-        them; pins and ``which`` as in :meth:`run`."""
+        """The pass on R rows (offsets past the plan's rows built per call)
+        from the uniform ``blocks`` of R rows, an iterable laid out as
+        :meth:`blocks` yields them; pins and ``which`` as in :meth:`run`."""
         tables = self.tables
         T, S = tables.T, tables.n_states
         # Replicate r reads table row which[r] * S + state.  One model needs
@@ -468,7 +486,7 @@ class _PassPlan:
         if offset is not None and len(offset) != R:
             raise DimensionMismatch(f"{len(offset)} model indices for the plan's {R} rows")
         paths = _checked_paths(tables, paths, self.clashes, offset, R)
-        row_start = self.row_start[:R]
+        row_start = self.row_start[:R] if R <= self.rows else np.arange(0, R * self.N, self.N)[:, None]
         states = np.empty((T, R, self.N), dtype=int)
         ancestors = np.empty((T - 1, R, self.N), dtype=int)
         weights = np.empty((T, R, self.N))

@@ -271,15 +271,21 @@ def _sparse_model():
 
 
 def _run_chain_trace(m, N, x0, n_iter, seed):
-    """States and log estimates of the one-row chain stepped by run_chain."""
-    steps = list(run_chain(icsmc_sampler(m, N, x0, 1), n_iter, seed))
-    return [list(x0)] + [s.paths[0].tolist() for s in steps], [s.log_gammas[0] for s in steps]
+    """States and log estimates of the one-row chain stepped one row at a
+    time, a hand loop of the sampler's step."""
+    sampler, rng, states, lgh = icsmc_sampler(m, N, x0, 1), SubstreamRng(seed), [list(x0)], []
+    state = sampler.start
+    for base in range(1, n_iter + 1):
+        state = sampler.step(state, rng, base)
+        states.append(state.paths[0].tolist())
+        lgh.append(state.log_gammas[0])
+    return states, lgh
 
 
-def _counted_table_walk(monkeypatch):
+def _counted_table_passes(monkeypatch):
     calls = []
-    walk = csmc._table_walk
-    monkeypatch.setattr(csmc, "_table_walk", lambda *args: calls.append(args) or walk(*args))
+    tabulate = csmc._tabulate
+    monkeypatch.setattr(csmc, "_tabulate", lambda *args: calls.append(args) or tabulate(*args))
     return calls
 
 
@@ -292,20 +298,20 @@ def test_table_route_gives_the_run_chain_trace(monkeypatch, name, N):
     live = m.tables.potentials > 0
     work = int(np.prod(live.sum(axis=1))) * N * m.T
     assert work <= csmc._TABLE_WORK
-    calls = _counted_table_walk(monkeypatch)
+    calls = _counted_table_passes(monkeypatch)
     for n_iter in (0, csmc._CHUNK // work + 3):
         trace = icsmc_chain(m, N, Trajectory(x0), n_iter, 23)
         states, lgh = _run_chain_trace(m, N, x0, n_iter, 23)
         assert trace.states.tolist() == states
         assert trace.log_gamma_hats.tolist() == lgh
         assert trace.retained.tolist() == [sum(a == b for a, b in zip(u, v)) for u, v in zip(states, states[1:])]
-    assert len(calls) == 1  # n_iter = 0 has no step to tabulate
+    assert len(calls) == 2  # one pass per chunk; n_iter = 0 has no step to tabulate
 
 
 def test_chain_past_the_table_work_steps_one_row(monkeypatch):
     m, x0, N = model_a(), (1, 0), 160  # |Y| N T = 4 * 160 * 2 = 1280
     assert 4 * N * m.T > csmc._TABLE_WORK
-    calls = _counted_table_walk(monkeypatch)
+    calls = _counted_table_passes(monkeypatch)
     trace = icsmc_chain(m, N, Trajectory(x0), 30, 5)
     states, lgh = _run_chain_trace(m, N, x0, 30, 5)
     assert trace.states.tolist() == states and trace.log_gamma_hats.tolist() == lgh

@@ -20,6 +20,7 @@ from pmcmc_lab import (
 )
 from pmcmc_lab.csmc import ChainState, run_chain
 from pmcmc_lab.errors import (
+    AllWeightsZero,
     AssertionFailure,
     ConstantOutOfRange,
     DegenerateB,
@@ -344,7 +345,7 @@ def test_pgibbs_zero_mass_path_raises_typed_error():
         pgibbs_replicated(jm, 2, 4, 1, 1, (0, 1), 0)
 
 
-@pytest.mark.parametrize("theta0", [-1, 2, 7])
+@pytest.mark.parametrize("theta0", [-1, 2, 7, 0.5])
 @pytest.mark.parametrize("n_steps", [0, 2])
 def test_pgibbs_replicated_refuses_a_start_parameter_outside_the_model(theta0, n_steps):
     with pytest.raises(IndexOutOfRange):
@@ -539,3 +540,170 @@ def test_sampler_bound_plan_refuses_another_row_count(kind):
     })
     with pytest.raises(DimensionMismatch):
         sampler.step(state, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The table route of one-row chains
+# ---------------------------------------------------------------------------
+
+
+def _sparse_joint():
+    """Two three-time models with zero initial, transition and weight
+    entries: of the eight paths of live states, two have positive mass."""
+    m1 = [0.0, 0.6, 0.4]
+    moves = [[[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]], [[0.0, 1.0, 0.0], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]]
+    first = build_discrete_model([0, 1, 2], m1, moves, [[1.0, 2.0, 0.0], [1.5, 0.0, 1.0], [0.0, 1.0, 2.0]])
+    second = build_discrete_model([0, 1, 2], m1, moves, [[2.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 1.0]])
+    return build_joint_model([0, 1], [0.3, 0.7], [first, second])
+
+
+def _dying_model():
+    """A pass of one particle dies at time 2 with probability 0.9 * 0.1."""
+    return build_discrete_model([0, 1], [0.5, 0.5], [[[0.1, 0.9], [0.1, 0.9]]], [[1.0, 2.0], [0.0, 1.0]])
+
+
+def _one_row_sampler(kind, N):
+    from fixtures import model_b
+    from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
+
+    jm = joint_two_time()
+    return {
+        "pimh": lambda: pimh_sampler(model_b(), N, 1, 17),
+        "pmmh": lambda: pmmh_sampler(jm, N, [[0.3, 0.7], [0.6, 0.4]], 1, 17),
+        "pgibbs": lambda: pgibbs_sampler(jm, N, (0, 1), 1, 1),
+        "pgibbs_sparse": lambda: pgibbs_sampler(_sparse_joint(), N, (1, 0, 1), 0, 1),
+    }[kind]()
+
+
+def _step_by_step(sampler, n_steps, seed):
+    """The states of a hand loop of ``sampler.step`` over bases 1..n_steps;
+    an error ends the loop, and is returned after the states before it."""
+    states, state, rng = [], sampler.start, SubstreamRng(seed)
+    try:
+        for base in range(1, n_steps + 1):
+            state = sampler.step(state, rng, base)
+            states.append(state)
+    except PmcmcLabError as error:
+        return states, error
+    return states, None
+
+
+def _assert_same_states(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind, N, past", [
+    ("pimh", 4, False), ("pimh", 64, False), ("pimh", 400, True),
+    ("pmmh", 4, False), ("pmmh", 64, False), ("pmmh", 300, True),
+    ("pgibbs", 3, False), ("pgibbs", 64, False), ("pgibbs", 200, True),
+    ("pgibbs_sparse", 3, False),
+])
+def test_one_row_run_chain_steps_as_a_hand_loop_of_the_step(monkeypatch, kind, N, past):
+    # Inside the table work the chain runs as tables, one pass per chunk,
+    # over more than one chunk here; past it, one row at a time.  Both give
+    # the states of the step, bit for bit.
+    from pmcmc_lab import csmc, pgibbs
+
+    sampler = _one_row_sampler(kind, N)
+    assert (sampler.table.work > csmc._TABLE_WORK) == past
+    n_steps = 12 if past else csmc._CHUNK // sampler.table.work + 3
+    calls = []
+    tabulate = csmc._tabulate
+    monkeypatch.setattr(pgibbs, "_tabulate", lambda *args, **kw: calls.append(args) or tabulate(*args, **kw))
+    got = list(run_chain(sampler, n_steps, 5))
+    want, error = _step_by_step(sampler, n_steps, 5)
+    assert error is None
+    _assert_same_states(got, want)
+    assert len(calls) == (0 if past else 2)
+
+
+def test_replicated_chains_at_one_row_take_the_table_route():
+    from fixtures import model_b
+    from pmcmc_lab.csmc import icsmc_sampler
+    from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
+    from pmcmc_lab.replicated import icsmc_replicated
+
+    m, jm, q = model_b(), joint_two_time(), [[0.3, 0.7], [0.6, 0.4]]
+
+    def last(sampler):
+        states, _ = _step_by_step(sampler, 30, 3)
+        return states[-1], sum(int(s.accepted[0]) for s in states if s.accepted is not None)
+
+    state, accepted = last(pimh_sampler(m, 4, 1, 3))
+    paths, rate, lg = pimh_replicated(m, 4, 1, 30, 3)
+    assert np.array_equal(paths, state.paths) and np.array_equal(lg, state.log_gammas) and rate == accepted / 30
+    state, accepted = last(pmmh_sampler(jm, 4, q, 1, 3))
+    thetas, rate = pmmh_replicated(jm, 4, q, 1, 30, 3)
+    assert np.array_equal(thetas, state.thetas) and rate == accepted / 30
+    state, _ = last(pgibbs_sampler(jm, 3, (0, 1), 0, 1))
+    thetas, paths = pgibbs_replicated(jm, 3, 1, 30, 3, (0, 1), 0)
+    assert np.array_equal(thetas, state.thetas) and np.array_equal(paths, state.paths)
+    state, _ = last(icsmc_sampler(m, 3, (0, 1, 0), 1))
+    assert np.array_equal(icsmc_replicated(m, 3, (0, 1, 0), 1, 30, 3), state.paths)
+
+
+def test_a_dying_pimh_pass_gives_the_one_row_states_and_error():
+    # The table pass of the chunk dies; stepped again one row at a time, the
+    # chain yields the 36 states before step 37 and raises its error.
+    from pmcmc_lab.pgibbs import pimh_sampler
+
+    sampler = pimh_sampler(_dying_model(), 1, 1, 7)
+    got = []
+    with pytest.raises(AllWeightsZero) as raised:
+        for state in run_chain(sampler, 60, 7):
+            got.append(state)
+    want, error = _step_by_step(sampler, 60, 7)
+    assert len(want) == 36 and isinstance(error, AllWeightsZero)
+    _assert_same_states(got, want)
+    assert raised.value.time == error.time == 2
+
+
+def test_pmmh_never_proposing_a_dying_parameter_does_not_raise():
+    # The table runs every parameter value at every step, so its passes die
+    # under the second model; the chain never proposes it and steps the
+    # chunk again one row at a time.
+    from pmcmc_lab.pgibbs import pmmh_sampler
+
+    jm = build_joint_model([0, 1], [0.5, 0.5], [model_a(), _dying_model()])
+    sampler = pmmh_sampler(jm, 1, [[1.0, 0.0], [0.5, 0.5]], 1, 4)
+    bases = []
+    step = sampler.step
+    counted = sampler._replace(step=lambda state, rng, base: bases.append(base) or step(state, rng, base))
+    got = list(run_chain(counted, 50, 4))
+    assert bases == list(range(1, 51))
+    want, error = _step_by_step(sampler, 50, 4)
+    assert error is None
+    _assert_same_states(got, want)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("prior, q", [
+    ([0.4, 0.6], [[0.5, 0.5], [0.0, 1.0]]),
+    ([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]]),
+])
+def test_pmmh_zero_prior_or_proposal_entry_rejects_without_a_warning(prior, q, R):
+    # A zero entry weighs a proposal at log 0 = -inf: the move to the second
+    # value is rejected, and numpy warns of no divide by zero.
+    from pmcmc_lab.pgibbs import pmmh_sampler
+
+    jm = build_joint_model(["a", "b"], prior, joint_two_time().models)
+    states = list(run_chain(pmmh_sampler(jm, 3, q, R, 5), 40, 5))
+    assert all((s.thetas == 0).all() for s in states)
+    assert any(s.accepted.any() for s in states)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 3.0])
+def test_chains_refuse_a_step_count_that_is_not_an_integer(n_steps):
+    from pmcmc_lab.pgibbs import pimh_sampler
+
+    sampler = pimh_sampler(model_a(), 2, 1, 0)
+    with pytest.raises(TraceTooShort):
+        run_chain(sampler, n_steps, 0)
+    with pytest.raises(TraceTooShort):
+        icsmc_chain(model_a(), 2, Trajectory((0, 0)), n_steps, 0)
+    assert len(list(run_chain(sampler, np.int64(2), 0))) == 2
