@@ -17,7 +17,9 @@ here; PIMH, PMMH and particle Gibbs in :mod:`pmcmc_lab.pgibbs`), and
 one route switch, :func:`_chain_blocks`: a one-row chain runs chunks of steps
 as one table pass (:func:`_tabulate`) over each step's rows, walked (i-cSMC:
 every positive-weight path; PIMH: the proposal; PMMH: every parameter value;
-particle Gibbs: every path of positive joint mass), or one row at a time.
+particle Gibbs: every path of positive joint mass), its uniforms read for
+a span of chunks at once (:meth:`pmcmc_lab.rng.SubstreamRng._blocks`), or
+one row at a time.
 """
 
 from __future__ import annotations
@@ -120,12 +122,23 @@ class ChainState(NamedTuple):
 
 
 class StepTable(NamedTuple):
-    """A one-row step as a map over the rows its uniforms fix: ``work``, its
-    particle-times (rows x N x T), and ``run(state, rng, bases)``, the states
-    after steps ``bases``, one row each, from one :func:`_tabulate` pass."""
+    """A one-row step as a map over the ``rows`` its uniforms fix, each of
+    ``size`` particle-times (N T); ``reads``, the (counter words, width) of
+    every uniform block a step reads, its plan's reads first; and
+    ``walk(state, steps)``, a walk from the one-row ``state``: a function
+    of the blocks of at most ``steps`` steps, (steps, width) per read, that
+    returns the states after them, one row each, from one :func:`_tabulate`
+    pass, and goes on from the last of them at its next call."""
 
-    work: int
-    run: Callable
+    rows: int
+    size: int
+    reads: tuple
+    walk: Callable
+
+    @property
+    def work(self) -> int:
+        """The particle-times of one step's table, rows x N T."""
+        return self.rows * self.size
 
 
 class Sampler(NamedTuple):
@@ -155,34 +168,52 @@ def _row(block: ChainState, k: int) -> ChainState:
 def _chain_blocks(sampler: Sampler, n_steps: int, rng):
     """The one route switch: the states after steps 1..n_steps, step b at
     base b, in blocks.  A one-row sampler whose table works at most
-    _TABLE_WORK per step runs chunks of _CHUNK particle-times as tables, one
-    row per step; a chunk whose table raises AllWeightsZero, as a row the
-    chain never visits can, steps again one row at a time, so a failing step
-    raises its own error.  Every other block is one ``sampler.step``.  Raises
-    TraceTooShort unless ``n_steps`` is an integer >= 0, when called."""
+    _TABLE_WORK per step runs as tables (:func:`_table_blocks`); every other
+    block is one ``sampler.step``.  Raises TraceTooShort unless ``n_steps``
+    is an integer >= 0, when called."""
     if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise TraceTooShort(f"a chain runs a whole number n_steps >= 0 of steps, got {n_steps!r}")
     rng, table = as_substream(rng), sampler.table
-    tabulate = table is not None and _rows(sampler.start) == 1 and table.work <= _TABLE_WORK
-    steps = _CHUNK // table.work if tabulate else 1
+    if table is not None and _rows(sampler.start) == 1 and table.work <= _TABLE_WORK:
+        return _table_blocks(sampler, n_steps, rng)
+    return _steps(sampler, sampler.start, rng, range(1, n_steps + 1))
 
-    def blocks():
-        state = sampler.start
-        for first in range(1, n_steps + 1, steps):
-            bases = range(first, min(first + steps, n_steps + 1))
+
+def _steps(sampler: Sampler, state: ChainState, rng, bases):
+    """The state after each step of ``bases`` from ``state``, one
+    ``sampler.step`` each."""
+    for base in bases:
+        state = sampler.step(state, rng, base)
+        yield state
+
+
+def _table_blocks(sampler: Sampler, n_steps: int, rng):
+    """The table route of :func:`_chain_blocks`: one walk over chunks of
+    _CHUNK // work steps, each one table pass.  The uniforms of a span of
+    whole chunks, at most _CHUNK one-row particle-times and at least one
+    chunk, are read at once (:meth:`~pmcmc_lab.rng.SubstreamRng._blocks`),
+    since a read has a fixed cost of its own.  A chunk whose table raises
+    AllWeightsZero, as a row the chain never visits can, steps again one row
+    at a time, so a failing step raises its own error, and a new walk
+    starts after it."""
+    table = sampler.table
+    steps = _CHUNK // table.work
+    span = max(_CHUNK // table.size // steps, 1) * steps
+    state, walk = sampler.start, None  # state: None while the walk holds it
+    for first in range(1, n_steps + 1, span):
+        bases = range(first, min(first + span, n_steps + 1))
+        uniforms = rng._blocks(table.reads, bases)
+        for at in range(0, len(bases), steps):
+            walk = walk or table.walk(state, steps)
             try:
-                block = table.run(state, rng, bases) if tabulate else None
+                block = walk([u[at : at + steps] for u in uniforms])
             except AllWeightsZero:
-                block = None
-            if block is not None:
-                yield block
-                state = _row(block, len(bases) - 1)
+                walk, state = None, state or _row(block, _rows(block) - 1)
+                for state in _steps(sampler, state, rng, bases[at : at + steps]):
+                    yield state
                 continue
-            for base in bases:
-                state = sampler.step(state, rng, base)
-                yield state
-
-    return blocks()
+            state = None
+            yield block
 
 
 def run_chain(sampler: Sampler, n_steps: int, rng):
@@ -196,24 +227,23 @@ def run_chain(sampler: Sampler, n_steps: int, rng):
     return (_row(block, k) for block in blocks for k in range(_rows(block)))
 
 
-def _tabulate(plan: _PassPlan, rng, bases, K: int, pins=None, which=None) -> BatchedPass:
-    """One pass of ``plan``'s layout over K rows per step of ``bases``, row
-    (b, k) on step b's one-row blocks, at ``pins[k]`` and ``which[b K + k]``."""
-    reads = zip(*[plan.blocks(rng, base, 1) for base in bases])
-    blocks = (np.repeat(np.concatenate(block), K, axis=0) for block in reads)
-    pins = [] if pins is None else [np.tile(pins, (len(bases), 1)).T]
-    return plan.run_blocks(blocks, len(bases) * K, pins, which)
+def _tabulate(plan: _PassPlan, blocks, K: int, pins=None, which=None) -> BatchedPass:
+    """One pass of ``plan``'s layout over K rows for each of n steps, row
+    (b, k) on step b's one-row ``blocks`` (n, width) of the plan's reads,
+    pinned at ``pins[:, b K + k]`` and running model ``which[b K + k]``."""
+    R = len(blocks[0]) * K
+    return plan.run_blocks((np.repeat(u, K, axis=0) for u in blocks), R, [] if pins is None else [pins], which)
 
 
-def _pinned_rows(key, K: int, paths, x, n: int) -> list:
-    """The table row a pinned chain from path ``x`` reads at each of n steps:
-    k * K + the row ``key`` maps the previous state's path to."""
-    after, row = key(paths).tolist(), int(key(x))
+def _pinned_rows(after: list, K: int, row: int, n: int) -> tuple:
+    """The table row a pinned chain reads at each of n steps, k * K + its
+    state's row, starting at ``row``, with ``after[i]`` the row of row i's
+    selected path; and the row after the last step."""
     rows = []
-    for k in range(n):
-        rows.append(k * K + row)
+    for k in range(0, n * K, K):
+        rows.append(k + row)
         row = after[rows[-1]]
-    return rows
+    return rows, row
 
 
 def _reference_plan(tables: PassTables, N: int, R: int) -> _PassPlan:
@@ -229,14 +259,22 @@ def _icsmc_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> Chain
     return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
 
 
-def _icsmc_table(plan: _PassPlan, state: ChainState, rng, bases) -> ChainState:
-    """:func:`_icsmc_move` over steps ``bases`` from one row, tabulated
-    over every path of positive weight at every time."""
+def _icsmc_walk(plan: _PassPlan, state: ChainState, steps: int):
+    """The walk of :func:`_icsmc_move` from one row (see :class:`StepTable`),
+    tabulated over every path of positive weight at every time, Y, with the
+    pins of a chunk tiled once."""
     ys, code = plan.tables.live_paths
-    p = _tabulate(plan, rng, bases, len(ys), ys)
-    paths = p.paths()
-    rows = _pinned_rows(code, len(ys), paths, state.paths[0], len(bases))
-    return ChainState(paths=paths[rows], log_gammas=p.log_gamma()[rows])
+    K, pins, row = len(ys), np.tile(ys, (steps, 1)).T, int(code(state.paths[0]))
+
+    def walk(blocks):
+        nonlocal row
+        n = len(blocks[0])
+        p = _tabulate(plan, blocks, K, pins[:, : n * K])
+        paths = p.paths()
+        rows, row = _pinned_rows(code(paths).tolist(), K, row, n)
+        return ChainState(paths=paths[rows], log_gammas=p.log_gamma()[rows])
+
+    return walk
 
 
 def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
@@ -250,7 +288,8 @@ def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:
     :func:`icsmc_step` on a plan built once."""
     plan = _reference_plan(model.tables, N, R)
     (x0,) = _checked_paths(model.tables, [tuple(x0)])
-    table = StepTable(math.prod(model.tables.live.sum(axis=1).tolist()) * N * model.T, partial(_icsmc_table, plan))
+    rows = math.prod(model.tables.live.sum(axis=1).tolist())  # |Y|, counted before Y is built
+    table = StepTable(rows, N * model.T, tuple(plan.reads), partial(_icsmc_walk, plan))
     return Sampler(ChainState(paths=np.tile(x0, (R, 1))), partial(_icsmc_move, plan), table)
 
 

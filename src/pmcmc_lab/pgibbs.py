@@ -17,7 +17,7 @@ the average conditional covariance.
 PIMH, PMMH and particle Gibbs each have one step, ``*_step(..., state, rng,
 base) -> ChainState`` on R rows (one row is the scalar sampler), and a
 ``*_sampler`` builder that pairs it with its start state and its step table
-(:func:`_mh_table`, :func:`_pgibbs_table`) for
+(:func:`_mh_walk`, :func:`_pgibbs_walk`) for
 :func:`pmcmc_lab.csmc.run_chain`, the one step loop.
 """
 
@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import ChainState, Sampler, StepTable, _pinned_rows, _reference_plan, _tabulate
+from .csmc import ChainState, Sampler, StepTable, _pinned_rows, _reference_plan, _row, _tabulate
 from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
@@ -52,8 +52,8 @@ from .exact_oracle import (
     exact_pn_matrix,
     spectral_summary,
 )
-from .rng import SITE_ACCEPT, SITE_THETA, as_substream
-from .smc_core import PassTables, _check_paths, _PassPlan, _path_rows, categorical, particle_pass
+from .rng import SITE_ACCEPT, SITE_THETA, _words, as_substream
+from .smc_core import PassTables, _check_paths, _PassPlan, _path_rows, categorical, categorical_cdf, particle_pass
 
 _JOINT_GUARD = 10**4  # most (parameter, path) pairs enumerate_joint enumerates
 # Eigenvalues of the average conditional covariance below this share of the
@@ -486,17 +486,27 @@ def _pgibbs_move(jm: JointModel, plan: _PassPlan, state: ChainState, rng, base: 
     return ChainState(paths=paths, thetas=thetas)
 
 
-def _pgibbs_table(jm: JointModel, plan: _PassPlan, state: ChainState, rng, bases) -> ChainState:
-    """:func:`_pgibbs_move` over steps ``bases`` from one row, tabulated over
-    every path of positive joint mass, at the parameter it draws in each step."""
+def _pgibbs_walk(jm: JointModel, plan: _PassPlan, state: ChainState, steps: int):
+    """The walk of :func:`_pgibbs_move` from one row (see
+    :class:`~pmcmc_lab.csmc.StepTable`), tabulated over every path of
+    positive joint mass, at the parameter it draws in each step; the paths,
+    their parameter laws and the pins of a chunk are built once."""
     ys, code = jm.tables.live_paths
     kept = _joint_mass(jm, ys).sum(axis=0) > 0
     ys, index = ys[kept], kept.cumsum() - 1  # the row of each kept code
-    u = np.concatenate([rng.uniforms(base, 0, 0, SITE_THETA, shape=(1, 1)) for base in bases], axis=1)
-    which = categorical(theta_given_paths(jm, ys), u).T.ravel()
-    paths = _tabulate(plan, rng, bases, len(ys), ys, which).paths()
-    rows = _pinned_rows(lambda x: index[code(x)], len(ys), paths, state.paths[0], len(bases))
-    return ChainState(paths=paths[rows], thetas=which[rows])
+    K, cdf, pins = len(ys), theta_given_paths(jm, ys).cumsum(axis=-1), np.tile(ys, (steps, 1)).T
+    row = int(index[code(state.paths[0])])
+
+    def walk(blocks):
+        nonlocal row
+        *passes, u = blocks  # the pass's blocks, then the parameter block
+        n = len(u)
+        which = categorical_cdf(cdf, u.T).T.ravel()
+        paths = _tabulate(plan, passes, K, pins[:, : n * K], which).paths()
+        rows, row = _pinned_rows(index[code(paths)].tolist(), K, row, n)
+        return ChainState(paths=paths[rows], thetas=which[rows])
+
+    return walk
 
 
 def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
@@ -516,7 +526,9 @@ def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
     plan = _reference_plan(jm.tables, N, R)
     # The paths of live states bound the paths of positive joint mass.
-    table = StepTable(math.prod(jm.tables.live.sum(axis=1).tolist()) * N * jm.T, partial(_pgibbs_table, jm, plan))
+    rows = math.prod(jm.tables.live.sum(axis=1).tolist())
+    reads = (*plan.reads, (_words(0, SITE_THETA), 1))
+    table = StepTable(rows, N * jm.T, reads, partial(_pgibbs_walk, jm, plan))
     return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), partial(_pgibbs_move, jm, plan), table)
 
 
@@ -549,7 +561,9 @@ def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     plan = _PassPlan(model.tables, N, R)
     p = plan.run(rng, 0)
     start = ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool))
-    return Sampler(start, partial(_pimh_move, plan), StepTable(N * model.T, partial(_mh_table, plan, None, np.zeros((1, 1)))))
+    reads = (*plan.reads, (_words(model.T + 2, SITE_ACCEPT), 1))
+    table = StepTable(1, N * model.T, reads, partial(_mh_walk, plan, None, np.zeros((1, 1))))
+    return Sampler(start, partial(_pimh_move, plan), table)
 
 
 def _proposal(jm: JointModel, proposal_q) -> tuple:
@@ -579,30 +593,42 @@ def _pmmh_move(jm: JointModel, plan: _PassPlan, q: np.ndarray, log_pq, state: Ch
     return ChainState(thetas=np.where(acc, cand, thetas), log_gammas=lg, accepted=acc)
 
 
-def _mh_table(plan: _PassPlan, q, log_pq, state: ChainState, rng, bases) -> ChainState:
-    """:func:`_pmmh_move`, or with ``q`` None :func:`_pimh_move`, over steps
-    ``bases`` from one row, tabulated over every model of the plan: from
-    theta, step k proposes row k * K + theta's candidate (0 for PIMH)."""
-    n, K = len(bases), len(log_pq)
-    which = None if q is None else np.tile(np.arange(K), n)
-    p = _tabulate(plan, rng, bases, K, which=which)
-    lg = p.log_gamma()
-    cands = [[0] * n] if q is None else categorical(q, np.concatenate(
-        [rng.uniforms(base, 0, 0, SITE_THETA, shape=(1, 1)) for base in bases], axis=1)).tolist()
-    log_u = np.log(np.concatenate([rng.uniforms(base, plan.tables.T + 2, 0, SITE_ACCEPT, shape=1) for base in bases]))
-    log_pq, g = log_pq.tolist(), lg.tolist()
+def _mh_walk(plan: _PassPlan, q, log_pq, state: ChainState, steps: int):
+    """The walk of :func:`_pmmh_move`, or with ``q`` None :func:`_pimh_move`,
+    from one row (see :class:`~pmcmc_lab.csmc.StepTable`), tabulated over
+    every model of the plan: from theta, step k proposes row k * K + theta's
+    candidate (0 for PIMH).  The blocks are the pass's, then the candidate
+    block (PMMH only) and the accept block."""
+    K, reads = len(log_pq), len(plan.reads)
+    which = None if q is None else np.tile(np.arange(K), steps)
+    cdf, log_pq = None if q is None else q.cumsum(axis=-1), log_pq.tolist()
     theta, cur = 0 if q is None else int(state.thetas[0]), float(state.log_gammas[0])
-    src, rows, accepted = -1, [], []
-    for k, lu in enumerate(log_u.tolist()):
-        c = cands[theta][k]
-        row = k * K + c
-        accepted.append(lu < (log_pq[c][theta] + g[row]) - (log_pq[theta][c] + cur))
-        if accepted[-1]:
-            src, theta, cur = row, c, g[row]
-        rows.append(src)
-    kept = [None if last is None else np.concatenate([table, last])[rows] for table, last in
-            ((p.paths(), state.paths), (which, state.thetas), (lg, state.log_gammas))]  # row -1: the start
-    return ChainState(*kept, accepted=np.array(accepted))
+    start = state  # the state a chunk starts from, row -1 of its table
+
+    def walk(blocks):
+        nonlocal theta, cur, start
+        u = blocks[-1][:, 0]
+        n = len(u)
+        w = None if q is None else which[: n * K]
+        p = _tabulate(plan, blocks[:reads], K, None, w)
+        lg = p.log_gamma()
+        cands = [[0] * n] if q is None else categorical_cdf(cdf, blocks[reads].T).tolist()
+        g = lg.tolist()
+        src, rows, accepted = -1, [], []
+        for k, lu in enumerate(np.log(u).tolist()):
+            c = cands[theta][k]
+            row = k * K + c
+            accepted.append(lu < (log_pq[c][theta] + g[row]) - (log_pq[theta][c] + cur))
+            if accepted[-1]:
+                src, theta, cur = row, c, g[row]
+            rows.append(src)
+        kept = [None if last is None else np.concatenate([table, last])[rows] for table, last in
+                ((p.paths(), start.paths), (w, start.thetas), (lg, start.log_gammas))]
+        block = ChainState(*kept, accepted=np.array(accepted))
+        start = _row(block, n - 1)
+        return block
+
+    return walk
 
 
 def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: int = 0) -> ChainState:
@@ -622,13 +648,16 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: 
 
 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
-    """R PMMH chains at the first parameter value, with the log estimate of
-    one plain pass under its model drawn at base 0 and nothing accepted yet.
+    """R PMMH chains at the first parameter value of positive prior mass,
+    with the log estimate of one plain pass under its model drawn at base 0
+    and nothing accepted yet.
     ``proposal_q`` is checked once, first, so a step is the unchecked move of
     :func:`pmmh_step` on a plan built once."""
     q, log_pq = _proposal(jm, proposal_q)
-    lg = particle_pass(jm.models[0].tables, N, rng, base=0, rows=R).log_gamma()
-    start = ChainState(thetas=np.zeros(R, int), log_gammas=lg, accepted=np.zeros(R, bool))
+    theta0 = int(np.flatnonzero(jm.prior)[0])
+    lg = particle_pass(jm.models[theta0].tables, N, rng, base=0, rows=R).log_gamma()
+    start = ChainState(thetas=np.full(R, theta0), log_gammas=lg, accepted=np.zeros(R, bool))
     plan = _PassPlan(jm.tables, N, R)
-    table = StepTable(jm.J * N * jm.T, partial(_mh_table, plan, q, log_pq))
+    reads = (*plan.reads, (_words(0, SITE_THETA), 1), (_words(jm.T + 2, SITE_ACCEPT), 1))
+    table = StepTable(jm.J, N * jm.T, reads, partial(_mh_walk, plan, q, log_pq))
     return Sampler(start, partial(_pmmh_move, jm, plan, q, log_pq), table)

@@ -11,9 +11,24 @@ slots at once, row by row, through :meth:`SubstreamRng.uniforms`.  Replicate
 r reads the same values whether it runs alone or among R rows, so a scalar
 pass equals row 0 of a batched one, and a pass costs a fixed number of
 streams whatever the particle count.
+
+Philox is counter-based: the block of a stream is a function of its counter
+alone, so the one-row blocks of many steps can be computed at once.  The
+one-row table route of the chains reads every block of a span of steps in
+one vectorised Philox4x64-10 evaluation in numpy (:meth:`SubstreamRng._blocks`,
+equal to numpy's stream bit for bit), a few uniforms per stream over
+thousands of streams, while no block holds more than 48 uniforms.  Every
+other read (R-row blocks, chains stepped one row at a time, one-row tables
+at more particles) goes through numpy's generator
+(:meth:`SubstreamRng._block`): there a block holds many uniforms of one
+stream, which numpy's C loop draws about 25 times faster than the
+numpy-level rounds, so past that width re-positioning the generator per
+block costs less.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -30,6 +45,20 @@ SITE_THETA = 5
 
 # Field widths of the four coordinates in the Philox counter.
 _FIELDS = (("step", 64), ("time", 64), ("particle", 48), ("site", 16))
+
+# Philox4x64-10 (Salmon et al., SC 2011), as numpy's Philox runs it: the
+# multipliers of counter words 0 and 2 and the Weyl increments of the key.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# SubstreamRng._blocks evaluates Philox in numpy while every block it reads
+# holds at most _NARROW uniforms, else it reads each block through numpy's
+# generator.  Reading 1024 one-row blocks, the numpy rounds took 0.6 us a
+# block at 1-4 uniforms, 2.2-2.4 at 32, 3.2-3.8 at 48 and 4.4-4.8 at 64; the
+# generator took 2.5-4.8 at each of these widths, 2.5 at 80 and 5.8 at 128
+# (best of 9, 2-vCPU host, numpy 2.4).  A call of the rounds costs about
+# 160 us whatever its size, which a span of blocks this narrow pays back.
+_NARROW = 48
 
 
 class _Key(ISeedSequence):
@@ -107,6 +136,41 @@ class SubstreamRng:
         self._gen.bit_generator.state = self._state
         return self._gen.random(shape)
 
+    @cached_property
+    def _round_keys(self) -> list:
+        """The key of each Philox round as Python ints mod 2^64 (numpy
+        scalars would warn of the wrap), computed on the first vectorised
+        read, so opening a substream costs no more."""
+        (k0, k1), (w0, w1) = self._key_words, _PHILOX_W
+        return [((k0 + i * w0) % 2**64, (k1 + i * w1) % 2**64) for i in range(_PHILOX_ROUNDS)]
+
+    def _blocks(self, reads, bases) -> list:
+        """For each ``(words, width)`` of ``reads`` (counter words of a zero
+        low word, as :func:`_counter` gives them, step left out), the
+        (len(bases), width) array whose row i is
+        ``_block(words + (bases[i],), (1, width))``, bit for bit: all from
+        one vectorised Philox evaluation while no block is wider than
+        _NARROW, else each through :meth:`_block`.  A base outside
+        [0, 2^64) raises IndexOutOfRange, as :func:`_counter` does."""
+        if len(bases):  # every base lies between these two
+            _counter((min(bases),)), _counter((max(bases),))
+        if max((width for _, width in reads), default=0) > _NARROW:
+            return [np.array([self._block(words + (base,), (1, width))[0] for base in bases]).reshape(len(bases), width)
+                    for words, width in reads]
+        # Read i takes ceil(width / 4) counters per step, low words 1, 2, ...
+        # (numpy's generator steps the low word before each 4 outputs).
+        cols = [(j, words[1], words[2]) for words, width in reads for j in range(1, -(-width // 4) + 1)]
+        counter = np.empty((4, len(bases), len(cols)), dtype=np.uint64)
+        counter[:3] = np.array(cols, dtype=np.uint64).reshape(-1, 3).T[:, None]
+        counter[3] = np.array(bases, dtype=np.uint64)[:, None]
+        words = _philox(counter.reshape(4, -1), self._round_keys)
+        u = (words.T.reshape(len(bases), 4 * len(cols)) >> np.uint64(11)) * 2.0**-53
+        out, at = [], 0
+        for _, width in reads:
+            out.append(u[:, at : at + width])
+            at += -(-width // 4) * 4
+        return out
+
     def spawn(self, index: int) -> "SubstreamRng":
         """Derive an independent child (used for parallel chains/replicates);
         a negative index raises IndexOutOfRange."""
@@ -131,6 +195,39 @@ def _counter(coords) -> tuple:
         name, bits, value = next((n, b, v) for (n, b), v in zip(_FIELDS, c) if v >> b)
         raise IndexOutOfRange(f"stream {name} coordinate {value} outside [0, 2^{bits})")
     return (0, (particle << 16) | site, time, step)
+
+
+def _words(time: int, site: int) -> tuple:
+    """The counter words of the block at (time, site) of any step, the step
+    left out, as a pass plan and :meth:`SubstreamRng._blocks` take them."""
+    return _counter((0, time, 0, site))[:-1]
+
+
+def _philox(counter: np.ndarray, round_keys) -> np.ndarray:
+    """Philox4x64-10 of each column of a (4, n) uint64 counter array under
+    ``round_keys``, its 10 round keys: (4, n) output words.
+
+    A round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).  numpy has no 64 x 64 -> 128-bit
+    multiply, so the high words come from 32-bit halves; both multiplies of
+    a round run as one (2, n) array."""
+    lo32, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+    m_lo, m_hi = m & lo32, m >> shift
+    keys = np.array(round_keys, dtype=np.uint64)[:, :, None]
+    x, y = counter[[0, 2]], counter[[1, 3]]  # the multiplied words, the others
+    for key in keys:
+        x_lo, x_hi = x & lo32, x >> shift
+        mid = x_hi * m_lo
+        mid += (x_lo * m_lo) >> shift
+        cross = x_lo * m_hi
+        cross += mid & lo32
+        hi = x_hi * m_hi
+        hi += mid >> shift
+        hi += cross >> shift
+        lo = x * m
+        x, y = hi[::-1] ^ y ^ key, lo[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]])
 
 
 def as_substream(rng: "SubstreamRng | int") -> SubstreamRng:

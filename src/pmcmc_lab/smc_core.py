@@ -40,7 +40,7 @@ from .errors import (
     TooFewParticles,
     ZeroPinnedPotential,
 )
-from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _counter, as_substream
+from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _counter, _words, as_substream
 
 # Search strategies of :func:`categorical_cdf`: one pass over the inner sums
 # for a single row of sums and of draws, or while there are at most _ONE_PASS
@@ -411,8 +411,8 @@ class _PassPlan:
     counter words and width; per pin, the (time, slot) index of its states;
     and the pinned slots' parents.  The lineages are checked here
     (:func:`_pin_layout`), the pinned paths by every run.  A run is the
-    step's uniform blocks (:meth:`blocks`) handed to the pass arithmetic
-    (:meth:`run_blocks`).
+    step's uniform blocks (read by :meth:`run`, or by a step table for many
+    steps at once) handed to the pass arithmetic (:meth:`run_blocks`).
     """
 
     def __init__(self, tables: PassTables, N: int, rows: int = 1, lineages=()):
@@ -435,9 +435,6 @@ class _PassPlan:
                 times = np.arange(T)
                 self.pins.append(((times, slice(None), slots), (times[:-1], slice(None), slots[1:]), slots[:-1, None]))
 
-        def block(t, site):  # the counter words of (time t, site), step left out
-            return _counter((0, t, 0, site))[:-1]
-
         # Per time its free slots; per block its counter words and width: the
         # initial or ancestor block of each time and, after time 1, its move
         # block, then the terminal block.
@@ -449,30 +446,28 @@ class _PassPlan:
             else:
                 self.free.append(np.array([i for i in range(N) if i not in owner], dtype=int))
             width = N - len(slots)
-            self.reads.append((block(1, SITE_INIT) if t == 1 else block(t, SITE_ANCESTOR), width))
+            self.reads.append((_words(1, SITE_INIT) if t == 1 else _words(t, SITE_ANCESTOR), width))
             if t > 1:
-                self.reads.append((block(t, SITE_MOVE), width))
-        self.reads.append((block(T + 1, SITE_FINAL), 1))
-
-    def blocks(self, rng, base: int, rows: int):
-        """The uniform blocks of step ``base``, (rows, width) each, as an
-        iterator in the order a pass reads them.  The base is checked now
-        and each block read when it is asked for, so a pass holds few
-        blocks at once."""
-        rng = as_substream(rng)
-        step = _counter((base,))[-1:]
-        return (rng._block(words + step, (rows, width)) for words, width in self.reads)
+                self.reads.append((_words(t, SITE_MOVE), width))
+        self.reads.append((_words(T + 1, SITE_FINAL), 1))
 
     def run(self, rng, base: int = 0, paths=(), which=None) -> BatchedPass:
         """One pass at step ``base``: pin k holds ``paths[k]`` (checked by
         :func:`_checked_paths`), replicate r runs model ``which[r]``; as
-        :func:`particle_pass` describes, draw for draw."""
-        return self.run_blocks(self.blocks(rng, base, self.rows), self.rows, paths, which)
+        :func:`particle_pass` describes, draw for draw.  The base is checked
+        now and each (rows, width) block of :attr:`reads` read through
+        numpy's generator when the pass asks for it, so a pass holds few
+        blocks at once."""
+        rng, step = as_substream(rng), _counter((base,))[-1:]
+        blocks = (rng._block(words + step, (self.rows, width)) for words, width in self.reads)
+        return self.run_blocks(blocks, self.rows, paths, which)
 
     def run_blocks(self, blocks, R: int, paths=(), which=None) -> BatchedPass:
-        """The pass on R rows (offsets past the plan's rows built per call)
-        from the uniform ``blocks`` of R rows, an iterable laid out as
-        :meth:`blocks` yields them; pins and ``which`` as in :meth:`run`."""
+        """The pass on R rows from the uniform ``blocks`` of R rows, an
+        iterable of one (R, width) block per entry of :attr:`reads`, in
+        order; pins and ``which`` as in :meth:`run`.  The row offsets grow,
+        once, to the most rows run, so a one-row plan serves every chunk of
+        a step table."""
         tables = self.tables
         T, S = tables.T, tables.n_states
         # Replicate r reads table row which[r] * S + state.  One model needs
@@ -486,7 +481,9 @@ class _PassPlan:
         if offset is not None and len(offset) != R:
             raise DimensionMismatch(f"{len(offset)} model indices for the plan's {R} rows")
         paths = _checked_paths(tables, paths, self.clashes, offset, R)
-        row_start = self.row_start[:R] if R <= self.rows else np.arange(0, R * self.N, self.N)[:, None]
+        if R > len(self.row_start):  # a table of more rows: grown once
+            self.row_start = np.arange(0, R * self.N, self.N)[:, None]
+        row_start = self.row_start[:R]
         states = np.empty((T, R, self.N), dtype=int)
         ancestors = np.empty((T - 1, R, self.N), dtype=int)
         weights = np.empty((T, R, self.N))

@@ -707,3 +707,123 @@ def test_chains_refuse_a_step_count_that_is_not_an_integer(n_steps):
     with pytest.raises(TraceTooShort):
         icsmc_chain(model_a(), 2, Trajectory((0, 0)), n_steps, 0)
     assert len(list(run_chain(sampler, np.int64(2), 0))) == 2
+
+
+@pytest.mark.parametrize("R", [1, 3])
+def test_pmmh_starts_at_the_first_parameter_of_positive_prior_mass(R):
+    # With no prior mass on the first value the chains start at the second,
+    # with a start pass under its model, and stay there: from it the
+    # proposal is a point mass on itself.
+    from pmcmc_lab.pgibbs import pmmh_sampler
+    from pmcmc_lab.smc_core import particle_pass
+
+    jm = build_joint_model(["a", "b"], [0.0, 1.0], joint_two_time().models)
+    sampler = pmmh_sampler(jm, 3, [[0.5, 0.5], [0.0, 1.0]], R, 5)
+    assert sampler.start.thetas.tolist() == [1] * R
+    assert np.array_equal(sampler.start.log_gammas, particle_pass(jm.models[1].tables, 3, 5, rows=R).log_gamma())
+    states = list(run_chain(sampler, 40, 5))
+    assert all((s.thetas == 1).all() for s in states)
+    assert any(s.accepted.any() for s in states)
+
+
+class _ReadCounter(SubstreamRng):
+    """Counts the uniform reads of each path: numpy's generator, one block
+    at a time (``_block``), or one vectorised read over steps (``_blocks``)."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.block = self.blocks = 0
+
+    def _block(self, counter, shape):
+        self.block += 1
+        return super()._block(counter, shape)
+
+    def _blocks(self, reads, bases):
+        self.blocks += 1
+        return super()._blocks(reads, bases)
+
+
+@pytest.mark.parametrize("kind, N, span, wide", [
+    # steps per chunk _CHUNK // (rows N T); a span is _CHUNK // (N T) steps
+    # rounded down to whole chunks, at least one.
+    ("icsmc", 4, 1024, 0),   # 4 rows of 8: chunks of 256 steps
+    ("pimh", 4, 682, 0),     # 1 row of 12: one chunk of 682 steps
+    ("pimh", 40, 68, 0),     # 1 row of 120: one chunk of 68 steps
+    ("pmmh", 4, 1024, 0),    # 2 rows of 8: chunks of 512 steps
+    ("pgibbs", 3, 1364, 0),  # 4 rows of 6: chunks of 341 steps
+    # Blocks of 63 and 64 uniforms, wider than _NARROW: 2T pass blocks and
+    # PIMH's accept block a step through numpy's generator.
+    ("icsmc", 64, 64, 4),    # 4 rows of 128: chunks of 16 steps
+    ("pimh", 64, 42, 7),     # 1 row of 192: one chunk of 42 steps
+])
+def test_a_one_row_table_chain_reads_its_uniforms_once_per_span(kind, N, span, wide):
+    # Over more than two spans, the chain's uniforms come from one read per
+    # span: one vectorised Philox evaluation, with no block from numpy's
+    # generator, unless a block is too wide.  The states are the hand loop's.
+    from pmcmc_lab.csmc import icsmc_sampler
+
+    sampler = icsmc_sampler(model_a(), N, (1, 0), 1) if kind == "icsmc" else _one_row_sampler(kind, N)
+    n_steps = 2 * span + 5
+    rng = _ReadCounter(5)
+    got = list(run_chain(sampler, n_steps, rng))
+    assert (rng.blocks, rng.block) == (3, wide * n_steps)
+    want, error = _step_by_step(sampler, n_steps, 5)
+    assert error is None
+    _assert_same_states(got, want)
+
+
+@pytest.mark.parametrize("kind, rows, reads", [
+    ("icsmc", 2, 4), ("pimh", 3, 7), ("pmmh", 2, 6), ("pgibbs", 2, 5),  # R rows: 2T pass blocks and the sampler's
+    ("icsmc", 160, 4), ("pimh", 400, 7), ("pmmh", 300, 6), ("pgibbs", 200, 5),  # one row past the table work
+])
+def test_chains_off_the_table_route_read_through_the_generator(kind, rows, reads):
+    from fixtures import model_b
+    from pmcmc_lab.csmc import icsmc_sampler
+    from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
+
+    R, N = (rows, 4) if rows < 10 else (1, rows)
+    jm = joint_two_time()
+    sampler = {
+        "icsmc": lambda: icsmc_sampler(model_a(), N, (1, 0), R),
+        "pimh": lambda: pimh_sampler(model_b(), N, R, 17),
+        "pmmh": lambda: pmmh_sampler(jm, N, [[0.3, 0.7], [0.6, 0.4]], R, 17),
+        "pgibbs": lambda: pgibbs_sampler(jm, N, (0, 1), 1, R),
+    }[kind]()
+    rng = _ReadCounter(5)
+    assert len(list(run_chain(sampler, 12, rng))) == 12
+    assert (rng.blocks, rng.block) == (0, 12 * reads)
+
+
+def test_a_chunk_that_dies_after_a_tabulated_chunk_steps_on_from_its_last_state():
+    # Under the second model a pass of 256 particles dies at time 2 with
+    # probability 0.995^256 (about 0.28), so the table of a chunk of 8 steps
+    # dies in most chunks, not in all.  The chain never proposes that model:
+    # a dead chunk steps again one row at a time from the last state of the
+    # chunk before, and the next chunk tabulates again from where it ended.
+    # Under the first model a few rare states of weight 1000 make the
+    # estimate, and so the accept step, depend on the state a chunk starts
+    # from (about half the moves are rejected).
+    from pmcmc_lab import csmc
+    from pmcmc_lab.pgibbs import pmmh_sampler
+
+    rare = build_discrete_model([0, 1], [0.998, 0.002], [[[0.75, 0.25], [0.25, 0.75]]], [[1.0, 1000.0], [1.0, 3.0]])
+    dying = build_discrete_model([0, 1], [0.5, 0.5], [[[0.005, 0.995], [0.005, 0.995]]], [[1.0, 1.0], [1.0, 0.0]])
+    jm = build_joint_model([0, 1], [0.5, 0.5], [rare, dying])
+    sampler = pmmh_sampler(jm, 256, [[1.0, 0.0], [0.5, 0.5]], 1, 4)
+    assert csmc._CHUNK // sampler.table.work == 8
+    bases = []
+    step = sampler.step
+    counted = sampler._replace(step=lambda state, rng, base: bases.append(base) or step(state, rng, base))
+    rng = _ReadCounter(4)
+    got = list(run_chain(counted, 160, rng))
+    want, error = _step_by_step(sampler, 160, 4)
+    assert error is None
+    _assert_same_states(got, want)
+    stepped = [set(range(first, first + 8)) <= set(bases) for first in range(1, 161, 8)]
+    assert len(bases) == 8 * sum(stepped)
+    assert any(a < b for a, b in zip(stepped, stepped[1:])) and any(a > b for a, b in zip(stepped, stepped[1:]))
+    assert not all(s.accepted.all() for s in got)
+    # Spans of 16 steps, each read once, and again step by step where a
+    # chunk died; 2T + 2 blocks a step, all through numpy's generator as
+    # the pass blocks are 256 wide.
+    assert (rng.blocks, rng.block) == (10, (160 + len(bases)) * 6)

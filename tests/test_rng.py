@@ -3,6 +3,7 @@ import pytest
 
 from pmcmc_lab import SubstreamRng
 from pmcmc_lab.errors import IndexOutOfRange
+from pmcmc_lab.rng import _NARROW, _PHILOX_W, _counter
 
 
 @pytest.mark.parametrize(
@@ -62,3 +63,41 @@ def test_stream_returns_a_fresh_generator():
     assert second is not first
     assert np.array_equal(second.random(3), head)
     assert np.array_equal(first.random(2), rng.stream(1, 2).random(5)[3:])
+
+
+# (time, particle, site) of the blocks read: the top of every field, alone
+# and together, and a few ordinary ones.
+_COORDS = [(0, 0, 0), (1, 0, 2), (5, 3, 4), (2**64 - 1, 0, 0), (0, 2**48 - 1, 0), (0, 0, 2**16 - 1),
+           (2**64 - 1, 2**48 - 1, 2**16 - 1)]
+
+
+@pytest.mark.parametrize("seed, wraps", [(0, [True, True]), (4, [True, False]), (6, [False, False]), (2**64 - 1, None)])
+@pytest.mark.parametrize("bases", [[7, 0, 2**64 - 1, 3, 7, 12], range(1, 40)])
+@pytest.mark.parametrize("widths", [range(18), [0, 1, 5, _NARROW, _NARROW + 1]])
+def test_vectorised_blocks_equal_the_generator(seed, wraps, bases, widths):
+    # Widths 0-17 fill part of a counter's four words, all four, or spill
+    # into the next counters; with a block wider than _NARROW every block is
+    # read through numpy's generator.  The bases are out of order, repeated
+    # and at the top of the step field, or a range.  Seed 0's two key words
+    # wrap past 2^64 at the first round, seed 4's first only, seed 6's neither.
+    rng = SubstreamRng(seed)
+    if wraps is not None:
+        assert [k + w >= 2**64 for k, w in zip(rng._key_words, _PHILOX_W)] == wraps
+    points = [(coords, width) for width in widths for coords in _COORDS]
+    got = rng._blocks([(_counter((0, *coords))[:-1], width) for coords, width in points], bases)
+    assert len(got) == len(points)
+    for (coords, width), block in zip(points, got):
+        want = np.concatenate([rng.stream(base, *coords).random((1, width)) for base in bases])
+        assert block.shape == (len(bases), width)
+        assert np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("bases", [[-1], [0, 2**64], [3, -2, 5], range(2**64 - 2, 2**64 + 1)])
+def test_vectorised_blocks_refuse_an_aliasing_base(bases):
+    # As _counter refuses the step of a stream outside [0, 2^64).
+    rng = SubstreamRng(1)
+    with pytest.raises(IndexOutOfRange):
+        rng._blocks([(_counter((0, 2, 0, 1))[:-1], 3)], bases)
+    with pytest.raises(IndexOutOfRange):
+        for base in bases:
+            _counter((base,))
