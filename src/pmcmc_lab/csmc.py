@@ -199,7 +199,7 @@ def _table_blocks(sampler: Sampler, n_steps: int, rng):
     table = sampler.table
     steps = _CHUNK // table.work
     span = max(_CHUNK // table.size // steps, 1) * steps
-    state, walk = sampler.start, None  # state: None while the walk holds it
+    state, walk = sampler.start, None
     for first in range(1, n_steps + 1, span):
         bases = range(first, min(first + span, n_steps + 1))
         uniforms = rng._blocks(table.reads, bases)
@@ -208,12 +208,12 @@ def _table_blocks(sampler: Sampler, n_steps: int, rng):
             try:
                 block = walk([u[at : at + steps] for u in uniforms])
             except AllWeightsZero:
-                walk, state = None, state or _row(block, _rows(block) - 1)
+                walk = None
                 for state in _steps(sampler, state, rng, bases[at : at + steps]):
                     yield state
                 continue
-            state = None
             yield block
+            state = _row(block, _rows(block) - 1)
 
 
 def run_chain(sampler: Sampler, n_steps: int, rng):

@@ -16,14 +16,12 @@ Philox is counter-based: the block of a stream is a function of its counter
 alone, so the one-row blocks of many steps can be computed at once.  The
 one-row table route of the chains reads every block of a span of steps in
 one vectorised Philox4x64-10 evaluation in numpy (:meth:`SubstreamRng._blocks`,
-equal to numpy's stream bit for bit), a few uniforms per stream over
-thousands of streams, while no block holds more than 48 uniforms.  Every
-other read (R-row blocks, chains stepped one row at a time, one-row tables
-at more particles) goes through numpy's generator
-(:meth:`SubstreamRng._block`): there a block holds many uniforms of one
-stream, which numpy's C loop draws about 25 times faster than the
-numpy-level rounds, so past that width re-positioning the generator per
-block costs less.
+equal to numpy's stream bit for bit): there a step reads a few uniforms from
+each of its streams, and re-positioning numpy's generator per block costs
+more than drawing them.  Every other read (R-row blocks, chains stepped one
+row at a time) goes through numpy's generator (:meth:`SubstreamRng._block`):
+there a block holds R N uniforms of one stream, which numpy's C loop draws
+about 25 times faster than the numpy-level rounds.
 """
 
 from __future__ import annotations
@@ -51,14 +49,6 @@ _FIELDS = (("step", 64), ("time", 64), ("particle", 48), ("site", 16))
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# SubstreamRng._blocks evaluates Philox in numpy while every block it reads
-# holds at most _NARROW uniforms, else it reads each block through numpy's
-# generator.  Reading 1024 one-row blocks, the numpy rounds took 0.6 us a
-# block at 1-4 uniforms, 2.2-2.4 at 32, 3.2-3.8 at 48 and 4.4-4.8 at 64; the
-# generator took 2.5-4.8 at each of these widths, 2.5 at 80 and 5.8 at 128
-# (best of 9, 2-vCPU host, numpy 2.4).  A call of the rounds costs about
-# 160 us whatever its size, which a span of blocks this narrow pays back.
-_NARROW = 48
 
 
 class _Key(ISeedSequence):
@@ -148,15 +138,11 @@ class SubstreamRng:
         """For each ``(words, width)`` of ``reads`` (counter words of a zero
         low word, as :func:`_counter` gives them, step left out), the
         (len(bases), width) array whose row i is
-        ``_block(words + (bases[i],), (1, width))``, bit for bit: all from
-        one vectorised Philox evaluation while no block is wider than
-        _NARROW, else each through :meth:`_block`.  A base outside
-        [0, 2^64) raises IndexOutOfRange, as :func:`_counter` does."""
+        ``_block(words + (bases[i],), (1, width))``, bit for bit, all from
+        one vectorised Philox evaluation.  A base outside [0, 2^64) raises
+        IndexOutOfRange, as :func:`_counter` does."""
         if len(bases):  # every base lies between these two
             _counter((min(bases),)), _counter((max(bases),))
-        if max((width for _, width in reads), default=0) > _NARROW:
-            return [np.array([self._block(words + (base,), (1, width))[0] for base in bases]).reshape(len(bases), width)
-                    for words, width in reads]
         # Read i takes ceil(width / 4) counters per step, low words 1, 2, ...
         # (numpy's generator steps the low word before each 4 outputs).
         cols = [(j, words[1], words[2]) for words, width in reads for j in range(1, -(-width // 4) + 1)]

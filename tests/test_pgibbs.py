@@ -743,30 +743,29 @@ class _ReadCounter(SubstreamRng):
         return super()._blocks(reads, bases)
 
 
-@pytest.mark.parametrize("kind, N, span, wide", [
+@pytest.mark.parametrize("kind, N, span", [
     # steps per chunk _CHUNK // (rows N T); a span is _CHUNK // (N T) steps
     # rounded down to whole chunks, at least one.
-    ("icsmc", 4, 1024, 0),   # 4 rows of 8: chunks of 256 steps
-    ("pimh", 4, 682, 0),     # 1 row of 12: one chunk of 682 steps
-    ("pimh", 40, 68, 0),     # 1 row of 120: one chunk of 68 steps
-    ("pmmh", 4, 1024, 0),    # 2 rows of 8: chunks of 512 steps
-    ("pgibbs", 3, 1364, 0),  # 4 rows of 6: chunks of 341 steps
-    # Blocks of 63 and 64 uniforms, wider than _NARROW: 2T pass blocks and
-    # PIMH's accept block a step through numpy's generator.
-    ("icsmc", 64, 64, 4),    # 4 rows of 128: chunks of 16 steps
-    ("pimh", 64, 42, 7),     # 1 row of 192: one chunk of 42 steps
+    ("icsmc", 4, 1024),   # 4 rows of 8: chunks of 256 steps
+    ("pimh", 4, 682),     # 1 row of 12: one chunk of 682 steps
+    ("pimh", 40, 68),     # 1 row of 120: one chunk of 68 steps
+    ("pmmh", 4, 1024),    # 2 rows of 8: chunks of 512 steps
+    ("pgibbs", 3, 1364),  # 4 rows of 6: chunks of 341 steps
+    # Blocks of 63 and 64 uniforms read the same way.
+    ("icsmc", 64, 64),    # 4 rows of 128: chunks of 16 steps
+    ("pimh", 64, 42),     # 1 row of 192: one chunk of 42 steps
 ])
-def test_a_one_row_table_chain_reads_its_uniforms_once_per_span(kind, N, span, wide):
+def test_a_one_row_table_chain_reads_its_uniforms_once_per_span(kind, N, span):
     # Over more than two spans, the chain's uniforms come from one read per
     # span: one vectorised Philox evaluation, with no block from numpy's
-    # generator, unless a block is too wide.  The states are the hand loop's.
+    # generator.  The states are the hand loop's.
     from pmcmc_lab.csmc import icsmc_sampler
 
     sampler = icsmc_sampler(model_a(), N, (1, 0), 1) if kind == "icsmc" else _one_row_sampler(kind, N)
     n_steps = 2 * span + 5
     rng = _ReadCounter(5)
     got = list(run_chain(sampler, n_steps, rng))
-    assert (rng.blocks, rng.block) == (3, wide * n_steps)
+    assert (rng.blocks, rng.block) == (3, 0)
     want, error = _step_by_step(sampler, n_steps, 5)
     assert error is None
     _assert_same_states(got, want)
@@ -823,7 +822,6 @@ def test_a_chunk_that_dies_after_a_tabulated_chunk_steps_on_from_its_last_state(
     assert len(bases) == 8 * sum(stepped)
     assert any(a < b for a, b in zip(stepped, stepped[1:])) and any(a > b for a, b in zip(stepped, stepped[1:]))
     assert not all(s.accepted.all() for s in got)
-    # Spans of 16 steps, each read once, and again step by step where a
-    # chunk died; 2T + 2 blocks a step, all through numpy's generator as
-    # the pass blocks are 256 wide.
-    assert (rng.blocks, rng.block) == (10, (160 + len(bases)) * 6)
+    # Spans of 16 steps, each read once, and again step by step through
+    # numpy's generator where a chunk died, 2T + 2 blocks a step.
+    assert (rng.blocks, rng.block) == (10, len(bases) * 6)

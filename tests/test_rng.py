@@ -3,7 +3,7 @@ import pytest
 
 from pmcmc_lab import SubstreamRng
 from pmcmc_lab.errors import IndexOutOfRange
-from pmcmc_lab.rng import _NARROW, _PHILOX_W, _counter
+from pmcmc_lab.rng import _PHILOX_W, _counter
 
 
 @pytest.mark.parametrize(
@@ -73,11 +73,11 @@ _COORDS = [(0, 0, 0), (1, 0, 2), (5, 3, 4), (2**64 - 1, 0, 0), (0, 2**48 - 1, 0)
 
 @pytest.mark.parametrize("seed, wraps", [(0, [True, True]), (4, [True, False]), (6, [False, False]), (2**64 - 1, None)])
 @pytest.mark.parametrize("bases", [[7, 0, 2**64 - 1, 3, 7, 12], range(1, 40)])
-@pytest.mark.parametrize("widths", [range(18), [0, 1, 5, _NARROW, _NARROW + 1]])
+@pytest.mark.parametrize("widths", [range(18), [0, 1, 5, 63, 64, 65, 255]])
 def test_vectorised_blocks_equal_the_generator(seed, wraps, bases, widths):
     # Widths 0-17 fill part of a counter's four words, all four, or spill
-    # into the next counters; with a block wider than _NARROW every block is
-    # read through numpy's generator.  The bases are out of order, repeated
+    # into the next counters; wide blocks take up to 64 counters each, among
+    # narrow ones.  The bases are out of order, repeated
     # and at the top of the step field, or a range.  Seed 0's two key words
     # wrap past 2^64 at the first round, seed 4's first only, seed 6's neither.
     rng = SubstreamRng(seed)
