@@ -13,13 +13,16 @@ runs the slot-0 pass on R replicates at once.
 
 :func:`run_chain` is the one step loop of every sampler (:func:`icsmc_sampler`
 here; PIMH, PMMH and particle Gibbs in :mod:`pmcmc_lab.pgibbs`), and
-:func:`icsmc_chain` keeps a one-row i-cSMC chain as a trace.  Both take the
-one route switch, :func:`_chain_blocks`: a one-row chain runs chunks of steps
-as one table pass (:func:`_tabulate`) over each step's rows, walked (i-cSMC:
-every positive-weight path; PIMH: the proposal; PMMH: every parameter value;
-particle Gibbs: every path of positive joint mass), its uniforms read for
-a span of chunks at once (:meth:`pmcmc_lab.rng.SubstreamRng._blocks`), or
-one row at a time.
+:func:`icsmc_chain` keeps a one-row i-cSMC chain as a trace.  A sampler's
+step is its move, a function of the state and the step's uniform blocks on
+any number of rows, and both routes of the one route switch
+(:func:`_chain_blocks`) run it: step by step (:meth:`Sampler.step`), or, for
+a one-row chain, chunks of steps as one table pass over each step's rows,
+with the uniforms of a span of chunks read at once
+(:meth:`pmcmc_lab.rng.SubstreamRng._blocks`).
+The i-cSMC and particle Gibbs tables run the move from every path
+(:func:`_path_walk`); the PIMH and PMMH tables run the pass at every
+parameter value and share the move's accept test.
 """
 
 from __future__ import annotations
@@ -123,16 +126,13 @@ class ChainState(NamedTuple):
 
 class StepTable(NamedTuple):
     """A one-row step as a map over the ``rows`` its uniforms fix, each of
-    ``size`` particle-times (N T); ``reads``, the (counter words, width) of
-    every uniform block a step reads, its plan's reads first; and
-    ``walk(state, steps)``, a walk from the one-row ``state``: a function
-    of the blocks of at most ``steps`` steps, (steps, width) per read, that
-    returns the states after them, one row each, from one :func:`_tabulate`
-    pass, and goes on from the last of them at its next call."""
+    ``size`` particle-times (N T), and ``walk(state, steps)``: from the
+    one-row ``state``, a function of the blocks of at most ``steps`` steps,
+    (steps, width) per read of the sampler, that returns the states after
+    them from one table pass and goes on from the last at its next call."""
 
     rows: int
     size: int
-    reads: tuple
     walk: Callable
 
     @property
@@ -142,13 +142,25 @@ class StepTable(NamedTuple):
 
 
 class Sampler(NamedTuple):
-    """A start state, drawn at base 0 if at all, an R-row step
-    ``step(state, rng, base) -> ChainState`` (a module-level step with its
-    model arguments bound by :func:`functools.partial`) and its StepTable."""
+    """R chains: a start state, drawn at base 0 if at all; ``reads``, the
+    (counter words, width) of each uniform block of a step, in the order
+    ``move(state, blocks) -> ChainState`` reads them, a step on any number
+    of rows (a module-level move, its model arguments bound by
+    :func:`functools.partial`); and its StepTable."""
 
     start: ChainState
-    step: Callable
-    table: StepTable | None = None
+    reads: tuple
+    move: Callable
+    table: StepTable
+
+    def step(self, state: ChainState, rng, base: int = 0) -> ChainState:
+        """The move of the R rows of ``state`` at ``base``, on R-row blocks
+        read as it asks for them; DimensionMismatch for a state of another
+        row count, IndexOutOfRange for a base outside [0, 2^64)."""
+        R = _rows(self.start)
+        if _rows(state) != R:
+            raise DimensionMismatch(f"a state of {_rows(state)} rows for a sampler of {R}")
+        return self.move(state, as_substream(rng).step_blocks(self.reads, base, R))
 
 
 # A one-row chain runs as a table while one step's table work is at most
@@ -158,7 +170,10 @@ _CHUNK = 1 << 13
 
 
 def _rows(state: ChainState) -> int:
-    return len(next(f for f in state if f is not None))
+    try:  # an unsized field, or none, counts no rows, for the move to refuse
+        return len(next((f for f in state if f is not None), ()))
+    except TypeError:
+        return 0
 
 
 def _row(block: ChainState, k: int) -> ChainState:
@@ -173,8 +188,8 @@ def _chain_blocks(sampler: Sampler, n_steps: int, rng):
     is an integer >= 0, when called."""
     if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise TraceTooShort(f"a chain runs a whole number n_steps >= 0 of steps, got {n_steps!r}")
-    rng, table = as_substream(rng), sampler.table
-    if table is not None and _rows(sampler.start) == 1 and table.work <= _TABLE_WORK:
+    rng = as_substream(rng)
+    if _rows(sampler.start) == 1 and sampler.table.work <= _TABLE_WORK:
         return _table_blocks(sampler, n_steps, rng)
     return _steps(sampler, sampler.start, rng, range(1, n_steps + 1))
 
@@ -202,7 +217,7 @@ def _table_blocks(sampler: Sampler, n_steps: int, rng):
     state, walk = sampler.start, None
     for first in range(1, n_steps + 1, span):
         bases = range(first, min(first + span, n_steps + 1))
-        uniforms = rng._blocks(table.reads, bases)
+        uniforms = rng._blocks(sampler.reads, bases)
         for at in range(0, len(bases), steps):
             walk = walk or table.walk(state, steps)
             try:
@@ -227,23 +242,29 @@ def run_chain(sampler: Sampler, n_steps: int, rng):
     return (_row(block, k) for block in blocks for k in range(_rows(block)))
 
 
-def _tabulate(plan: _PassPlan, blocks, K: int, pins=None, which=None) -> BatchedPass:
-    """One pass of ``plan``'s layout over K rows for each of n steps, row
-    (b, k) on step b's one-row ``blocks`` (n, width) of the plan's reads,
-    pinned at ``pins[:, b K + k]`` and running model ``which[b K + k]``."""
-    R = len(blocks[0]) * K
-    return plan.run_blocks((np.repeat(u, K, axis=0) for u in blocks), R, [] if pins is None else [pins], which)
+def _path_walk(move, table_paths, state: ChainState, steps: int):
+    """The walk of a pinned sampler's ``move`` from one row (see
+    :class:`StepTable`) over ``table_paths()``: paths Y (K, T), the code
+    that numbers them and, for particle Gibbs, their cumulative parameter
+    laws, built and tiled once per walk.  Row (b, k) of a chunk runs the
+    move from Y[k] on step b's blocks, and the chain reads row b K + the
+    row of its path at step b."""
+    ys, code, *laws = table_paths()
+    K, row = len(ys), int(code(state.paths[0]))
+    tiled = [np.tile(a, (steps, 1)) for a in (ys, *laws)]
 
+    def walk(blocks):
+        nonlocal row
+        n = len(blocks[0])
+        paths, *cdf = [a[: n * K] for a in tiled]
+        after = move(ChainState(paths=paths), (np.repeat(u, K, axis=0) for u in blocks), *cdf)
+        rows, to = [], code(after.paths).tolist()  # the row of each row's selected path
+        for b in range(0, n * K, K):
+            rows.append(b + row)
+            row = to[rows[-1]]
+        return ChainState(*[None if f is None else f[rows] for f in after])
 
-def _pinned_rows(after: list, K: int, row: int, n: int) -> tuple:
-    """The table row a pinned chain reads at each of n steps, k * K + its
-    state's row, starting at ``row``, with ``after[i]`` the row of row i's
-    selected path; and the row after the last step."""
-    rows = []
-    for k in range(0, n * K, K):
-        rows.append(k + row)
-        row = after[rows[-1]]
-    return rows, row
+    return walk
 
 
 def _reference_plan(tables: PassTables, N: int, R: int) -> _PassPlan:
@@ -252,53 +273,44 @@ def _reference_plan(tables: PassTables, N: int, R: int) -> _PassPlan:
     return _PassPlan(tables, N, R, [(0,) * tables.T])
 
 
-def _icsmc_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> ChainState:
-    """:func:`icsmc_step` on the rows of a :func:`_reference_plan`."""
+def _icsmc_move(plan: _PassPlan, state: ChainState, blocks) -> ChainState:
+    """:func:`icsmc_step` on any number of rows, from their ``blocks`` of
+    a slot-0 ``plan``'s reads."""
     paths = _path_rows(state.paths, plan.tables.T)
-    p = plan.run(rng, base, [paths.T])
+    p = plan.run_blocks(blocks, len(paths), [paths.T])
     return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
 
 
-def _icsmc_walk(plan: _PassPlan, state: ChainState, steps: int):
-    """The walk of :func:`_icsmc_move` from one row (see :class:`StepTable`),
-    tabulated over every path of positive weight at every time, Y, with the
-    pins of a chunk tiled once."""
-    ys, code = plan.tables.live_paths
-    K, pins, row = len(ys), np.tile(ys, (steps, 1)).T, int(code(state.paths[0]))
-
-    def walk(blocks):
-        nonlocal row
-        n = len(blocks[0])
-        p = _tabulate(plan, blocks, K, pins[:, : n * K])
-        paths = p.paths()
-        rows, row = _pinned_rows(code(paths).tolist(), K, row, n)
-        return ChainState(paths=paths[rows], log_gammas=p.log_gamma()[rows])
-
-    return walk
+def _icsmc(plan: _PassPlan, start: ChainState) -> Sampler:
+    """The i-cSMC sampler of ``start`` on a slot-0 ``plan``, tabulated over
+    every path of positive weight at every time."""
+    tables, move = plan.tables, partial(_icsmc_move, plan)
+    rows = math.prod(tables.live.sum(axis=1).tolist())  # |Y|, counted before Y is built
+    table = StepTable(rows, plan.N * tables.T, partial(_path_walk, move, lambda: tables.live_paths))
+    return Sampler(start, tuple(plan.reads), move, table)
 
 
 def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One i-cSMC step on R rows: one slot-0 :func:`reference_pass` per row,
     keeping each row's selected path and log estimate."""
-    return _icsmc_move(_reference_plan(model.tables, N, len(state.paths)), state, rng, base)
+    return _icsmc(_reference_plan(model.tables, N, len(state.paths)), state).step(state, rng, base)
 
 
 def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:
-    """R i-cSMC chains at the path ``x0``, checked as a pin; a step is
-    :func:`icsmc_step` on a plan built once."""
+    """R i-cSMC chains at the path ``x0``, checked as a pin, on a slot-0
+    plan built once."""
     plan = _reference_plan(model.tables, N, R)
     (x0,) = _checked_paths(model.tables, [tuple(x0)])
-    rows = math.prod(model.tables.live.sum(axis=1).tolist())  # |Y|, counted before Y is built
-    table = StepTable(rows, N * model.T, tuple(plan.reads), partial(_icsmc_walk, plan))
-    return Sampler(ChainState(paths=np.tile(x0, (R, 1))), partial(_icsmc_move, plan), table)
+    return _icsmc(plan, ChainState(paths=np.tile(x0, (R, 1))))
 
 
 def icsmc_chain(model, N: int, x0: Trajectory, n_iter: int, rng) -> ChainTrace:
     """Iterate pass + selection for ``n_iter`` steps starting from ``x0``,
     with every state kept as the trace: the blocks of the one-row
     :func:`icsmc_sampler` (:func:`_chain_blocks`), copied whole.  Raises
-    TooFewParticles for N < 1, as a pin does for a bad ``x0`` and
-    TraceTooShort unless ``n_iter`` is an integer >= 0, in that order."""
+    TooFewParticles for N < 1 (DimensionMismatch for a non-integer N), as a
+    pin does for a bad ``x0`` and TraceTooShort unless ``n_iter`` is an
+    integer >= 0, in that order."""
     sampler = icsmc_sampler(model, N, x0.points, 1)
     blocks = _chain_blocks(sampler, n_iter, rng)
     states, lgh = np.empty((n_iter + 1, model.T), dtype=int), np.empty(n_iter)

@@ -75,10 +75,6 @@ class DiscreteFK:
     def potential(self, t: int, state: int) -> float:
         return float(self.potential_vector(t)[state])
 
-    def log_potential(self, t: int, state: int) -> float:
-        g = self.potential_vector(t)[state]
-        return float(np.log(g)) if g > 0 else float("-inf")
-
     @cached_property
     def tables(self) -> PassTables:
         """Cumulative initial and transition laws and stacked potentials,

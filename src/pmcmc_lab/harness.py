@@ -9,8 +9,8 @@ rows and the count engine's work against the guard.
 
 The chain kinds run :func:`pmcmc_lab.csmc.run_chain`, the one step loop, on
 one row per replicate seed, from the samplers :mod:`pmcmc_lab.replicated`
-uses, so each takes the one-row table route on a small model; the pimh,
-pmmh and pgibbs kinds write their traces with one writer,
+uses, so each runs its sampler's one move, tabulated on a small model; the
+pimh, pmmh and pgibbs kinds write their traces with one writer,
 :func:`_write_trace`.  :data:`KINDS` is the one list of experiment kinds,
 each with its CLI subcommand and runner.
 """

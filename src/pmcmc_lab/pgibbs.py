@@ -14,11 +14,11 @@ orderings: the infimum over functions of the gap-weighted conditional
 variance ratio, solved as a generalized eigenvalue problem on the range of
 the average conditional covariance.
 
-PIMH, PMMH and particle Gibbs each have one step, ``*_step(..., state, rng,
-base) -> ChainState`` on R rows (one row is the scalar sampler), and a
-``*_sampler`` builder that pairs it with its start state and its step table
-(:func:`_mh_walk`, :func:`_pgibbs_walk`) for
-:func:`pmcmc_lab.csmc.run_chain`, the one step loop.
+PIMH, PMMH and particle Gibbs each have one move on the state and its
+uniform blocks (PIMH is PMMH on one parameter value: :func:`_mh_move`),
+wired with its plan and reads into one :class:`~pmcmc_lab.csmc.Sampler`
+(:func:`_mh`, :func:`_pgibbs`): ``*_step`` is the step of one built for the
+given state, ``*_sampler`` one at its start state for ``run_chain``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import ChainState, Sampler, StepTable, _pinned_rows, _reference_plan, _row, _tabulate
+from .csmc import ChainState, Sampler, StepTable, _path_walk, _reference_plan, _row
 from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
@@ -52,8 +52,8 @@ from .exact_oracle import (
     exact_pn_matrix,
     spectral_summary,
 )
-from .rng import SITE_ACCEPT, SITE_THETA, _words, as_substream
-from .smc_core import PassTables, _check_paths, _PassPlan, _path_rows, categorical, categorical_cdf, particle_pass
+from .rng import SITE_ACCEPT, SITE_THETA, _words
+from .smc_core import PassTables, _check_paths, _PassPlan, _path_rows, categorical_cdf, particle_pass
 
 _JOINT_GUARD = 10**4  # most (parameter, path) pairs enumerate_joint enumerates
 # Eigenvalues of the average conditional covariance below this share of the
@@ -476,149 +476,145 @@ def theta_given_paths(jm: JointModel, paths) -> np.ndarray:
     return (joint / total).T
 
 
-def _pgibbs_move(jm: JointModel, plan: _PassPlan, state: ChainState, rng, base: int = 0) -> ChainState:
-    """:func:`pgibbs_step` on the rows of a slot-0 plan of ``jm.tables``."""
-    rng = as_substream(rng)
-    paths = _path_rows(state.paths, jm.T)
-    u = rng.uniforms(base, 0, 0, SITE_THETA, shape=(len(paths), 1))
-    thetas = categorical(theta_given_paths(jm, paths), u)[:, 0]
-    paths = plan.run(rng, base, [paths.T], thetas).paths()
+def _pgibbs_move(jm: JointModel, plan: _PassPlan, state: ChainState, blocks, cdf=None) -> ChainState:
+    """:func:`pgibbs_step` on any number of rows, from their ``blocks``: the
+    parameter block, then a slot-0 ``plan``'s reads.  ``cdf``, the
+    cumulative parameter law of each row, is drawn from when given (a step
+    table builds it once), else computed."""
+    blocks, paths = iter(blocks), _path_rows(state.paths, jm.T)
+    cdf = theta_given_paths(jm, paths).cumsum(axis=-1) if cdf is None else cdf
+    thetas = categorical_cdf(cdf, next(blocks))[:, 0]
+    paths = plan.run_blocks(blocks, len(paths), [paths.T], thetas).paths()
     return ChainState(paths=paths, thetas=thetas)
 
 
-def _pgibbs_walk(jm: JointModel, plan: _PassPlan, state: ChainState, steps: int):
-    """The walk of :func:`_pgibbs_move` from one row (see
-    :class:`~pmcmc_lab.csmc.StepTable`), tabulated over every path of
-    positive joint mass, at the parameter it draws in each step; the paths,
-    their parameter laws and the pins of a chunk are built once."""
+def _joint_paths(jm: JointModel) -> tuple:
+    """The rows of particle Gibbs's step table: the paths of positive joint
+    mass among the paths of live states, the code that numbers them, and
+    their cumulative parameter laws."""
     ys, code = jm.tables.live_paths
     kept = _joint_mass(jm, ys).sum(axis=0) > 0
-    ys, index = ys[kept], kept.cumsum() - 1  # the row of each kept code
-    K, cdf, pins = len(ys), theta_given_paths(jm, ys).cumsum(axis=-1), np.tile(ys, (steps, 1)).T
-    row = int(index[code(state.paths[0])])
+    index = kept.cumsum() - 1  # the row of each kept code
+    return ys[kept], lambda paths: index[code(paths)], theta_given_paths(jm, ys[kept]).cumsum(axis=-1)
 
-    def walk(blocks):
-        nonlocal row
-        *passes, u = blocks  # the pass's blocks, then the parameter block
-        n = len(u)
-        which = categorical_cdf(cdf, u.T).T.ravel()
-        paths = _tabulate(plan, passes, K, pins[:, : n * K], which).paths()
-        rows, row = _pinned_rows(index[code(paths)].tolist(), K, row, n)
-        return ChainState(paths=paths[rows], thetas=which[rows])
 
-    return walk
+def _pgibbs(jm: JointModel, plan: _PassPlan, start: ChainState) -> Sampler:
+    """The particle Gibbs sampler of ``start`` on a slot-0 ``plan`` of
+    ``jm.tables``, tabulated over every path of positive joint mass at the
+    parameter it draws in each step."""
+    move = partial(_pgibbs_move, jm, plan)
+    rows = math.prod(jm.tables.live.sum(axis=1).tolist())  # bounds the paths of positive joint mass
+    table = StepTable(rows, plan.N * jm.T, partial(_path_walk, move, partial(_joint_paths, jm)))
+    return Sampler(start, ((_words(0, SITE_THETA), 1), *plan.reads), move, table)
 
 
 def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One particle Gibbs step on R rows: each row's parameter drawn from its
     exact conditional given the path (checked by :func:`theta_given_paths`),
     then one slot-0 pinned pass at that value."""
-    return _pgibbs_move(jm, _reference_plan(jm.tables, N, len(state.paths)), state, rng, base)
+    return _pgibbs(jm, _reference_plan(jm.tables, N, len(state.paths)), state).step(state, rng, base)
 
 
 def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
-    """R particle Gibbs chains at (theta0, x0), a step :func:`pgibbs_step`
-    on a plan built once.  x0 is checked as the parameter draw checks it;
-    theta0 other than an integer in [0, J) raises IndexOutOfRange."""
+    """R particle Gibbs chains at (theta0, x0) on a slot-0 plan built once.
+    x0 is checked as the parameter draw checks it; theta0 other than an
+    integer in [0, J) raises IndexOutOfRange."""
     if not isinstance(theta0, numbers.Integral) or not 0 <= theta0 < jm.J:
         raise IndexOutOfRange(f"start parameter index {theta0!r} is not an integer in [0, {jm.J})")
     theta_given_paths(jm, [tuple(x0)])
-    paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
     plan = _reference_plan(jm.tables, N, R)
-    # The paths of live states bound the paths of positive joint mass.
-    rows = math.prod(jm.tables.live.sum(axis=1).tolist())
-    reads = (*plan.reads, (_words(0, SITE_THETA), 1))
-    table = StepTable(rows, N * jm.T, reads, partial(_pgibbs_walk, jm, plan))
-    return Sampler(ChainState(paths=paths, thetas=np.full(R, int(theta0))), partial(_pgibbs_move, jm, plan), table)
+    paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
+    return _pgibbs(jm, plan, ChainState(paths=paths, thetas=np.full(R, int(theta0))))
 
 
-def _pimh_move(plan: _PassPlan, state: ChainState, rng, base: int = 0) -> ChainState:
-    """:func:`pimh_step` on the rows of a pin-free plan."""
-    paths, log_gammas = np.asarray(state.paths), np.asarray(state.log_gammas, dtype=float)
-    R, T = plan.rows, plan.tables.T
-    if log_gammas.shape != (R,) or paths.shape != (R, T):
-        raise DimensionMismatch(f"paths {paths.shape} for log estimates {log_gammas.shape}, T={T}")
-    rng = as_substream(rng)
-    proposal = plan.run(rng, base)
-    lg = proposal.log_gamma()
-    log_u = np.log(rng.uniforms(base, T + 2, 0, SITE_ACCEPT, shape=R))
-    acc = log_u < lg - log_gammas
-    paths = np.where(acc[:, None], proposal.paths(), paths)
-    return ChainState(paths=paths, log_gammas=np.where(acc, lg, log_gammas), accepted=acc)
+def _accepts(log_u, fwd, lg, back, cur):
+    """The accept test of a proposal of log estimate ``lg`` from a state of
+    log estimate ``cur``, ``fwd`` and ``back`` the log prior x proposal
+    weights of the move and of its reverse; on arrays or Python floats."""
+    return log_u < (fwd + lg) - (back + cur)
+
+
+def _mh_move(plan: _PassPlan, cdf, log_pq, state: ChainState, blocks) -> ChainState:
+    """:func:`pmmh_step` (``cdf``, the cumulative proposal rows) or, with
+    ``cdf`` None and ``log_pq`` zero, :func:`pimh_step` on any number of
+    rows, from their ``blocks``: the candidate block (PMMH), a pin-free
+    ``plan``'s reads and the accept block.  Paths are kept when the state
+    carries them, as a PIMH state must; DimensionMismatch unless they are
+    (R, T) for the (R,) log estimates."""
+    blocks, lgs = iter(blocks), np.asarray(state.log_gammas, dtype=float)
+    R, T = lgs.size, plan.tables.T
+    if lgs.shape != (R,) or ((cdf is None or state.paths is not None) and np.shape(state.paths) != (R, T)):
+        raise DimensionMismatch(f"paths {np.shape(state.paths)} for log estimates {lgs.shape}, T={T}")
+    theta = 0 if cdf is None else np.asarray(state.thetas)
+    cand = 0 if cdf is None else categorical_cdf(cdf[theta], next(blocks))[:, 0]
+    p = plan.run_blocks(blocks, R, which=None if cdf is None else cand)
+    lg = p.log_gamma()
+    acc = _accepts(np.log(next(blocks)[:, 0]), log_pq[cand, theta], lg, log_pq[theta, cand], lgs)
+    paths = None if state.paths is None else np.where(acc[:, None], p.paths(), state.paths)
+    return ChainState(paths, None if cdf is None else np.where(acc, cand, theta), np.where(acc, lg, lgs), acc)
+
+
+def _mh(plan: _PassPlan, start: ChainState, cdf=None, log_pq=np.zeros((1, 1))) -> Sampler:
+    """The PMMH sampler of ``start`` on a pin-free ``plan`` of a joint
+    model's tables, with ``cdf`` and ``log_pq`` as :func:`_proposal` returns
+    them, or with ``cdf`` None the PIMH sampler on a plan of one model."""
+    theta = () if cdf is None else ((_words(0, SITE_THETA), 1),)
+    reads = (*theta, *plan.reads, (_words(plan.tables.T + 2, SITE_ACCEPT), 1))
+    table = StepTable(len(log_pq), plan.N * plan.tables.T, partial(_mh_walk, plan, cdf, log_pq))
+    return Sampler(start, reads, partial(_mh_move, plan, cdf, log_pq), table)
 
 
 def pimh_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One independence step on R rows: propose a fresh pass per row and
     accept it with the ratio of estimates.  Raises DimensionMismatch unless
     the paths are (R, T) for the R log estimates."""
-    return _pimh_move(_PassPlan(model.tables, N, np.size(state.log_gammas)), state, rng, base)
+    return _mh(_PassPlan(model.tables, N, np.size(state.log_gammas)), state).step(state, rng, base)
 
 
 def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     """R PIMH chains, each at one plain pass drawn at base 0 (its selected
-    path and log estimate) with nothing accepted; a step is
-    :func:`pimh_step` on the plan of that pass."""
+    path and log estimate) with nothing accepted, on the plan of that pass."""
     plan = _PassPlan(model.tables, N, R)
     p = plan.run(rng, 0)
-    start = ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool))
-    reads = (*plan.reads, (_words(model.T + 2, SITE_ACCEPT), 1))
-    table = StepTable(1, N * model.T, reads, partial(_mh_walk, plan, None, np.zeros((1, 1))))
-    return Sampler(start, partial(_pimh_move, plan), table)
+    return _mh(plan, ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool)))
 
 
 def _proposal(jm: JointModel, proposal_q) -> tuple:
-    """``proposal_q`` as a (J, J) row-stochastic float array, or raise, and
-    log prior_c + log q(c, theta) of each pair, -inf where either is 0."""
+    """The cumulative rows of ``proposal_q``, a (J, J) row-stochastic
+    matrix, or raise, and log prior_c + log q(c, theta) of each pair, -inf
+    where either is 0."""
     q = np.asarray(proposal_q, dtype=float)
     if q.shape != (jm.J, jm.J):
         raise DimensionMismatch(f"proposal of shape {q.shape}, model has {jm.J} parameter values")
     _check_prob_vector(q, "proposal_q")
     with np.errstate(divide="ignore"):
-        return q, np.log(jm.prior)[:, None] + np.log(q)
+        return q.cumsum(axis=-1), np.log(jm.prior)[:, None] + np.log(q)
 
 
-def _pmmh_move(jm: JointModel, plan: _PassPlan, q: np.ndarray, log_pq, state: ChainState, rng, base: int = 0) -> ChainState:
-    """:func:`pmmh_step` on the rows of a pin-free plan of ``jm.tables``,
-    with ``q`` and ``log_pq`` as :func:`_proposal` returns them and the
-    parameter indices in [0, J), both checked once by the caller."""
-    rng = as_substream(rng)
-    thetas = np.asarray(state.thetas, dtype=int)
-    R = len(thetas)
-    cand = categorical(q[thetas], rng.uniforms(base, 0, 0, SITE_THETA, shape=(R, 1)))[:, 0]
-    lg = plan.run(rng, base, which=cand).log_gamma()
-    num = log_pq[cand, thetas] + lg
-    den = log_pq[thetas, cand] + state.log_gammas
-    acc = np.log(rng.uniforms(base, jm.T + 2, 0, SITE_ACCEPT, shape=R)) < num - den
-    lg = np.where(acc, lg, state.log_gammas)
-    return ChainState(thetas=np.where(acc, cand, thetas), log_gammas=lg, accepted=acc)
-
-
-def _mh_walk(plan: _PassPlan, q, log_pq, state: ChainState, steps: int):
-    """The walk of :func:`_pmmh_move`, or with ``q`` None :func:`_pimh_move`,
-    from one row (see :class:`~pmcmc_lab.csmc.StepTable`), tabulated over
-    every model of the plan: from theta, step k proposes row k * K + theta's
-    candidate (0 for PIMH).  The blocks are the pass's, then the candidate
-    block (PMMH only) and the accept block."""
-    K, reads = len(log_pq), len(plan.reads)
-    which = None if q is None else np.tile(np.arange(K), steps)
-    cdf, log_pq = None if q is None else q.cumsum(axis=-1), log_pq.tolist()
-    theta, cur = 0 if q is None else int(state.thetas[0]), float(state.log_gammas[0])
+def _mh_walk(plan: _PassPlan, cdf, log_pq, state: ChainState, steps: int):
+    """The walk of :func:`_mh_move` from one row (see
+    :class:`~pmcmc_lab.csmc.StepTable`), tabulated over every model of the
+    plan: from theta, step k proposes row k * K + theta's candidate (0 for
+    PIMH), and the chain accepts or rejects it step by step."""
+    K, reads = len(log_pq), slice(cdf is not None, -1)  # the pass's blocks
+    which = None if cdf is None else np.tile(np.arange(K), steps)
+    log_pq = log_pq.tolist()
+    theta, cur = 0 if cdf is None else int(state.thetas[0]), float(state.log_gammas[0])
     start = state  # the state a chunk starts from, row -1 of its table
 
     def walk(blocks):
         nonlocal theta, cur, start
-        u = blocks[-1][:, 0]
-        n = len(u)
-        w = None if q is None else which[: n * K]
-        p = _tabulate(plan, blocks[:reads], K, None, w)
+        u, n = blocks[-1][:, 0], len(blocks[-1])
+        w = None if cdf is None else which[: n * K]
+        p = plan.run_blocks((np.repeat(b, K, axis=0) for b in blocks[reads]), n * K, which=w)
         lg = p.log_gamma()
-        cands = [[0] * n] if q is None else categorical_cdf(cdf, blocks[reads].T).tolist()
+        cands = [[0] * n] if cdf is None else categorical_cdf(cdf, blocks[0].T).tolist()
         g = lg.tolist()
         src, rows, accepted = -1, [], []
         for k, lu in enumerate(np.log(u).tolist()):
             c = cands[theta][k]
             row = k * K + c
-            accepted.append(lu < (log_pq[c][theta] + g[row]) - (log_pq[theta][c] + cur))
+            accepted.append(_accepts(lu, log_pq[c][theta], g[row], log_pq[theta][c], cur))
             if accepted[-1]:
                 src, theta, cur = row, c, g[row]
             rows.append(src)
@@ -636,15 +632,14 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: 
     estimated constants.  ``proposal_q`` must be a (J, J) row-stochastic
     matrix (else DimensionMismatch or NonStochasticRow), the parameter
     indices and log estimates two (R,) arrays (else DimensionMismatch) and
-    every index in [0, J) (else IndexOutOfRange).  A zero prior or proposal
-    entry rejects the proposal it would weigh."""
-    thetas = np.asarray(state.thetas, dtype=int)
+    every index an integer in [0, J) (else IndexOutOfRange).  A zero prior
+    or proposal entry rejects the proposal it would weigh."""
+    thetas = np.asarray(state.thetas)
     if thetas.ndim != 1 or np.shape(state.log_gammas) != thetas.shape:
         raise DimensionMismatch(f"parameter indices {thetas.shape} and log estimates are not both (R,)")
-    if thetas.size and (thetas.min() < 0 or thetas.max() >= jm.J):
-        raise IndexOutOfRange(f"parameter index outside [0, {jm.J})")
-    plan = _PassPlan(jm.tables, N, len(thetas))
-    return _pmmh_move(jm, plan, *_proposal(jm, proposal_q), state, rng, base)
+    if thetas.size and (thetas.dtype.kind not in "iu" or thetas.min() < 0 or thetas.max() >= jm.J):
+        raise IndexOutOfRange(f"parameter index outside the integers in [0, {jm.J})")
+    return _mh(_PassPlan(jm.tables, N, len(thetas)), state, *_proposal(jm, proposal_q)).step(state, rng, base)
 
 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
@@ -653,11 +648,8 @@ def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     and nothing accepted yet.
     ``proposal_q`` is checked once, first, so a step is the unchecked move of
     :func:`pmmh_step` on a plan built once."""
-    q, log_pq = _proposal(jm, proposal_q)
+    proposal = _proposal(jm, proposal_q)
     theta0 = int(np.flatnonzero(jm.prior)[0])
     lg = particle_pass(jm.models[theta0].tables, N, rng, base=0, rows=R).log_gamma()
     start = ChainState(thetas=np.full(R, theta0), log_gammas=lg, accepted=np.zeros(R, bool))
-    plan = _PassPlan(jm.tables, N, R)
-    reads = (*plan.reads, (_words(0, SITE_THETA), 1), (_words(jm.T + 2, SITE_ACCEPT), 1))
-    table = StepTable(jm.J, N * jm.T, reads, partial(_mh_walk, plan, q, log_pq))
-    return Sampler(start, partial(_pmmh_move, jm, plan, q, log_pq), table)
+    return _mh(_PassPlan(jm.tables, N, R), start, *proposal)

@@ -1,11 +1,11 @@
 """Many independent chains at once, as R-row runs of the one chain driver.
 
 Each chain function runs R replicates through
-:func:`pmcmc_lab.csmc.run_chain`, the one step loop, with the sampler's
-start-state builder (:func:`pmcmc_lab.csmc.icsmc_sampler`, or
+:func:`pmcmc_lab.csmc.run_chain`, the one step loop, on the sampler
+(:func:`pmcmc_lab.csmc.icsmc_sampler`, or
 :func:`~pmcmc_lab.pgibbs.pimh_sampler`, :func:`~pmcmc_lab.pgibbs.pmmh_sampler`
-and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one row-wise call per step.
-A step on one row is the scalar sampler, so replicate 0 here equals the
+and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one R-row move per step.
+A move on one row is the scalar sampler, so replicate 0 here equals the
 one-row run at the same seed and step numbering, draw for draw; at R = 1
 :func:`run_chain` takes the one-row table route, and at R > 1 never.
 """

@@ -7,10 +7,10 @@ happens, never by *when* it happens, so results do not depend on loop order.
 
 A particle pass draws one block per ``(step, time, site)``: the stream
 ``(step, time, 0, site)`` yields the uniforms of all replicates and free
-slots at once, row by row, through :meth:`SubstreamRng.uniforms`.  Replicate
-r reads the same values whether it runs alone or among R rows, so a scalar
-pass equals row 0 of a batched one, and a pass costs a fixed number of
-streams whatever the particle count.
+slots at once, row by row, as :meth:`SubstreamRng.uniforms` reads it.
+Replicate r reads the same values whether it runs alone or among R rows, so
+a scalar pass equals row 0 of a batched one, and a pass costs a fixed number
+of streams whatever the particle count.
 
 Philox is counter-based: the block of a stream is a function of its counter
 alone, so the one-row blocks of many steps can be computed at once.  The
@@ -19,9 +19,10 @@ one vectorised Philox4x64-10 evaluation in numpy (:meth:`SubstreamRng._blocks`,
 equal to numpy's stream bit for bit): there a step reads a few uniforms from
 each of its streams, and re-positioning numpy's generator per block costs
 more than drawing them.  Every other read (R-row blocks, chains stepped one
-row at a time) goes through numpy's generator (:meth:`SubstreamRng._block`):
-there a block holds R N uniforms of one stream, which numpy's C loop draws
-about 25 times faster than the numpy-level rounds.
+row at a time) goes through numpy's generator, one step's blocks at a time
+(:meth:`SubstreamRng.step_blocks`, shared by a pass plan and a sampler's
+step): there a block holds R N uniforms of one stream, which numpy's C loop
+draws about 25 times faster than the numpy-level rounds.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ class SubstreamRng:
         several threads at once.
         """
         return self._block(_counter(coords), shape)
+
+    def step_blocks(self, reads, base: int, rows: int):
+        """The (rows, width) block at step ``base`` of each ``(words, width)``
+        of ``reads`` (as :meth:`_blocks` takes them), read through numpy's
+        generator when the returned iterator reaches it.  The base is
+        checked now: IndexOutOfRange before any block is read."""
+        step = _counter((base,))[-1:]
+        return (self._block(words + step, (rows, width)) for words, width in reads)
 
     def _block(self, counter: tuple, shape) -> np.ndarray:
         """:meth:`uniforms` at counter words already checked by

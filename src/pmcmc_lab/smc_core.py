@@ -23,8 +23,8 @@ normalizing-constant estimate, always handled in log space
 
 from __future__ import annotations
 
-import csv
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,7 +40,7 @@ from .errors import (
     TooFewParticles,
     ZeroPinnedPotential,
 )
-from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _counter, _words, as_substream
+from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _words, as_substream
 
 # Search strategies of :func:`categorical_cdf`: one pass over the inner sums
 # for a single row of sums and of draws, or while there are at most _ONE_PASS
@@ -182,23 +182,6 @@ class BatchedPass:
             t = int(np.argwhere(means <= 0)[0][0]) + 1
             raise DegenerateEstimate(f"all weights zero at time {t}")
         return sum(np.log(means))
-
-    @property
-    def log_potentials(self) -> np.ndarray:
-        """Log of the weights, (T, R, N); -inf for a zero weight."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.weights)
-
-    def to_csv(self, path) -> None:
-        """Columnar debug dump: r, t, i, state, ancestor, logG."""
-        T, R, N = self.states.shape
-        log_g = self.log_potentials
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "t", "i", "state", "ancestor", "logG"])
-            for r, t, i in np.ndindex(R, T, N):
-                anc = "" if t == 0 else int(self.ancestors[t - 1, r, i])
-                writer.writerow([r, t + 1, i, int(self.states[t, r, i]), anc, repr(float(log_g[t, r, i]))])
 
 
 @dataclass(frozen=True)
@@ -409,13 +392,17 @@ class _PassPlan:
     Per time it holds the free slots (a slice when the pins lead, else an
     index array); per uniform block, in the order a pass reads them, its
     counter words and width; per pin, the (time, slot) index of its states;
-    and the pinned slots' parents.  The lineages are checked here
-    (:func:`_pin_layout`), the pinned paths by every run.  A run is the
-    step's uniform blocks (read by :meth:`run`, or by a step table for many
-    steps at once) handed to the pass arithmetic (:meth:`run_blocks`).
+    and the pinned slots' parents.  N and the row count (integers, rows >=
+    0, else DimensionMismatch; N >= 1, else TooFewParticles) and the
+    lineages (:func:`_pin_layout`) are checked here, the pinned paths by
+    every run.  A run is the step's uniform blocks (read by :meth:`run`, a
+    sampler's step or a step table) handed to the pass arithmetic
+    (:meth:`run_blocks`).
     """
 
     def __init__(self, tables: PassTables, N: int, rows: int = 1, lineages=()):
+        if not isinstance(N, numbers.Integral) or not isinstance(rows, numbers.Integral) or rows < 0:
+            raise DimensionMismatch(f"a pass takes an integer N and row count >= 0, got N={N!r}, rows={rows!r}")
         if N < 1:
             raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
         T = tables.T
@@ -454,12 +441,11 @@ class _PassPlan:
     def run(self, rng, base: int = 0, paths=(), which=None) -> BatchedPass:
         """One pass at step ``base``: pin k holds ``paths[k]`` (checked by
         :func:`_checked_paths`), replicate r runs model ``which[r]``; as
-        :func:`particle_pass` describes, draw for draw.  The base is checked
-        now and each (rows, width) block of :attr:`reads` read through
-        numpy's generator when the pass asks for it, so a pass holds few
-        blocks at once."""
-        rng, step = as_substream(rng), _counter((base,))[-1:]
-        blocks = (rng._block(words + step, (self.rows, width)) for words, width in self.reads)
+        :func:`particle_pass` describes, draw for draw, on the (rows, width)
+        blocks of :attr:`reads` from
+        :meth:`~pmcmc_lab.rng.SubstreamRng.step_blocks`: the base is checked
+        now, and a pass holds few blocks at once."""
+        blocks = as_substream(rng).step_blocks(self.reads, base, self.rows)
         return self.run_blocks(blocks, self.rows, paths, which)
 
     def run_blocks(self, blocks, R: int, paths=(), which=None) -> BatchedPass:

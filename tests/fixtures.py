@@ -11,7 +11,7 @@ from pmcmc_lab import build_discrete_model, build_joint_model, exact_target
 from pmcmc_lab.csmc import conditional_system
 from pmcmc_lab.errors import AllWeightsZero
 from pmcmc_lab.exact_oracle import _OutcomeTree, enumerate_conditional_outcomes, exact_pn_matrix
-from pmcmc_lab.smc_core import _pin_schedule
+from pmcmc_lab.smc_core import _pin_schedule, _PassPlan
 
 _TREE_ROW_GUARD = 10**6  # most outcome-tree entries kernel_row_tree builds
 
@@ -188,6 +188,21 @@ def reference_outcomes(m, N: int, pins):
                 yield from rec(t + 1, states + [tuple(row)], new_anc, prob * p)
 
     yield from rec(1, [], [], 1.0)
+
+
+def counted_table_passes(monkeypatch) -> list:
+    """The row counts of the passes run on more than one row from now on,
+    one entry a pass: on a one-row chain, its table passes."""
+    calls = []
+    run_blocks = _PassPlan.run_blocks
+
+    def counted(plan, blocks, R, *args, **kwargs):
+        if R > 1:
+            calls.append(R)
+        return run_blocks(plan, blocks, R, *args, **kwargs)
+
+    monkeypatch.setattr(_PassPlan, "run_blocks", counted)
+    return calls
 
 
 def oracle_grid():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fixtures import model, model_a, model_t1, model_unit, pinned_pass, target
+from fixtures import counted_table_passes, model, model_a, model_t1, model_unit, pinned_pass, target
 from pmcmc_lab import SubstreamRng, Trajectory, csmc, icsmc_chain, run_smc, select_path
 from pmcmc_lab.csmc import conditional_system, icsmc_sampler, reference_pass, run_chain
-from pmcmc_lab.errors import DimensionMismatch, TooFewParticles, TraceTooShort, ZeroPinnedPotential
+from pmcmc_lab.errors import DimensionMismatch, IndexOutOfRange, TooFewParticles, TraceTooShort, ZeroPinnedPotential
 from pmcmc_lab.exact_oracle import kernel_row, trace_lineage
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.replicated import csmc_step_replicated, icsmc_replicated
@@ -282,13 +282,6 @@ def _run_chain_trace(m, N, x0, n_iter, seed):
     return states, lgh
 
 
-def _counted_table_passes(monkeypatch):
-    calls = []
-    tabulate = csmc._tabulate
-    monkeypatch.setattr(csmc, "_tabulate", lambda *args: calls.append(args) or tabulate(*args))
-    return calls
-
-
 @pytest.mark.parametrize("name", ["A", "E", "sparse"])
 @pytest.mark.parametrize("N", [1, 2, 3, 5])
 def test_table_route_gives_the_run_chain_trace(monkeypatch, name, N):
@@ -298,7 +291,7 @@ def test_table_route_gives_the_run_chain_trace(monkeypatch, name, N):
     live = m.tables.potentials > 0
     work = int(np.prod(live.sum(axis=1))) * N * m.T
     assert work <= csmc._TABLE_WORK
-    calls = _counted_table_passes(monkeypatch)
+    calls = counted_table_passes(monkeypatch)
     for n_iter in (0, csmc._CHUNK // work + 3):
         trace = icsmc_chain(m, N, Trajectory(x0), n_iter, 23)
         states, lgh = _run_chain_trace(m, N, x0, n_iter, 23)
@@ -311,11 +304,17 @@ def test_table_route_gives_the_run_chain_trace(monkeypatch, name, N):
 def test_chain_past_the_table_work_steps_one_row(monkeypatch):
     m, x0, N = model_a(), (1, 0), 160  # |Y| N T = 4 * 160 * 2 = 1280
     assert 4 * N * m.T > csmc._TABLE_WORK
-    calls = _counted_table_passes(monkeypatch)
+    calls = counted_table_passes(monkeypatch)
     trace = icsmc_chain(m, N, Trajectory(x0), 30, 5)
     states, lgh = _run_chain_trace(m, N, x0, 30, 5)
     assert trace.states.tolist() == states and trace.log_gamma_hats.tolist() == lgh
     assert not calls
+
+
+def test_a_start_path_outside_the_alphabet_is_named():
+    # The first state outside [0, S) is the one named, not a state inside it.
+    with pytest.raises(IndexOutOfRange, match=r"^state 5 outside \[0, 2\)$"):
+        icsmc_sampler(model_a(), 3, (0, 5), 1)
 
 
 @pytest.mark.parametrize("N", [3, 160])

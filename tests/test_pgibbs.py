@@ -405,16 +405,17 @@ def test_every_sampler_steps_through_a_module_level_step():
     from pmcmc_lab import csmc, pgibbs
 
     m, jm = model_a(), joint_two_time()
-    # Each binds the pass plan it built once into the move behind its public step.
-    samplers = {
-        csmc._icsmc_move: csmc.icsmc_sampler(m, 3, (0, 0), 2),
-        pgibbs._pimh_move: pgibbs.pimh_sampler(m, 3, 2, 1),
-        pgibbs._pmmh_move: pgibbs.pmmh_sampler(jm, 3, np.full((2, 2), 0.5), 2, 1),
-        pgibbs._pgibbs_move: pgibbs.pgibbs_sampler(jm, 3, (0, 0), 0, 2),
-    }
-    for step, sampler in samplers.items():
-        assert isinstance(sampler.step, functools.partial)
-        assert sampler.step.func is step
+    # Each binds the pass plan it built once into the move behind its public
+    # step; PIMH and PMMH share one move.
+    samplers = [
+        (csmc._icsmc_move, csmc.icsmc_sampler(m, 3, (0, 0), 2)),
+        (pgibbs._mh_move, pgibbs.pimh_sampler(m, 3, 2, 1)),
+        (pgibbs._mh_move, pgibbs.pmmh_sampler(jm, 3, np.full((2, 2), 0.5), 2, 1)),
+        (pgibbs._pgibbs_move, pgibbs.pgibbs_sampler(jm, 3, (0, 0), 0, 2)),
+    ]
+    for move, sampler in samplers:
+        assert isinstance(sampler.move, functools.partial)
+        assert sampler.move.func is move
 
 
 def test_icsmc_step_on_one_row_is_row_zero_of_icsmc_replicated():
@@ -462,6 +463,62 @@ def test_steps_refuse_malformed_states(case, error):
     }[case]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("case, error", [
+    ("particle_pass_negative_rows", DimensionMismatch),
+    ("particle_pass_float_N", DimensionMismatch),
+    ("icsmc_sampler_negative_R", DimensionMismatch),
+    ("pimh_sampler_negative_R", DimensionMismatch),
+    ("pimh_sampler_float_R", DimensionMismatch),
+    ("pmmh_sampler_negative_R", DimensionMismatch),
+    ("pgibbs_sampler_negative_R", DimensionMismatch),
+    ("icsmc_replicated_negative_R", DimensionMismatch),
+    ("pgibbs_replicated_negative_R", DimensionMismatch),
+    ("smc_replicated_negative_R", DimensionMismatch),
+    ("icsmc_chain_float_N", DimensionMismatch),
+    ("pmmh_step_float_theta", IndexOutOfRange),
+])
+def test_bad_sizes_and_indices_are_typed_refusals(case, error):
+    # A row count or N that numpy would refuse with a bare error, or that a
+    # cast would round, is refused before any array is built.
+    from pmcmc_lab import Trajectory, icsmc_chain
+    from pmcmc_lab.csmc import icsmc_sampler
+    from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
+    from pmcmc_lab.replicated import icsmc_replicated, smc_replicated
+    from pmcmc_lab.smc_core import particle_pass
+
+    m, jm, q = model_a(), joint_two_time(), np.full((2, 2), 0.5)
+    call = {
+        "particle_pass_negative_rows": lambda: particle_pass(m.tables, 3, 0, rows=-1),
+        "particle_pass_float_N": lambda: particle_pass(m.tables, 3.0, 0),
+        "icsmc_sampler_negative_R": lambda: icsmc_sampler(m, 3, (0, 1), -1),
+        "pimh_sampler_negative_R": lambda: pimh_sampler(m, 3, -1, 0),
+        "pimh_sampler_float_R": lambda: pimh_sampler(m, 3, 1.0, 0),
+        "pmmh_sampler_negative_R": lambda: pmmh_sampler(jm, 3, q, -1, 0),
+        "pgibbs_sampler_negative_R": lambda: pgibbs_sampler(jm, 3, (0, 1), 0, -1),
+        "icsmc_replicated_negative_R": lambda: icsmc_replicated(m, 3, (0, 1), -1, 2, 0),
+        "pgibbs_replicated_negative_R": lambda: pgibbs_replicated(jm, 3, -1, 2, 0, (0, 1), 0),
+        "smc_replicated_negative_R": lambda: smc_replicated(m, 3, -1, 0),
+        "icsmc_chain_float_N": lambda: icsmc_chain(m, 3.0, Trajectory((0, 1)), 2, 0),
+        "pmmh_step_float_theta": lambda: pmmh_step(jm, 3, q, ChainState(thetas=[0.7], log_gammas=[0.0]), 0),
+    }[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_samplers_run_on_no_rows():
+    # The row-count check refuses negative counts only: at R = 0 every
+    # sampler still steps, on no rows.
+    from pmcmc_lab.csmc import icsmc_sampler
+    from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
+
+    m, jm, q = model_a(), joint_two_time(), np.full((2, 2), 0.5)
+    for sampler in (icsmc_sampler(m, 3, (0, 1), 0), pimh_sampler(m, 3, 0, 1), pmmh_sampler(jm, 3, q, 0, 1),
+                    pgibbs_sampler(jm, 3, (0, 1), 0, 0)):
+        states = list(run_chain(sampler, 3, 1))
+        assert len(states) == 3
+        assert all(f is None or len(f) == 0 for s in states for f in s)
 
 
 def _bound_and_public(kind, m, jm, R):
@@ -588,6 +645,19 @@ def _step_by_step(sampler, n_steps, seed):
     return states, None
 
 
+def _counted_bases(sampler):
+    """``sampler`` with the base of each step it takes one row at a time
+    recorded, and the list they are recorded in."""
+    bases = []
+
+    class Counted(type(sampler)):
+        def step(self, state, rng, base=0):
+            bases.append(base)
+            return super().step(state, rng, base)
+
+    return Counted(*sampler), bases
+
+
 def _assert_same_states(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -607,14 +677,13 @@ def test_one_row_run_chain_steps_as_a_hand_loop_of_the_step(monkeypatch, kind, N
     # Inside the table work the chain runs as tables, one pass per chunk,
     # over more than one chunk here; past it, one row at a time.  Both give
     # the states of the step, bit for bit.
-    from pmcmc_lab import csmc, pgibbs
+    from fixtures import counted_table_passes
+    from pmcmc_lab import csmc
 
     sampler = _one_row_sampler(kind, N)
     assert (sampler.table.work > csmc._TABLE_WORK) == past
     n_steps = 12 if past else csmc._CHUNK // sampler.table.work + 3
-    calls = []
-    tabulate = csmc._tabulate
-    monkeypatch.setattr(pgibbs, "_tabulate", lambda *args, **kw: calls.append(args) or tabulate(*args, **kw))
+    calls = counted_table_passes(monkeypatch)
     got = list(run_chain(sampler, n_steps, 5))
     want, error = _step_by_step(sampler, n_steps, 5)
     assert error is None
@@ -671,9 +740,7 @@ def test_pmmh_never_proposing_a_dying_parameter_does_not_raise():
 
     jm = build_joint_model([0, 1], [0.5, 0.5], [model_a(), _dying_model()])
     sampler = pmmh_sampler(jm, 1, [[1.0, 0.0], [0.5, 0.5]], 1, 4)
-    bases = []
-    step = sampler.step
-    counted = sampler._replace(step=lambda state, rng, base: bases.append(base) or step(state, rng, base))
+    counted, bases = _counted_bases(sampler)
     got = list(run_chain(counted, 50, 4))
     assert bases == list(range(1, 51))
     want, error = _step_by_step(sampler, 50, 4)
@@ -810,9 +877,7 @@ def test_a_chunk_that_dies_after_a_tabulated_chunk_steps_on_from_its_last_state(
     jm = build_joint_model([0, 1], [0.5, 0.5], [rare, dying])
     sampler = pmmh_sampler(jm, 256, [[1.0, 0.0], [0.5, 0.5]], 1, 4)
     assert csmc._CHUNK // sampler.table.work == 8
-    bases = []
-    step = sampler.step
-    counted = sampler._replace(step=lambda state, rng, base: bases.append(base) or step(state, rng, base))
+    counted, bases = _counted_bases(sampler)
     rng = _ReadCounter(4)
     got = list(run_chain(counted, 160, rng))
     want, error = _step_by_step(sampler, 160, 4)

@@ -101,3 +101,57 @@ def test_vectorised_blocks_refuse_an_aliasing_base(bases):
     with pytest.raises(IndexOutOfRange):
         for base in bases:
             _counter((base,))
+
+
+class _Positions(SubstreamRng):
+    """Counts the blocks numpy's generator is positioned at."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.positioned = 0
+
+    def _block(self, counter, shape):
+        self.positioned += 1
+        return super()._block(counter, shape)
+
+
+# (time, particle, site) and width of each block of a step: narrow and wide
+# blocks, and the top of the time field.
+_STEP = [((2, 0, 1), 1), ((3, 0, 2), 4), ((0, 5, 4), 7), ((2**64 - 1, 0, 0), 64)]
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("base", [0, 9, 2**64 - 1])
+def test_step_blocks_equal_uniforms_block_for_block(R, base):
+    # Each block is the stream's first R x width uniforms, read when the
+    # iterator reaches it and not before.
+    rng = _Positions(8)
+    blocks = rng.step_blocks([(_counter((0, *coords))[:-1], width) for coords, width in _STEP], base, R)
+    assert rng.positioned == 0
+    got = []
+    for k in range(1, len(_STEP) + 1):
+        got.append(next(blocks))
+        assert rng.positioned == k
+    assert next(blocks, None) is None
+    for block, (coords, width) in zip(got, _STEP):
+        assert np.array_equal(block, rng.uniforms(base, *coords, shape=(R, width)))
+        assert np.array_equal(block, rng.stream(base, *coords).random((R, width)))
+
+
+@pytest.mark.parametrize("base", [-1, 2**64])
+def test_step_blocks_refuse_a_bad_base_when_called(base):
+    rng = _Positions(8)
+    with pytest.raises(IndexOutOfRange):
+        rng.step_blocks([(_counter((0, *coords))[:-1], width) for coords, width in _STEP], base, 2)
+    assert rng.positioned == 0
+
+
+@pytest.mark.parametrize("N, R", [(1, 1), (4, 3)])
+def test_a_pass_positions_the_generator_once_per_block(N, R):
+    from fixtures import model_b
+    from pmcmc_lab.smc_core import _PassPlan
+
+    plan = _PassPlan(model_b().tables, N, R)
+    rng = _Positions(8)
+    plan.run(rng, 5)
+    assert rng.positioned == len(plan.reads) == 2 * model_b().T

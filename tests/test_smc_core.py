@@ -139,15 +139,6 @@ def test_run_smc_reproducible_and_ancestors_valid():
     assert all(0 <= a < 16 for row in s1.ancestors[:, 0] for a in row)
 
 
-def test_log_potentials_recompute_exactly():
-    m = model("D")
-    s = run_smc(m, 8, 3)
-    T, _, N = s.states.shape
-    for t in range(1, T + 1):
-        for i in range(N):
-            assert s.log_potentials[t - 1, 0, i] == m.log_potential(t, s.states[t - 1, 0, i])
-
-
 def test_ancestor_uniformity_under_unit_weights():
     # With unit weights every ancestor index is uniform; per-cell 6-sigma test
     # over the ancestors of many independent runs.
@@ -395,12 +386,3 @@ def test_stream_calls_per_pass_do_not_grow_with_particles():
         calls.append(rng.calls)
     assert calls[0] == calls[1] == 2 * 2 * m.T
 
-
-def test_system_csv_round_trip(tmp_path):
-    m = model_a()
-    s = run_smc(m, 4, 1)
-    path = tmp_path / "system.csv"
-    s.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,t,i,state,ancestor,logG"
-    assert len(lines) == 1 + s.states.size
