@@ -293,7 +293,7 @@ def _icsmc(plan: _PassPlan, start: ChainState) -> Sampler:
 def icsmc_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainState:
     """One i-cSMC step on R rows: one slot-0 :func:`reference_pass` per row,
     keeping each row's selected path and log estimate."""
-    return _icsmc(_reference_plan(model.tables, N, len(state.paths)), state).step(state, rng, base)
+    return _icsmc(_reference_plan(model.tables, N, _rows(state)), state).step(state, rng, base)
 
 
 def icsmc_sampler(model, N: int, x0, R: int) -> Sampler:

@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import ChainState, Sampler, StepTable, _path_walk, _reference_plan, _row
+from .csmc import ChainState, Sampler, StepTable, _path_walk, _reference_plan, _row, _rows
 from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
@@ -512,7 +512,7 @@ def pgibbs_step(jm: JointModel, N: int, state: ChainState, rng, base: int = 0) -
     """One particle Gibbs step on R rows: each row's parameter drawn from its
     exact conditional given the path (checked by :func:`theta_given_paths`),
     then one slot-0 pinned pass at that value."""
-    return _pgibbs(jm, _reference_plan(jm.tables, N, len(state.paths)), state).step(state, rng, base)
+    return _pgibbs(jm, _reference_plan(jm.tables, N, _rows(state)), state).step(state, rng, base)
 
 
 def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
@@ -540,17 +540,19 @@ def _mh_move(plan: _PassPlan, cdf, log_pq, state: ChainState, blocks) -> ChainSt
     rows, from their ``blocks``: the candidate block (PMMH), a pin-free
     ``plan``'s reads and the accept block.  Paths are kept when the state
     carries them, as a PIMH state must; DimensionMismatch unless they are
-    (R, T) for the (R,) log estimates."""
+    (R, T) (:func:`~pmcmc_lab.smc_core._path_rows`) for the (R,) log
+    estimates."""
     blocks, lgs = iter(blocks), np.asarray(state.log_gammas, dtype=float)
     R, T = lgs.size, plan.tables.T
-    if lgs.shape != (R,) or ((cdf is None or state.paths is not None) and np.shape(state.paths) != (R, T)):
-        raise DimensionMismatch(f"paths {np.shape(state.paths)} for log estimates {lgs.shape}, T={T}")
+    paths = None if cdf is not None and state.paths is None else _path_rows(state.paths, T)
+    if lgs.shape != (R,) or (paths is not None and len(paths) != R):
+        raise DimensionMismatch(f"paths {np.shape(paths)} for log estimates {lgs.shape}, T={T}")
     theta = 0 if cdf is None else np.asarray(state.thetas)
     cand = 0 if cdf is None else categorical_cdf(cdf[theta], next(blocks))[:, 0]
     p = plan.run_blocks(blocks, R, which=None if cdf is None else cand)
     lg = p.log_gamma()
     acc = _accepts(np.log(next(blocks)[:, 0]), log_pq[cand, theta], lg, log_pq[theta, cand], lgs)
-    paths = None if state.paths is None else np.where(acc[:, None], p.paths(), state.paths)
+    paths = None if paths is None else np.where(acc[:, None], p.paths(), paths)
     return ChainState(paths, None if cdf is None else np.where(acc, cand, theta), np.where(acc, lg, lgs), acc)
 
 

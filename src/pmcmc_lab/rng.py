@@ -7,7 +7,7 @@ happens, never by *when* it happens, so results do not depend on loop order.
 
 A particle pass draws one block per ``(step, time, site)``: the stream
 ``(step, time, 0, site)`` yields the uniforms of all replicates and free
-slots at once, row by row, as :meth:`SubstreamRng.uniforms` reads it.
+slots at once, row by row, as :meth:`SubstreamRng.step_blocks` reads it.
 Replicate r reads the same values whether it runs alone or among R rows, so
 a scalar pass equals row 0 of a batched one, and a pass costs a fixed number
 of streams whatever the particle count.
@@ -78,7 +78,7 @@ class SubstreamRng:
         key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
         self._key = _Key(key)
         self._key_words = tuple(int(k) for k in key)
-        self._gen = None  # the generator uniforms() re-positions
+        self._gen = None  # the generator _block() re-positions
         # The state it is set to: a fresh Philox's, empty buffer, at the
         # counter of the stream read, the only entry that changes.
         self._state = {
@@ -104,19 +104,6 @@ class SubstreamRng:
         counter = np.array(_counter(coords), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(self._key, counter=counter))
 
-    def uniforms(self, *coords: int, shape) -> np.ndarray:
-        """Uniforms on [0, 1) of the given shape from the start of the stream
-        at ``coords``: equal to ``stream(*coords).random(shape)``.
-
-        Re-positions one generator kept by this object instead of opening a
-        new one (setting its state costs about a third of constructing a
-        generator).  The state dict it is set from is kept too, and only its
-        counter changes between calls; a refused coordinate changes nothing.
-        Both are shared by every call, so this is not safe to call from
-        several threads at once.
-        """
-        return self._block(_counter(coords), shape)
-
     def step_blocks(self, reads, base: int, rows: int):
         """The (rows, width) block at step ``base`` of each ``(words, width)``
         of ``reads`` (as :meth:`_blocks` takes them), read through numpy's
@@ -126,9 +113,12 @@ class SubstreamRng:
         return (self._block(words + step, (rows, width)) for words, width in reads)
 
     def _block(self, counter: tuple, shape) -> np.ndarray:
-        """:meth:`uniforms` at counter words already checked by
-        :func:`_counter`, for a caller that checks them once and reads
-        the same blocks at every step."""
+        """Uniforms on [0, 1) of the given shape from the start of the stream
+        at ``counter``, the words :func:`_counter` gives (and checks) for
+        some ``coords``: equal to ``stream(*coords).random(shape)``.
+        Re-positions one generator kept by this object, set from one kept
+        state dict whose counter alone changes (setting a state costs about a
+        third of constructing a generator), so not safe from several threads."""
         self._state["state"]["counter"] = counter
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(self._key))

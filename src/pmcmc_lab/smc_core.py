@@ -11,8 +11,8 @@ slot resamples and moves.  :func:`_pin_layout` (lineages) and
 :func:`_checked_paths` (paths) are the one admissibility check of a pinned
 path, for the pass and, merged by :func:`_pin_schedule`, for every exact
 engine.  :func:`categorical_cdf` is the one inverse-CDF draw behind every
-sampler (:func:`categorical` when the weights are raw); the initial and move
-draws read cumulative tables built once per model (:class:`PassTables`).
+sampler and :func:`multinomial_resample`; the initial and move draws read
+cumulative tables built once per model (:class:`PassTables`).
 Every pass comes back as one :class:`BatchedPass`: states and weights for
 all times, ancestor indices for times 2..T and one terminal index per
 replicate, drawn from the final weights.  :func:`run_smc` is the one-replicate
@@ -42,18 +42,11 @@ from .errors import (
 )
 from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _words, as_substream
 
-# Search strategies of :func:`categorical_cdf`: one pass over the inner sums
-# for a single row of sums and of draws, or while there are at most _ONE_PASS
-# compared pairs; otherwise count one inner sum at a time up to _COLUMNS sums,
-# and bisect beyond.  At 65536 draws counting beat bisection 3.5x at 16
-# categories and 1.6x at 64, and tied at about 128 (2-vCPU x86 host, numpy 2.4).
-_ONE_PASS = 4096
+# Search strategies of :func:`categorical_cdf` beyond a single row: count one
+# inner sum at a time up to _COLUMNS sums, and bisect beyond.  At 65536 draws
+# counting beat bisection 3.5x at 16 categories and 1.6x at 64, and tied at
+# about 128 (2-vCPU x86 host, numpy 2.4).
 _COLUMNS = 64
-# A move draw of at most _FEW_SUMS inner sums counts column by column even
-# at one row: 2-8 draws took 5.9-7.8 us against 6.9-12.7 us for the broadcast
-# comparison at S = 2 and 3, and lost at S = 4 (7.4-7.6 against 6.6-6.9 us);
-# a single draw is one searchsorted call (timeit, same host as above).
-_FEW_SUMS = 2
 
 
 def categorical_cdf(cdf, u) -> np.ndarray:
@@ -70,12 +63,10 @@ def categorical_cdf(cdf, u) -> np.ndarray:
     The search follows the shape of the draw; every strategy counts the same
     sums, so all draw the same index:
 
-    * one pass over the sums: a single row of sums against a single row of
-      uniforms, of any size (the one-replicate passes), is one
-      ``searchsorted`` call; otherwise, up to _ONE_PASS (4096) compared
-      pairs, one comparison of every draw with every sum;
+    * a single row of sums against a single row of uniforms, of any size
+      (the one-replicate passes), is one ``searchsorted`` call;
     * up to _COLUMNS (64) inner sums: one vectorised comparison per sum,
-      counted in place (the batched passes);
+      counted in place;
     * beyond: binary lifting over the inner sums, padded with +inf to a
       power of two, in ceil(log2 K) array passes (n log K work per row).
     """
@@ -83,8 +74,6 @@ def categorical_cdf(cdf, u) -> np.ndarray:
     v = u * cdf[..., -1:]
     if cdf.size == K and v.size == v.shape[-1]:  # one row of each
         return cdf.ravel()[:-1].searchsorted(v, side="right")
-    if v.size * (K - 1) <= _ONE_PASS:
-        return np.add.reduce(cdf[..., None, :-1] <= v[..., None], axis=-1)
     if K - 1 <= _COLUMNS:
         return _count_columns([cdf[..., k : k + 1] for k in range(K - 1)], v).astype(np.intp)
     width = 1 << (K - 1).bit_length()
@@ -103,18 +92,13 @@ def categorical_cdf(cdf, u) -> np.ndarray:
 
 def _count_columns(columns, v) -> np.ndarray:
     """Number of ``columns`` (arrays broadcasting against v) at or below v,
-    as uint8, so fewer than 256 columns."""
+    as uint8, so fewer than 256 columns; zeros for no column (one category)."""
+    if not columns:
+        return np.zeros(v.shape, dtype=np.uint8)
     count = (columns[0] <= v).view(np.uint8)
     for col in columns[1:]:
         count += (col <= v).view(np.uint8)
     return count
-
-
-def categorical(weights, u) -> np.ndarray:
-    """Inverse-CDF draws from raw weights: ``weights`` (..., K), uniforms
-    ``u`` (..., n) -> (..., n).  :func:`categorical_cdf` of the cumulative
-    sums; use that directly when the same weights serve many calls."""
-    return categorical_cdf(np.asarray(weights).cumsum(axis=-1), u)
 
 
 def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,7 +111,7 @@ def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.nd
         raise NegativePotential("resampling weights must be non-negative")
     if float(w.sum()) <= 0:
         raise AllWeightsZero()
-    return categorical(w[None], rng.random((1, count)))[0]
+    return categorical_cdf(w[None].cumsum(axis=-1), rng.random((1, count)))[0]
 
 
 @dataclass(frozen=True)
@@ -246,12 +230,10 @@ def _draw_moves(cdf_rows, cols, rows, u) -> np.ndarray:
     """One draw per uniform from the cumulative transition row ``rows`` of a
     :class:`PassTables` time slice; :func:`categorical_cdf` semantics.
 
-    With 1 to _FEW_SUMS inner sums, more than one draw is counted column by
-    column at any size; otherwise the search follows
-    :func:`categorical_cdf` (a single draw is one ``searchsorted``)."""
-    S = cols.shape[0]
-    few = 0 < S - 1 <= _FEW_SUMS and rows.size > 1
-    if S - 1 > _COLUMNS or (rows.size * (S - 1) <= _ONE_PASS and not few):
+    More than one draw over at most _COLUMNS inner sums counts the columns
+    of ``cols``; any other draw is :func:`categorical_cdf` of the gathered
+    rows (a single draw is one ``searchsorted``)."""
+    if rows.size <= 1 or cols.shape[0] - 1 > _COLUMNS:
         return categorical_cdf(cdf_rows[rows], u[..., None])[..., 0]
     v = u * cols[-1].take(rows)
     return _count_columns([col.take(rows) for col in cols[:-1]], v)
@@ -277,10 +259,12 @@ def _path_rows(paths, T: int) -> np.ndarray:
     """A batch of paths as an (R, T) integer array.
 
     Raises DimensionMismatch for anything but R paths of length T, a single
-    flat path included, and checks each length before the array is built,
-    so unequal lengths never reach numpy.
+    flat path and anything that is not a sequence included, and checks each
+    length before the array is built, so unequal lengths never reach numpy.
     """
     if not isinstance(paths, np.ndarray):
+        if not hasattr(paths, "__len__"):
+            raise DimensionMismatch(f"paths {paths!r} are not a sequence of paths of length {T}")
         paths = list(paths)
         for path in paths:
             if not hasattr(path, "__len__") or len(path) != T:
@@ -514,8 +498,11 @@ def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1,
     Initial and move draws read the cumulative tables, built once per model,
     so no draw sums a row; ancestor draws sum the current weights once per
     time.  Each search follows the draw's shape (see
-    :func:`categorical_cdf`).  Each ``(base, time, site)`` block is one
-    substream from which the replicates read ``(rows, free slots)`` uniforms,
+    :func:`categorical_cdf`): the initial, ancestor and final draws of one
+    row, and a single move draw, are one ``searchsorted`` call each; other
+    draws count their sums one by one up to _COLUMNS (64) sums (a move draw
+    the columns of ``move_cols``) and bisect beyond.  Each
+    ``(base, time, site)`` block is one substream from which the replicates read ``(rows, free slots)`` uniforms,
     so replicate 0 does not depend on ``rows``.
     """
     pins = pins or ()

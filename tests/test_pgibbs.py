@@ -478,17 +478,23 @@ def test_steps_refuse_malformed_states(case, error):
     ("smc_replicated_negative_R", DimensionMismatch),
     ("icsmc_chain_float_N", DimensionMismatch),
     ("pmmh_step_float_theta", IndexOutOfRange),
+    ("icsmc_step_no_paths", DimensionMismatch),
+    ("icsmc_step_scalar_paths", DimensionMismatch),
+    ("pgibbs_step_no_paths", DimensionMismatch),
+    ("pgibbs_step_scalar_paths", DimensionMismatch),
+    ("pimh_step_ragged_paths", DimensionMismatch),
 ])
 def test_bad_sizes_and_indices_are_typed_refusals(case, error):
     # A row count or N that numpy would refuse with a bare error, or that a
-    # cast would round, is refused before any array is built.
+    # cast would round, is refused before any array is built; so is a state
+    # whose paths are missing, a scalar or ragged.
     from pmcmc_lab import Trajectory, icsmc_chain
-    from pmcmc_lab.csmc import icsmc_sampler
+    from pmcmc_lab.csmc import icsmc_sampler, icsmc_step
     from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
     from pmcmc_lab.replicated import icsmc_replicated, smc_replicated
     from pmcmc_lab.smc_core import particle_pass
 
-    m, jm, q = model_a(), joint_two_time(), np.full((2, 2), 0.5)
+    m, jm, q, lg = model_a(), joint_two_time(), np.full((2, 2), 0.5), np.zeros(2)
     call = {
         "particle_pass_negative_rows": lambda: particle_pass(m.tables, 3, 0, rows=-1),
         "particle_pass_float_N": lambda: particle_pass(m.tables, 3.0, 0),
@@ -502,6 +508,11 @@ def test_bad_sizes_and_indices_are_typed_refusals(case, error):
         "smc_replicated_negative_R": lambda: smc_replicated(m, 3, -1, 0),
         "icsmc_chain_float_N": lambda: icsmc_chain(m, 3.0, Trajectory((0, 1)), 2, 0),
         "pmmh_step_float_theta": lambda: pmmh_step(jm, 3, q, ChainState(thetas=[0.7], log_gammas=[0.0]), 0),
+        "icsmc_step_no_paths": lambda: icsmc_step(m, 3, ChainState(), 0),
+        "icsmc_step_scalar_paths": lambda: icsmc_step(m, 3, ChainState(paths=0), 0),
+        "pgibbs_step_no_paths": lambda: pgibbs_step(jm, 3, ChainState(), 0),
+        "pgibbs_step_scalar_paths": lambda: pgibbs_step(jm, 3, ChainState(paths=0), 0),
+        "pimh_step_ragged_paths": lambda: pimh_step(m, 3, ChainState(paths=[(0, 0), (0, 0, 1)], log_gammas=lg), 0),
     }[case]
     with pytest.raises(error):
         call()

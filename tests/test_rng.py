@@ -3,7 +3,7 @@ import pytest
 
 from pmcmc_lab import SubstreamRng
 from pmcmc_lab.errors import IndexOutOfRange
-from pmcmc_lab.rng import _PHILOX_W, _counter
+from pmcmc_lab.rng import _PHILOX_W, _counter, _words
 
 
 @pytest.mark.parametrize(
@@ -21,11 +21,13 @@ from pmcmc_lab.rng import _PHILOX_W, _counter
     ],
 )
 def test_stream_rejects_aliasing_coordinates(coords):
-    # Each address would share its Philox counter with another stream.
+    # Each address would share its Philox counter with another stream; a
+    # step block refuses it too, in its counter words or in its base.
     with pytest.raises(IndexOutOfRange):
         SubstreamRng(1).stream(*coords)
     with pytest.raises(IndexOutOfRange):
-        SubstreamRng(1).uniforms(*coords, shape=1)
+        step, *rest = coords
+        SubstreamRng(1).step_blocks([(_counter((0, *rest))[:-1], 1)], step, 1)
 
 
 @pytest.mark.parametrize(
@@ -33,18 +35,21 @@ def test_stream_rejects_aliasing_coordinates(coords):
     [(), (0,), (3, 1, 0, 2), (2**64 - 1, 2**64 - 1, 2**48 - 1, 2**16 - 1), (7, 0, 5)],
 )
 def test_uniforms_equal_a_fresh_stream(coords):
-    # The re-positioned generator starts where a fresh one does, whatever was
-    # drawn from it before (a partly used buffer included) and after a call
-    # refused for an aliasing coordinate.
+    # The re-positioned generator of step_blocks starts where a fresh one
+    # does, whatever was drawn from it before (a partly used buffer, after a
+    # read of odd width, included) and after a call refused for an aliasing
+    # base.
     rng = SubstreamRng(12)
-    for shape in (1, 3, (2, 5), (4, 1)):
-        rng.uniforms(9, shape=7)
+    step, *rest = (*coords, 0)
+    words, odd = _counter((0, *rest[:3]))[:-1], [(_words(0, 0), 7)]
+    for shape in ((1, 1), (1, 3), (2, 5), (4, 1)):
+        next(rng.step_blocks(odd, 9, 1))
         want = rng.stream(*coords).random(shape)
-        assert np.array_equal(rng.uniforms(*coords, shape=shape), want)
-        rng.uniforms(9, shape=7)
+        assert np.array_equal(next(rng.step_blocks([(words, shape[1])], step, shape[0])), want)
+        next(rng.step_blocks(odd, 9, 1))
         with pytest.raises(IndexOutOfRange):
-            rng.uniforms(0, 0, 0, 2**16, shape=shape)
-        assert np.array_equal(rng.uniforms(*coords, shape=shape), want)
+            rng.step_blocks([(words, shape[1])], 2**64, shape[0])
+        assert np.array_equal(next(rng.step_blocks([(words, shape[1])], step, shape[0])), want)
 
 
 def test_negative_seed_or_spawn_index_is_refused():
@@ -58,7 +63,7 @@ def test_stream_returns_a_fresh_generator():
     rng = SubstreamRng(4)
     first = rng.stream(1, 2)
     head = first.random(3)
-    rng.uniforms(1, 2, shape=5)
+    next(rng.step_blocks([(_words(2, 0), 5)], 1, 1))
     second = rng.stream(1, 2)
     assert second is not first
     assert np.array_equal(second.random(3), head)
@@ -134,7 +139,6 @@ def test_step_blocks_equal_uniforms_block_for_block(R, base):
         assert rng.positioned == k
     assert next(blocks, None) is None
     for block, (coords, width) in zip(got, _STEP):
-        assert np.array_equal(block, rng.uniforms(base, *coords, shape=(R, width)))
         assert np.array_equal(block, rng.stream(base, *coords).random((R, width)))
 
 

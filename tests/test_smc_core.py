@@ -18,8 +18,9 @@ from pmcmc_lab.exact_oracle import (
     exact_gamma_hat_expectation,
 )
 from pmcmc_lab.fk_model import build_discrete_model
+from pmcmc_lab.harness import sticky_example_model
 from pmcmc_lab.replicated import smc_replicated
-from pmcmc_lab.smc_core import BatchedPass, PassTables, _draw_moves, categorical, categorical_cdf, particle_pass
+from pmcmc_lab.smc_core import BatchedPass, PassTables, _draw_moves, categorical_cdf, particle_pass
 
 
 def test_resample_degenerate_weight():
@@ -104,8 +105,8 @@ def test_categorical_never_selects_zero_weight(weights, gen):
     # for every search strategy of categorical_cdf and the table draw.
     w = np.array([weights, weights[::-1]])
     cdf = w.cumsum(axis=1)
-    many = categorical(w, gen.random((2, 4)))
-    single = categorical(w[:, None, :], gen.random((2, 1, 1)))[:, :, 0]
+    many = categorical_cdf(cdf, gen.random((2, 4)))
+    single = categorical_cdf(cdf[:, None, :], gen.random((2, 1, 1)))[:, :, 0]
     outs = [many, single, multinomial_resample(weights, 3, gen)[None]]
     for count in (1, 5, 3000):
         outs.append(categorical_cdf(cdf, gen.random((2, count))))
@@ -321,10 +322,10 @@ def test_particle_relabeling_invariance(N):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 16, 17, 32, 33, 64, 65, 100, 256])
 def test_categorical_is_a_row_wise_searchsorted(K):
-    # Few draws are compared in one pass (one row searched in one call),
-    # many are counted sum by sum or bisected; every strategy, the raw-weight
-    # wrapper and the table draw must equal searchsorted(side="right") on the
-    # raw cumulative sums, capped.
+    # One row of sums against one row of draws is searched in one call, more
+    # rows are counted sum by sum or bisected, and K = 1 has no sum to count;
+    # every strategy and the table draw must equal searchsorted(side="right")
+    # on the raw cumulative sums, capped.
     gen = np.random.default_rng(K)
     w = gen.random((40, K)) * (gen.random((40, K)) < 0.6)
     w[:, gen.integers(K)] += 0.5
@@ -332,8 +333,7 @@ def test_categorical_is_a_row_wise_searchsorted(K):
     for count in (1, 9, 400):
         u = gen.random((40, count))
         u[:, :2] = [0.0, np.nextafter(1.0, 0.0)][:count]
-        got = categorical(w, u)
-        assert np.array_equal(categorical_cdf(w.cumsum(axis=1), u), got)
+        got = categorical_cdf(w.cumsum(axis=1), u)
         assert got.dtype.kind == "i"
         # The table draw reads one row per uniform: row r for draw (r, k).
         rows = np.repeat(np.arange(40)[:, None], count, axis=1)
@@ -359,6 +359,28 @@ def test_run_smc_is_row_zero_of_the_batched_pass(name, N):
         assert s.log_gamma()[0] == lg[0]
 
 
+# No draw of the one-state model has an inner sum; the move draws of the
+# sticky model at K = 33 (67 states) search 66 sums, past _COLUMNS.
+@pytest.mark.parametrize("name", ["one_state", "sticky33"])
+@pytest.mark.parametrize("N", [1, 2, 5, 70])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_passes_at_both_ends_of_the_alphabet(name, N, pinned):
+    if name == "one_state":
+        m = build_discrete_model([0], [1.0], [[[1.0]]], [[1.0], [2.0]])
+    else:
+        m = sticky_example_model(33)
+    T = m.T
+    pins = [((0,) * T, particle_pass(m.tables, N, 5).paths()[0])] if pinned else None
+    one = particle_pass(m.tables, N, 9, base=2, pins=pins)
+    many = particle_pass(m.tables, N, 9, base=2, rows=6, pins=pins)
+    assert np.array_equal(many.paths()[0], one.paths()[0])
+    assert many.log_gamma()[0] == one.log_gamma()[0]
+    for p in (one, many):
+        for t in range(1, T):
+            parents = np.take_along_axis(p.states[t - 1], p.ancestors[t - 1], axis=-1)
+            assert np.all(m.transitions[t - 1][parents, p.states[t]] > 0)
+
+
 class _CountingRng(SubstreamRng):
     """Counts the substreams opened, as generators or as uniform blocks."""
 
@@ -371,7 +393,7 @@ class _CountingRng(SubstreamRng):
         return super().stream(*coords)
 
     def _block(self, counter, shape):
-        # Every uniform block is read here, through uniforms() or a pass plan.
+        # Every uniform block of a pass or a step is read here.
         self.calls += 1
         return super()._block(counter, shape)
 
