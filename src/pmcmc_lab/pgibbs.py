@@ -53,7 +53,7 @@ from .exact_oracle import (
     spectral_summary,
 )
 from .rng import SITE_ACCEPT, SITE_THETA, _words
-from .smc_core import PassTables, _check_paths, _PassPlan, _path_rows, categorical_cdf, particle_pass
+from .smc_core import PassTables, _check_paths, _fold, _PassPlan, _path_rows, categorical_cdf, particle_pass
 
 _JOINT_GUARD = 10**4  # most (parameter, path) pairs enumerate_joint enumerates
 # Eigenvalues of the average conditional covariance below this share of the
@@ -447,12 +447,13 @@ def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> CheckReport
 
 
 def _joint_mass(jm: JointModel, x) -> np.ndarray:
-    """prior_j * mass_j(x), (J, R), of each checked path x of (R, T)."""
+    """prior_j * mass_j(x), (J, R), of each checked path x of (R, T); each
+    product over time runs left to right, as ``np.prod`` does."""
     t = np.arange(jm.T)
     m1, potentials, transitions = jm.mass_tables
-    mass = m1[:, x[:, 0]] * np.prod(potentials[:, t, x], axis=-1)
+    mass = m1[:, x[:, 0]] * _fold(np.multiply, potentials[:, t, x])
     if jm.T > 1:
-        mass = mass * np.prod(transitions[:, t[:-1], x[:, :-1], x[:, 1:]], axis=-1)
+        mass = mass * _fold(np.multiply, transitions[:, t[:-1], x[:, :-1], x[:, 1:]])
     return jm.prior[:, None] * mass
 
 
@@ -482,7 +483,7 @@ def _pgibbs_move(jm: JointModel, plan: _PassPlan, state: ChainState, blocks, cdf
     cumulative parameter law of each row, is drawn from when given (a step
     table builds it once), else computed."""
     blocks, paths = iter(blocks), _path_rows(state.paths, jm.T)
-    cdf = theta_given_paths(jm, paths).cumsum(axis=-1) if cdf is None else cdf
+    cdf = _fold(np.add, theta_given_paths(jm, paths), scan=True) if cdf is None else cdf
     thetas = categorical_cdf(cdf, next(blocks))[:, 0]
     paths = plan.run_blocks(blocks, len(paths), [paths.T], thetas).paths()
     return ChainState(paths=paths, thetas=thetas)
@@ -495,7 +496,7 @@ def _joint_paths(jm: JointModel) -> tuple:
     ys, code = jm.tables.live_paths
     kept = _joint_mass(jm, ys).sum(axis=0) > 0
     index = kept.cumsum() - 1  # the row of each kept code
-    return ys[kept], lambda paths: index[code(paths)], theta_given_paths(jm, ys[kept]).cumsum(axis=-1)
+    return ys[kept], lambda paths: index[code(paths)], _fold(np.add, theta_given_paths(jm, ys[kept]), scan=True)
 
 
 def _pgibbs(jm: JointModel, plan: _PassPlan, start: ChainState) -> Sampler:

@@ -6,8 +6,11 @@ Each chain function runs R replicates through
 :func:`~pmcmc_lab.pgibbs.pimh_sampler`, :func:`~pmcmc_lab.pgibbs.pmmh_sampler`
 and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one R-row move per step.
 A move on one row is the scalar sampler, so replicate 0 here equals the
-one-row run at the same seed and step numbering, draw for draw; at R = 1
-:func:`run_chain` takes the one-row table route, and at R > 1 never.
+one-row run at the same seed and step numbering, draw for draw, while every
+pass of the chain has live weights: a PIMH or PMMH proposal pass whose
+weights all vanish in any row raises and ends all R rows, which the one-row
+run need not (ROADMAP item 15).  At R = 1 :func:`run_chain` takes the
+one-row table route, and at R > 1 never.
 """
 
 from __future__ import annotations

@@ -48,6 +48,13 @@ from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _words, as_sub
 # about 128 (2-vCPU x86 host, numpy 2.4).
 _COLUMNS = 64
 
+# numpy's add.reduce sums a contiguous row of fewer than 8 terms left to right
+# (its pairwise blocks start at 8), and cumsum and prod are sequential at any
+# length, so over rows this short a fold column by column gives the same bits.
+# Over thousands of rows it is 2-18x faster, as numpy's loop costs about 15 ns
+# a row (in process, 2-vCPU x86 host, numpy 2.4).
+_SHORT = 8
+
 
 def categorical_cdf(cdf, u) -> np.ndarray:
     """Inverse-CDF draws from cumulative sums: ``cdf`` (..., K), uniforms ``u``
@@ -68,7 +75,9 @@ def categorical_cdf(cdf, u) -> np.ndarray:
     * up to _COLUMNS (64) inner sums: one vectorised comparison per sum,
       counted in place;
     * beyond: binary lifting over the inner sums, padded with +inf to a
-      power of two, in ceil(log2 K) array passes (n log K work per row).
+      power of two, in ceil(log2 K) array passes (n log K work per row);
+      each pass gathers the probed sums and adds the step where they are at
+      or below the scaled uniform, with no masked copy.
     """
     K = cdf.shape[-1]
     v = u * cdf[..., -1:]
@@ -84,10 +93,32 @@ def categorical_cdf(cdf, u) -> np.ndarray:
     pos = before + np.zeros(v.shape, dtype=np.intp)
     step = width >> 1
     while step:
-        probe = pos + step
-        np.copyto(pos, probe, where=flat[probe] <= v)
+        pos += (flat.take(pos + step) <= v) * step
         step >>= 1
     return pos - before
+
+
+def _fold(ufunc, a, scan: bool = False) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)``, or ``ufunc.accumulate(a, axis=-1)``
+    with ``scan``, bit for bit, for ``np.add`` or ``np.multiply`` and ``a``
+    of shape (..., rows, n).
+
+    Rows of fewer than _SHORT entries are folded left to right, one column
+    at a time.  Longer rows, and one row (a one-replicate pass, where the
+    column loop costs a few microseconds more), take numpy's single call."""
+    n = a.shape[-1]
+    if n >= _SHORT or a.shape[-2] == 1:
+        return (ufunc.accumulate if scan else ufunc.reduce)(a, axis=-1)
+    if scan:
+        out = np.empty_like(a)
+        out[..., 0] = a[..., 0]
+        for k in range(1, n):
+            ufunc(out[..., k - 1], a[..., k], out=out[..., k])
+        return out
+    out = a[..., 0].copy()
+    for k in range(1, n):
+        ufunc(out, a[..., k], out=out)
+    return out
 
 
 def _count_columns(columns, v) -> np.ndarray:
@@ -132,7 +163,7 @@ class BatchedPass:
     totals: np.ndarray = field(init=False)  # (T, R)
 
     def __post_init__(self):
-        object.__setattr__(self, "totals", np.add.reduce(self.weights, axis=-1))
+        object.__setattr__(self, "totals", _fold(np.add, self.weights))
 
     def _walk(self):
         """The one lineage walk: the row offsets (R,) and the index of each
@@ -466,14 +497,14 @@ class _PassPlan:
             if t == 1:
                 x[:, free] = categorical_cdf(m1_cdf, next(u))
             else:
-                parents = categorical_cdf(weights[t - 2].cumsum(axis=-1), next(u))
+                parents = categorical_cdf(_fold(np.add, weights[t - 2], scan=True), next(u))
                 ancestors[t - 2][:, free] = parents
                 src = states[t - 2].take(row_start + parents)
                 if offset is not None:
                     src += offset
                 x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, next(u))
             weights[t - 1] = tables.potentials[t - 1][x if offset is None else offset + x]
-        final = categorical_cdf(weights[-1].cumsum(axis=-1), next(u))[:, 0]
+        final = categorical_cdf(_fold(np.add, weights[-1], scan=True), next(u))[:, 0]
         p = BatchedPass(states, ancestors, weights, final)
         # Checked once for all times: a draw from all-zero weights is still an
         # index in range, so the first dead time is the one a check per time finds.
@@ -497,13 +528,19 @@ def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1,
 
     Initial and move draws read the cumulative tables, built once per model,
     so no draw sums a row; ancestor draws sum the current weights once per
-    time.  Each search follows the draw's shape (see
+    time.  Passes of more than one row and fewer than 8 particles sum their
+    weights, and total them, one column at a time (:func:`_fold`), which
+    gives numpy's bits.
+    Each search follows the draw's shape (see
     :func:`categorical_cdf`): the initial, ancestor and final draws of one
     row, and a single move draw, are one ``searchsorted`` call each; other
     draws count their sums one by one up to _COLUMNS (64) sums (a move draw
     the columns of ``move_cols``) and bisect beyond.  Each
-    ``(base, time, site)`` block is one substream from which the replicates read ``(rows, free slots)`` uniforms,
-    so replicate 0 does not depend on ``rows``.
+    ``(base, time, site)`` block is one substream from which the replicates
+    read ``(rows, free slots)`` uniforms, so replicate 0 of a pass does not
+    depend on ``rows``.  A chain's row 0 can: a PIMH or PMMH proposal pass
+    whose weights all vanish in any row raises, and ends every row (ROADMAP
+    item 15).
     """
     pins = pins or ()
     plan = _PassPlan(tables, N, rows, [lineage for lineage, _ in pins])

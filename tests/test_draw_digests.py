@@ -87,6 +87,7 @@ PASS_DIGESTS = {
     ("E", 2, 7): "8d24586604d470ec",
     ("E", 17, 3): "ad8fc4de469d3a4b",
     ("E", 40, 1): "6ed7ceaf48aaacac",
+    ("E", 70, 3): "419b65e27b10b926",
     ("sparse5", 4, 9): "ecb1ae4473f16a42",
     ("sparse5", 33, 2): "c414c93dfc90cac3",
     ("sparse20", 3, 4): "8b36b8b4b7d61dba",
@@ -98,6 +99,38 @@ PASS_DIGESTS = {
 def test_plain_pass_digest(name, N, R):
     p = particle_pass(_models()[name].tables, N, 31, base=2, rows=R)
     assert _pass_digest(p) == PASS_DIGESTS[name, N, R]
+
+
+# Potentials across six orders of magnitude, so a sum of them depends on
+# the order of its terms, unlike the dyadic potentials of the models above.
+_SCALES = np.array([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+
+
+def _rough_model(S: int, T: int, seed: int):
+    gen = np.random.default_rng(seed)
+
+    def law():
+        counts = gen.integers(1, 9, S)
+        return counts / counts.sum()
+
+    m = [[law() for _ in range(S)] for _ in range(T - 1)]
+    g = [(gen.random(S) + 0.5) * _SCALES[gen.integers(0, 7, S)] for _ in range(T)]
+    return build_discrete_model(list(range(S)), law(), m, g)
+
+
+TOTALS_DIGEST = "45f11c64853366db"
+
+
+def test_short_row_totals_digest():
+    # The exact bits of the weight totals of plain and reference passes on
+    # rows of 2-7 particles, where the totals are summed column by column.
+    m = _rough_model(4, 3, 7)
+    out = []
+    for N in range(2, 8):
+        plain = particle_pass(m.tables, N, 37, base=3, rows=50)
+        pinned = reference_pass(m.tables, N, plain.paths(), 23, base=4)
+        out += [plain.totals.view(np.int64), pinned.totals.view(np.int64)]
+    assert _digest(*out) == TOTALS_DIGEST
 
 
 REFERENCE_DIGESTS = {

@@ -20,7 +20,8 @@ from pmcmc_lab.exact_oracle import (
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.harness import sticky_example_model
 from pmcmc_lab.replicated import smc_replicated
-from pmcmc_lab.smc_core import BatchedPass, PassTables, _draw_moves, categorical_cdf, particle_pass
+from pmcmc_lab.pgibbs import _joint_mass, build_joint_model
+from pmcmc_lab.smc_core import BatchedPass, PassTables, _draw_moves, _fold, categorical_cdf, particle_pass
 
 
 def test_resample_degenerate_weight():
@@ -345,6 +346,54 @@ def test_categorical_is_a_row_wise_searchsorted(K):
                 cdf = np.cumsum(wr)
                 want = np.minimum(np.searchsorted(cdf, ur * cdf[-1], side="right"), K - 1)
                 assert list(out[row]) == list(want)
+
+
+# numpy's add.reduce sums a row of fewer than 8 terms left to right and longer
+# rows pairwise, so N = 1-9 covers both sides of the column rule of _fold.
+@pytest.mark.parametrize("N", range(1, 10))
+@pytest.mark.parametrize("R", [1, 2, 50])
+def test_fold_gives_numpys_bits(N, R):
+    gen = np.random.default_rng(100 * N + R)
+    for T in (1, 3):
+        w = gen.random((T, R, N)) * 10.0 ** gen.integers(-3, 4, (T, R, N))
+        w *= gen.random((T, R, N)) < 0.7  # zero weights, whole rows too
+        for a in (w, w[0]):  # the (T, R) totals and the (R, N) scans of a pass
+            pairs = [
+                (_fold(np.add, a), np.add.reduce(a, axis=-1)),
+                (_fold(np.add, a, scan=True), a.cumsum(axis=-1)),
+                (_fold(np.multiply, a), np.prod(a, axis=-1)),
+            ]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _random_model(gen, S: int, T: int):
+    def law():
+        w = gen.random(S) * (gen.random(S) < 0.7)
+        w[gen.integers(S)] += 0.5
+        return w / w.sum()
+
+    m = [[law() for _ in range(S)] for _ in range(T - 1)]
+    g = [gen.random(S) * 10.0 ** gen.integers(-3, 4, S) for _ in range(T)]
+    return build_discrete_model(list(range(S)), law(), m, g)
+
+
+@pytest.mark.parametrize("T", [1, 3, 7, 9])
+def test_joint_mass_is_the_product_over_time(T):
+    # The products over time run left to right, as np.prod's do, on both
+    # sides of the column rule and on one path as on many.
+    gen = np.random.default_rng(T)
+    jm = build_joint_model(["a", "b", "c"], [0.2, 0.3, 0.5], [_random_model(gen, 3, T) for _ in range(3)])
+    m1, potentials, transitions = jm.mass_tables
+    t = np.arange(T)
+    for R in (1, 40):
+        x = gen.integers(0, 3, (R, T))
+        want = m1[:, x[:, 0]] * np.prod(potentials[:, t, x], axis=-1)
+        if T > 1:
+            want = want * np.prod(transitions[:, t[:-1], x[:, :-1], x[:, 1:]], axis=-1)
+        want = jm.prior[:, None] * want
+        assert np.array_equal(_joint_mass(jm, x).view(np.int64), want.view(np.int64))
 
 
 # At N = 65 and 100 one row searches its 64 or 99 inner sums in one call,
