@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AllWeightsZero, DimensionMismatch, TraceTooShort
+from .errors import DimensionMismatch, TraceTooShort
 from .rng import as_substream
 from .smc_core import BatchedPass, PassTables, _checked_paths, _PassPlan, _path_rows, particle_pass
 
@@ -191,44 +191,36 @@ def _chain_blocks(sampler: Sampler, n_steps: int, rng):
     rng = as_substream(rng)
     if _rows(sampler.start) == 1 and sampler.table.work <= _TABLE_WORK:
         return _table_blocks(sampler, n_steps, rng)
-    return _steps(sampler, sampler.start, rng, range(1, n_steps + 1))
+    return _steps(sampler, n_steps, rng)
 
 
-def _steps(sampler: Sampler, state: ChainState, rng, bases):
-    """The state after each step of ``bases`` from ``state``, one
+def _steps(sampler: Sampler, n_steps: int, rng):
+    """The state after each of ``n_steps`` steps from ``sampler.start``, one
     ``sampler.step`` each."""
-    for base in bases:
+    state = sampler.start
+    for base in range(1, n_steps + 1):
         state = sampler.step(state, rng, base)
         yield state
 
 
 def _table_blocks(sampler: Sampler, n_steps: int, rng):
-    """The table route of :func:`_chain_blocks`: one walk over chunks of
-    _CHUNK // work steps, each one table pass.  The uniforms of a span of
-    whole chunks, at most _CHUNK one-row particle-times and at least one
-    chunk, are read at once (:meth:`~pmcmc_lab.rng.SubstreamRng._blocks`),
-    since a read has a fixed cost of its own.  A chunk whose table raises
-    AllWeightsZero, as a row the chain never visits can, steps again one row
-    at a time, so a failing step raises its own error, and a new walk
-    starts after it."""
+    """The table route of :func:`_chain_blocks`: one walk from
+    ``sampler.start`` over chunks of _CHUNK // work steps, each one table
+    pass.  The uniforms of a span of whole chunks, at most _CHUNK one-row
+    particle-times and at least one chunk, are read at once
+    (:meth:`~pmcmc_lab.rng.SubstreamRng._blocks`), since a read has a fixed
+    cost of its own.  No table pass raises: a PIMH or PMMH row whose weights
+    all vanish, as a row the chain never visits can, has log estimate -inf,
+    and a proposal of it is rejected."""
     table = sampler.table
     steps = _CHUNK // table.work
     span = max(_CHUNK // table.size // steps, 1) * steps
-    state, walk = sampler.start, None
+    walk = table.walk(sampler.start, steps)
     for first in range(1, n_steps + 1, span):
         bases = range(first, min(first + span, n_steps + 1))
         uniforms = rng._blocks(sampler.reads, bases)
         for at in range(0, len(bases), steps):
-            walk = walk or table.walk(state, steps)
-            try:
-                block = walk([u[at : at + steps] for u in uniforms])
-            except AllWeightsZero:
-                walk = None
-                for state in _steps(sampler, state, rng, bases[at : at + steps]):
-                    yield state
-                continue
-            yield block
-            state = _row(block, _rows(block) - 1)
+            yield walk([u[at : at + steps] for u in uniforms])
 
 
 def run_chain(sampler: Sampler, n_steps: int, rng):

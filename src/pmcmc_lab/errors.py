@@ -43,10 +43,6 @@ class AllWeightsZero(PmcmcLabError):
         super().__init__(message)
 
 
-class DegenerateEstimate(PmcmcLabError):
-    """A normalizing-constant estimate is zero (some slice had no mass)."""
-
-
 class ZeroPinnedPotential(PmcmcLabError):
     """A pinned path carries zero potential at some time under its
     replicate's model, so no pass can keep it."""

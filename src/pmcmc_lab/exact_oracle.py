@@ -618,9 +618,9 @@ def exact_gamma_hat_expectation(model: DiscreteFK, N: int, guard: int = _GUARD) 
     (gamma_T, by unbiasedness): a forward sweep over the H = C(N+S-1, N)
     histograms of the N particles, one multinomial per time.  Its entries,
     S (N+1) + H for the time-1 law and H S (N+1) + H^2 per later time, are
-    refused past ``guard`` before any array is built.  Raises
-    TooFewParticles for N < 1 and AllWeightsZero for a histogram of positive
-    probability without weight before time T.
+    refused past ``guard`` before any array is built.  A pass whose weights
+    all vanish at some time estimates 0, and counts so.  Raises
+    TooFewParticles for N < 1.
     """
     if N < 1:
         raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
@@ -635,9 +635,7 @@ def exact_gamma_hat_expectation(model: DiscreteFK, N: int, guard: int = _GUARD) 
     for t in range(1, T):
         mass = counts * model.potentials[t - 1]
         total = mass.sum(axis=1)
-        if np.any((law > 0) & (total <= 0)):
-            raise AllWeightsZero(time=t)
-        # A row without weight has mass 0 and no probability; keep it finite.
+        # A histogram without weight estimates 0, so its law drops out; keep its q row finite.
         q = mass @ model.transitions[t - 1] / np.where(total > 0, total, 1.0)[:, None]
         law = (law * total / N) @ _multinomial(q[None], counts, coef)[0]
     return float(law @ (counts @ model.potentials[T - 1]) / N)

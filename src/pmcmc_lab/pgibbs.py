@@ -53,7 +53,7 @@ from .exact_oracle import (
     spectral_summary,
 )
 from .rng import SITE_ACCEPT, SITE_THETA, _words
-from .smc_core import PassTables, _check_paths, _fold, _PassPlan, _path_rows, categorical_cdf, particle_pass
+from .smc_core import PassTables, _check_paths, _fold, _PassPlan, _path_rows, categorical_cdf
 
 _JOINT_GUARD = 10**4  # most (parameter, path) pairs enumerate_joint enumerates
 # Eigenvalues of the average conditional covariance below this share of the
@@ -552,7 +552,8 @@ def _mh_move(plan: _PassPlan, cdf, log_pq, state: ChainState, blocks) -> ChainSt
     cand = 0 if cdf is None else categorical_cdf(cdf[theta], next(blocks))[:, 0]
     p = plan.run_blocks(blocks, R, which=None if cdf is None else cand)
     lg = p.log_gamma()
-    acc = _accepts(np.log(next(blocks)[:, 0]), log_pq[cand, theta], lg, log_pq[theta, cand], lgs)
+    with np.errstate(invalid="ignore"):  # a dead proposal from a dead state: nan, a reject
+        acc = _accepts(np.log(next(blocks)[:, 0]), log_pq[cand, theta], lg, log_pq[theta, cand], lgs)
     paths = None if paths is None else np.where(acc[:, None], p.paths(), paths)
     return ChainState(paths, None if cdf is None else np.where(acc, cand, theta), np.where(acc, lg, lgs), acc)
 
@@ -576,7 +577,9 @@ def pimh_step(model, N: int, state: ChainState, rng, base: int = 0) -> ChainStat
 
 def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     """R PIMH chains, each at one plain pass drawn at base 0 (its selected
-    path and log estimate) with nothing accepted, on the plan of that pass."""
+    path and log estimate) with nothing accepted, on the plan of that pass.
+    A pass whose weights all vanish estimates 0, log -inf: as a proposal it
+    is rejected, and as the start the first live proposal is accepted."""
     plan = _PassPlan(model.tables, N, R)
     p = plan.run(rng, 0)
     return _mh(plan, ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool)))
@@ -648,11 +651,13 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     """R PMMH chains at the first parameter value of positive prior mass,
     with the log estimate of one plain pass under its model drawn at base 0
-    and nothing accepted yet.
+    and nothing accepted yet.  A pass whose weights all vanish has log
+    estimate -inf, as in :func:`pimh_sampler`: a proposal is rejected, a
+    start accepts the first live proposal.
     ``proposal_q`` is checked once, first, so a step is the unchecked move of
     :func:`pmmh_step` on a plan built once."""
     proposal = _proposal(jm, proposal_q)
     theta0 = int(np.flatnonzero(jm.prior)[0])
-    lg = particle_pass(jm.models[theta0].tables, N, rng, base=0, rows=R).log_gamma()
+    lg = _PassPlan(jm.models[theta0].tables, N, R).run(rng, 0).log_gamma()
     start = ChainState(thetas=np.full(R, theta0), log_gammas=lg, accepted=np.zeros(R, bool))
     return _mh(_PassPlan(jm.tables, N, R), start, *proposal)

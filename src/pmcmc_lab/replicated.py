@@ -6,11 +6,10 @@ Each chain function runs R replicates through
 :func:`~pmcmc_lab.pgibbs.pimh_sampler`, :func:`~pmcmc_lab.pgibbs.pmmh_sampler`
 and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one R-row move per step.
 A move on one row is the scalar sampler, so replicate 0 here equals the
-one-row run at the same seed and step numbering, draw for draw, while every
-pass of the chain has live weights: a PIMH or PMMH proposal pass whose
-weights all vanish in any row raises and ends all R rows, which the one-row
-run need not (ROADMAP item 15).  At R = 1 :func:`run_chain` takes the
-one-row table route, and at R > 1 never.
+one-row run at the same seed and step numbering, draw for draw; a PIMH or
+PMMH proposal pass whose weights all vanish estimates 0 and is rejected in
+its own row only.  At R = 1 :func:`run_chain` takes the one-row table route,
+and at R > 1 never.
 """
 
 from __future__ import annotations
@@ -65,7 +64,9 @@ def pimh_replicated(model: DiscreteFK, N: int, R: int, n_steps: int, rng):
     """R independent estimator-driven accept/reject chains.
 
     Returns the final paths, the overall acceptance rate, and the final log
-    estimates.  Raises TraceTooShort unless R >= 1 and n_steps >= 1.
+    estimates: -inf for a chain that has held no live pass, as a dead pass
+    is rejected (:func:`~pmcmc_lab.pgibbs.pimh_sampler`).  Raises
+    TraceTooShort unless R >= 1 and n_steps >= 1.
     """
     _check_rate(R, n_steps)
     rng = as_substream(rng)

@@ -9,10 +9,9 @@ A particle pass draws one block per ``(step, time, site)``: the stream
 ``(step, time, 0, site)`` yields the uniforms of all replicates and free
 slots at once, row by row, as :meth:`SubstreamRng.step_blocks` reads it.
 Replicate r reads the same values whether it runs alone or among R rows, so
-a scalar pass equals row 0 of a batched one, and a pass costs a fixed number
-of streams whatever the particle count.  A chain's row 0 does not always
-equal the one-row chain: a PIMH or PMMH proposal pass that dies in another
-row raises, and ends all R rows (ROADMAP item 15).
+a scalar pass equals row 0 of a batched one, a chain's row 0 equals the
+one-row chain, and a pass costs a fixed number of streams whatever the
+particle count.
 
 Philox is counter-based: the block of a stream is a function of its counter
 alone, so the one-row blocks of many steps can be computed at once.  The

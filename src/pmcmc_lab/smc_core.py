@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     AllWeightsZero,
-    DegenerateEstimate,
     DimensionMismatch,
     IndexOutOfRange,
     LineageClash,
@@ -152,8 +151,8 @@ class BatchedPass:
     ``states[t-1, r, i]`` is slot i's state at time t in replicate r,
     ``ancestors[t-2, r, i]`` its parent slot, ``weights`` the potentials of
     the states and ``final`` the terminal selection of each replicate.
-    ``totals`` sums the weights of each time once, for the pass's zero-weight
-    check and the estimate.
+    ``totals`` sums the weights of each time once, for the zero-weight check
+    of :func:`particle_pass` and the estimate.
     """
 
     states: np.ndarray      # (T, R, N)
@@ -190,13 +189,10 @@ class BatchedPass:
     def log_gamma(self) -> np.ndarray:
         """Log normalizing-constant estimate of each replicate, (R,): the sum
         over time, in order, of the log average weight, so a replicate gets
-        the same value alone or among R.  Raises DegenerateEstimate if every
-        weight at some time is zero."""
-        means = self.totals / self.weights.shape[-1]
-        if np.count_nonzero(means) < means.size:
-            t = int(np.argwhere(means <= 0)[0][0]) + 1
-            raise DegenerateEstimate(f"all weights zero at time {t}")
-        return sum(np.log(means))
+        the same value alone or among R.  A replicate whose weights all
+        vanish at some time estimates 0: its log estimate is -inf."""
+        with np.errstate(divide="ignore"):
+            return sum(np.log(self.totals / self.weights.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -468,7 +464,8 @@ class _PassPlan:
         iterable of one (R, width) block per entry of :attr:`reads`, in
         order; pins and ``which`` as in :meth:`run`.  The row offsets grow,
         once, to the most rows run, so a one-row plan serves every chunk of
-        a step table."""
+        a step table.  A free replicate whose weights all vanish runs on to
+        its estimate of 0; a pinned one cannot, as its pins carry weight."""
         tables = self.tables
         T, S = tables.T, tables.n_states
         # Replicate r reads table row which[r] * S + state.  One model needs
@@ -505,12 +502,7 @@ class _PassPlan:
                 x[:, free] = _draw_moves(tables.move_cdf[t - 2], tables.move_cols[t - 2], src, next(u))
             weights[t - 1] = tables.potentials[t - 1][x if offset is None else offset + x]
         final = categorical_cdf(_fold(np.add, weights[-1], scan=True), next(u))[:, 0]
-        p = BatchedPass(states, ancestors, weights, final)
-        # Checked once for all times: a draw from all-zero weights is still an
-        # index in range, so the first dead time is the one a check per time finds.
-        if np.count_nonzero(p.totals) < p.totals.size:
-            raise AllWeightsZero(time=int((p.totals <= 0).any(axis=-1).argmax()) + 1)
-        return p
+        return BatchedPass(states, ancestors, weights, final)
 
 
 def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:
@@ -538,13 +530,18 @@ def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1,
     the columns of ``move_cols``) and bisect beyond.  Each
     ``(base, time, site)`` block is one substream from which the replicates
     read ``(rows, free slots)`` uniforms, so replicate 0 of a pass does not
-    depend on ``rows``.  A chain's row 0 can: a PIMH or PMMH proposal pass
-    whose weights all vanish in any row raises, and ends every row (ROADMAP
-    item 15).
+    depend on ``rows``.  Raises AllWeightsZero, naming the first time at
+    which every weight of some replicate vanishes; a plan's run gives such a
+    replicate its estimate of 0 instead (:meth:`BatchedPass.log_gamma`).
     """
     pins = pins or ()
     plan = _PassPlan(tables, N, rows, [lineage for lineage, _ in pins])
-    return plan.run(rng, base, [path for _, path in pins], which)
+    p = plan.run(rng, base, [path for _, path in pins], which)
+    # Checked once for all times: a draw from all-zero weights is still an
+    # index in range, so the first dead time is the one a check per time finds.
+    if np.count_nonzero(p.totals) < p.totals.size:
+        raise AllWeightsZero(time=int((p.totals <= 0).any(axis=-1).argmax()) + 1)
+    return p
 
 
 def run_smc(model, N: int, rng, base: int = 0) -> BatchedPass:

@@ -6,10 +6,12 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from pmcmc_lab import build_discrete_model, build_joint_model, exact_target
 from pmcmc_lab.csmc import conditional_system
-from pmcmc_lab.errors import AllWeightsZero
+from pmcmc_lab.errors import AllWeightsZero, PmcmcLabError
 from pmcmc_lab.exact_oracle import _OutcomeTree, enumerate_conditional_outcomes, exact_pn_matrix
 from pmcmc_lab.smc_core import _pin_schedule, _PassPlan
 
@@ -86,6 +88,27 @@ _BUILDERS = {
     "unit31": lambda: model_unit(3, 2),
     "t1": model_t1,
 }
+
+
+@st.composite
+def sparse_models(draw, S=None, T=None):
+    """Models with S, T <= 3 (drawn unless given), zero weights and sparse
+    transition rows."""
+    S = draw(st.integers(1, 3)) if S is None else S
+    T = draw(st.integers(1, 3)) if T is None else T
+    entry = st.one_of(st.just(0.0), st.floats(0.05, 4.0))
+
+    def prob_vector():
+        v = np.array([draw(entry) for _ in range(S)])
+        v[draw(st.integers(0, S - 1))] += 1.0
+        return (v / v.sum()).tolist()
+
+    mats = [[prob_vector() for _ in range(S)] for _ in range(T - 1)]
+    gs = [[draw(entry) for _ in range(S)] for _ in range(T)]
+    try:
+        return build_discrete_model(list(range(S)), prob_vector(), mats, gs)
+    except PmcmcLabError:
+        assume(False)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from fixtures import (
     oracle_grid,
     pn_chain,
     reference_outcomes,
+    sparse_models,
     target,
     tree_share,
 )
@@ -200,26 +201,6 @@ def test_slot_sweep_matches_tree_for_a_pin_off_the_transition_support():
         assert (0, 1, 1) in row
         assert set(row) == set(tree)
         assert max(abs(row[k] - tree[k]) for k in row) < 1e-12
-
-
-@st.composite
-def sparse_models(draw):
-    """Models with S, T <= 3, zero weights and sparse transition rows."""
-    S = draw(st.integers(1, 3))
-    T = draw(st.integers(1, 3))
-    entry = st.one_of(st.just(0.0), st.floats(0.05, 4.0))
-
-    def prob_vector():
-        v = np.array([draw(entry) for _ in range(S)])
-        v[draw(st.integers(0, S - 1))] += 1.0
-        return (v / v.sum()).tolist()
-
-    mats = [[prob_vector() for _ in range(S)] for _ in range(T - 1)]
-    gs = [[draw(entry) for _ in range(S)] for _ in range(T)]
-    try:
-        return build_discrete_model(list(range(S)), prob_vector(), mats, gs)
-    except PmcmcLabError:
-        assume(False)
 
 
 def outcome(fn):

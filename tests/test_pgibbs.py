@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fixtures import joint_single_time, joint_two_time, model, model_a
+from fixtures import joint_single_time, joint_two_time, model, model_a, sparse_models
 from pmcmc_lab import (
     SubstreamRng,
     Trajectory,
@@ -10,6 +12,7 @@ from pmcmc_lab import (
     check_x_chain_orderings,
     exact_gibbs_matrices,
     exact_phi_matrices,
+    exact_target,
     icsmc_chain,
     pgibbs_step,
     pimh_step,
@@ -18,9 +21,8 @@ from pmcmc_lab import (
     run_smc,
     spectral_summary,
 )
-from pmcmc_lab.csmc import ChainState, run_chain
+from pmcmc_lab.csmc import ChainState, _row, run_chain
 from pmcmc_lab.errors import (
-    AllWeightsZero,
     AssertionFailure,
     ConstantOutOfRange,
     DegenerateB,
@@ -30,6 +32,7 @@ from pmcmc_lab.errors import (
     TraceTooShort,
     ZeroPathMass,
     ZeroPinnedPotential,
+    ZeroPotential,
 )
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.pgibbs import RhoEstimate, enumerate_joint, theta_given_paths
@@ -727,36 +730,73 @@ def test_replicated_chains_at_one_row_take_the_table_route():
     assert np.array_equal(icsmc_replicated(m, 3, (0, 1, 0), 1, 30, 3), state.paths)
 
 
-def test_a_dying_pimh_pass_gives_the_one_row_states_and_error():
-    # The table pass of the chunk dies; stepped again one row at a time, the
-    # chain yields the 36 states before step 37 and raises its error.
+def _row_0(states):
+    return [_row(state, 0) for state in states]
+
+
+def test_a_dying_pimh_proposal_is_rejected_on_every_route():
+    # Step 37's proposal pass dies at time 2: its estimate is 0, and the
+    # move is rejected, keeping step 36's state and log estimate.  The table
+    # route, a hand loop of the step and row 0 of three rows all give it.
     from pmcmc_lab.pgibbs import pimh_sampler
 
     sampler = pimh_sampler(_dying_model(), 1, 1, 7)
-    got = []
-    with pytest.raises(AllWeightsZero) as raised:
-        for state in run_chain(sampler, 60, 7):
-            got.append(state)
+    got = list(run_chain(sampler, 60, 7))
     want, error = _step_by_step(sampler, 60, 7)
-    assert len(want) == 36 and isinstance(error, AllWeightsZero)
+    assert error is None
     _assert_same_states(got, want)
-    assert raised.value.time == error.time == 2
+    _assert_same_states(_row_0(run_chain(pimh_sampler(_dying_model(), 1, 3, 7), 60, 7)), want)
+    before, dead = got[35], got[36]
+    assert not dead.accepted[0] and np.isfinite(before.log_gammas[0])
+    assert np.array_equal(dead.paths, before.paths) and dead.log_gammas[0] == before.log_gammas[0]
 
 
 def test_pmmh_never_proposing_a_dying_parameter_does_not_raise():
     # The table runs every parameter value at every step, so its passes die
-    # under the second model; the chain never proposes it and steps the
-    # chunk again one row at a time.
+    # under the second model; those rows estimate 0, the chain never
+    # proposes them, and no step runs a second time.
     from pmcmc_lab.pgibbs import pmmh_sampler
 
     jm = build_joint_model([0, 1], [0.5, 0.5], [model_a(), _dying_model()])
     sampler = pmmh_sampler(jm, 1, [[1.0, 0.0], [0.5, 0.5]], 1, 4)
     counted, bases = _counted_bases(sampler)
     got = list(run_chain(counted, 50, 4))
-    assert bases == list(range(1, 51))
+    assert bases == []
     want, error = _step_by_step(sampler, 50, 4)
     assert error is None
     _assert_same_states(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_models(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_property_every_route_gives_the_same_chain_on_sparse_models(m, N, seed, data):
+    # On models with zero weights and sparse rows, where PIMH and PMMH
+    # proposal passes die, each sampler's table route, a hand loop of its
+    # step and row 0 of three rows give the same states, and nothing
+    # raises.  PMMH and particle Gibbs run a joint model of the drawn model
+    # and a second one on its alphabet and horizon.
+    from pmcmc_lab import csmc
+    from pmcmc_lab.csmc import icsmc_sampler
+    from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
+
+    try:
+        x0 = data.draw(st.sampled_from(exact_target(m).paths))
+    except ZeroPotential:  # no path of positive mass to start from
+        assume(False)
+    jm = build_joint_model([0, 1], [0.5, 0.5], [m, data.draw(sparse_models(m.n_states, m.T))])
+    samplers = (
+        lambda R: icsmc_sampler(m, N, x0, R),
+        lambda R: pimh_sampler(m, N, R, seed),
+        lambda R: pmmh_sampler(jm, N, [[0.5, 0.5], [0.5, 0.5]], R, seed),
+        lambda R: pgibbs_sampler(jm, N, x0, 0, R),
+    )
+    for make in samplers:
+        sampler = make(1)
+        assert sampler.table.work <= csmc._TABLE_WORK
+        want, error = _step_by_step(sampler, 40, seed)
+        assert error is None
+        _assert_same_states(list(run_chain(sampler, 40, seed)), want)
+        _assert_same_states(_row_0(run_chain(make(3), 40, seed)), want)
 
 
 @pytest.mark.parametrize("R", [1, 3])
@@ -871,33 +911,39 @@ def test_chains_off_the_table_route_read_through_the_generator(kind, rows, reads
     assert (rng.blocks, rng.block) == (0, 12 * reads)
 
 
-def test_a_chunk_that_dies_after_a_tabulated_chunk_steps_on_from_its_last_state():
+def test_a_pmmh_table_that_dies_in_some_chunks_walks_every_chunk_once(monkeypatch):
     # Under the second model a pass of 256 particles dies at time 2 with
     # probability 0.995^256 (about 0.28), so the table of a chunk of 8 steps
-    # dies in most chunks, not in all.  The chain never proposes that model:
-    # a dead chunk steps again one row at a time from the last state of the
-    # chunk before, and the next chunk tabulates again from where it ended.
-    # Under the first model a few rare states of weight 1000 make the
-    # estimate, and so the accept step, depend on the state a chunk starts
-    # from (about half the moves are rejected).
+    # has a dead row in most chunks, not in all.  The chain never proposes
+    # that model: a dead row estimates 0, and the walk goes on through every
+    # chunk, with no step run a second time.  Under the first model a few
+    # rare states of weight 1000 make the estimate, and so the accept step,
+    # depend on the state a chunk starts from (about half the moves are
+    # rejected).
     from pmcmc_lab import csmc
     from pmcmc_lab.pgibbs import pmmh_sampler
+    from pmcmc_lab.smc_core import _PassPlan
 
     rare = build_discrete_model([0, 1], [0.998, 0.002], [[[0.75, 0.25], [0.25, 0.75]]], [[1.0, 1000.0], [1.0, 3.0]])
     dying = build_discrete_model([0, 1], [0.5, 0.5], [[[0.005, 0.995], [0.005, 0.995]]], [[1.0, 1.0], [1.0, 0.0]])
     jm = build_joint_model([0, 1], [0.5, 0.5], [rare, dying])
     sampler = pmmh_sampler(jm, 256, [[1.0, 0.0], [0.5, 0.5]], 1, 4)
     assert csmc._CHUNK // sampler.table.work == 8
+    dead, run_blocks = [], _PassPlan.run_blocks
+
+    def recorded(plan, blocks, R, *args, **kwargs):
+        p = run_blocks(plan, blocks, R, *args, **kwargs)
+        dead.append(bool(np.isneginf(p.log_gamma()).any()))
+        return p
+
+    monkeypatch.setattr(_PassPlan, "run_blocks", recorded)
     counted, bases = _counted_bases(sampler)
     rng = _ReadCounter(4)
     got = list(run_chain(counted, 160, rng))
+    assert bases == [] and len(dead) == 20 and any(dead) and not all(dead)
     want, error = _step_by_step(sampler, 160, 4)
     assert error is None
     _assert_same_states(got, want)
-    stepped = [set(range(first, first + 8)) <= set(bases) for first in range(1, 161, 8)]
-    assert len(bases) == 8 * sum(stepped)
-    assert any(a < b for a, b in zip(stepped, stepped[1:])) and any(a > b for a, b in zip(stepped, stepped[1:]))
     assert not all(s.accepted.all() for s in got)
-    # Spans of 16 steps, each read once, and again step by step through
-    # numpy's generator where a chunk died, 2T + 2 blocks a step.
-    assert (rng.blocks, rng.block) == (10, len(bases) * 6)
+    # Spans of 16 steps, each read once, and nothing through numpy's generator.
+    assert (rng.blocks, rng.block) == (10, 0)
