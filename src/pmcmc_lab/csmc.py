@@ -16,7 +16,8 @@ here; PIMH, PMMH and particle Gibbs in :mod:`pmcmc_lab.pgibbs`), and
 :func:`icsmc_chain` keeps a one-row i-cSMC chain as a trace.  A sampler's
 step is its move, a function of the state and the step's uniform blocks on
 any number of rows, and both routes of the one route switch
-(:func:`_chain_blocks`) run it: step by step (:meth:`Sampler.step`), or, for
+(:func:`_chain_blocks`) run it: step by step (:meth:`Sampler.step`, on
+blocks of rows of at most _ROW_BLOCK particle-times), or, for
 a one-row chain, chunks of steps as one table pass over each step's rows,
 with the uniforms of a span of chunks read at once
 (:meth:`pmcmc_lab.rng.SubstreamRng._blocks`).
@@ -154,19 +155,59 @@ class Sampler(NamedTuple):
     table: StepTable
 
     def step(self, state: ChainState, rng, base: int = 0) -> ChainState:
-        """The move of the R rows of ``state`` at ``base``, on R-row blocks
-        read as it asks for them; DimensionMismatch for a state of another
-        row count, IndexOutOfRange for a base outside [0, 2^64)."""
-        R = _rows(self.start)
+        """The move of the R rows of ``state`` at ``base``, on blocks read as
+        it asks for them, run on row blocks of at most _ROW_BLOCK
+        particle-times (:func:`_row_blocks`); DimensionMismatch for a state
+        of another row count (past one row block, in any field),
+        IndexOutOfRange for a base outside [0, 2^64)."""
+        R, rng = _rows(self.start), as_substream(rng)
         if _rows(state) != R:
             raise DimensionMismatch(f"a state of {_rows(state)} rows for a sampler of {R}")
-        return self.move(state, as_substream(rng).step_blocks(self.reads, base, R))
+        if R > _block_rows(self.table.size) and any(_rows(ChainState(f)) != R for f in state if f is not None):
+            raise DimensionMismatch(f"a state whose fields hold other than {R} rows")
+
+        def part(rows: range) -> ChainState:
+            cut = slice(rows.start, rows.stop)
+            block = state if len(rows) == R else ChainState(*(None if f is None else f[cut] for f in state))
+            return self.move(block, rng.step_blocks(self.reads, base, len(rows), rows.start))
+
+        return _row_blocks(R, self.table.size, part)
 
 
 # A one-row chain runs as a table while one step's table work is at most
 # _TABLE_WORK particle-times; a table pass holds at most _CHUNK of them.
 _TABLE_WORK = 1024
 _CHUNK = 1 << 13
+
+# An R-row step or start pass runs on blocks of rows of at most _ROW_BLOCK
+# particle-times (N T per row), each on the pass arrays its plan keeps
+# (smc_core._PassPlan._arrays), so the per-time (rows, N) temporaries of a
+# block stay small enough for glibc to reuse rather than map afresh.  In the
+# benchmark's replicated-sweep process (R N = 65536, T = 4) the stepping
+# jobs took about 120 minor faults a pass at 2^17, 2-3K at 2^16 and 13K
+# unblocked (2K-11.5K at the parent's fresh arrays); below 2^17 the
+# benchmark's calibration kernel faulted 650-800 pages a run, as it does at
+# none of the others.  With no faults at all, 2^15 costs 10-15% more than
+# 2^16-2^18, in numpy calls per block (2-vCPU x86 host, numpy 2.4, glibc
+# 2.36).
+_ROW_BLOCK = 1 << 17
+
+
+def _block_rows(size: int) -> int:
+    """Rows of ``size`` particle-times each in one row block."""
+    return max(1, _ROW_BLOCK // size)
+
+
+def _row_blocks(R: int, size: int, part) -> ChainState:
+    """``part(rows)`` of consecutive ranges of the R rows, each at most
+    :func:`_block_rows` of ``size``, with their fields concatenated: one
+    call of range(R) when R fits one block.  Rows read their uniforms by
+    position, so the blocks give the bits of one R-row call."""
+    n = _block_rows(size)
+    if R <= n:
+        return part(range(R))
+    parts = [part(range(a, min(a + n, R))) for a in range(0, R, n)]
+    return ChainState(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
 
 
 def _rows(state: ChainState) -> int:

@@ -717,21 +717,31 @@ def exact_asymptotic_variance(chain: FiniteChain, f) -> float:
     Spectral form: decompose the symmetrised kernel and sum
     (1+lambda)/(1-lambda) over the mean-zero spectrum.
     """
-    f = _function_values(f, chain.n_states)
-    sym = _symmetrized(chain)
-    lam, vecs = np.linalg.eigh(sym)
-    pi = chain.stationary
-    f0 = f - float(pi @ f)
-    g = np.sqrt(pi) * f0
-    coeffs = vecs.T @ g
-    var = 0.0
-    for lam_k, c in zip(lam, coeffs):
-        if c * c <= 1e-24:
-            continue
-        if lam_k >= 1.0 - 1e-12:
-            raise SingularSolve("unit eigenvalue carries mass: chain is not ergodic for f")
-        var += c * c * (1.0 + lam_k) / (1.0 - lam_k)
-    return float(var)
+    return next(_variances(chain, [f]))
+
+
+def _variances(chain: FiniteChain, fs):
+    """:func:`exact_asymptotic_variance` of each f of ``fs``, yielded in
+    turn, from one decomposition of the symmetrised kernel made after the
+    first f is checked, so each f is checked and raises where its own call
+    would."""
+    pi, decomposed = chain.stationary, None
+    for f in fs:
+        f = _function_values(f, chain.n_states)
+        if decomposed is None:
+            decomposed = np.linalg.eigh(_symmetrized(chain))
+        lam, vecs = decomposed
+        f0 = f - float(pi @ f)
+        g = np.sqrt(pi) * f0
+        coeffs = vecs.T @ g
+        var = 0.0
+        for lam_k, c in zip(lam, coeffs):
+            if c * c <= 1e-24:
+                continue
+            if lam_k >= 1.0 - 1e-12:
+                raise SingularSolve("unit eigenvalue carries mass: chain is not ergodic for f")
+            var += c * c * (1.0 + lam_k) / (1.0 - lam_k)
+        yield float(var)
 
 
 def asymptotic_variance_general(kernel: np.ndarray, stationary: np.ndarray, f) -> float:

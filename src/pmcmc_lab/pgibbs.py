@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .bounds import _bounded_eps
-from .csmc import ChainState, Sampler, StepTable, _path_walk, _reference_plan, _row, _rows
+from .csmc import ChainState, Sampler, StepTable, _path_walk, _reference_plan, _row, _row_blocks, _rows
 from .fk_model import _check_prob_vector, exact_target, model_from_dict
 from .errors import (
     AssertionFailure,
@@ -46,13 +46,14 @@ from .errors import (
 from .exact_oracle import (
     FiniteChain,
     asymptotic_variance_general,
+    _variances,
     dirichlet_form,
     exact_asymptotic_variance,
     exact_minorization,
     exact_pn_matrix,
     spectral_summary,
 )
-from .rng import SITE_ACCEPT, SITE_THETA, _words
+from .rng import SITE_ACCEPT, SITE_THETA, _words, as_substream
 from .smc_core import PassTables, _check_paths, _fold, _PassPlan, _path_rows, categorical_cdf
 
 _JOINT_GUARD = 10**4  # most (parameter, path) pairs enumerate_joint enumerates
@@ -315,13 +316,6 @@ class CheckReport:
         return iter(self.entries)
 
 
-def _basis(n: int):
-    for i in range(n):
-        f = np.zeros(n)
-        f[i] = 1.0
-        yield i, f
-
-
 def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> CheckReport:
     """Dirichlet, gap and variance orderings between the ideal and particle
     path chains, for every indicator basis function.
@@ -344,14 +338,16 @@ def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> Chec
     record("gap_lower: Gap(particle) >= rho Gap(ideal)", rho.rho_exact * gap_g - gap_p, None)
     record("rho_order: rho_exact >= rho_lower", rho.rho_lower - rho.rho_exact, None)
 
-    for i, f in _basis(gamma_x.n_states):
+    # Each chain's kernel is decomposed once for all basis functions.
+    fs = np.eye(gamma_x.n_states)  # the indicator functions
+    v_gs, v_ps = _variances(gamma_x, fs), _variances(phi_x, fs)
+    for i, f in enumerate(fs):
         var_pi = float((pi * f) @ f - (pi @ f) ** 2)
         e_g = dirichlet_form(gamma_x, f)
         e_p = dirichlet_form(phi_x, f)
         record("dirichlet_upper: E_particle <= 2 E_ideal", e_p - 2.0 * e_g, i)
         record("dirichlet_lower: E_particle >= rho E_ideal", rho.rho_exact * e_g - e_p, i)
-        v_g = exact_asymptotic_variance(gamma_x, f)
-        v_p = exact_asymptotic_variance(phi_x, f)
+        v_g, v_p = next(v_gs), next(v_ps)
         record("var_nonneg: var(particle) >= 0", -v_p, i)
         record(
             "var_lower_half: (var(ideal) - var_pi)/2 <= var(particle)",
@@ -581,8 +577,20 @@ def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     A pass whose weights all vanish estimates 0, log -inf: as a proposal it
     is rejected, and as the start the first live proposal is accepted."""
     plan = _PassPlan(model.tables, N, R)
-    p = plan.run(rng, 0)
-    return _mh(plan, ChainState(paths=p.paths(), log_gammas=p.log_gamma(), accepted=np.zeros(R, bool)))
+    return _mh(plan, _start_pass(plan, rng)._replace(accepted=np.zeros(R, bool)))
+
+
+def _start_pass(plan: _PassPlan, rng) -> ChainState:
+    """The selected paths and log estimates of a plain pass of ``plan``'s
+    rows at base 0, run on row blocks as a step is
+    (:func:`~pmcmc_lab.csmc._row_blocks`)."""
+    rng = as_substream(rng)
+
+    def part(rows: range) -> ChainState:
+        p = plan.run_blocks(rng.step_blocks(plan.reads, 0, len(rows), rows.start), len(rows))
+        return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
+
+    return _row_blocks(plan.rows, plan.N * plan.tables.T, part)
 
 
 def _proposal(jm: JointModel, proposal_q) -> tuple:
@@ -658,6 +666,6 @@ def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     :func:`pmmh_step` on a plan built once."""
     proposal = _proposal(jm, proposal_q)
     theta0 = int(np.flatnonzero(jm.prior)[0])
-    lg = _PassPlan(jm.models[theta0].tables, N, R).run(rng, 0).log_gamma()
+    lg = _start_pass(_PassPlan(jm.models[theta0].tables, N, R), rng).log_gammas
     start = ChainState(thetas=np.full(R, theta0), log_gammas=lg, accepted=np.zeros(R, bool))
     return _mh(_PassPlan(jm.tables, N, R), start, *proposal)

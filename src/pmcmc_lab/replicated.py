@@ -8,8 +8,12 @@ and :func:`~pmcmc_lab.pgibbs.pgibbs_sampler`), one R-row move per step.
 A move on one row is the scalar sampler, so replicate 0 here equals the
 one-row run at the same seed and step numbering, draw for draw; a PIMH or
 PMMH proposal pass whose weights all vanish estimates 0 and is rejected in
-its own row only.  At R = 1 :func:`run_chain` takes the one-row table route,
-and at R > 1 never.
+its own row only.  A row reads the same uniforms alone, among R rows or in
+any block of rows, so a step (and a PIMH or PMMH start pass) runs on blocks
+of rows of at most ``csmc._ROW_BLOCK`` particle-times, on pass arrays its
+plan keeps from step to step, with the states of one R-row step.
+At R = 1 :func:`run_chain` takes the one-row table route, and at R > 1
+never.
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ happens, never by *when* it happens, so results do not depend on loop order.
 A particle pass draws one block per ``(step, time, site)``: the stream
 ``(step, time, 0, site)`` yields the uniforms of all replicates and free
 slots at once, row by row, as :meth:`SubstreamRng.step_blocks` reads it.
-Replicate r reads the same values whether it runs alone or among R rows, so
-a scalar pass equals row 0 of a batched one, a chain's row 0 equals the
-one-row chain, and a pass costs a fixed number of streams whatever the
-particle count.
+Replicate r reads the same values whether it runs alone, among R rows or in
+any block of rows (a block of rows ``first..`` is read from its offset in
+the stream), so a scalar pass equals row 0 of a batched one, a chain's row 0
+equals the one-row chain, an R-row step run on row blocks equals the step
+on all R, and a pass costs a fixed number of streams whatever the particle
+count.
 
 Philox is counter-based: the block of a stream is a function of its counter
 alone, so the one-row blocks of many steps can be computed at once.  The
@@ -105,18 +107,34 @@ class SubstreamRng:
         counter = np.array(_counter(coords), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(self._key, counter=counter))
 
-    def step_blocks(self, reads, base: int, rows: int):
-        """The (rows, width) block at step ``base`` of each ``(words, width)``
-        of ``reads`` (as :meth:`_blocks` takes them), read through numpy's
-        generator when the returned iterator reaches it.  The base is
-        checked now: IndexOutOfRange before any block is read."""
+    def step_blocks(self, reads, base: int, rows: int, first: int = 0):
+        """Rows ``first .. first + rows - 1`` of the block at step ``base`` of
+        each ``(words, width)`` of ``reads`` (as :meth:`_blocks` takes
+        them), (rows, width) each, read through numpy's generator when the
+        returned iterator reaches it.  The base is checked now:
+        IndexOutOfRange before any block is read.
+
+        Row r of a block of width w is its stream's uniforms r w ..
+        (r + 1) w - 1, so rows from ``first`` on are read from the low
+        counter word floor(first w / 4) (whose 4 outputs hold uniform
+        first w), dropping the first (first w) mod 4: a row block equals
+        those rows of the whole block, bit for bit."""
         step = _counter((base,))[-1:]
-        return (self._block(words + step, (rows, width)) for words, width in reads)
+        return (self._rows(words + step, rows, width, first * width) for words, width in reads)
+
+    def _rows(self, counter: tuple, rows: int, width: int, skip: int) -> np.ndarray:
+        """(rows, width) uniforms of the stream at ``counter`` after its
+        first ``skip``: :meth:`_block` from the low word of the 4 outputs
+        that hold the first of them."""
+        drop = skip % 4
+        u = self._block((skip // 4, *counter[1:]), (drop + rows * width,))
+        return u[drop:].reshape(rows, width)
 
     def _block(self, counter: tuple, shape) -> np.ndarray:
         """Uniforms on [0, 1) of the given shape from the start of the stream
         at ``counter``, the words :func:`_counter` gives (and checks) for
-        some ``coords``: equal to ``stream(*coords).random(shape)``.
+        some ``coords``: equal to ``stream(*coords).random(shape)`` (a low
+        word c > 0 starts at the stream's output 4 c).
         Re-positions one generator kept by this object, set from one kept
         state dict whose counter alone changes (setting a state costs about a
         third of constructing a generator), so not safe from several threads."""

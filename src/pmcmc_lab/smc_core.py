@@ -408,7 +408,9 @@ class _PassPlan:
     lineages (:func:`_pin_layout`) are checked here, the pinned paths by
     every run.  A run is the step's uniform blocks (read by :meth:`run`, a
     sampler's step or a step table) handed to the pass arithmetic
-    (:meth:`run_blocks`).
+    (:meth:`run_blocks`).  Its states, ancestors and weights are views of
+    three buffers the plan keeps (:meth:`_arrays`), so a run's pass holds
+    until the plan's next run, which overwrites it.
     """
 
     def __init__(self, tables: PassTables, N: int, rows: int = 1, lineages=()):
@@ -420,6 +422,7 @@ class _PassPlan:
         owners, _, self.clashes = _pin_layout(T, N, lineages)
         self.tables, self.N, self.rows = tables, N, rows
         self.row_start = np.arange(0, rows * N, N)[:, None]
+        self._buffers = (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
         # Per pin: the index of its states in (T, R, N) and of its parents in
         # (T-1, R, N), and the parents; a pin that keeps one slot throughout
         # is its own parent, and a basic index writes it without index arrays.
@@ -482,9 +485,7 @@ class _PassPlan:
         if R > len(self.row_start):  # a table of more rows: grown once
             self.row_start = np.arange(0, R * self.N, self.N)[:, None]
         row_start = self.row_start[:R]
-        states = np.empty((T, R, self.N), dtype=int)
-        ancestors = np.empty((T - 1, R, self.N), dtype=int)
-        weights = np.empty((T, R, self.N))
+        states, ancestors, weights = self._arrays(R)
         for (index, parent_index, parent), path in zip(self.pins, paths):
             states[index] = path.reshape(T, -1)
             ancestors[parent_index] = parent
@@ -503,6 +504,19 @@ class _PassPlan:
             weights[t - 1] = tables.potentials[t - 1][x if offset is None else offset + x]
         final = categorical_cdf(_fold(np.add, weights[-1], scan=True), next(u))[:, 0]
         return BatchedPass(states, ancestors, weights, final)
+
+    def _arrays(self, R: int) -> tuple:
+        """The (T, R, N) states, (T-1, R, N) ancestors and (T, R, N) weights
+        of a run on R rows, as views of the plan's three buffers, grown to
+        the most particle-times run.  A sampler's step, or each row block of
+        it, so reuses one set of arrays: glibc hands freed arrays of this
+        size back to the system, and each step would fault fresh ones in."""
+        T = self.tables.T
+        n = T * R * self.N
+        if self._buffers[0].size < n:
+            self._buffers = (np.empty(n, dtype=int), np.empty(n, dtype=int), np.empty(n))
+        states, ancestors, weights = (b[:n].reshape(T, R, self.N) for b in self._buffers)
+        return states, ancestors[1:], weights
 
 
 def particle_pass(tables: PassTables, N: int, rng, base: int = 0, rows: int = 1, pins=None, which=None) -> BatchedPass:

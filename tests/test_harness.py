@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,3 +645,26 @@ def test_cli_entry_point_installed():
         capture_output=True,
     )
     assert proc.returncode == 1
+
+
+def test_a_failing_property_is_reported_as_a_failed_test(tmp_path):
+    # The run's warning filters are the project's, and the failing property
+    # takes hypothesis's failure report (its patch writer) through this
+    # directory's conftest, as a property of the suite does.
+    root = Path(__file__).parent.parent
+    (tmp_path / "conftest.py").write_text((root / "tests" / "conftest.py").read_text())
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 3\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_property.py")],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -614,6 +614,51 @@ def test_sampler_bound_plan_refuses_another_row_count(kind):
 
 
 # ---------------------------------------------------------------------------
+# Row blocks of R-row steps
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["icsmc", "pimh", "pmmh", "pgibbs"])
+def test_a_blocked_step_equals_the_unblocked_step(monkeypatch, kind):
+    # At 7 rows per block, 23 rows step as 3 whole blocks and a ragged one
+    # of 2, each reading its rows of every uniform block.  The start states
+    # (the PIMH and PMMH start passes run on row blocks too) and the states
+    # of every step are those of one 23-row call, bit for bit.
+    from pmcmc_lab import csmc
+
+    def run():
+        sampler, _ = _bound_and_public(kind, model_a(), joint_two_time(), 23)
+        rng = _ReadCounter(9)
+        return sampler, [sampler.start, *run_chain(sampler, 4, rng)], rng.block
+
+    sampler, want, reads = run()
+    assert reads == 4 * len(sampler.reads)
+    monkeypatch.setattr(csmc, "_ROW_BLOCK", 7 * sampler.table.size)
+    _, got, reads = run()
+    assert reads == 4 * 4 * len(sampler.reads)
+    _assert_same_states(got, want)
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("icsmc", "accepted"), ("pimh", "accepted"), ("pimh", "log_gammas"), ("pmmh", "accepted"), ("pgibbs", "accepted"),
+])
+def test_a_blocked_step_refuses_fields_of_other_row_counts(monkeypatch, kind, field):
+    # A field one row longer than the paths (or, for PMMH, the parameters)
+    # would be cut into blocks of equal rows and slip through; the step
+    # refuses the state before any block.
+    from pmcmc_lab import csmc
+
+    sampler, _ = _bound_and_public(kind, model_a(), joint_two_time(), 23)
+    monkeypatch.setattr(csmc, "_ROW_BLOCK", 7 * sampler.table.size)
+    value = getattr(sampler.start, field)
+    state = sampler.start._replace(**{field: np.zeros(24, bool if value is None else value.dtype)})
+    rng = _ReadCounter(9)
+    with pytest.raises(DimensionMismatch):
+        sampler.step(state, rng, 1)
+    assert rng.block == 0
+
+
+# ---------------------------------------------------------------------------
 # The table route of one-row chains
 # ---------------------------------------------------------------------------
 

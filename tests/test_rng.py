@@ -142,6 +142,23 @@ def test_step_blocks_equal_uniforms_block_for_block(R, base):
         assert np.array_equal(block, rng.stream(base, *coords).random((R, width)))
 
 
+@pytest.mark.parametrize("base", [0, 9, 2**64 - 1])
+def test_a_row_block_equals_those_rows_of_the_whole_block(base):
+    # Rows first.. of a block read from row ``first`` are those rows of the
+    # block read from row 0, for widths 0-9 at every offset mod 4 into a
+    # counter's four outputs, to the last row; one position per block.
+    rng = _Positions(8)
+    reads = [(_counter((0, 3, 0, 2))[:-1], width) for width in range(10)]
+    whole = list(rng.step_blocks(reads, base, 12))
+    for first in range(10):
+        rng.positioned = 0
+        got = list(rng.step_blocks(reads, base, 12 - first, first))
+        assert rng.positioned == len(reads)
+        for block, want in zip(got, whole):
+            assert block.shape == want[first:].shape
+            assert np.array_equal(block, want[first:])
+
+
 @pytest.mark.parametrize("base", [-1, 2**64])
 def test_step_blocks_refuse_a_bad_base_when_called(base):
     rng = _Positions(8)

@@ -489,3 +489,22 @@ def test_stream_calls_per_pass_do_not_grow_with_particles():
         calls.append(rng.calls)
     assert calls[0] == calls[1] == 2 * 2 * m.T
 
+
+@pytest.mark.parametrize("lineages", [[], [(0, 0, 0)], [(2, 0, 1)]])
+def test_a_plan_reuses_its_arrays_with_the_bits_of_a_fresh_plan(lineages):
+    # A plan keeps one set of pass arrays, grown once to the most rows run;
+    # a run on fewer rows after more, or on more again, writes every entry
+    # a fresh plan's run would, pinned or free, with no stale value kept.
+    from fixtures import model_b
+
+    tables, rng = model_b().tables, SubstreamRng(3)
+    plan = _PassPlan(tables, 4, 5, lineages)
+    buffers = None
+    for R, base in ((5, 1), (2, 2), (3, 3), (5, 4)):
+        paths = [np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 0, 0]][:R]).T] * len(lineages)
+        got = plan.run_blocks(rng.step_blocks(plan.reads, base, R), R, paths)
+        buffers = buffers or plan._buffers
+        assert all(a is b for a, b in zip(plan._buffers, buffers))
+        want = _PassPlan(tables, 4, R, lineages).run(rng, base, paths)
+        for name in ("states", "ancestors", "weights", "final"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
