@@ -18,6 +18,7 @@ bounds: the predictive-overshoot ratio ``alpha`` and the pair ``beta`` /
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def c2smc_expectation_closed_form(model: DiscreteFK, N: int, x, y) -> float:
 
     with Q the two-time mass functions of :func:`q_operator`, evaluated by a
     backward accumulation over chain start points in T^2 steps.  Raises as
-    the pass does for paths it cannot pin, and IndexOutOfRange for N < 2.
+    the pass does for paths or an N it cannot pin: IndexOutOfRange for N = 1.
     """
     T = model.T
     _pin_schedule(model.tables, [((0,) * T, x), ((1,) * T, y)], N)
@@ -135,8 +136,9 @@ def beta_delta_constants(model: DiscreteFK, m: int) -> MixingConstants:
     maximum over target sets of a ratio of sums is attained at a singleton,
     so only entrywise ratios are scanned.  ``delta`` is the worst potential
     ratio raised to the m-th power and requires strictly positive weights.
+    A lag that is not an integer in [1, T] raises IndexOutOfRange.
     """
-    if not 1 <= m <= model.T:
+    if not isinstance(m, numbers.Integral) or not 1 <= m <= model.T:
         raise IndexOutOfRange(f"lag {m} outside [1, {model.T}]")
     beta = 1.0
     for p in range(1, model.T - m + 1):

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,12 @@ from .errors import (
     NotReversible,
     OutcomeSpaceTooLarge,
     SingularSolve,
-    TooFewParticles,
     TraceTooShort,
     ZeroStationaryMass,
 )
 from .fk_model import DiscreteFK, exact_target
 from .histogram import _GUARD, _histograms, _multinomial, _Plan
-from .smc_core import _checked_pins, _pin_schedule
+from .smc_core import _checked_pins, _pin_layout, _pin_schedule
 
 _TREE_BLOCK = 2**13  # children per outcome-tree block
 _DETAILED_BALANCE_TOL = 1e-9  # largest |pi(x) P(x, y) - pi(y) P(y, x)| accepted
@@ -170,8 +170,6 @@ class _OutcomeTree:
     """
 
     def __init__(self, model: DiscreteFK, N: int, pins, guard: int = _GUARD):
-        if N < 1:
-            raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
         pin_state, pin_anc = _pin_schedule(model.tables, pins, N)
         self.support = np.flatnonzero(model.m1)
         self.widths = [len(self.support)] + [N * int((M > 0).sum(axis=1).max()) for M in model.transitions]
@@ -295,9 +293,10 @@ def final_selection_weights(model: DiscreteFK, states) -> np.ndarray:
 def trace_lineage(states, ancestors, terminal: int) -> tuple:
     """The ancestral path of slot ``terminal`` at time T: its state at each
     time, following ``ancestors`` (rows for times 2..T) back to time 1.
-    Raises IndexOutOfRange for a terminal slot outside [0, N)."""
+    Raises IndexOutOfRange for a terminal slot that is not an integer in
+    [0, N)."""
     T, N = len(states), len(states[-1])
-    if not 0 <= terminal < N:
+    if not isinstance(terminal, numbers.Integral) or not 0 <= terminal < N:
         raise IndexOutOfRange(f"terminal slot {terminal} outside [0, {N})")
     idx = terminal
     out = [None] * T
@@ -620,10 +619,10 @@ def exact_gamma_hat_expectation(model: DiscreteFK, N: int, guard: int = _GUARD) 
     S (N+1) + H for the time-1 law and H S (N+1) + H^2 per later time, are
     refused past ``guard`` before any array is built.  A pass whose weights
     all vanish at some time estimates 0, and counts so.  Raises
-    TooFewParticles for N < 1.
+    TooFewParticles for N < 1 and DimensionMismatch for a non-integer N, as
+    a pass does (:func:`~pmcmc_lab.smc_core._pin_layout`).
     """
-    if N < 1:
-        raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
+    _pin_layout(model.T, N, ())
     S, T = model.n_states, model.T
     H = math.comb(N + S - 1, N)
     entries = S * (N + 1) + H + (T - 1) * (H * S * (N + 1) + H * H)
@@ -688,12 +687,13 @@ def spectral_summary(chain: FiniteChain) -> SpectralSummary:
 
 def tv_curve(chain: FiniteChain, x0: int, n_max: int) -> np.ndarray:
     """Exact total-variation distance of the n-step law from stationarity,
-    for n = 0..n_max.  Raises IndexOutOfRange for a start state outside
-    [0, n_states) and TraceTooShort for n_max < 0."""
-    if not 0 <= x0 < chain.n_states:
+    for n = 0..n_max.  Raises IndexOutOfRange for a start state that is not
+    an integer in [0, n_states) and TraceTooShort unless n_max is an integer
+    >= 0."""
+    if not isinstance(x0, numbers.Integral) or not 0 <= x0 < chain.n_states:
         raise IndexOutOfRange(f"start state {x0} outside [0, {chain.n_states})")
-    if n_max < 0:
-        raise TraceTooShort(f"a total-variation curve needs n_max >= 0, got {n_max}")
+    if not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise TraceTooShort(f"a total-variation curve needs an integer n_max >= 0, got {n_max!r}")
     dist = np.zeros(chain.n_states)
     dist[x0] = 1.0
     out = np.empty(n_max + 1)

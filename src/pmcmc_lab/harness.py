@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,10 +150,11 @@ def sticky_example_model(K: int, initial_law: str = "geometric") -> DiscreteFK:
     start on small states ("geometric", the default, or "poisson"), which is
     what makes the high-weight level sets sticky; "uniform" spreads the free
     particles over all levels and caps the stay probability near 0.85.
-    Raises ConfigError for K < 1, as for an unknown ``initial_law``.
+    Raises ConfigError unless K is an integer >= 1, as for an unknown
+    ``initial_law``.
     """
-    if K < 1:
-        raise ConfigError(f"the sticky model needs K >= 1, got {K!r}")
+    if not isinstance(K, numbers.Integral) or K < 1:
+        raise ConfigError(f"the sticky model needs an integer K >= 1, got {K!r}")
     size = 2 * K + 1
     alphabet = tuple(range(1, size + 1))
     m1 = np.zeros(size)
@@ -262,10 +264,10 @@ def batch_means_variance(values, batch_count: int = 64) -> float:
     """Batch-means estimate of the asymptotic variance of averages of the
     evaluated values, a 1-d array along the chain (else DimensionMismatch).
     Raises TraceTooShort unless there are at least 2 batches of 2 values
-    each.
+    each, a whole number of batches.
     """
-    if batch_count < 2:
-        raise TraceTooShort(f"a batch-means variance needs batch_count >= 2, got {batch_count}")
+    if not isinstance(batch_count, numbers.Integral) or batch_count < 2:
+        raise TraceTooShort(f"a batch-means variance needs an integer batch_count >= 2, got {batch_count!r}")
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise DimensionMismatch(f"batch means need a 1-d trace, got shape {values.shape}")

@@ -580,14 +580,16 @@ def pimh_sampler(model, N: int, R: int, rng) -> Sampler:
     return _mh(plan, _start_pass(plan, rng)._replace(accepted=np.zeros(R, bool)))
 
 
-def _start_pass(plan: _PassPlan, rng) -> ChainState:
+def _start_pass(plan: _PassPlan, rng, which=None) -> ChainState:
     """The selected paths and log estimates of a plain pass of ``plan``'s
-    rows at base 0, run on row blocks as a step is
-    (:func:`~pmcmc_lab.csmc._row_blocks`)."""
+    rows at base 0, row r under model ``which[r]`` (as in
+    :meth:`~pmcmc_lab.smc_core._PassPlan.run`), run on row blocks as a step
+    is (:func:`~pmcmc_lab.csmc._row_blocks`)."""
     rng = as_substream(rng)
 
     def part(rows: range) -> ChainState:
-        p = plan.run_blocks(rng.step_blocks(plan.reads, 0, len(rows), rows.start), len(rows))
+        w = None if which is None else which[rows.start : rows.stop]
+        p = plan.run_blocks(rng.step_blocks(plan.reads, 0, len(rows), rows.start), len(rows), which=w)
         return ChainState(paths=p.paths(), log_gammas=p.log_gamma())
 
     return _row_blocks(plan.rows, plan.N * plan.tables.T, part)
@@ -659,13 +661,12 @@ def pmmh_step(jm: JointModel, N: int, proposal_q, state: ChainState, rng, base: 
 def pmmh_sampler(jm: JointModel, N: int, proposal_q, R: int, rng) -> Sampler:
     """R PMMH chains at the first parameter value of positive prior mass,
     with the log estimate of one plain pass under its model drawn at base 0
-    and nothing accepted yet.  A pass whose weights all vanish has log
-    estimate -inf, as in :func:`pimh_sampler`: a proposal is rejected, a
-    start accepts the first live proposal.
+    on the sampler's plan, and nothing accepted yet.  A pass whose weights
+    all vanish has log estimate -inf, as in :func:`pimh_sampler`: a proposal
+    is rejected, a start accepts the first live proposal.
     ``proposal_q`` is checked once, first, so a step is the unchecked move of
     :func:`pmmh_step` on a plan built once."""
     proposal = _proposal(jm, proposal_q)
-    theta0 = int(np.flatnonzero(jm.prior)[0])
-    lg = _start_pass(_PassPlan(jm.models[theta0].tables, N, R), rng).log_gammas
-    start = ChainState(thetas=np.full(R, theta0), log_gammas=lg, accepted=np.zeros(R, bool))
-    return _mh(_PassPlan(jm.tables, N, R), start, *proposal)
+    plan, thetas = _PassPlan(jm.tables, N, R), np.full(R, int(np.flatnonzero(jm.prior)[0]))
+    start = ChainState(thetas=thetas, log_gammas=_start_pass(plan, rng, thetas).log_gammas, accepted=np.zeros(R, bool))
+    return _mh(plan, start, *proposal)

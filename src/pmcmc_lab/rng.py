@@ -33,7 +33,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import IndexOutOfRange
 
@@ -55,21 +54,6 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
-class _Key(ISeedSequence):
-    """Seeds a Philox with a fixed key.
-
-    Philox draws its key as ``generate_state(2, uint64)`` of its seed
-    sequence; ``Philox(key=...)`` would first build a SeedSequence from OS
-    entropy, which is most of the cost of opening a stream.
-    """
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
-
-
 class SubstreamRng:
     """A 64-bit seed plus a coordinate scheme for independent substreams.
     A negative seed raises IndexOutOfRange."""
@@ -78,9 +62,8 @@ class SubstreamRng:
         self.seed = int(seed)
         if self.seed < 0:
             raise IndexOutOfRange(f"seed {self.seed} is negative")
-        key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
-        self._key = _Key(key)
-        self._key_words = tuple(int(k) for k in key)
+        self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
+        self._key_words = tuple(int(k) for k in self._key)
         self._gen = None  # the generator _block() re-positions
         # The state it is set to: a fresh Philox's, empty buffer, at the
         # counter of the stream read, the only entry that changes.
@@ -105,7 +88,7 @@ class SubstreamRng:
         stream and raises IndexOutOfRange.
         """
         counter = np.array(_counter(coords), dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(self._key, counter=counter))
+        return np.random.Generator(np.random.Philox(key=self._key, counter=counter))
 
     def step_blocks(self, reads, base: int, rows: int, first: int = 0):
         """Rows ``first .. first + rows - 1`` of the block at step ``base`` of
@@ -135,12 +118,13 @@ class SubstreamRng:
         at ``counter``, the words :func:`_counter` gives (and checks) for
         some ``coords``: equal to ``stream(*coords).random(shape)`` (a low
         word c > 0 starts at the stream's output 4 c).
-        Re-positions one generator kept by this object, set from one kept
-        state dict whose counter alone changes (setting a state costs about a
-        third of constructing a generator), so not safe from several threads."""
+        Re-positions one generator kept by this object, built on the first
+        read (``Philox(key=...)`` draws OS entropy before the key replaces
+        it) and set from one kept state dict whose counter alone changes, so
+        not safe from several threads."""
         self._state["state"]["counter"] = counter
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(self._key))
+            self._gen = np.random.Generator(np.random.Philox(key=self._key))
         self._gen.bit_generator.state = self._state
         return self._gen.random(shape)
 

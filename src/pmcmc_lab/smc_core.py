@@ -3,7 +3,7 @@ the normalizing-constant estimator.
 
 :func:`particle_pass` is the one implementation of a pass: a
 :class:`_PassPlan` (what stays fixed from step to step: pinned and free
-slots, row offsets, the counter words of every uniform block), built once
+slots, the counter words of every uniform block), built once
 per sampler or once per call, and its run.  It runs R independent replicates
 as ``(R, N)`` integer arrays; pinned trajectories (the reference of a
 conditional pass, or two of them) are forced into their slots, every other
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -133,9 +133,9 @@ def _count_columns(columns, v) -> np.ndarray:
 
 def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. indices, index k with probability weights[k]/sum.
-    Raises TooFewParticles for a negative ``count``."""
-    if count < 0:
-        raise TooFewParticles(f"a resampling draw needs count >= 0, got {count}")
+    Raises TooFewParticles unless ``count`` is an integer >= 0."""
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise TooFewParticles(f"a resampling draw needs an integer count >= 0, got {count!r}")
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise NegativePotential("resampling weights must be non-negative")
@@ -151,18 +151,21 @@ class BatchedPass:
     ``states[t-1, r, i]`` is slot i's state at time t in replicate r,
     ``ancestors[t-2, r, i]`` its parent slot, ``weights`` the potentials of
     the states and ``final`` the terminal selection of each replicate.
-    ``totals`` sums the weights of each time once, for the zero-weight check
-    of :func:`particle_pass` and the estimate.
+    A plan's run views the plan's arrays (:class:`_PassPlan`), so its
+    states and weights hold until the plan's next run, and :attr:`totals`,
+    summed from the weights when first read, must be read before it too.
     """
 
     states: np.ndarray      # (T, R, N)
     ancestors: np.ndarray   # (T-1, R, N)
     weights: np.ndarray     # (T, R, N)
     final: np.ndarray       # (R,)
-    totals: np.ndarray = field(init=False)  # (T, R)
 
-    def __post_init__(self):
-        object.__setattr__(self, "totals", _fold(np.add, self.weights))
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """The weights of each time summed once, (T, R), for the zero-weight
+        check of :func:`particle_pass` and the estimate."""
+        return _fold(np.add, self.weights)
 
     def _walk(self):
         """The one lineage walk: the row offsets (R,) and the index of each
@@ -310,10 +313,17 @@ def _pin_layout(T: int, N: int, lineages):
     parent slot, and ``clashes`` lists (t, slot, j, k) for pins j < k that
     share a slot at time t+1, whose states a run must compare.
 
-    A lineage is T 0-based slots.  Raises DimensionMismatch for a lineage
-    whose length is not T, IndexOutOfRange for a slot outside [0, N), and
-    LineageClash when two lineages give one slot different parents.
+    A lineage is T 0-based slots.  The one particle-count check of the pass
+    and the exact engines: DimensionMismatch for an N that is not an
+    integer and TooFewParticles for N < 1, before any lineage is read.
+    Raises DimensionMismatch for a lineage whose length is not T,
+    IndexOutOfRange for a slot outside [0, N), and LineageClash when two
+    lineages give one slot different parents.
     """
+    if not isinstance(N, numbers.Integral):
+        raise DimensionMismatch(f"a pass takes an integer particle count, got N={N!r}")
+    if N < 1:
+        raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
     owners = [{} for _ in range(T)]
     parents = [{} for _ in range(T - 1)]
     clashes = []
@@ -402,39 +412,28 @@ class _PassPlan:
 
     Per time it holds the free slots (a slice when the pins lead, else an
     index array); per uniform block, in the order a pass reads them, its
-    counter words and width; per pin, the (time, slot) index of its states;
-    and the pinned slots' parents.  N and the row count (integers, rows >=
-    0, else DimensionMismatch; N >= 1, else TooFewParticles) and the
-    lineages (:func:`_pin_layout`) are checked here, the pinned paths by
-    every run.  A run is the step's uniform blocks (read by :meth:`run`, a
-    sampler's step or a step table) handed to the pass arithmetic
-    (:meth:`run_blocks`).  Its states, ancestors and weights are views of
-    three buffers the plan keeps (:meth:`_arrays`), so a run's pass holds
-    until the plan's next run, which overwrites it.
+    counter words and width; per pin, the (time, slot) index of its states
+    and of its parents, and the parents.  The row count (an integer >= 0,
+    else DimensionMismatch) is checked here, N and the lineages by
+    :func:`_pin_layout`, the pinned paths by every run.  A run is the
+    step's uniform blocks (read by :meth:`run`, a sampler's step or a step
+    table) handed to the pass arithmetic (:meth:`run_blocks`).  Its states,
+    ancestors and weights are views of three buffers the plan keeps
+    (:meth:`_arrays`), so a run's pass holds until the plan's next run,
+    which overwrites it.
     """
 
     def __init__(self, tables: PassTables, N: int, rows: int = 1, lineages=()):
-        if not isinstance(N, numbers.Integral) or not isinstance(rows, numbers.Integral) or rows < 0:
-            raise DimensionMismatch(f"a pass takes an integer N and row count >= 0, got N={N!r}, rows={rows!r}")
-        if N < 1:
-            raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
+        if not isinstance(rows, numbers.Integral) or rows < 0:
+            raise DimensionMismatch(f"a pass takes an integer row count >= 0, got rows={rows!r}")
         T = tables.T
         owners, _, self.clashes = _pin_layout(T, N, lineages)
         self.tables, self.N, self.rows = tables, N, rows
-        self.row_start = np.arange(0, rows * N, N)[:, None]
         self._buffers = (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
         # Per pin: the index of its states in (T, R, N) and of its parents in
-        # (T-1, R, N), and the parents; a pin that keeps one slot throughout
-        # is its own parent, and a basic index writes it without index arrays.
-        self.pins = []
-        for lineage in lineages:
-            slots = np.array(lineage, dtype=int)
-            if (slots == slots[0]).all():
-                index = (slice(None), slice(None), slots[0])
-                self.pins.append((index, index, slots[0]))
-            else:
-                times = np.arange(T)
-                self.pins.append(((times, slice(None), slots), (times[:-1], slice(None), slots[1:]), slots[:-1, None]))
+        # (T-1, R, N), and the parents.
+        times, slots = np.arange(T), [np.array(lineage, dtype=int) for lineage in lineages]
+        self.pins = [((times, slice(None), s), (times[:-1], slice(None), s[1:]), s[:-1, None]) for s in slots]
 
         # Per time its free slots; per block its counter words and width: the
         # initial or ancestor block of each time and, after time 1, its move
@@ -465,10 +464,10 @@ class _PassPlan:
     def run_blocks(self, blocks, R: int, paths=(), which=None) -> BatchedPass:
         """The pass on R rows from the uniform ``blocks`` of R rows, an
         iterable of one (R, width) block per entry of :attr:`reads`, in
-        order; pins and ``which`` as in :meth:`run`.  The row offsets grow,
-        once, to the most rows run, so a one-row plan serves every chunk of
-        a step table.  A free replicate whose weights all vanish runs on to
-        its estimate of 0; a pinned one cannot, as its pins carry weight."""
+        order; pins and ``which`` as in :meth:`run`.  R need not be the
+        plan's row count, so a one-row plan serves every chunk of a step
+        table.  A free replicate whose weights all vanish runs on to its
+        estimate of 0; a pinned one cannot, as its pins carry weight."""
         tables = self.tables
         T, S = tables.T, tables.n_states
         # Replicate r reads table row which[r] * S + state.  One model needs
@@ -482,9 +481,7 @@ class _PassPlan:
         if offset is not None and len(offset) != R:
             raise DimensionMismatch(f"{len(offset)} model indices for the plan's {R} rows")
         paths = _checked_paths(tables, paths, self.clashes, offset, R)
-        if R > len(self.row_start):  # a table of more rows: grown once
-            self.row_start = np.arange(0, R * self.N, self.N)[:, None]
-        row_start = self.row_start[:R]
+        row_start = np.arange(0, R * self.N, self.N)[:, None]
         states, ancestors, weights = self._arrays(R)
         for (index, parent_index, parent), path in zip(self.pins, paths):
             states[index] = path.reshape(T, -1)

@@ -21,6 +21,7 @@ from pmcmc_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     LineageClash,
+    TooFewParticles,
     ZeroPathMass,
     ZeroPinnedPotential,
     ZeroPotential,
@@ -242,9 +243,9 @@ def test_count_engine_refuses_a_column_path_outside_the_alphabet():
 
 
 def test_too_few_particles_for_the_pins_is_rejected():
-    # Slot 0, or the second pin's slot 1, falls outside [0, N).
+    # No particle at all, or the second pin's slot 1 outside [0, N).
     m = model_a()
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TooFewParticles):
         exact_pn_matrix(m, 0)
     with pytest.raises(IndexOutOfRange):
         c2smc_expectation_closed_form(m, 1, (0, 0), (1, 1))

@@ -360,9 +360,9 @@ def test_histogram_count_comes_before_any_array():
 
 def test_histogram_sweep_particle_counts():
     m, paths = model("B"), target("B").paths
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TooFewParticles):
         histogram_sweep(m, 0, paths)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(TooFewParticles):
         exact_pn_matrix(m, 0)
     assert np.array_equal(histogram_sweep(m, 1, paths), np.eye(len(paths)))
 

@@ -423,6 +423,50 @@ def test_public_functions_raise_typed_errors(case, error):
     assert issubclass(error, PmcmcLabError)
 
 
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("exact_pn_matrix", DimensionMismatch),
+        ("kernel_row", DimensionMismatch),
+        ("kernel_row_multiset", DimensionMismatch),
+        ("exact_gamma_hat_expectation", DimensionMismatch),
+        ("sticky_experiment", DimensionMismatch),
+        ("tv_curve_start", IndexOutOfRange),
+        ("tv_curve_length", TraceTooShort),
+        ("batch_means_variance", TraceTooShort),
+        ("trace_lineage", IndexOutOfRange),
+        ("multinomial_resample", TooFewParticles),
+        ("beta_delta_constants", IndexOutOfRange),
+        ("sticky_example_model", ConfigError),
+    ],
+)
+def test_a_size_that_is_not_an_integer_is_a_typed_refusal(case, error):
+    # A particle count N is checked as a pass checks it (DimensionMismatch);
+    # any other size raises its own range error.  The same size as a numpy
+    # integer runs.
+    from pmcmc_lab import beta_delta_constants, exact_pn_matrix, kernel_row, multinomial_resample, tv_curve
+    from pmcmc_lab.exact_oracle import exact_gamma_hat_expectation, kernel_row_multiset, trace_lineage
+
+    m = model_a()
+    call = {
+        "exact_pn_matrix": lambda k: exact_pn_matrix(m, k(2)),
+        "kernel_row": lambda k: kernel_row(m, k(2), (0, 0)),
+        "kernel_row_multiset": lambda k: kernel_row_multiset(m, k(2), (0, 0)),
+        "exact_gamma_hat_expectation": lambda k: exact_gamma_hat_expectation(m, k(2)),
+        "sticky_experiment": lambda k: sticky_experiment(2, k(2)),
+        "tv_curve_start": lambda k: tv_curve(exact_pn_matrix(m, 2), k(1), 3),
+        "tv_curve_length": lambda k: tv_curve(exact_pn_matrix(m, 2), 1, k(2)),
+        "batch_means_variance": lambda k: batch_means_variance(np.arange(10.0), k(2)),
+        "trace_lineage": lambda k: trace_lineage(((0, 1), (1, 0)), ((0, 1),), k(0)),
+        "multinomial_resample": lambda k: multinomial_resample([1.0, 2.0], k(2), SubstreamRng(0).stream(0)),
+        "beta_delta_constants": lambda k: beta_delta_constants(m, k(1)),
+        "sticky_example_model": lambda k: sticky_example_model(k(2)),
+    }[case]
+    call(np.int64)
+    with pytest.raises(error):
+        call(lambda n: n + 0.5)
+
+
 @pytest.mark.parametrize("chain", ["icsmc", "pimh", "pmmh", "pgibbs"])
 def test_replicated_chains_refuse_a_negative_step_count(chain):
     # run_chain, the one step loop of every sampler, refuses it.

@@ -872,18 +872,27 @@ def test_chains_refuse_a_step_count_that_is_not_an_integer(n_steps):
     assert len(list(run_chain(sampler, np.int64(2), 0))) == 2
 
 
-@pytest.mark.parametrize("R", [1, 3])
-def test_pmmh_starts_at_the_first_parameter_of_positive_prior_mass(R):
+@pytest.mark.parametrize("R", [1, 3, 23])
+def test_pmmh_starts_at_the_first_parameter_of_positive_prior_mass(monkeypatch, R):
     # With no prior mass on the first value the chains start at the second,
     # with a start pass under its model, and stay there: from it the
-    # proposal is a point mass on itself.
-    from pmcmc_lab.pgibbs import pmmh_sampler
-    from pmcmc_lab.smc_core import particle_pass
+    # proposal is a point mass on itself.  The start runs on the sampler's
+    # plan of the joint tables, in row blocks of 7 rows (23 rows take 4),
+    # and equals one pass of the second model alone, row for row.
+    from pmcmc_lab import csmc
+    from pmcmc_lab.pgibbs import _start_pass, pmmh_sampler
+    from pmcmc_lab.smc_core import _PassPlan, particle_pass
 
     jm = build_joint_model(["a", "b"], [0.0, 1.0], joint_two_time().models)
-    sampler = pmmh_sampler(jm, 3, [[0.5, 0.5], [0.0, 1.0]], R, 5)
+    monkeypatch.setattr(csmc, "_ROW_BLOCK", 7 * 3 * jm.T)
+    want = particle_pass(jm.models[1].tables, 3, 5, rows=R)
+    rng = _ReadCounter(5)
+    sampler = pmmh_sampler(jm, 3, [[0.5, 0.5], [0.0, 1.0]], R, rng)
+    assert rng.block == -(-R // 7) * (len(sampler.reads) - 2)  # the pass's reads: no parameter or accept block
     assert sampler.start.thetas.tolist() == [1] * R
-    assert np.array_equal(sampler.start.log_gammas, particle_pass(jm.models[1].tables, 3, 5, rows=R).log_gamma())
+    assert np.array_equal(sampler.start.log_gammas, want.log_gamma())
+    start = _start_pass(_PassPlan(jm.tables, 3, R), 5, np.ones(R, dtype=int))
+    assert np.array_equal(start.paths, want.paths())
     states = list(run_chain(sampler, 40, 5))
     assert all((s.thetas == 1).all() for s in states)
     assert any(s.accepted.any() for s in states)

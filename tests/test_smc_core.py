@@ -506,5 +506,6 @@ def test_a_plan_reuses_its_arrays_with_the_bits_of_a_fresh_plan(lineages):
         buffers = buffers or plan._buffers
         assert all(a is b for a, b in zip(plan._buffers, buffers))
         want = _PassPlan(tables, 4, R, lineages).run(rng, base, paths)
-        for name in ("states", "ancestors", "weights", "final"):
+        for name in ("states", "ancestors", "weights", "final", "totals"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got.log_gamma(), want.log_gamma())
