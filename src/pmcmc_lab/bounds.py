@@ -34,6 +34,7 @@ from .errors import (
     OutcomeSpaceTooLarge,
     TooFewParticles,
     ZeroPotential,
+    _whole,
 )
 from .fk_model import DiscreteFK, exact_target, sup_potentials
 
@@ -44,6 +45,7 @@ _LAMBERT_W0, _LAMBERT_TOL, _LAMBERT_MAX_ITER = -0.23, 1e-14, 200
 # 2.6e305 on), so lambert_w solves w + log w = log x instead.
 _LAMBERT_LARGE = 1e300
 _SCAN_MAX_STATES = 12  # most states gamma_hat_sup scans the subsets of
+_PAIR = "particle count N (the bound needs at least two particles)"
 
 
 class BoundSource(enum.Enum):
@@ -88,8 +90,7 @@ def epsilon_bounded(model: DiscreteFK, N: int) -> BoundReport:
 
     eps = (1 - 1/N)^T / (1 + [1 - (1 - 2/N)^T] [prod(Gbar)/gamma - 1]).
     """
-    if N < 2:
-        raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
+    N = _whole(N, 2, error=TooFewParticles, name=_PAIR)
     return BoundReport(_bounded_eps(model, N), BoundSource.BOUNDED_POTENTIALS, N, model.T)
 
 
@@ -109,10 +110,8 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
     """
     if not alpha >= 1.0:
         raise ConstantOutOfRange(f"alpha is at least 1 by construction, got {alpha!r}")
-    if T < 1:
-        raise ConstantOutOfRange(f"the horizon is at least 1, got T={T!r}")
-    if N < 2:
-        raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
+    T = _whole(T, 1, error=ConstantOutOfRange, name="horizon T")
+    N = _whole(N, 2, error=TooFewParticles, name=_PAIR)
     eps = ((1.0 - 1.0 / N) / (1.0 + 2.0 * (alpha - 1.0) / N)) ** T
     return BoundReport(eps, BoundSource.MIXING, N, T)
 
@@ -129,8 +128,7 @@ def epsilon_isir(g_bar: float, N: int) -> BoundReport:
     weight supremum Gbar >= 1."""
     if not g_bar >= 1.0:
         raise ConstantOutOfRange(f"the normalised weight supremum is at least 1, got {g_bar!r}")
-    if N < 2:
-        raise TooFewParticles(f"the bound needs at least two particles, got N={N}")
+    N = _whole(N, 2, error=TooFewParticles, name=_PAIR)
     eps = (N - 1.0) / (2.0 * g_bar + N - 2.0)
     return BoundReport(eps, BoundSource.ISIR, N, 1)
 
@@ -203,8 +201,7 @@ def gamma_hat_sup(model: DiscreteFK, N: int) -> float:
     S, T = model.n_states, model.T
     if S > _SCAN_MAX_STATES:
         raise OutcomeSpaceTooLarge(f"{S} states exceed the subset-scan limit {_SCAN_MAX_STATES}")
-    if N < 1:
-        raise TooFewParticles(f"an estimate needs at least one particle, got N={N}")
+    N = _whole(N, 1, error=TooFewParticles, name="particle count N")
 
     def best_mean(t, occupied):
         g = model.potential_vector(t)

@@ -18,12 +18,11 @@ bounds: the predictive-overshoot ratio ``alpha`` and the pair ``beta`` /
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssertionFailure, IndexOutOfRange, ZeroPotential, ZeroTransitionOverlap
+from .errors import AssertionFailure, ZeroPotential, ZeroTransitionOverlap, _whole
 from .exact_oracle import _OutcomeTree
 from .fk_model import DiscreteFK, predictive_law, q_operator
 from .smc_core import _pin_schedule
@@ -138,8 +137,7 @@ def beta_delta_constants(model: DiscreteFK, m: int) -> MixingConstants:
     ratio raised to the m-th power and requires strictly positive weights.
     A lag that is not an integer in [1, T] raises IndexOutOfRange.
     """
-    if not isinstance(m, numbers.Integral) or not 1 <= m <= model.T:
-        raise IndexOutOfRange(f"lag {m} outside [1, {model.T}]")
+    m = _whole(m, 1, model.T + 1, name="lag m")
     beta = 1.0
     for p in range(1, model.T - m + 1):
         mbar = np.eye(model.n_states)

@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, TraceTooShort
+from .errors import DimensionMismatch, TraceTooShort, _whole
 from .rng import as_substream
 from .smc_core import BatchedPass, PassTables, _checked_paths, _PassPlan, _path_rows, particle_pass
 
@@ -227,8 +226,7 @@ def _chain_blocks(sampler: Sampler, n_steps: int, rng):
     _TABLE_WORK per step runs as tables (:func:`_table_blocks`); every other
     block is one ``sampler.step``.  Raises TraceTooShort unless ``n_steps``
     is an integer >= 0, when called."""
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
-        raise TraceTooShort(f"a chain runs a whole number n_steps >= 0 of steps, got {n_steps!r}")
+    n_steps = _whole(n_steps, 0, error=TraceTooShort, name="step count n_steps")
     rng = as_substream(rng)
     if _rows(sampler.start) == 1 and sampler.table.work <= _TABLE_WORK:
         return _table_blocks(sampler, n_steps, rng)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one integer check."""
+
+import numbers
+import operator
 
 
 class PmcmcLabError(Exception):
@@ -128,3 +131,16 @@ class AssertionFailure(PmcmcLabError):
         if violation is not None:
             msg += f" (violation {violation:.3e})"
         super().__init__(msg)
+
+
+def _whole(value, lo, hi=None, error=IndexOutOfRange, name: str = "index") -> int:
+    """``value`` as a Python int when it is an integer (an Integral, numpy's
+    integers included, bool not) in [lo, hi), a None bound leaving that side
+    open; otherwise raises ``error`` naming the argument, its value and the
+    range.  Every size, index, count and stream coordinate is checked here,
+    never truncated."""
+    whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if whole and (lo is None or lo <= value) and (hi is None or value < hi):
+        return operator.index(value)
+    span = f"{'(-inf' if lo is None else f'[{lo}'}, {'inf)' if hi is None else f'{hi - 1}]'}"
+    raise error(f"{name} {value!r} {'outside' if whole else 'is not an integer in'} {span}")

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +64,7 @@ from .errors import (
     SingularSolve,
     TraceTooShort,
     ZeroStationaryMass,
+    _whole,
 )
 from .fk_model import DiscreteFK, exact_target
 from .histogram import _GUARD, _histograms, _multinomial, _Plan
@@ -296,9 +296,7 @@ def trace_lineage(states, ancestors, terminal: int) -> tuple:
     Raises IndexOutOfRange for a terminal slot that is not an integer in
     [0, N)."""
     T, N = len(states), len(states[-1])
-    if not isinstance(terminal, numbers.Integral) or not 0 <= terminal < N:
-        raise IndexOutOfRange(f"terminal slot {terminal} outside [0, {N})")
-    idx = terminal
+    idx = _whole(terminal, 0, N, name="terminal slot")
     out = [None] * T
     for t in range(T, 0, -1):
         out[t - 1] = states[t - 1][idx]
@@ -429,7 +427,7 @@ def slot_sweep(model: DiscreteFK, N: int, paths, lineage=None, guard: int = _GUA
     The paths are checked as one batched pin on the lineage; ``guard``
     bounds the entries of the whole sweep.
     """
-    lineage = tuple(int(v) for v in lineage) if lineage is not None else (0,) * model.T
+    lineage = tuple(lineage) if lineage is not None else (0,) * model.T
     paths = list(map(tuple, _checked_pins(model, N, paths, lineage).tolist()))
     yield from _SlotSweep(model, N, lineage, guard).rows(paths)
 
@@ -690,10 +688,8 @@ def tv_curve(chain: FiniteChain, x0: int, n_max: int) -> np.ndarray:
     for n = 0..n_max.  Raises IndexOutOfRange for a start state that is not
     an integer in [0, n_states) and TraceTooShort unless n_max is an integer
     >= 0."""
-    if not isinstance(x0, numbers.Integral) or not 0 <= x0 < chain.n_states:
-        raise IndexOutOfRange(f"start state {x0} outside [0, {chain.n_states})")
-    if not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise TraceTooShort(f"a total-variation curve needs an integer n_max >= 0, got {n_max!r}")
+    x0 = _whole(x0, 0, chain.n_states, name="start state")
+    n_max = _whole(n_max, 0, error=TraceTooShort, name="curve length n_max")
     dist = np.zeros(chain.n_states)
     dist[x0] = 1.0
     out = np.empty(n_max + 1)

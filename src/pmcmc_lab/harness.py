@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +37,7 @@ from .bounds import (
 )
 from .c2smc import alpha_constant
 from .csmc import Trajectory, icsmc_chain, run_chain
-from .errors import ConfigError, DimensionMismatch, TraceTooShort
+from .errors import ConfigError, DimensionMismatch, TraceTooShort, _whole
 from .exact_oracle import _pn_matrix, exact_minorization, spectral_summary, tv_curve
 from .fk_model import DiscreteFK, build_discrete_model, exact_target, load_model, sup_potentials
 from .histogram import _GUARD, _Plan
@@ -153,8 +152,7 @@ def sticky_example_model(K: int, initial_law: str = "geometric") -> DiscreteFK:
     Raises ConfigError unless K is an integer >= 1, as for an unknown
     ``initial_law``.
     """
-    if not isinstance(K, numbers.Integral) or K < 1:
-        raise ConfigError(f"the sticky model needs an integer K >= 1, got {K!r}")
+    K = _whole(K, 1, error=ConfigError, name="sticky level count K")
     size = 2 * K + 1
     alphabet = tuple(range(1, size + 1))
     m1 = np.zeros(size)
@@ -204,10 +202,8 @@ def _level_stays(model: DiscreteFK, K: int, N: int, n_grid):
     a level outside [1, K]) and per level n: the stay probability
     P(x_n, A_n) and the retained share from x_n, from one count-engine call
     for all levels; and its work."""
-    n_grid = list(range(1, K + 1) if n_grid is None else n_grid)
-    for n in n_grid:
-        if not 1 <= n <= K:
-            raise ConfigError(f"level {n!r} outside [1, {K}]")
+    levels = range(1, K + 1) if n_grid is None else n_grid
+    n_grid = [_whole(n, 1, K + 1, error=ConfigError, name="level") for n in levels]
     plan = _Plan(model, N, *_level_pairs(n_grid), guard=_GUARD)
     entries, shares = plan.entries()
     return n_grid, entries[0::2] + entries[1::2], shares[0::2], plan.work
@@ -266,8 +262,7 @@ def batch_means_variance(values, batch_count: int = 64) -> float:
     Raises TraceTooShort unless there are at least 2 batches of 2 values
     each, a whole number of batches.
     """
-    if not isinstance(batch_count, numbers.Integral) or batch_count < 2:
-        raise TraceTooShort(f"a batch-means variance needs an integer batch_count >= 2, got {batch_count!r}")
+    batch_count = _whole(batch_count, 2, error=TraceTooShort, name="batch_count")
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise DimensionMismatch(f"batch means need a 1-d trace, got shape {values.shape}")
@@ -439,7 +434,7 @@ def _run_pgibbs(cfg: ExperimentConfig, out: Path) -> None:
     f_theta[0] = 1.0
     report2 = check_theta_chain_identities(jm, n, f_theta)
     rows = [["inequality", "worst_violation", "witness"]]
-    for name, violation, witness in list(report) + list(report2):
+    for name, violation, witness in report + report2:
         violation = 0.0 if abs(violation) < RESIDUAL_FLOOR else violation
         rows.append([name, _fmt(violation), "" if witness is None else witness])
     _write_csv(out / "ordering_report.csv", rows)

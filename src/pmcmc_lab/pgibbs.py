@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -42,6 +41,7 @@ from .errors import (
     IndexOutOfRange,
     StateSpaceTooLarge,
     ZeroPathMass,
+    _whole,
 )
 from .exact_oracle import (
     FiniteChain,
@@ -303,34 +303,31 @@ def _rho_from(enum: JointEnumeration, kernels) -> RhoEstimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one inequality suite: worst slack per named inequality."""
+def _recorder(slack: float):
+    """A suite's entry list and the function that appends (name, violation,
+    witness) to it, raising AssertionFailure for a violation past ``tol``
+    (``slack`` unless given)."""
+    entries = []
 
-    entries: list
+    def record(name, violation, witness=None, tol=slack):
+        entries.append((name, float(violation), witness))
+        if violation > tol:
+            raise AssertionFailure(name, witness=witness, violation=float(violation))
 
-    def worst(self) -> tuple:
-        return max(self.entries, key=lambda e: e[1])
-
-    def __iter__(self):
-        return iter(self.entries)
+    return entries, record
 
 
-def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> CheckReport:
+def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> list:
     """Dirichlet, gap and variance orderings between the ideal and particle
-    path chains, for every indicator basis function.
+    path chains, for every indicator basis function: a list of (name,
+    violation, witness), one entry per inequality checked.
 
     Raises AssertionFailure naming the first violated inequality.
     """
     _, kernels, (_, gamma_x), (_, phi_x), rho = _compared(jm, N)
     eps_uniform = min(exact_minorization(chain) for chain in kernels)
     pi = gamma_x.stationary
-    entries = []
-
-    def record(name, violation, witness):
-        entries.append((name, float(violation), witness))
-        if violation > slack:
-            raise AssertionFailure(name, witness=witness, violation=float(violation))
+    entries, record = _recorder(slack)
 
     gap_g = spectral_summary(gamma_x).gap_right
     gap_p = spectral_summary(phi_x).gap_right
@@ -365,11 +362,13 @@ def check_x_chain_orderings(jm: JointModel, N: int, slack: float = 1e-9) -> Chec
             i,
         )
         record("var_lower_positive: var(ideal) <= var(particle)", v_g - v_p, i)
-    return CheckReport(entries=entries)
+    return entries
 
 
-def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> CheckReport:
-    """Shift identities and variance decomposition for parameter functions.
+def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> list:
+    """Shift identities and variance decomposition for parameter functions,
+    as a list of (name, violation, witness) like
+    :func:`check_x_chain_orderings`.
 
     For f depending on the parameter only: the k-step joint autocovariance
     equals the (k-1)-step path autocovariance of the conditional mean, the
@@ -380,12 +379,7 @@ def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> CheckReport
     """
     f = np.asarray(f_theta, dtype=float)
     enum, _, (gamma_joint, gamma_x), (phi_joint, phi_x), rho = _compared(jm, N)
-    entries = []
-
-    def record(name, violation, tol, witness=None):
-        entries.append((name, float(violation), witness))
-        if violation > tol:
-            raise AssertionFailure(name, witness=witness, violation=float(violation))
+    entries, record = _recorder(_TOL_VARIANCE)
 
     # Lift f to the joint state lists and average it over the conditional.
     theta_pos = {th: j for j, th in enumerate(jm.thetas)}
@@ -405,7 +399,7 @@ def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> CheckReport
         acc_joint = phi_joint.kernel @ acc_joint
         lhs = float((pi_joint * f_phi) @ acc_joint)
         rhs = float((pi_x * fbar) @ acc_x)
-        record(f"shift_identity_k{k}", abs(lhs - rhs), _TOL_IDENTITY, witness=k)
+        record(f"shift_identity_k{k}", abs(lhs - rhs), k, _TOL_IDENTITY)
         acc_x = phi_x.kernel @ acc_x
 
     # var(f, joint) = var_pi(f) + var_pi(fbar) + var(fbar, path chain).
@@ -413,28 +407,24 @@ def check_theta_chain_identities(jm: JointModel, N: int, f_theta) -> CheckReport
     var_pi_fbar = float((pi_x * fbar) @ fbar - (pi_x @ fbar) ** 2)
     v_joint = asymptotic_variance_general(phi_joint.kernel, pi_joint, f_phi)
     v_fbar = exact_asymptotic_variance(phi_x, fbar)
-    record(
-        "variance_decomposition",
-        abs(v_joint - (var_pi_f + var_pi_fbar + v_fbar)),
-        _TOL_VARIANCE,
-    )
+    record("variance_decomposition", abs(v_joint - (var_pi_f + var_pi_fbar + v_fbar)))
 
     # Upper bounds via the weighted-gap constant; lower via operator positivity.
     v_fbar_ideal = exact_asymptotic_variance(gamma_x, fbar)
     upper1 = var_pi_f + var_pi_fbar / rho.rho_exact + v_fbar_ideal / rho.rho_exact
-    record("var_theta_upper_rho", v_joint - upper1, _TOL_VARIANCE)
+    record("var_theta_upper_rho", v_joint - upper1)
     v_joint_ideal = asymptotic_variance_general(
         gamma_joint.kernel, gamma_joint.stationary, f_gamma
     )
     upper2 = (1.0 - 1.0 / rho.rho_exact) * var_pi_f + v_joint_ideal / rho.rho_exact
-    record("var_theta_upper_gamma", v_joint - upper2, _TOL_VARIANCE)
-    record("var_theta_lower_positive", v_joint_ideal - v_joint, _TOL_VARIANCE)
+    record("var_theta_upper_gamma", v_joint - upper2)
+    record("var_theta_lower_positive", v_joint_ideal - v_joint)
 
     # The weighted-gap constant dominates the bounded-weight constant of the
     # worst parameter value.
     eps = min(_bounded_eps(m, N) for m in jm.models)
-    record("rho_vs_uniform_bound", eps - rho.rho_exact, _TOL_VARIANCE)
-    return CheckReport(entries=entries)
+    record("rho_vs_uniform_bound", eps - rho.rho_exact)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +506,11 @@ def pgibbs_sampler(jm: JointModel, N: int, x0, theta0: int, R: int) -> Sampler:
     """R particle Gibbs chains at (theta0, x0) on a slot-0 plan built once.
     x0 is checked as the parameter draw checks it; theta0 other than an
     integer in [0, J) raises IndexOutOfRange."""
-    if not isinstance(theta0, numbers.Integral) or not 0 <= theta0 < jm.J:
-        raise IndexOutOfRange(f"start parameter index {theta0!r} is not an integer in [0, {jm.J})")
+    theta0 = _whole(theta0, 0, jm.J, name="start parameter index")
     theta_given_paths(jm, [tuple(x0)])
     plan = _reference_plan(jm.tables, N, R)
     paths = np.tile(np.asarray(tuple(x0), dtype=int), (R, 1))
-    return _pgibbs(jm, plan, ChainState(paths=paths, thetas=np.full(R, int(theta0))))
+    return _pgibbs(jm, plan, ChainState(paths=paths, thetas=np.full(R, theta0)))
 
 
 def _accepts(log_u, fwd, lg, back, cur):

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, _whole
 
 # Draw-site tags (the last stream coordinate).
 SITE_INIT = 0
@@ -46,6 +46,7 @@ SITE_THETA = 5
 
 # Field widths of the four coordinates in the Philox counter.
 _FIELDS = (("step", 64), ("time", 64), ("particle", 48), ("site", 16))
+_NAMES = tuple(f"stream {name} coordinate" for name, _ in _FIELDS)
 
 # Philox4x64-10 (Salmon et al., SC 2011), as numpy's Philox runs it: the
 # multipliers of counter words 0 and 2 and the Weyl increments of the key.
@@ -56,14 +57,12 @@ _PHILOX_ROUNDS = 10
 
 class SubstreamRng:
     """A 64-bit seed plus a coordinate scheme for independent substreams.
-    A negative seed raises IndexOutOfRange."""
+    A seed that is not an integer >= 0 raises IndexOutOfRange."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise IndexOutOfRange(f"seed {self.seed} is negative")
+        self.seed = _whole(seed, 0, name="seed")
         self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
-        self._key_words = tuple(int(k) for k in self._key)
+        self._key_words = tuple(self._key.tolist())
         self._gen = None  # the generator _block() re-positions
         # The state it is set to: a fresh Philox's, empty buffer, at the
         # counter of the stream read, the only entry that changes.
@@ -84,8 +83,8 @@ class SubstreamRng:
         and site share the third (48 and 16 bits).  The low word is left at
         zero because the generator increments it as it produces output, so a
         single stream can emit 2^66 values before touching any other stream's
-        counter range.  A coordinate outside its field would alias another
-        stream and raises IndexOutOfRange.
+        counter range.  A coordinate that is not an integer, or lies outside
+        its field (and would alias another stream), raises IndexOutOfRange.
         """
         counter = np.array(_counter(coords), dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=self._key, counter=counter))
@@ -161,11 +160,10 @@ class SubstreamRng:
 
     def spawn(self, index: int) -> "SubstreamRng":
         """Derive an independent child (used for parallel chains/replicates);
-        a negative index raises IndexOutOfRange."""
-        if index < 0:
-            raise IndexOutOfRange(f"spawn index {index} is negative")
-        child = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(index),))
-        return SubstreamRng(int(child.generate_state(1, np.uint64)[0]))
+        an index that is not an integer >= 0 raises IndexOutOfRange."""
+        index = _whole(index, 0, name="spawn index")
+        child = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
+        return SubstreamRng(child.generate_state(1, np.uint64).tolist()[0])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SubstreamRng(seed={self.seed})"
@@ -174,10 +172,11 @@ class SubstreamRng:
 def _counter(coords) -> tuple:
     """The Philox counter words of the stream at ``coords`` (see
     :meth:`SubstreamRng.stream`), the step last; raises IndexOutOfRange for
-    a coordinate that would alias another stream."""
+    a coordinate that is not an integer or would alias another stream."""
     if len(coords) > 4:
         raise IndexOutOfRange("at most 4 stream coordinates are supported")
-    c = step, time, particle, site = (*map(int, coords), 0, 0, 0, 0)[:4]
+    checked = (_whole(v, None, name=name) for v, name in zip(coords, _NAMES))
+    c = step, time, particle, site = (*checked, 0, 0, 0, 0)[:4]
     # A negative value, or one wider than its field, shifts to nonzero.
     if step >> 64 or time >> 64 or particle >> 48 or site >> 16:
         name, bits, value = next((n, b, v) for (n, b), v in zip(_FIELDS, c) if v >> b)
@@ -222,4 +221,4 @@ def as_substream(rng: "SubstreamRng | int") -> SubstreamRng:
     """Accept either a seed or an existing substream container."""
     if isinstance(rng, SubstreamRng):
         return rng
-    return SubstreamRng(int(rng))
+    return SubstreamRng(rng)

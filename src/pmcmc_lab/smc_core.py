@@ -24,7 +24,6 @@ normalizing-constant estimate, always handled in log space
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +37,7 @@ from .errors import (
     NegativePotential,
     TooFewParticles,
     ZeroPinnedPotential,
+    _whole,
 )
 from .rng import SITE_ANCESTOR, SITE_FINAL, SITE_INIT, SITE_MOVE, _words, as_substream
 
@@ -134,8 +134,7 @@ def _count_columns(columns, v) -> np.ndarray:
 def multinomial_resample(weights, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. indices, index k with probability weights[k]/sum.
     Raises TooFewParticles unless ``count`` is an integer >= 0."""
-    if not isinstance(count, numbers.Integral) or count < 0:
-        raise TooFewParticles(f"a resampling draw needs an integer count >= 0, got {count!r}")
+    count = _whole(count, 0, error=TooFewParticles, name="resampling count")
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise NegativePotential("resampling weights must be non-negative")
@@ -320,19 +319,15 @@ def _pin_layout(T: int, N: int, lineages):
     IndexOutOfRange for a slot outside [0, N), and LineageClash when two
     lineages give one slot different parents.
     """
-    if not isinstance(N, numbers.Integral):
-        raise DimensionMismatch(f"a pass takes an integer particle count, got N={N!r}")
-    if N < 1:
-        raise TooFewParticles(f"a pass needs at least one particle, got N={N}")
+    N = _whole(N, None, error=DimensionMismatch, name="particle count N")
+    _whole(N, 1, error=TooFewParticles, name="particle count N")
     owners = [{} for _ in range(T)]
     parents = [{} for _ in range(T - 1)]
     clashes = []
     for k, lineage in enumerate(lineages):
         if len(lineage) != T:
             raise DimensionMismatch(f"pin lineage of length {len(lineage)}, model horizon is {T}")
-        slots = [int(s) for s in lineage]
-        if min(slots) < 0 or max(slots) >= N:
-            raise IndexOutOfRange(f"pinned slot outside [0, {N}): lineage {tuple(slots)}")
+        slots = [_whole(s, 0, N, name="pinned slot") for s in lineage]
         for t, slot in enumerate(slots):
             j = owners[t].setdefault(slot, k)
             if j != k:
@@ -388,8 +383,7 @@ def _pin_schedule(tables: PassTables, pins, N: int):
     """
     lineages, paths = zip(*pins) if pins else ((), ())
     pin_state, parents, clashes = _pin_layout(tables.T, N, lineages)
-    # One path keeps Python ints, as the exact engines key outcomes by them.
-    states = [path.tolist() if path.ndim == 1 else path for path in _checked_paths(tables, paths, clashes)]
+    states = _checked_paths(tables, paths, clashes)
     for t, owners in enumerate(pin_state):
         for slot, k in owners.items():
             owners[slot] = states[k][t]
@@ -424,8 +418,7 @@ class _PassPlan:
     """
 
     def __init__(self, tables: PassTables, N: int, rows: int = 1, lineages=()):
-        if not isinstance(rows, numbers.Integral) or rows < 0:
-            raise DimensionMismatch(f"a pass takes an integer row count >= 0, got rows={rows!r}")
+        rows = _whole(rows, 0, error=DimensionMismatch, name="row count")
         T = tables.T
         owners, _, self.clashes = _pin_layout(T, N, lineages)
         self.tables, self.N, self.rows = tables, N, rows

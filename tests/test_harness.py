@@ -12,6 +12,7 @@ from pmcmc_lab import SubstreamRng, batch_means_variance, run_experiment, sticky
 from pmcmc_lab.cli import main as cli_main
 from pmcmc_lab.errors import (
     ConfigError,
+    ConstantOutOfRange,
     DimensionMismatch,
     IndexOutOfRange,
     NonStochasticRow,
@@ -438,14 +439,30 @@ def test_public_functions_raise_typed_errors(case, error):
         ("multinomial_resample", TooFewParticles),
         ("beta_delta_constants", IndexOutOfRange),
         ("sticky_example_model", ConfigError),
+        ("epsilon_bounded", TooFewParticles),
+        ("epsilon_mixing_N", TooFewParticles),
+        ("epsilon_mixing_T", ConstantOutOfRange),
+        ("epsilon_isir", TooFewParticles),
+        ("gamma_hat_sup", TooFewParticles),
+        ("substream_seed", IndexOutOfRange),
+        ("spawn", IndexOutOfRange),
+        ("stream", IndexOutOfRange),
+        ("icsmc_step_base", IndexOutOfRange),
+        ("particle_pass_lineage", IndexOutOfRange),
+        ("exact_pn_matrix_lineage", IndexOutOfRange),
+        ("sticky_experiment_level", ConfigError),
     ],
 )
 def test_a_size_that_is_not_an_integer_is_a_typed_refusal(case, error):
-    # A particle count N is checked as a pass checks it (DimensionMismatch);
-    # any other size raises its own range error.  The same size as a numpy
-    # integer runs.
+    # A particle count N is checked as a pass checks it (DimensionMismatch),
+    # or as a bound checks it (TooFewParticles); any other size, index or
+    # stream coordinate raises its own range error.  The same size as a
+    # numpy integer runs; half past it, or True, is refused.
     from pmcmc_lab import beta_delta_constants, exact_pn_matrix, kernel_row, multinomial_resample, tv_curve
+    from pmcmc_lab.bounds import epsilon_isir, epsilon_mixing, gamma_hat_sup
+    from pmcmc_lab.csmc import icsmc_step
     from pmcmc_lab.exact_oracle import exact_gamma_hat_expectation, kernel_row_multiset, trace_lineage
+    from pmcmc_lab.smc_core import particle_pass
 
     m = model_a()
     call = {
@@ -461,10 +478,23 @@ def test_a_size_that_is_not_an_integer_is_a_typed_refusal(case, error):
         "multinomial_resample": lambda k: multinomial_resample([1.0, 2.0], k(2), SubstreamRng(0).stream(0)),
         "beta_delta_constants": lambda k: beta_delta_constants(m, k(1)),
         "sticky_example_model": lambda k: sticky_example_model(k(2)),
+        "epsilon_bounded": lambda k: epsilon_bounded(m, k(2)),
+        "epsilon_mixing_N": lambda k: epsilon_mixing(1.5, k(2), 2),
+        "epsilon_mixing_T": lambda k: epsilon_mixing(1.5, 2, k(2)),
+        "epsilon_isir": lambda k: epsilon_isir(1.5, k(2)),
+        "gamma_hat_sup": lambda k: gamma_hat_sup(m, k(2)),
+        "substream_seed": lambda k: SubstreamRng(k(1)),
+        "spawn": lambda k: SubstreamRng(0).spawn(k(1)),
+        "stream": lambda k: SubstreamRng(0).stream(k(2)),
+        "icsmc_step_base": lambda k: icsmc_step(m, 2, ChainState(paths=[(0, 0)]), 0, base=k(2)),
+        "particle_pass_lineage": lambda k: particle_pass(m.tables, 3, 0, pins=[((k(1), 0), (0, 0))]),
+        "exact_pn_matrix_lineage": lambda k: exact_pn_matrix(m, 3, lineage=(k(1), 0)),
+        "sticky_experiment_level": lambda k: sticky_experiment(4, 3, n_grid=[k(1)]),
     }[case]
     call(np.int64)
-    with pytest.raises(error):
-        call(lambda n: n + 0.5)
+    for bad in (lambda n: n + 0.5, lambda n: True):
+        with pytest.raises(error):
+            call(bad)
 
 
 @pytest.mark.parametrize("chain", ["icsmc", "pimh", "pmmh", "pgibbs"])

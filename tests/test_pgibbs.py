@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import joint_single_time, joint_two_time, model, model_a, sparse_models
@@ -32,7 +32,6 @@ from pmcmc_lab.errors import (
     TraceTooShort,
     ZeroPathMass,
     ZeroPinnedPotential,
-    ZeroPotential,
 )
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.pgibbs import RhoEstimate, enumerate_joint, theta_given_paths
@@ -824,10 +823,7 @@ def test_property_every_route_gives_the_same_chain_on_sparse_models(m, N, seed, 
     from pmcmc_lab.csmc import icsmc_sampler
     from pmcmc_lab.pgibbs import pgibbs_sampler, pimh_sampler, pmmh_sampler
 
-    try:
-        x0 = data.draw(st.sampled_from(exact_target(m).paths))
-    except ZeroPotential:  # no path of positive mass to start from
-        assume(False)
+    x0 = data.draw(st.sampled_from(exact_target(m).paths))
     jm = build_joint_model([0, 1], [0.5, 0.5], [m, data.draw(sparse_models(m.n_states, m.T))])
     samplers = (
         lambda R: icsmc_sampler(m, N, x0, R),
