@@ -175,7 +175,7 @@ def _counter(coords) -> tuple:
     a coordinate that is not an integer or would alias another stream."""
     if len(coords) > 4:
         raise IndexOutOfRange("at most 4 stream coordinates are supported")
-    checked = (_whole(v, None, name=name) for v, name in zip(coords, _NAMES))
+    checked = [_whole(v, None, name=name) for v, name in zip(coords, _NAMES)]
     c = step, time, particle, site = (*checked, 0, 0, 0, 0)[:4]
     # A negative value, or one wider than its field, shifts to nonzero.
     if step >> 64 or time >> 64 or particle >> 48 or site >> 16:
