@@ -45,7 +45,7 @@ _LAMBERT_W0, _LAMBERT_TOL, _LAMBERT_MAX_ITER = -0.23, 1e-14, 200
 # 2.6e305 on), so lambert_w solves w + log w = log x instead.
 _LAMBERT_LARGE = 1e300
 _SCAN_MAX_STATES = 12  # most states gamma_hat_sup scans the subsets of
-_PAIR = "particle count N (the bound needs at least two particles)"
+_BOUND_N = "particle count N (the bound needs at least two particles)"
 
 
 class BoundSource(enum.Enum):
@@ -90,7 +90,7 @@ def epsilon_bounded(model: DiscreteFK, N: int) -> BoundReport:
 
     eps = (1 - 1/N)^T / (1 + [1 - (1 - 2/N)^T] [prod(Gbar)/gamma - 1]).
     """
-    N = _whole(N, 2, error=TooFewParticles, name=_PAIR)
+    N = _whole(N, 2, error=TooFewParticles, name=_BOUND_N)
     return BoundReport(_bounded_eps(model, N), BoundSource.BOUNDED_POTENTIALS, N, model.T)
 
 
@@ -111,7 +111,7 @@ def epsilon_mixing(alpha: float, N: int, T: int) -> BoundReport:
     if not alpha >= 1.0:
         raise ConstantOutOfRange(f"alpha is at least 1 by construction, got {alpha!r}")
     T = _whole(T, 1, error=ConstantOutOfRange, name="horizon T")
-    N = _whole(N, 2, error=TooFewParticles, name=_PAIR)
+    N = _whole(N, 2, error=TooFewParticles, name=_BOUND_N)
     eps = ((1.0 - 1.0 / N) / (1.0 + 2.0 * (alpha - 1.0) / N)) ** T
     return BoundReport(eps, BoundSource.MIXING, N, T)
 
@@ -128,7 +128,7 @@ def epsilon_isir(g_bar: float, N: int) -> BoundReport:
     weight supremum Gbar >= 1."""
     if not g_bar >= 1.0:
         raise ConstantOutOfRange(f"the normalised weight supremum is at least 1, got {g_bar!r}")
-    N = _whole(N, 2, error=TooFewParticles, name=_PAIR)
+    N = _whole(N, 2, error=TooFewParticles, name=_BOUND_N)
     eps = (N - 1.0) / (2.0 * g_bar + N - 2.0)
     return BoundReport(eps, BoundSource.ISIR, N, 1)
 

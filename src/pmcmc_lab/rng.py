@@ -163,7 +163,7 @@ class SubstreamRng:
         an index that is not an integer >= 0 raises IndexOutOfRange."""
         index = _whole(index, 0, name="spawn index")
         child = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
-        return SubstreamRng(child.generate_state(1, np.uint64).tolist()[0])
+        return SubstreamRng(child.generate_state(1, np.uint64)[0])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SubstreamRng(seed={self.seed})"

@@ -316,8 +316,8 @@ def _pin_layout(T: int, N: int, lineages):
     and the exact engines: DimensionMismatch for an N that is not an
     integer and TooFewParticles for N < 1, before any lineage is read.
     Raises DimensionMismatch for a lineage whose length is not T,
-    IndexOutOfRange for a slot outside [0, N), and LineageClash when two
-    lineages give one slot different parents.
+    IndexOutOfRange for a slot that is not an integer in [0, N), and
+    LineageClash when two lineages give one slot different parents.
     """
     N = _whole(N, None, error=DimensionMismatch, name="particle count N")
     _whole(N, 1, error=TooFewParticles, name="particle count N")
