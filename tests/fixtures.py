@@ -77,6 +77,23 @@ def model_t1():
     return build_discrete_model([0, 1], [0.5, 0.5], [], [[1.0, 3.0]])
 
 
+def grid_model(T: int, S: int):
+    """Deterministic strictly positive tables for each acceptance grid cell."""
+    m1 = np.arange(1, S + 1, dtype=float)
+    m1 /= m1.sum()
+    mats = []
+    for t in range(T - 1):
+        mat = np.array(
+            [[1.0 + ((i + j + t) % S) + 0.5 * ((i * j + t) % 2) for j in range(S)] for i in range(S)]
+        )
+        mats.append((mat / mat.sum(axis=1, keepdims=True)).tolist())
+    gs = [
+        [0.5 + ((s + 2 * t) % (S + 1)) + 0.25 * ((s * (t + 1)) % 3) for s in range(S)]
+        for t in range(T)
+    ]
+    return build_discrete_model(list(range(S)), m1.tolist(), mats, gs)
+
+
 _BUILDERS = {
     "A": model_a,
     "B": model_b,

@@ -7,6 +7,7 @@ import time
 import numpy as np
 
 from fixtures import (
+    grid_model,
     joint_single_time,
     joint_two_time,
     model,
@@ -55,29 +56,12 @@ def _ok(num: int, label: str) -> None:
     print(f"ACCEPTANCE {num:02d} PASS  {label}")
 
 
-def _grid_model(T: int, S: int):
-    """Deterministic strictly positive tables for each grid cell."""
-    m1 = np.arange(1, S + 1, dtype=float)
-    m1 /= m1.sum()
-    mats = []
-    for t in range(T - 1):
-        mat = np.array(
-            [[1.0 + ((i + j + t) % S) + 0.5 * ((i * j + t) % 2) for j in range(S)] for i in range(S)]
-        )
-        mats.append((mat / mat.sum(axis=1, keepdims=True)).tolist())
-    gs = [
-        [0.5 + ((s + 2 * t) % (S + 1)) + 0.25 * ((s * (t + 1)) % 3) for s in range(S)]
-        for t in range(T)
-    ]
-    return build_discrete_model(list(range(S)), m1.tolist(), mats, gs)
-
-
 def test_criterion_01_closed_form_equals_enumeration():
     t0 = time.monotonic()
     worst = 0.0
     for T in (1, 2, 3):
         for S in (2, 3):
-            m = _grid_model(T, S)
+            m = grid_model(T, S)
             paths = list(itertools.product(range(S), repeat=T))
             for N in (2, 3):
                 for x in paths:
@@ -95,7 +79,7 @@ def test_closed_form_equals_enumeration_beyond_three_particles():
     # At N = 2, 3 the free factor N - 2 is 0 or 1; here its powers are checked.
     worst = 0.0
     for T, S, N in ((1, 2, 4), (1, 3, 5), (2, 2, 4), (2, 2, 5), (2, 3, 4)):
-        m = _grid_model(T, S)
+        m = grid_model(T, S)
         paths = list(itertools.product(range(S), repeat=T))
         for x in paths:
             for y in paths:
@@ -151,7 +135,7 @@ def test_criterion_04_linear_schedule_floor():
 def _exact_epsilon(T: int, N: int) -> float:
     # At T=5, N=11 the count engine needs 3.4e6 law entries, within the
     # default guard.
-    return exact_minorization(exact_pn_matrix(_grid_model(T, 2), N))
+    return exact_minorization(exact_pn_matrix(grid_model(T, 2), N))
 
 
 def test_linear_schedule_keeps_exact_minorization():
@@ -162,7 +146,7 @@ def test_linear_schedule_keeps_exact_minorization():
     for C in (1, 2):
         for T in range(1, 6):
             N = C * T + 1
-            alpha = alpha_constant(_grid_model(T, 2))
+            alpha = alpha_constant(grid_model(T, 2))
             bound = epsilon_mixing(alpha, N, T).epsilon
             exact[C, T] = _exact_epsilon(T, N)
             assert exact[C, T] >= bound >= mixing_floor(alpha, C)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import (
+    grid_model,
     kernel_row_tree,
     model,
     model_a,
@@ -48,6 +50,7 @@ from pmcmc_lab.exact_oracle import (
     trace_lineage,
 )
 from pmcmc_lab.fk_model import build_discrete_model, exact_target
+from pmcmc_lab.harness import sticky_example_model
 from pmcmc_lab.histogram import _Plan, histogram_entries, histogram_sweep
 
 
@@ -123,6 +126,48 @@ def test_sweep_share_matches_tree_and_rows_match_multiset_rows():
                 assert abs(share - tree_share(m, n, x)) < 1e-12
                 # Free copies of x add to the row's entry for x, never to the share.
                 assert share <= row[x] + 1e-15
+
+
+def _sweep_digest(m, N) -> str:
+    """sha256 over the bits of every row entry and share the multiset sweep
+    yields over all positive-mass paths (rows in yield order, entries by path)."""
+    h = hashlib.sha256()
+    for x, row, share in multiset_sweep(m, N, exact_target(m).paths):
+        h.update(repr((x, [(p, row[p].hex()) for p in sorted(row)], share.hex())).encode())
+    return h.hexdigest()[:16]
+
+
+# Digests of the multiset sweep's rows as first pinned; the sticky cases at
+# K = 4 and K = 25 have more distinct free paths than one int64 count code
+# holds.
+_MULTISET_BITS = {
+    ("A", 1): "f77350362222fc48",
+    ("A", 2): "06a5b15c2b480d26",
+    ("A", 3): "ec46f4e3cfe82c34",
+    ("A", 4): "d5d3a4d4da01d3c7",
+    ("A", 8): "f042b4166dbea976",
+    ("B", 2): "203a5b47511d0487",
+    ("B", 3): "3a115fc0c9b2340b",
+    ("B", 5): "76792cbc48ee63a0",
+    ("D", 2): "344e127732f61ad2",
+    ("D", 4): "cb324582bc046ab2",
+    ("D", 6): "cfcd6cff4980ffdb",
+    ("E", 2): "96dc64c1c349b9b6",
+    ("E", 3): "932641559e6249e6",
+    ("grid33", 2): "b626a37d6902b248",
+    ("grid33", 3): "fed4c4852d14fdb2",
+    ("grid43", 2): "5bff58e47c9c0ccc",
+    ("sticky4", 3): "14be23cbb4363204",
+    ("sticky4", 4): "ecb71616b1c56987",
+    ("sticky25", 3): "2e768bfae51abf5f",
+}
+
+
+def test_multiset_rows_are_bit_pinned():
+    builders = {"grid33": lambda: grid_model(3, 3), "grid43": lambda: grid_model(4, 3),
+                "sticky4": lambda: sticky_example_model(4), "sticky25": lambda: sticky_example_model(25)}
+    got = {(name, N): _sweep_digest(builders.get(name, lambda: model(name))(), N) for name, N in _MULTISET_BITS}
+    assert got == _MULTISET_BITS
 
 
 def _lineage_is_refused(lineage, error):
