@@ -10,7 +10,10 @@ Four enumeration engines, each exact, cross-checked in the test suite.
   retained-weight share (the escape experiment's rows).
 * The multiset sweep (:func:`multiset_sweep`) collapses the free particles,
   which are exchangeable, to the multiset of their ancestral paths, which
-  evolves by multinomial draws.  Each row comes with the retained-weight
+  evolves by multinomial draws.  A state is a count vector over the sorted
+  distinct free paths of its level (the law after one time), and a level
+  is built at once on arrays, its multinomial terms counted against the
+  guard before any of it is built.  Each row comes with the retained-weight
   share E[G_T(x_T) / sum_j G_T(Z_T^j)].  It gives
   :func:`kernel_row_multiset` and the matrices past the count engine's guard.
 * The slot sweep (:func:`slot_sweep`, one row: :func:`kernel_row`) is
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +77,7 @@ from .smc_core import _checked_pins, _pin_layout, _pin_schedule
 _TREE_BLOCK = 2**13  # children per outcome-tree block
 _DETAILED_BALANCE_TOL = 1e-9  # largest |pi(x) P(x, y) - pi(y) P(y, x)| accepted
 _SLOT_BLOCK = 2**13  # entries per slot-sweep block; its ~7 live arrays stay near 0.5 MB
+_MULTISET_BLOCK = 2**15  # multinomial terms per multiset-sweep block
 
 
 # ---------------------------------------------------------------------------
@@ -448,93 +453,193 @@ class _MultisetSweep:
     """Forward sweep over (pinned path, multiset of free ancestral paths).
 
     Free children are conditionally i.i.d. given the current states, so the
-    multiset of the N-1 free paths evolves by multinomial draws.  A state is
-    a tuple of (path, count) pairs sorted by path.  ``terms`` counts the
-    multinomial terms enumerated so far; a draw that would take it past
-    ``guard`` raises OutcomeSpaceTooLarge before it runs.
+    multiset of the N-1 free paths evolves by multinomial draws.  A level,
+    the law after one time, is the sorted list of its D distinct free paths,
+    a (K, D) matrix of states, each a count vector over those paths, and
+    the K states' probabilities, states in first-seen order.  A state's
+    types are the children of its paths and of the pin, and a level is one
+    draw of the level before: each state's compositions of the N-1 free
+    particles over its types in lexicographic order, the first type's count
+    slowest, equal states summed in that order.
+
+    ``terms`` counts the multinomial terms, C(N-2+k, N-1) for a state of k
+    types.  Each level's are counted in full before any of the level is
+    built, and a level that takes the count past ``guard`` raises
+    OutcomeSpaceTooLarge.
     """
 
     def __init__(self, model: DiscreteFK, N: int, guard: int):
         self.model, self.n_free, self.guard, self.terms = model, N - 1, guard, 0
-        self.g = [None] + [g.tolist() for g in model.potentials]
         self.moves = [None, None] + [
             [[(int(s), float(row[s])) for s in np.flatnonzero(row)] for row in M] for M in model.transitions
         ]
 
     def rows(self, paths):
         """Yield (x, kernel row of x, share) for each pinned path, in trie order."""
-        m1 = self.model.m1
-        initial: dict = {}
-        self._draw({(int(s),): float(m1[s]) for s in np.flatnonzero(m1)}, 1.0, initial)
+        support = np.flatnonzero(self.model.m1)
+        types, live = [(int(s),) for s in support], np.ones((1, len(support)), dtype=bool)
+        initial = self._draw(types, self.model.m1[support][None], live, np.ones(1))
         yield from _trie_walk(self.model.T, 1, initial, list(paths), self._step, self._select)
 
-    def _step(self, t, law, pinned) -> dict:
-        """State law after time t, given the law after t-1 and the pinned
+    def _step(self, t, law, pinned):
+        """The level after time t, given the level after t-1 and the pinned
         parent path x_1..x_{t-1}."""
-        g, moves = self.g[t - 1], self.moves[t]
-        g_pin = g[pinned[-1]]
-        out: dict = {}
-        for key, prob in law.items():
-            weights = [(pinned, g_pin)] + [(tp, c * g[tp[-1]]) for tp, c in key]
-            total = sum(w for _, w in weights)  # >= g_pin > 0: the pin was checked
-            children: dict = {}
-            for parent, w in weights:
-                if w == 0:
-                    continue
-                for s, q in moves[parent[-1]]:
-                    child = parent + (s,)
-                    children[child] = children.get(child, 0.0) + (w / total) * q
-            self._draw(children, prob, out)
-        return out
+        paths, counts, probs = law
+        g = self.model.potentials[t - 2]
+        # Weight columns: the pin, the free paths, and a zero column for the
+        # pin's path when no free particle holds it.
+        w = np.zeros((len(probs), len(paths) + 2))
+        w[:, 0] = g[pinned[-1]]
+        w[:, 1:-1] = counts * g[[p[-1] for p in paths]]
+        total = np.cumsum(w, axis=1)[:, -1]  # left to right, >= g_pin > 0: the pin was checked
+        share = w / total[:, None]
+        column = {p: j for j, p in enumerate(paths, 1)}
+        types, parent, q, pin = [], [], [], []
+        for path in sorted(column.keys() | {pinned}):
+            for s, qs in self.moves[t][path[-1]]:
+                if path == pinned:
+                    pin.append(len(types))
+                types.append(path + (s,))
+                parent.append(column.get(path, -1))
+                q.append(qs)
+        q = np.array(q)
+        p = share[:, parent] * q
+        p[:, pin] = share[:, :1] * q[pin] + p[:, pin]  # the pin's share first
+        live = w[:, parent] != 0
+        live[:, pin] = True
+        return self._draw(types, p, live, probs)
 
-    def _draw(self, law: dict, prob: float, out: dict) -> None:
-        """Add prob times the law of n_free i.i.d. draws from ``law`` (child
-        path -> probability), keyed as states, to ``out``."""
-        types = sorted(law)
-        self.terms += math.comb(self.n_free + len(types) - 1, self.n_free)
-        if self.terms > self.guard:
+    def _draw(self, types, p, live, probs):
+        """The level of n_free i.i.d. draws from each state (row) of
+        probability ``probs`` over its live ``types`` (sorted child paths of
+        probabilities ``p``), its terms counted before any is built."""
+        k = np.count_nonzero(live, axis=1)
+        states = np.bincount(k).tolist()  # per number of types
+        size = [math.comb(self.n_free + j - 1, self.n_free) if m else 0 for j, m in enumerate(states)]
+        self.terms += sum(m * c for m, c in zip(states, size))
+        if self.terms > min(self.guard, np.iinfo(np.int64).max):
             raise OutcomeSpaceTooLarge(f"multiset sweep passes the guard of {self.guard} multinomial terms")
-        partial = [((), self.n_free, prob)]
-        for tp in types[:-1]:
-            p = law[tp]
-            grown = []
-            for key, rem, coeff in partial:
-                grown.append((key, rem, coeff))
-                for c in range(1, rem + 1):
-                    f = coeff * (math.comb(rem, c) * p**c)
-                    if f != 0.0:
-                        grown.append((key + ((tp, c),), rem - c, f))
-            partial = grown
-        last = types[-1]
-        p = law[last]
-        for key, rem, coeff in partial:
-            if rem:
-                key = key + ((last, rem),)
-                coeff = coeff * p**rem
-            if coeff != 0.0:
-                out[key] = out.get(key, 0.0) + coeff
+        return self._build(types, p, live, probs, k, np.array(size, dtype=np.int64)[k])
+
+    def _build(self, types, p, live, probs, k, size):
+        """The level of :meth:`_draw` (``size`` terms per state), built in
+        blocks of whole states of about ``_MULTISET_BLOCK`` terms (a state
+        with more is a block of its own).  A term's state is a mixed-radix
+        code of its counts over ``types``, in as many int64 words as the
+        types need; blocks after the first find their states' ids by code."""
+        base = self.n_free + 1
+        digits = 1
+        while digits < len(types) and base ** (digits + 1) <= 2**63:
+            digits += 1
+        word, place = np.divmod(np.arange(len(types)), digits)
+        scale = base**place
+        ends = np.cumsum(size)
+        codes, sums, index, lo = [np.zeros((word[-1] + 1, 0), dtype=np.int64)], np.zeros(0), {}, 0
+        while lo < len(probs):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[lo] + _MULTISET_BLOCK, "right")))
+            code, coeff = self._terms(p[lo:hi], live[lo:hi], probs[lo:hi], k[lo:hi], size[lo:hi], word, scale)
+            kept = coeff != 0.0
+            block, local = _first_seen(code[:, kept])
+            if hi - lo == len(probs):
+                ids = np.arange(block.shape[1])
+            else:
+                ids = np.array([index.setdefault(key, len(index)) for key in map(tuple, block.T.tolist())], dtype=int)
+            new = ids >= len(sums)
+            codes.append(block[:, new])
+            sums = np.concatenate((sums, np.zeros(np.count_nonzero(new))))
+            np.add.at(sums, ids[local], coeff[kept])  # in enumeration order
+            lo = hi
+        counts = np.concatenate(codes, axis=1)[word] // scale[:, None] % base
+        held = counts.any(axis=1)
+        return [types[j] for j in np.flatnonzero(held).tolist()], counts[held].T, sums
+
+    def _terms(self, p, live, probs, k, size, word, scale):
+        """The (words, M) state codes and the M coefficients of the terms of
+        the states ``probs``, in enumeration order: the states with k types
+        at once, each coefficient built type by type after the state's
+        probability, as prob * (C(rem, c) * p**c) * ..."""
+        n, start = self.n_free, np.cumsum(size) - size
+        code = np.empty((word[-1] + 1, int(size.sum())), dtype=np.int64)
+        coeff = np.empty(code.shape[1])
+        for j in np.flatnonzero(np.bincount(k)).tolist():
+            rows = np.flatnonzero(k == j)
+            comps, factors = _compositions(n, j)
+            cols = np.nonzero(live[rows])[1].reshape(len(rows), j)
+            # Python's own powers: numpy's vectorised power differs in the last bit.
+            powers = np.array([v**c for v in p[rows[:, None], cols].ravel().tolist() for c in range(n + 1)])
+            powers = powers.reshape(len(rows), j, n + 1)
+            at = start[rows, None] + np.arange(len(comps))
+            c = probs[rows, None]
+            for i in range(j):
+                c = c * (factors[:, i] * np.take(powers[:, i], comps[:, i], axis=1))
+            coeff[at] = c
+            words, scales = word[cols], scale[cols]
+            for w in range(len(code)):
+                code[w, at] = np.where(words == w, scales, 0) @ comps.T
+        return code, coeff
 
     def _select(self, law, group):
         """Yield (x, kernel row of x, retained-weight share) for each x in
         ``group``: the terminal draw.  The row's entry for x also counts free
         copies of x; the share does not."""
-        g = self.g[self.model.T]
-        free = []
-        for key, prob in law.items():
-            weights = [(tp, c * g[tp[-1]]) for tp, c in key]
-            free.append((prob, weights, sum(w for _, w in weights)))
+        paths, counts, probs = law
+        g = self.model.potentials[self.model.T - 1]
+        w = counts * g[[p[-1] for p in paths]]
+        free = np.cumsum(np.hstack((np.zeros((len(probs), 1)), w)), axis=1)[:, -1]  # left to right
+        # Each path's first state of positive weight (len(probs) for none),
+        # and the paths that have one, in that order.
+        first = np.vstack((w != 0, np.ones(len(paths), dtype=bool))).argmax(axis=0)
+        seen = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(probs))].tolist()
+        column = {p: j for j, p in enumerate(paths)}
         for x in group:
             g_pin = g[x[-1]]
-            pinned = []
-            terms: dict = {x: []}
-            for prob, weights, free_total in free:
-                total = g_pin + free_total
-                pinned.append(prob * g_pin / total)
-                for tp, w in weights:
-                    if w != 0:
-                        terms.setdefault(tp, []).append(prob * w / total)
-            terms[x] += pinned
-            yield x, {path: math.fsum(v) for path, v in terms.items()}, math.fsum(pinned)
+            total = g_pin + free
+            pinned = (probs * g_pin / total).tolist()
+            terms = (probs[:, None] * w / total[:, None]).T.tolist()
+            row = {x: math.fsum(pinned + terms[column[x]] if x in column else pinned)}
+            for j in seen:
+                if paths[j] != x:
+                    row[paths[j]] = math.fsum(terms[j])
+            yield x, row, math.fsum(pinned)
+
+
+def _compositions(n: int, k: int) -> tuple:
+    """The compositions of n into k parts in lexicographic order, the first
+    part slowest, as a (C, k) array, and each part's binomial factor
+    C(n - earlier parts, part) as a float.  Tables of at most
+    ``_MULTISET_BLOCK`` rows are kept for the next call."""
+    return (_kept_compositions if math.comb(n + k - 1, k - 1) <= _MULTISET_BLOCK else _composition_table)(n, k)
+
+
+def _composition_table(n: int, k: int) -> tuple:
+    C = math.comb(n + k - 1, k - 1)
+    # Each composition is the gaps between k-1 bars among n+k-1 places.
+    bars = itertools.chain.from_iterable(itertools.combinations(range(n + k - 1), k - 1))
+    edges = np.full((C, k + 1), n + k - 1)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = np.fromiter(bars, dtype=np.int64, count=C * (k - 1)).reshape(C, k - 1)
+    comps = np.diff(edges, axis=1) - 1
+    rest = n - np.cumsum(comps, axis=1) + comps
+    factors = [float(math.comb(r, c)) for r, c in zip(rest.ravel().tolist(), comps.ravel().tolist())]
+    return comps, np.array(factors).reshape(C, k)
+
+
+_kept_compositions = lru_cache(maxsize=64)(_composition_table)
+
+
+def _first_seen(code):
+    """The distinct columns of the (words, M) ``code`` in order of first
+    appearance, and each column's index among them."""
+    ids = np.unique(code[0], return_inverse=True)[1].ravel()
+    for w in code[1:]:
+        values, which = np.unique(w, return_inverse=True)
+        ids = np.unique(ids * len(values) + which.ravel(), return_inverse=True)[1].ravel()
+    first = np.full(ids.max(initial=-1) + 1, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    return code[:, first[order]], rank[ids]
 
 
 def multiset_sweep(model: DiscreteFK, N: int, paths, guard: int = _GUARD):

@@ -284,8 +284,25 @@ def _check_paths(paths, T: int, n_states: int) -> None:
         raise IndexOutOfRange(f"state {bad} outside [0, {n_states})")
 
 
+def _states(paths) -> np.ndarray:
+    """``paths`` as an array of numpy's default int, never truncated.
+
+    An integer array passes, without a copy when its dtype is that int.  A
+    float or bool array, or a sequence holding a non-integer or a bool,
+    raises IndexOutOfRange (:func:`~pmcmc_lab.errors._whole` names the
+    first such state).
+    """
+    if isinstance(paths, np.ndarray) and paths.dtype.kind in "iu":
+        return paths.astype(int, copy=False)
+    states = np.asarray(paths, dtype=object)
+    for state in states.ravel().tolist():
+        if type(state) is not int:
+            _whole(state, None, name="path state")
+    return states.astype(int)
+
+
 def _path_rows(paths, T: int) -> np.ndarray:
-    """A batch of paths as an (R, T) integer array.
+    """A batch of paths as an (R, T) integer array (:func:`_states`).
 
     Raises DimensionMismatch for anything but R paths of length T, a single
     flat path and anything that is not a sequence included, and checks each
@@ -298,7 +315,7 @@ def _path_rows(paths, T: int) -> np.ndarray:
         for path in paths:
             if not hasattr(path, "__len__") or len(path) != T:
                 raise DimensionMismatch(f"a batch of paths holds {path!r}, not a path of length {T}")
-    rows = np.asarray(paths, dtype=int)
+    rows = _states(paths)
     if rows.shape == (0,):  # no paths
         return rows.reshape(0, T)
     if rows.ndim != 2 or rows.shape[1] != T:
@@ -339,13 +356,14 @@ def _pin_layout(T: int, N: int, lineages):
 
 
 def _checked_paths(tables: PassTables, paths, clashes=(), offset=None, rows=None) -> list:
-    """The pinned ``paths`` as integer arrays, (T,) or (T, R), each checked
-    once as one array over time and replicates.
+    """The pinned ``paths`` as integer arrays (:func:`_states`), (T,) or
+    (T, R), each checked once as one array over time and replicates.
 
     Replicate r is checked under the table rows ``offset[r] + state``
     (model 0 when ``offset`` is None).  Raises DimensionMismatch for a path
     whose length is not T or, given ``rows``, with another replicate count,
-    IndexOutOfRange for a state outside the alphabet, ZeroPinnedPotential
+    IndexOutOfRange for a state that is not an integer (:func:`_states`) or
+    is outside the alphabet, ZeroPinnedPotential
     for a state with zero weight under its replicate's model, and
     LineageClash when two pins of a ``clashes`` entry (see
     :func:`_pin_layout`) hold different states in any replicate.
@@ -353,7 +371,7 @@ def _checked_paths(tables: PassTables, paths, clashes=(), offset=None, rows=None
     T = tables.T
     out = []
     for path in paths:
-        path = np.asarray(path, dtype=int)
+        path = _states(path)
         _check_paths(path, T, tables.n_states)
         if rows is not None and path.ndim == 2 and path.shape[1] != rows:
             raise DimensionMismatch(f"pinned paths of {path.shape[1]} replicates for {rows} rows")

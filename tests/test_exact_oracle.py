@@ -218,6 +218,24 @@ def test_multiset_guard_counts_enumerated_terms():
         exact_pn_matrix(m, 3, guard=48)
 
 
+def test_multiset_guard_refuses_a_level_before_building_any_of_it(monkeypatch):
+    # Model A at N = 256 is past the count engine's guard, so the matrix falls
+    # back to the multiset sweep.  Its time-1 level (one state of 256 terms)
+    # is built; its time-2 level, 255 states of C(258, 3) terms and one of
+    # 256, is counted past the guard and refused before any of it is built.
+    built = []
+    build = exact_oracle._MultisetSweep._build
+
+    def counted(self, types, p, live, probs, k, size):
+        built.append(len(probs))
+        return build(self, types, p, live, probs, k, size)
+
+    monkeypatch.setattr(exact_oracle._MultisetSweep, "_build", counted)
+    with pytest.raises(OutcomeSpaceTooLarge, match="multiset sweep passes the guard of 10000000"):
+        exact_pn_matrix(model_a(), 256)
+    assert built == [1]
+
+
 def test_slot_sweep_guard_counts_built_entries():
     # Model A, N=3, x=(0, 0): time 1 builds 2^2 = 4 systems of the two free
     # slots.  At time 2 each free slot has 3 parent slots x 2 successors = 6

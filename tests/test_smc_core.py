@@ -9,20 +9,60 @@ from fixtures import model, model_a, model_unit, pinned_pass, sparse_models, tar
 from pmcmc_lab import SubstreamRng, exact_target, multinomial_resample, run_smc, select_path
 from pmcmc_lab.errors import (
     AllWeightsZero,
+    IndexOutOfRange,
     NegativePotential,
     OutcomeSpaceTooLarge,
     TooFewParticles,
     ZeroPinnedPotential,
 )
+from pmcmc_lab.csmc import icsmc_sampler, reference_pass
 from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
     exact_gamma_hat_expectation,
+    kernel_row,
+    kernel_row_multiset,
 )
 from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.harness import sticky_example_model
+from pmcmc_lab.histogram import histogram_entries
 from pmcmc_lab.replicated import smc_replicated
 from pmcmc_lab.pgibbs import _joint_mass, build_joint_model
-from pmcmc_lab.smc_core import BatchedPass, PassTables, _draw_moves, _fold, _PassPlan, categorical_cdf, particle_pass
+from pmcmc_lab.smc_core import (
+    BatchedPass,
+    PassTables,
+    _draw_moves,
+    _fold,
+    _PassPlan,
+    _path_rows,
+    categorical_cdf,
+    particle_pass,
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: kernel_row_multiset(m, 2, (0.5, 1.5)),
+        lambda m: kernel_row_multiset(m, 2, (True, False)),
+        lambda m: icsmc_sampler(m, 3, (0.7, 1.2), 1),
+        lambda m: histogram_entries(m, 3, [((0.2, 1.9), (0, 1))]),
+        lambda m: kernel_row(m, 2, np.array([0.0, 1.0])),
+        lambda m: reference_pass(m.tables, 2, np.array([[True, False]]), SubstreamRng(0)),
+    ],
+    ids=["float-tuple", "bool-tuple", "sampler-start", "entry-pair", "float-array", "bool-array"],
+)
+def test_a_path_state_that_is_not_an_integer_is_refused(call):
+    # Each was read as the path it truncates to, (0, 1) or (1, 0).
+    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+        call(model_a())
+
+
+def test_integer_path_arrays_pass_as_they_are():
+    rows = np.array([[0, 1], [1, 1]])
+    assert _path_rows(rows, 2) is rows
+    assert _path_rows(rows.astype(np.int8), 2).tolist() == rows.tolist()
+    assert _path_rows([(np.int32(0), 1)], 2).tolist() == [[0, 1]]
+    assert _path_rows([], 2).shape == (0, 2)
 
 
 def test_resample_degenerate_weight():
