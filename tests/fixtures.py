@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from pmcmc_lab import build_discrete_model, build_joint_model, exact_target
 from pmcmc_lab.csmc import conditional_system
-from pmcmc_lab.errors import AllWeightsZero
-from pmcmc_lab.exact_oracle import _OutcomeTree, enumerate_conditional_outcomes, exact_pn_matrix
+from pmcmc_lab.errors import AllWeightsZero, OutcomeSpaceTooLarge
+from pmcmc_lab.exact_oracle import _OutcomeTree, _trie_walk, enumerate_conditional_outcomes, exact_pn_matrix
 from pmcmc_lab.smc_core import _pin_schedule, _PassPlan
 
 _TREE_ROW_GUARD = 10**6  # most outcome-tree entries kernel_row_tree builds
@@ -172,6 +173,66 @@ def kernel_row_tree(m, N: int, x, lineage=None) -> dict:
             for path, p in zip(map(tuple, paths[lo : lo + 64].tolist()), mass[lo : lo + 64].tolist()):
                 row[path] = row.get(path, 0.0) + p
     return row
+
+
+def multiset_rows_loop(m, N: int, paths, guard: int) -> list:
+    """The multiset sweep's (x, row items, share) for each path, in trie
+    order, as a loop over dicts of states (reference; small cases only): a
+    state is a tuple of (path, count) pairs sorted by path, each draw's
+    multinomial terms enumerated one by one, the first type's count slowest,
+    and added to their state in that order."""
+    n_free, terms, g = N - 1, [0], [None] + [pot.tolist() for pot in m.potentials]
+    moves = [None, None] + [[[(s, float(row[s])) for s in np.flatnonzero(row)] for row in M] for M in m.transitions]
+
+    def draw(law, prob, out):
+        types = sorted(law)
+        terms[0] += math.comb(n_free + len(types) - 1, n_free)
+        if terms[0] > guard:
+            raise OutcomeSpaceTooLarge("multiset sweep passes the guard")
+        partial = [((), n_free, prob)]
+        for tp in types[:-1]:
+            grown = []
+            for key, rem, coeff in partial:
+                grown.append((key, rem, coeff))
+                for c in range(1, rem + 1):
+                    f = coeff * (math.comb(rem, c) * law[tp] ** c)
+                    if f != 0.0:
+                        grown.append((key + ((tp, c),), rem - c, f))
+            partial = grown
+        for key, rem, coeff in partial:
+            if rem:
+                key, coeff = key + ((types[-1], rem),), coeff * law[types[-1]] ** rem
+            if coeff != 0.0:
+                out[key] = out.get(key, 0.0) + coeff
+
+    def step(t, law, pinned):
+        out: dict = {}
+        for key, prob in law.items():
+            weights = [(pinned, g[t - 1][pinned[-1]])] + [(tp, c * g[t - 1][tp[-1]]) for tp, c in key]
+            total = sum(w for _, w in weights)
+            children: dict = {}
+            for parent, w in weights:
+                for s, q in moves[t][parent[-1]] if w != 0 else ():
+                    children[parent + (s,)] = children.get(parent + (s,), 0.0) + (w / total) * q
+            draw(children, prob, out)
+        return out
+
+    def select(law, group):
+        for x in group:
+            pinned, rows = [], {x: []}
+            for key, prob in law.items():
+                weights = [(tp, c * g[m.T][tp[-1]]) for tp, c in key]
+                total = g[m.T][x[-1]] + sum(w for _, w in weights)
+                pinned.append(prob * g[m.T][x[-1]] / total)
+                for tp, w in weights:
+                    if w != 0:
+                        rows.setdefault(tp, []).append(prob * w / total)
+            rows[x] += pinned
+            yield x, [(path, math.fsum(v)) for path, v in rows.items()], math.fsum(pinned)
+
+    initial: dict = {}
+    draw({(int(s),): float(m.m1[s]) for s in np.flatnonzero(m.m1)}, 1.0, initial)
+    return list(_trie_walk(m.T, 1, initial, [tuple(x) for x in paths], step, select))
 
 
 def tree_share(m, N: int, x) -> float:

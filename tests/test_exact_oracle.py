@@ -12,6 +12,7 @@ from fixtures import (
     kernel_row_tree,
     model,
     model_a,
+    multiset_rows_loop,
     oracle_grid,
     pn_chain,
     reference_outcomes,
@@ -139,7 +140,9 @@ def _sweep_digest(m, N) -> str:
 
 # Digests of the multiset sweep's rows as first pinned; the sticky cases at
 # K = 4 and K = 25 have more distinct free paths than one int64 count code
-# holds.
+# holds.  The fixtures' weights are dyadic, so their sums are exact in any
+# order; "wide7" has weights that are not, and rows of more than eight
+# weights, where numpy's own sum would add in another order.
 _MULTISET_BITS = {
     ("A", 1): "f77350362222fc48",
     ("A", 2): "06a5b15c2b480d26",
@@ -160,12 +163,17 @@ _MULTISET_BITS = {
     ("sticky4", 3): "14be23cbb4363204",
     ("sticky4", 4): "ecb71616b1c56987",
     ("sticky25", 3): "2e768bfae51abf5f",
+    ("wide7", 3): "c9ea344d4c76d190",
 }
 
 
 def test_multiset_rows_are_bit_pinned():
+    S = 7
+    mat = [[(1.0 + (i + 2 * j) % 5) / sum(1.0 + (i + 2 * k) % 5 for k in range(S)) for j in range(S)] for i in range(S)]
+    weights = [[0.1 * (s + 1) for s in range(S)], [0.3 + 0.1 * s for s in range(S)]]
     builders = {"grid33": lambda: grid_model(3, 3), "grid43": lambda: grid_model(4, 3),
-                "sticky4": lambda: sticky_example_model(4), "sticky25": lambda: sticky_example_model(25)}
+                "sticky4": lambda: sticky_example_model(4), "sticky25": lambda: sticky_example_model(25),
+                "wide7": lambda: build_discrete_model(list(range(S)), [1.0 / S] * S, [mat], weights)}
     got = {(name, N): _sweep_digest(builders.get(name, lambda: model(name))(), N) for name, N in _MULTISET_BITS}
     assert got == _MULTISET_BITS
 
@@ -317,6 +325,20 @@ def test_property_lineage_pinned_matrix_matches_default_engine(m, N, data):
 def multiset_matrix(m, N, paths, guard=10**7) -> np.ndarray:
     """The kernel over ``paths`` from the multiset sweep, row by row."""
     return np.array([row_vector(row, paths) for _, row, _ in multiset_sweep(m, N, paths, guard)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_models(), st.integers(1, 6))
+def test_property_multiset_rows_match_the_dict_loop_bit_for_bit(m, N):
+    # The same entries, shares and row order as the loop over dicts of
+    # states, or a refusal past the guard from both.
+    paths = exact_target(m).paths
+    got = outcome(lambda: [(x, list(row.items()), share) for x, row, share in multiset_sweep(m, N, paths, 10**4)])
+    want = outcome(lambda: multiset_rows_loop(m, N, paths, 10**4))
+    if isinstance(want, PmcmcLabError):
+        assert type(got) is type(want)
+    else:
+        assert got == want
 
 
 def test_histogram_sweep_matches_multiset_on_oracle_grid():
