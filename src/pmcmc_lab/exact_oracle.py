@@ -77,7 +77,7 @@ from .smc_core import _checked_pins, _pin_layout, _pin_schedule
 _TREE_BLOCK = 2**13  # children per outcome-tree block
 _DETAILED_BALANCE_TOL = 1e-9  # largest |pi(x) P(x, y) - pi(y) P(y, x)| accepted
 _SLOT_BLOCK = 2**13  # entries per slot-sweep block; its ~7 live arrays stay near 0.5 MB
-_MULTISET_BLOCK = 2**15  # multinomial terms per multiset-sweep block
+_MULTISET_BLOCK = 2**15  # multinomial terms per multiset-sweep block; its term arrays stay near 1 MB
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +620,9 @@ def _composition_table(n: int, k: int) -> tuple:
     edges[:, 1:-1] = np.fromiter(bars, dtype=np.int64, count=C * (k - 1)).reshape(C, k - 1)
     comps = np.diff(edges, axis=1) - 1
     rest = n - np.cumsum(comps, axis=1) + comps
-    factors = [float(math.comb(r, c)) for r, c in zip(rest.ravel().tolist(), comps.ravel().tolist())]
-    return comps, np.array(factors).reshape(C, k)
+    factors = np.array([float(math.comb(r, c)) for r, c in zip(rest.ravel().tolist(), comps.ravel().tolist())])
+    comps.flags.writeable = factors.flags.writeable = False  # kept tables are shared by every call
+    return comps, factors.reshape(C, k)
 
 
 _kept_compositions = lru_cache(maxsize=64)(_composition_table)

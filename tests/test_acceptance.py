@@ -41,7 +41,6 @@ from pmcmc_lab.exact_oracle import (
     final_selection_weights,
     kernel_row,
 )
-from pmcmc_lab.fk_model import build_discrete_model
 from pmcmc_lab.harness import (
     ExperimentConfig,
     run_experiment,

@@ -185,6 +185,16 @@ def test_state_outside_alphabet_is_rejected(entry):
                 call()
 
 
+@pytest.mark.parametrize("entry", _PINNING)
+def test_state_that_is_not_an_integer_is_rejected(entry):
+    # Each used to run on the path it truncates to.
+    m = _zero_first_weight()
+    for path in ((0, 1.5), (0.0, 1.0), (True, False)):
+        for call in _pinning_calls(entry, m, 3, path):
+            with pytest.raises(IndexOutOfRange, match="is not an integer"):
+                call()
+
+
 def _batch_call(entry, paths, pairs):
     """A zero-argument call of ``entry`` on the batch ``paths`` (``pairs``
     for the entry that takes (x, y) pairs)."""

@@ -15,11 +15,10 @@ from pmcmc_lab.errors import (
     TooFewParticles,
     ZeroPinnedPotential,
 )
-from pmcmc_lab.csmc import icsmc_sampler, reference_pass
+from pmcmc_lab.csmc import icsmc_sampler
 from pmcmc_lab.exact_oracle import (
     enumerate_conditional_outcomes,
     exact_gamma_hat_expectation,
-    kernel_row,
     kernel_row_multiset,
 )
 from pmcmc_lab.fk_model import build_discrete_model
@@ -46,13 +45,12 @@ from pmcmc_lab.smc_core import (
         lambda m: kernel_row_multiset(m, 2, (True, False)),
         lambda m: icsmc_sampler(m, 3, (0.7, 1.2), 1),
         lambda m: histogram_entries(m, 3, [((0.2, 1.9), (0, 1))]),
-        lambda m: kernel_row(m, 2, np.array([0.0, 1.0])),
-        lambda m: reference_pass(m.tables, 2, np.array([[True, False]]), SubstreamRng(0)),
     ],
-    ids=["float-tuple", "bool-tuple", "sampler-start", "entry-pair", "float-array", "bool-array"],
+    ids=["float-tuple", "bool-tuple", "sampler-start", "entry-pair"],
 )
 def test_a_path_state_that_is_not_an_integer_is_refused(call):
-    # Each was read as the path it truncates to, (0, 1) or (1, 0).
+    # Each was read as the path it truncates to, (0, 1) or (1, 0); arrays
+    # and every pinning entry: test_c2smc.
     with pytest.raises(IndexOutOfRange, match="is not an integer"):
         call(model_a())
 
